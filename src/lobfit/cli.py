@@ -36,7 +36,7 @@ import os
 import statistics
 import sys
 
-from lobfit import dist, feed, rates, stats, synth
+from lobfit import dist, feed, rates, stats
 from lobfit.book import OrderBook, TickReference
 from lobfit.errors import (AllZero, DegenerateData, InsufficientData,
                            LobfitError, MissingTicks, NonConvergence,
@@ -134,6 +134,9 @@ def _warn(message: str) -> None:
 # --- subcommands ---
 
 def cmd_synth(args) -> None:
+    # imported here: synth pulls in numpy, which no other command needs
+    from lobfit import synth
+
     style = (synth.CancelStyle.FULL if args.cancel_style == "full"
              else synth.CancelStyle.UNIFORM_FRACTION)
     spec = synth.SynthSpec(
@@ -156,7 +159,7 @@ def cmd_synth(args) -> None:
 
 
 def cmd_rates(args) -> None:
-    granularities = parse_granularities(args.granularity)
+    granularities = tuple(parse_granularities(args.granularity))
     reference = (TickReference.SAME_SIDE if args.reference == "same"
                  else TickReference.OPPOSITE_SIDE)
     if args.side == "both":
@@ -164,7 +167,7 @@ def cmd_rates(args) -> None:
     else:
         sides = {Side[args.side.upper()]}
     store = rates.TallyStore()
-    books: dict[int, OrderBook] = {}
+    sessions: dict[int, tuple] = {}  # session id -> (book, date)
     seen = 0
 
     def all_frames():
@@ -172,11 +175,12 @@ def cmd_rates(args) -> None:
             yield from feed.read_lobf(path)
 
     for session_id, msg in feed.iter_stream(all_frames()):
-        book = books.get(session_id)
-        if book is None:
-            book = books[session_id] = OrderBook(tick_size=args.tick_size,
-                                                 reference=reference)
-        day = synth.session_id_to_date(session_id)
+        session = sessions.get(session_id)
+        if session is None:
+            session = sessions[session_id] = (
+                OrderBook(tick_size=args.tick_size, reference=reference),
+                rates.session_id_to_date(session_id))
+        book, day = session
         for event in book.apply(msg):
             if event.side in sides:
                 rates.accumulate_event(store, event, day,

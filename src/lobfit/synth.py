@@ -20,8 +20,9 @@ configured probability, either in full or by a uniform fraction of its
 remainder.
 Cancels carry the timestamp of the arrival that triggered them.
 
-Session ids encode the session date as YYYYMMDD, which is how the
-pipeline recovers dates when reading a stream back.
+Session ids encode the session date as YYYYMMDD
+(``rates.date_to_session_id``), which is how the pipeline recovers
+dates when reading a stream back.
 """
 
 from __future__ import annotations
@@ -44,25 +45,25 @@ __all__ = [
     "SynthSpec",
     "GroundTruth",
     "default_calendar",
-    "date_to_session_id",
-    "session_id_to_date",
     "generate",
     "spec_payload",
     "ground_truth_payload",
     "write_ground_truth",
 ]
 
-_NS_PER_HOUR = 3_600_000_000_000
-_MORNING_OPEN = 10 * _NS_PER_HOUR
-_MORNING_SPAN = 3 * _NS_PER_HOUR
-_AFTERNOON_OPEN = 14 * _NS_PER_HOUR
-_SESSION_SPAN = 7 * _NS_PER_HOUR
+_NS_PER_HOUR = rates.NS_PER_HOUR
+_MORNING_OPEN = rates.MORNING_HOURS[0] * _NS_PER_HOUR
+_MORNING_SPAN = (rates.MORNING_HOURS[1]
+                 - rates.MORNING_HOURS[0]) * _NS_PER_HOUR
+_AFTERNOON_OPEN = rates.AFTERNOON_HOURS[0] * _NS_PER_HOUR
+_SESSION_SPAN = rates.HOUR_SLOTS * _NS_PER_HOUR
 _LADDER_TIME = 9 * _NS_PER_HOUR + 30 * 60 * 1_000_000_000
 
 _LADDER_LEVELS = 15
 _LADDER_QUANTITY = 200
 _MAX_ARRIVAL_QUANTITY = 100
-_CANCELABLE_TICKS = 10
+# only orders inside the tallied cancel window are canceled
+_CANCELABLE_TICKS = rates.CANCEL_TICKS
 
 
 class CancelStyle(Enum):
@@ -131,20 +132,6 @@ def default_calendar(days: int,
     return out
 
 
-def date_to_session_id(day: dt.date) -> int:
-    return day.year * 10_000 + day.month * 100 + day.day
-
-
-def session_id_to_date(session_id: int) -> dt.date:
-    year, rest = divmod(session_id, 10_000)
-    month, dom = divmod(rest, 100)
-    try:
-        return dt.date(year, month, dom)
-    except ValueError:
-        raise SpecError(
-            f"session id {session_id} does not encode a date") from None
-
-
 def _timestamp(offset_ns: int) -> int:
     if offset_ns < _MORNING_SPAN:
         return _MORNING_OPEN + offset_ns
@@ -181,7 +168,8 @@ def generate(spec: SynthSpec) -> tuple[bytes, GroundTruth]:
     for session_date in default_calendar(spec.days, spec.start):
         messages = _generate_session(spec, session_date, rng, cumulative,
                                      order_ids, store)
-        frames = feed.build_frames(date_to_session_id(session_date), messages)
+        frames = feed.build_frames(rates.date_to_session_id(session_date),
+                                   messages)
         chunks.extend(feed.encode_frame(f) for f in frames)
     return b"".join(chunks), GroundTruth(spec=spec, store=store)
 

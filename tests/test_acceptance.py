@@ -61,7 +61,7 @@ def replay(blob, tick_size=1):
         if book is None:
             book = books[sid] = OrderBook(
                 tick_size=tick_size, reference=TickReference.SAME_SIDE)
-        day = synth.session_id_to_date(sid)
+        day = rates.session_id_to_date(sid)
         for event in book.apply(msg):
             rates.accumulate_event(store, event, day)
     return store

@@ -275,6 +275,36 @@ class TestExitCodes:
         assert cli.main(["--help"]) == 0
         capsys.readouterr()
 
+    def test_malformed_tally_csv_exits_one(self, pipeline, tmp_path,
+                                           capsys):
+        def edited(name, tag, edit):
+            rows = [line.split(",") for line in
+                    (pipeline / name).read_text().splitlines()]
+            path = tmp_path / f"{tag}_{name}"
+            path.write_text("".join(",".join(edit(i, row)) + "\n"
+                                    for i, row in enumerate(rows)))
+            return path
+
+        side_up = edited("rates.csv", "side_up", lambda i, row: (
+            row[:1] + ["up"] + row[2:] if i == 1 else row))
+        no_quantity = edited("rates.csv", "no_quantity",
+                             lambda i, row: row[:3] + row[4:])
+        short_row = edited("cancels.csv", "short_row", lambda i, row: (
+            row[:-1] if i == 1 else row))
+        huge_field = edited("cancels.csv", "huge_field", lambda i, row: (
+            ["x" * 200_000] + row[1:] if i == 2 else row))
+        for command, path, where, what in (
+                ("fit", side_up, ":2:", "bad side 'up'"),
+                ("fit", no_quantity, ":1:", "missing column(s) quantity"),
+                ("cancel-test", short_row, ":2:", "expected 5 fields"),
+                ("cancel-test", huge_field, ":3:", "field limit")):
+            capsys.readouterr()
+            assert cli.main([command, str(path),
+                             "--out", str(tmp_path / "out")]) == 1
+            err = capsys.readouterr().err
+            assert f"{path}{where}" in err and what in err
+            assert "internal error" not in err
+
     def test_internal_failure_exits_two(self, tmp_path, monkeypatch):
         def boom(spec):
             raise RuntimeError("wires crossed")

@@ -1,8 +1,11 @@
 import csv
 import datetime as dt
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lobfit import rates
 from lobfit.book import BookEvent, EventKind
@@ -14,7 +17,6 @@ from lobfit.rates import (
     CancelTally,
     Granularity,
     TallyStore,
-    accumulate,
     accumulate_event,
     arrival_density,
     assign_bucket,
@@ -111,37 +113,44 @@ def test_bucket_labels_round_trip():
 
 # --- accumulation ---
 
+DAY = dt.date(2017, 8, 1)
+DAILY_KEY = BucketKey(Granularity.DAILY, (2017, 8, 1), Side.BUY)
+
+
 def test_accumulate_arrival_adds_quantity():
     store = TallyStore()
-    key = BucketKey(Granularity.DAILY, (2017, 8, 1), Side.BUY)
-    accumulate(store, key, arrival(3, 40))
-    accumulate(store, key, arrival(3, 10))
-    accumulate(store, key, arrival(1, 5))
-    assert store.arrivals[key].quantity[2] == 50
-    assert store.arrivals[key].quantity[0] == 5
+    for ev in (arrival(3, 40), arrival(3, 10), arrival(1, 5)):
+        assert accumulate_event(store, ev, DAY,
+                                granularities=[Granularity.DAILY])
+    assert store.arrivals[DAILY_KEY].quantity[2] == 50
+    assert store.arrivals[DAILY_KEY].quantity[0] == 5
 
 
 def test_accumulate_drops_beyond_windows():
     store = TallyStore()
-    key = BucketKey(Granularity.DAILY, (2017, 8, 1), Side.BUY)
-    accumulate(store, key, arrival(16, 40))
-    accumulate(store, key, cancel(11, 10, 100))
+    daily = [Granularity.DAILY]
+    accumulate_event(store, arrival(16, 40), DAY, granularities=daily)
+    accumulate_event(store, cancel(11, 10, 100), DAY, granularities=daily)
     assert store.arrivals == {}
     assert store.cancels == {}
     assert store.dropped_arrivals == 1
     assert store.dropped_cancels == 1
-    accumulate(store, key, arrival(15, 40))
-    accumulate(store, key, cancel(10, 10, 100))
-    assert store.arrivals[key].quantity[14] == 40
-    assert store.cancels[key].count[9] == 1
+    accumulate_event(store, arrival(15, 40), DAY, granularities=daily)
+    accumulate_event(store, cancel(10, 10, 100), DAY, granularities=daily)
+    assert store.arrivals[DAILY_KEY].quantity[14] == 40
+    assert store.cancels[DAILY_KEY].count[9] == 1
+    # one drop per requested granularity
+    accumulate_event(store, arrival(16, 40), DAY)
+    accumulate_event(store, cancel(11, 10, 100), DAY)
+    assert store.dropped_arrivals == 1 + len(Granularity)
+    assert store.dropped_cancels == 1 + len(Granularity)
 
 
 def test_accumulate_cancel_ratio():
     store = TallyStore()
-    key = BucketKey(Granularity.DAILY, (2017, 8, 1), Side.BUY)
-    accumulate(store, key, cancel(2, 30, 120))
-    accumulate(store, key, cancel(2, 60, 120))
-    tally = store.cancels[key]
+    for ev in (cancel(2, 30, 120), cancel(2, 60, 120)):
+        accumulate_event(store, ev, DAY, granularities=[Granularity.DAILY])
+    tally = store.cancels[DAILY_KEY]
     assert tally.ratio_sum[1] == pytest.approx(0.75)
     assert tally.count[1] == 2
     ratios = cancellation_ratio(tally)
@@ -295,6 +304,147 @@ def test_merge_matches_single_pass():
         for a, b in zip(merged.cancels[key].ratio_sum,
                         whole.cancels[key].ratio_sum):
             assert a == pytest.approx(b, rel=1e-12)
+
+
+# --- session cube against a brute-force tally ---
+
+# weekdays across the Aug/Sep 2017 month end (ISO week 35 spans both
+# months) and across the 2017/2018 year end (2017-W52 -> 2018-W01)
+CUBE_DAYS = (weekdays(dt.date(2017, 8, 28), 6)
+             + weekdays(dt.date(2017, 12, 27), 6))
+ALL = tuple(Granularity)
+GRANULARITY_SETS = (ALL, (Granularity.DAILY,),
+                    (Granularity.HOURLY, Granularity.WEEKLY))
+
+
+@st.composite
+def cube_event(draw):
+    # 08:00-19:00, so some events fall before, between and after sessions
+    ts = draw(st.integers(8 * NS_H, 19 * NS_H - 1))
+    side = draw(st.sampled_from(Side))
+    if draw(st.booleans()):
+        ev = arrival(draw(st.integers(1, 17)), draw(st.integers(1, 500)),
+                     ts=ts, side=side)
+    else:
+        before = draw(st.integers(1, 500))
+        ev = cancel(draw(st.integers(1, 12)), draw(st.integers(1, before)),
+                    before, ts=ts, side=side)
+    return draw(st.sampled_from(CUBE_DAYS)), ev
+
+
+def reference_tally(events):
+    """Each event folded into each of its buckets, one key at a time."""
+    arrivals, ratio_sums, counts = {}, {}, {}
+    dropped = {EventKind.LIMIT_ARRIVAL: 0, EventKind.CANCEL: 0}
+    out_of_hours = 0
+    for day, ev, granularities in events:
+        hour = ev.timestamp_ns // NS_H
+        if 10 <= hour < 13:
+            slot = hour - 9
+        elif 14 <= hour < 18:
+            slot = hour - 10
+        else:
+            out_of_hours += 1
+            continue
+        year, week, _ = day.isocalendar()
+        index = {Granularity.DAILY: (day.year, day.month, day.day),
+                 Granularity.WEEKLY: (year, week),
+                 Granularity.MONTHLY: (day.year, day.month),
+                 Granularity.HOURLY: (year, week, slot)}
+        window = 15 if ev.kind is EventKind.LIMIT_ARRIVAL else 10
+        for g in granularities:
+            if ev.tick > window:
+                dropped[ev.kind] += 1
+                continue
+            key = BucketKey(g, index[g], ev.side)
+            if ev.kind is EventKind.LIMIT_ARRIVAL:
+                arrivals.setdefault(key, [0] * 15)[ev.tick - 1] += ev.quantity
+            else:
+                ratio_sums.setdefault(key, [0.0] * 10)[ev.tick - 1] += (
+                    ev.quantity / ev.level_quantity_before)
+                counts.setdefault(key, [0] * 10)[ev.tick - 1] += 1
+    return (arrivals, ratio_sums, counts, dropped[EventKind.LIMIT_ARRIVAL],
+            dropped[EventKind.CANCEL], out_of_hours)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(cube_event(), st.sampled_from(GRANULARITY_SETS)),
+                max_size=80))
+def test_store_matches_brute_force_tally(stream):
+    events = [(day, ev, granularities)
+              for (day, ev), granularities in stream]
+    store = TallyStore()
+    for day, ev, granularities in events:
+        accumulate_event(store, ev, day, granularities=granularities)
+    (arrivals, ratio_sums, counts, dropped_arrivals, dropped_cancels,
+     out_of_hours) = reference_tally(events)
+    assert {k: t.quantity for k, t in store.arrivals.items()} == arrivals
+    assert {k: t.count for k, t in store.cancels.items()} == counts
+    for key, sums in ratio_sums.items():
+        for got, want in zip(store.cancels[key].ratio_sum, sums):
+            assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
+    assert store.dropped_arrivals == dropped_arrivals
+    assert store.dropped_cancels == dropped_cancels
+    assert store.out_of_hours == out_of_hours
+
+
+def summed_by(tallies, granularity, coarse_key):
+    out = {}
+    for key, values in tallies.items():
+        if key.granularity is granularity:
+            acc = out.setdefault(coarse_key(key), [0] * len(values))
+            for i, v in enumerate(values):
+                acc[i] += v
+    return out
+
+
+def of(tallies, granularity):
+    return {k: v for k, v in tallies.items() if k.granularity is granularity}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(cube_event(), max_size=80))
+def test_granularities_roll_up_consistently(events):
+    store = TallyStore()
+    for day, ev in events:
+        accumulate_event(store, ev, day)
+
+    def week_of(key):
+        year, week, _ = dt.date(*key.index).isocalendar()
+        return BucketKey(Granularity.WEEKLY, (year, week), key.side)
+
+    def month_of(key):
+        return BucketKey(Granularity.MONTHLY, key.index[:2], key.side)
+
+    def week_of_slot(key):
+        return BucketKey(Granularity.WEEKLY, key.index[:2], key.side)
+
+    for tallies in ({k: t.quantity for k, t in store.arrivals.items()},
+                    {k: t.count for k, t in store.cancels.items()}):
+        daily = Granularity.DAILY
+        assert summed_by(tallies, daily, week_of) == of(
+            tallies, Granularity.WEEKLY)
+        assert summed_by(tallies, daily, month_of) == of(
+            tallies, Granularity.MONTHLY)
+        assert summed_by(tallies, Granularity.HOURLY, week_of_slot) == of(
+            tallies, Granularity.WEEKLY)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(cube_event(), max_size=80), st.data())
+def test_reading_mid_stream_matches_single_pass(events, data):
+    split = data.draw(st.integers(0, len(events)))
+    single, interrupted = TallyStore(), TallyStore()
+    for day, ev in events:
+        accumulate_event(single, ev, day)
+    for i, (day, ev) in enumerate(events):
+        if i == split:
+            prefix = TallyStore()
+            for d, e in events[:split]:
+                accumulate_event(prefix, e, d)
+            assert interrupted == prefix  # reads the views mid-stream
+        accumulate_event(interrupted, ev, day)
+    assert interrupted == single
 
 
 # --- csv staging ---

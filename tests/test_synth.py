@@ -25,7 +25,7 @@ def replay(blob, tick_size=1):
         if book is None:
             book = books[sid] = OrderBook(
                 tick_size=tick_size, reference=TickReference.SAME_SIDE)
-        day = synth.session_id_to_date(sid)
+        day = rates.session_id_to_date(sid)
         for event in book.apply(msg):
             rates.accumulate_event(store, event, day)
     return store, books
@@ -77,13 +77,13 @@ class TestCalendar:
 
     def test_session_id_round_trip(self):
         day = dt.date(2017, 8, 1)
-        sid = synth.date_to_session_id(day)
+        sid = rates.date_to_session_id(day)
         assert sid == 20170801
-        assert synth.session_id_to_date(sid) == day
+        assert rates.session_id_to_date(sid) == day
 
     def test_session_id_must_encode_a_date(self):
         with pytest.raises(SpecError):
-            synth.session_id_to_date(20171332)
+            rates.session_id_to_date(20171332)
 
 
 class TestGeneration:

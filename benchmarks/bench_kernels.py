@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Benchmark the pure-Python fitting kernels against the compiled ones.
+"""Benchmark the fitting kernels in lobfit.kernels.
 
-Both backends expose the same two entry points (``objective`` and
-``minimize``), so each workload below runs the identical call sequence
-through each and reports wall time plus the speedup.  The histograms are
-multinomial draws from known curves, matching what the fitting layer
-feeds the kernels in production.
+Each workload runs a fixed call sequence through the two entry points
+(``objective`` and ``minimize``) and reports its best wall time.  The
+histograms are multinomial draws from known curves, matching what the
+fitting layer feeds the kernels in production.  For end-to-end and
+per-layer numbers of the whole pipeline use ``perfbench/run.py``.
 
 Run:
 
@@ -18,12 +18,7 @@ import time
 
 import numpy as np
 
-from lobfit import _pykernels, dist
-
-try:
-    from lobfit import _native
-except ImportError:
-    _native = None
+from lobfit import dist, kernels
 
 _DW_STARTS = [(math.log(q / (1.0 - q)), math.log(b))
               for q in (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -33,22 +28,22 @@ _BB_STARTS = [(math.log(a), math.log(b))
               for b in (0.1, 0.5, 2.5, 12.5, 62.5)]
 
 
-def multi_start_fit(impl, kind, truncated, weights, starts):
+def multi_start_fit(kind, truncated, weights, starts):
     best = None
     for z0, z1 in starts:
-        if not math.isfinite(impl.objective(kind, truncated, weights,
-                                            z0, z1)):
+        if not math.isfinite(kernels.objective(kind, truncated, weights,
+                                               z0, z1)):
             continue
-        run = impl.minimize(kind, truncated, weights, z0, z1)
+        run = kernels.minimize(kind, truncated, weights, z0, z1)
         if best is None or run[2] < best[2]:
             best = run
     return best
 
 
-def objective_sweep(impl, kind, weights, grid):
+def objective_sweep(kind, weights, grid):
     total = 0.0
     for z0, z1 in grid:
-        v = impl.objective(kind, False, weights, z0, z1)
+        v = kernels.objective(kind, False, weights, z0, z1)
         if math.isfinite(v):
             total += v
     return total
@@ -56,12 +51,11 @@ def objective_sweep(impl, kind, weights, grid):
 
 def timed(fn, repeats):
     best = math.inf
-    value = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        value = fn()
+        fn()
         best = min(best, time.perf_counter() - t0)
-    return best, value
+    return best
 
 
 def main():
@@ -84,53 +78,24 @@ def main():
 
     workloads = [
         ("objective sweep, weibull (325 points)",
-         lambda impl: objective_sweep(impl, impl.KIND_DW, dw_hists[0],
-                                      sweep_grid)),
+         lambda: objective_sweep(kernels.KIND_DW, dw_hists[0], sweep_grid)),
         ("objective sweep, beta-binomial (325 points)",
-         lambda impl: objective_sweep(impl, impl.KIND_BB, bb_hists[0],
-                                      sweep_grid)),
+         lambda: objective_sweep(kernels.KIND_BB, bb_hists[0], sweep_grid)),
         (f"weibull fit, 25 starts x {args.instances} histograms",
-         lambda impl: [multi_start_fit(impl, impl.KIND_DW, True, w,
-                                       _DW_STARTS) for w in dw_hists]),
+         lambda: [multi_start_fit(kernels.KIND_DW, True, w, _DW_STARTS)
+                  for w in dw_hists]),
         (f"beta-binomial fit, 25 starts x {args.instances} histograms",
-         lambda impl: [multi_start_fit(impl, impl.KIND_BB, False, w,
-                                       _BB_STARTS) for w in bb_hists]),
+         lambda: [multi_start_fit(kernels.KIND_BB, False, w, _BB_STARTS)
+                  for w in bb_hists]),
     ]
 
-    backends = [("python", _pykernels)]
-    if _native is not None:
-        backends.append(("native", _native))
-    else:
-        print("compiled backend not built; timing pure Python only\n")
-
     name_width = max(len(name) for name, _ in workloads)
-    header = f"{'workload':<{name_width}}"
-    for label, _ in backends:
-        header += f"  {label:>10}"
-    if len(backends) == 2:
-        header += f"  {'speedup':>8}"
+    header = f"{'workload':<{name_width}}  {'time':>10}"
     print(header)
     print("-" * len(header))
-
     for name, job in workloads:
-        times = []
-        values = []
-        for _, impl in backends:
-            elapsed, value = timed(lambda: job(impl), args.repeats)
-            times.append(elapsed)
-            values.append(value)
-        row = f"{name:<{name_width}}"
-        for elapsed in times:
-            row += f"  {elapsed * 1e3:>8.1f}ms"
-        if len(backends) == 2:
-            row += f"  {times[0] / times[1]:>7.1f}x"
-            # both backends must land on the same answer
-            if isinstance(values[0], float):
-                assert math.isclose(values[0], values[1], rel_tol=1e-9)
-            else:
-                for a, b in zip(values[0], values[1]):
-                    assert math.isclose(a[2], b[2], rel_tol=1e-9)
-        print(row)
+        elapsed = timed(job, args.repeats)
+        print(f"{name:<{name_width}}  {elapsed * 1e3:>8.1f}ms")
 
 
 if __name__ == "__main__":

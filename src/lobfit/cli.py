@@ -30,27 +30,25 @@ beta), ``exp:0.7`` (rate), ``pow:0.3,1.4`` (scale, exponent).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
+import re
 import statistics
 import sys
 
 from lobfit import dist, feed, rates, stats
 from lobfit.book import OrderBook, TickReference
-from lobfit.errors import (AllZero, DegenerateData, InsufficientData,
-                           LobfitError, MissingTicks, NonConvergence,
-                           ZeroVariance)
+from lobfit.errors import (AllZero, InsufficientData, LobfitError,
+                           MissingTicks, ZeroVariance)
 from lobfit.feed import Side
 from lobfit.rates import Granularity
 
-_FAMILY_ORDER = ("geometric", "discrete_weibull", "beta_binomial",
-                 "exponential", "power_law")
+_FAMILY_ORDER = tuple(dist.FAMILY_TAGS)
 _SHORTHAND = {"geo": "geometric", "dw": "discrete_weibull",
               "bb": "beta_binomial", "exp": "exponential",
               "pow": "power_law"}
-_MODEL_ARITY = {"geometric": 1, "discrete_weibull": 2, "beta_binomial": 2,
-                "exponential": 1, "power_law": 2}
 _TIMESTEP_ORDER = ("daily_buy", "daily_sell", "weekly_buy", "weekly_sell",
                    "monthly", "hourly_buy", "hourly_sell")
 _GRANULARITY_POS = {Granularity.DAILY: 0, Granularity.WEEKLY: 1,
@@ -73,19 +71,15 @@ def parse_model(text: str):
         values = [float(v) for v in tail.split(",")]
     except ValueError:
         raise ValueError(f"bad model parameters in {text!r}") from None
-    if len(values) != _MODEL_ARITY[tag]:
+    family = dist.FAMILY_TAGS[tag]
+    # the shorthand gives the fields without a default, in order
+    arity = sum(1 for f in dataclasses.fields(family)
+                if f.default is dataclasses.MISSING)
+    if len(values) != arity:
         raise ValueError(
-            f"{head} takes {_MODEL_ARITY[tag]} parameter(s), "
+            f"{head} takes {arity} parameter(s), "
             f"got {len(values)} in {text!r}")
-    if tag == "geometric":
-        return dist.Geometric(values[0])
-    if tag == "discrete_weibull":
-        return dist.DiscreteWeibull(values[0], values[1])
-    if tag == "beta_binomial":
-        return dist.BetaBinomial(values[0], values[1])
-    if tag == "exponential":
-        return dist.Exponential(values[0])
-    return dist.PowerLaw(values[0], values[1])
+    return family(*values)
 
 
 def parse_families(text: str) -> list[str]:
@@ -125,6 +119,11 @@ def _timestep(granularity: Granularity, side: Side) -> str:
 def _instance_sort_key(inst: dict) -> tuple:
     granularity, index = rates.parse_bucket_label(inst["bucket_key"])
     return (_GRANULARITY_POS[granularity], index, inst["side"].value)
+
+
+def _failure_reason(exc: LobfitError) -> str:
+    """Snake-case error class name, e.g. DomainError -> domain_error."""
+    return re.sub(r"(?<!^)(?=[A-Z])", "_", type(exc).__name__).lower()
 
 
 def _warn(message: str) -> None:
@@ -206,15 +205,13 @@ def _fit_instance(inst: dict, families, truncated: bool) -> dict:
     }
     l1 = {}
     for tag in families:
+        # one family failing on this instance must not stop the others
         try:
             result = dist.fit_family(density, tag, truncated=truncated)
-        except NonConvergence:
-            record["failed"][tag] = "non_convergence"
+            curve = dist.tick_curve(result.family, ticks=len(density))
+        except LobfitError as exc:
+            record["failed"][tag] = _failure_reason(exc)
             continue
-        except DegenerateData:
-            record["failed"][tag] = "degenerate_data"
-            continue
-        curve = dist.tick_curve(result.family, ticks=len(density))
         l1[tag] = stats.l1_error(density, curve)
         record["fits"][tag] = {
             "params": result.family.params(),

@@ -1,9 +1,13 @@
 import datetime as dt
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import lobfit
 from lobfit import cli, dist, feed, rates, synth
 
 
@@ -203,6 +207,44 @@ class TestExactCurveInstance:
         for tag in ("geometric", "beta_binomial", "exponential",
                     "power_law"):
             assert fits[tag]["nps"] > 1.0
+
+
+class TestFitFailureIsolation:
+    def test_failed_family_is_recorded_and_the_rest_fit(self, tmp_path):
+        # all mass on ticks 14-15 drives the Weibull fit to q = 1
+        source = tmp_path / "rates.csv"
+        with open(source, "w") as fh:
+            fh.write("bucket_key,side,tick,quantity,density\n")
+            for tick in range(1, 16):
+                quantity = 50 if tick >= 14 else 0
+                fh.write(f"daily:2017-08-01,buy,{tick},{quantity},"
+                         f"{quantity / 100!r}\n")
+        assert cli.main(["fit", str(source), "--out", str(tmp_path)]) == 0
+        for name in ("fits.json", "nps_summary.csv", "welch_tests.csv"):
+            assert (tmp_path / name).exists(), name
+        (inst,) = json.loads((tmp_path / "fits.json").read_text())[
+            "instances"]
+        assert inst["failed"] == {"discrete_weibull": "domain_error"}
+        assert set(inst["fits"]) == set(cli._FAMILY_ORDER) - {
+            "discrete_weibull"}
+
+
+class TestImportBoundary:
+    def test_fit_path_imports_neither_numpy_nor_a_compiled_kernel(self):
+        # numpy costs every non-synth command its import time
+        src = os.path.dirname(os.path.dirname(lobfit.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = ("import sys; import lobfit.cli; "
+                 "from lobfit import dist, kernels, rates, stats; "
+                 "print(*sorted(name for name, m in sys.modules.items() "
+                 "if name.partition('.')[0] == 'numpy' "
+                 "or name.startswith('lobfit.') "
+                 "and not m.__file__.endswith('.py')))")
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
 
 
 class TestCancelTestEdgeCases:

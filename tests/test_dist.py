@@ -273,6 +273,12 @@ class TestPowerLawFit:
         assert r.family.exponent == pytest.approx(0.0, abs=1e-6)
         assert r.family.scale == pytest.approx(1.0 / T, abs=1e-9)
 
+    def test_tail_spike_fits_without_raising(self):
+        # the search walks to exponents where tick**exponent underflows
+        r = dist.fit_power_law([1e-300] * (T - 1) + [1.0])
+        assert r.converged
+        assert r.objective < 1e-12
+
 
 class TestDispatcher:
     def test_routes_to_natural_estimator(self):

@@ -1,21 +1,10 @@
 import math
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
-from lobfit import _pykernels as pyk
 from lobfit import dist, kernels
-
-try:
-    from lobfit import _native as natk
-except ImportError:
-    natk = None
-
-needs_native = pytest.mark.skipif(natk is None,
-                                  reason="compiled kernels not built")
+from lobfit.kernels import KIND_BB, KIND_DW, KIND_POW, minimize, objective
 
 T = 15
 
@@ -72,7 +61,7 @@ class TestObjectiveValues:
         for w in densities():
             for z0, z1 in z_points():
                 for truncated in (False, True):
-                    got = pyk.objective(pyk.KIND_DW, truncated, w, z0, z1)
+                    got = objective(KIND_DW, truncated, w, z0, z1)
                     want = dw_nll_reference(w, z0, z1, truncated)
                     assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
@@ -80,14 +69,14 @@ class TestObjectiveValues:
         for w in densities():
             for z0, z1 in z_points():
                 for truncated in (False, True):
-                    got = pyk.objective(pyk.KIND_BB, truncated, w, z0, z1)
+                    got = objective(KIND_BB, truncated, w, z0, z1)
                     want = bb_nll_reference(w, z0, z1, truncated)
                     assert got == pytest.approx(want, rel=1e-9, abs=1e-11)
 
     def test_pow_matches_direct_sse(self):
         for w in densities():
             for z0, z1 in [(-1.0, 0.5), (-2.0, 1.4), (0.0, 0.0)]:
-                got = pyk.objective(pyk.KIND_POW, False, w, z0, z1)
+                got = objective(KIND_POW, False, w, z0, z1)
                 assert got == pytest.approx(pow_sse_reference(w, z0, z1),
                                             rel=1e-12, abs=1e-15)
 
@@ -98,29 +87,30 @@ class TestObjectiveValues:
         beta = math.exp(z1)
         mass = sum(dist.pmf_discrete_weibull(q, beta, i)
                    for i in range(1, T + 1))
-        plain = pyk.objective(pyk.KIND_DW, False, w, z0, z1)
-        cond = pyk.objective(pyk.KIND_DW, True, w, z0, z1)
+        plain = objective(KIND_DW, False, w, z0, z1)
+        cond = objective(KIND_DW, True, w, z0, z1)
         assert cond - plain == pytest.approx(math.log(mass), abs=1e-12)
 
     def test_underflowed_cells_give_infinite_objective(self):
         # q near 1 with a large shape sends far-cell masses to zero
         w = [1.0 / T] * T
-        assert pyk.objective(pyk.KIND_DW, False, w, 40.0, 4.0) == math.inf
+        assert objective(KIND_DW, False, w, 40.0, 4.0) == math.inf
+        # a steep negative exponent underflows tick**exponent to 0.0
+        assert objective(KIND_POW, False, w, 0.0, -1100.0) == math.inf
 
     def test_weights_need_not_be_normalized(self):
         w = dist.tick_curve(dist.Geometric(0.3))
         scaled = [v * 100.0 for v in w]
-        a = pyk.objective(pyk.KIND_DW, False, w, 0.5, 0.2)
-        b = pyk.objective(pyk.KIND_DW, False, scaled, 0.5, 0.2)
+        a = objective(KIND_DW, False, w, 0.5, 0.2)
+        b = objective(KIND_DW, False, scaled, 0.5, 0.2)
         assert b == pytest.approx(100.0 * a, rel=1e-12)
 
 
 class TestMinimize:
     def test_reaches_known_optimum(self):
         w = dist.tick_curve(dist.DiscreteWeibull(0.7, 1.5))
-        z0, z1, f, iters, ok = pyk.minimize(pyk.KIND_DW, False, w,
-                                            math.log(0.7 / 0.3),
-                                            math.log(1.5))
+        z0, z1, f, iters, ok = minimize(KIND_DW, False, w,
+                                        math.log(0.7 / 0.3), math.log(1.5))
         assert ok
         assert 0 < iters <= 10000
         q = 1.0 / (1.0 + math.exp(-z0))
@@ -129,80 +119,19 @@ class TestMinimize:
 
     def test_iteration_cap_reports_no_convergence(self):
         w = dist.tick_curve(dist.DiscreteWeibull(0.7, 1.5))
-        *_, iters, ok = pyk.minimize(pyk.KIND_DW, False, w, -2.0, 1.0,
-                                     max_iter=3)
+        *_, iters, ok = minimize(KIND_DW, False, w, -2.0, 1.0, max_iter=3)
         assert not ok
         assert iters == 3
 
     def test_final_value_not_above_start_value(self):
         for w in densities():
-            start = pyk.objective(pyk.KIND_BB, False, w, 0.5, 0.5)
-            *_, f, _, _ = pyk.minimize(pyk.KIND_BB, False, w, 0.5, 0.5)
+            start = objective(KIND_BB, False, w, 0.5, 0.5)
+            *_, f, _, _ = minimize(KIND_BB, False, w, 0.5, 0.5)
             assert f <= start + 1e-12
 
 
-@needs_native
-class TestBackendParity:
-    def test_objectives_agree(self):
-        for w in densities():
-            for z0, z1 in z_points():
-                for kind in (pyk.KIND_DW, pyk.KIND_POW):
-                    for truncated in (False, True):
-                        a = pyk.objective(kind, truncated, w, z0, z1)
-                        b = natk.objective(kind, truncated, w, z0, z1)
-                        assert a == b, (kind, truncated, z0, z1)
-                a = pyk.objective(pyk.KIND_BB, False, w, z0, z1)
-                b = natk.objective(natk.KIND_BB, False, w, z0, z1)
-                # lgamma comes from different libms on the two sides
-                assert a == pytest.approx(b, rel=1e-12)
-
-    def test_minimize_agrees_exactly_where_objectives_do(self):
-        for w in densities()[:4]:
-            for kind, z in [(pyk.KIND_DW, (0.5, 0.0)),
-                            (pyk.KIND_POW, (-1.0, 1.0))]:
-                assert pyk.minimize(kind, False, w, *z) == natk.minimize(
-                    kind, False, w, *z)
-
-    def test_minimize_agrees_to_basin_precision_elsewhere(self):
-        # the two lgamma implementations differ at the last bit, so the
-        # simplex walks diverge; both must still land in the same basin
-        for w in densities()[:4]:
-            pa = pyk.minimize(pyk.KIND_BB, False, w, 0.7, 1.8)
-            na = natk.minimize(natk.KIND_BB, False, w, 0.7, 1.8)
-            assert pa[4] == na[4]
-            assert pa[2] == pytest.approx(na[2], rel=1e-9, abs=1e-12)
-            assert pa[0] == pytest.approx(na[0], abs=1e-4)
-            assert pa[1] == pytest.approx(na[1], abs=1e-4)
-
-    def test_infinities_agree(self):
-        w = [1.0 / T] * T
-        assert natk.objective(natk.KIND_DW, False, w, 40.0, 4.0) == math.inf
-
-
-class TestDispatch:
-    def test_active_backend_is_declared(self):
-        assert kernels.BACKEND in ("python", "native")
-        assert (kernels.KIND_DW, kernels.KIND_BB, kernels.KIND_POW) == (
-            pyk.KIND_DW, pyk.KIND_BB, pyk.KIND_POW)
-
-    def _backend_in_subprocess(self, value):
-        env = dict(os.environ, LOBFIT_KERNEL=value)
-        return subprocess.run(
-            [sys.executable, "-c",
-             "from lobfit import kernels; print(kernels.BACKEND)"],
-            env=env, capture_output=True, text=True)
-
-    def test_forced_python_backend(self):
-        proc = self._backend_in_subprocess("python")
-        assert proc.returncode == 0
-        assert proc.stdout.strip() == "python"
-
-    @needs_native
-    def test_forced_native_backend(self):
-        proc = self._backend_in_subprocess("native")
-        assert proc.returncode == 0
-        assert proc.stdout.strip() == "native"
-
-    def test_unknown_backend_name_fails_at_import(self):
-        proc = self._backend_in_subprocess("fortran")
-        assert proc.returncode != 0
+class TestInterface:
+    def test_backend_and_kinds_are_fixed(self):
+        # recorded in benchmark environment stamps and used as plain ints
+        assert kernels.BACKEND == "python"
+        assert (KIND_DW, KIND_BB, KIND_POW) == (0, 1, 2)

@@ -57,9 +57,7 @@ class BookEvent:
 
     level_quantity_before is the level's total resting quantity before
     the mutation; it is set for cancels (the denominator of the
-    cancellation ratio) and None otherwise.  from_replace marks the
-    cancel/arrival pair a Replace expands into, so downstream tallies
-    can exclude replaces.
+    cancellation ratio) and None otherwise.
     """
 
     kind: EventKind
@@ -68,7 +66,6 @@ class BookEvent:
     tick: int
     quantity: int
     level_quantity_before: int | None = None
-    from_replace: bool = False
 
 
 @dataclass(slots=True)
@@ -137,7 +134,7 @@ class OrderBook:
         return self.bids if side is Side.BUY else self.asks
 
     def _insert(self, order_id: int, side: Side, price: int, quantity: int,
-                timestamp_ns: int, from_replace: bool) -> BookEvent:
+                timestamp_ns: int) -> BookEvent:
         if order_id in self.orders:
             raise DuplicateOrderId(f"order {order_id} already resting")
         tick = self._event_tick(side, price)
@@ -146,10 +143,10 @@ class OrderBook:
         level.order_count += 1
         self.orders[order_id] = RestingOrder(side, price, quantity)
         return BookEvent(EventKind.LIMIT_ARRIVAL, side, timestamp_ns, tick,
-                         quantity, from_replace=from_replace)
+                         quantity)
 
     def _remove(self, order_id: int, quantity: int, timestamp_ns: int,
-                kind: EventKind, from_replace: bool) -> BookEvent:
+                kind: EventKind) -> BookEvent:
         order = self.orders.get(order_id)
         if order is None:
             raise UnknownOrderId(f"order {order_id}")
@@ -170,8 +167,7 @@ class OrderBook:
             del ladder[order.price]
         return BookEvent(
             kind, order.side, timestamp_ns, tick, quantity,
-            level_quantity_before=before if kind is EventKind.CANCEL else None,
-            from_replace=from_replace)
+            level_quantity_before=before if kind is EventKind.CANCEL else None)
 
     def apply(self, msg: MarketMessage) -> list[BookEvent]:
         """Apply one message and return the ladder events it caused.
@@ -179,35 +175,34 @@ class OrderBook:
         Add yields a LimitArrival; Cancel/Delete yield a CancelEvent
         (Delete cancels the full remainder); Execute yields an
         ExecutionEvent; Replace yields the cancel of the old order
-        followed by the arrival of the new one, both flagged
-        from_replace.  Event ticks are measured against the book as it
-        stood before the mutation.
+        followed by the arrival of the new one.  Event ticks are measured
+        against the book as it stood before the mutation.
         """
         kind = msg.kind
         if kind is MessageKind.ADD:
             return [self._insert(msg.order_id, msg.side, msg.price,
-                                 msg.quantity, msg.timestamp_ns, False)]
+                                 msg.quantity, msg.timestamp_ns)]
         if kind is MessageKind.CANCEL:
             return [self._remove(msg.order_id, msg.quantity, msg.timestamp_ns,
-                                 EventKind.CANCEL, False)]
+                                 EventKind.CANCEL)]
         if kind is MessageKind.DELETE:
             order = self.orders.get(msg.order_id)
             if order is None:
                 raise UnknownOrderId(f"order {msg.order_id}")
             return [self._remove(msg.order_id, order.remaining,
-                                 msg.timestamp_ns, EventKind.CANCEL, False)]
+                                 msg.timestamp_ns, EventKind.CANCEL)]
         if kind is MessageKind.EXECUTE:
             return [self._remove(msg.order_id, msg.quantity, msg.timestamp_ns,
-                                 EventKind.EXECUTION, False)]
+                                 EventKind.EXECUTION)]
         if kind is MessageKind.REPLACE:
             order = self.orders.get(msg.order_id)
             if order is None:
                 raise UnknownOrderId(f"order {msg.order_id}")
             side = order.side
             cancel = self._remove(msg.order_id, order.remaining,
-                                  msg.timestamp_ns, EventKind.CANCEL, True)
+                                  msg.timestamp_ns, EventKind.CANCEL)
             arrival = self._insert(msg.new_order_id, side, msg.price,
-                                   msg.quantity, msg.timestamp_ns, True)
+                                   msg.quantity, msg.timestamp_ns)
             return [cancel, arrival]
         raise ValueError(f"unhandled message kind {kind!r}")
 

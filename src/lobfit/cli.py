@@ -51,8 +51,6 @@ _SHORTHAND = {"geo": "geometric", "dw": "discrete_weibull",
               "pow": "power_law"}
 _TIMESTEP_ORDER = ("daily_buy", "daily_sell", "weekly_buy", "weekly_sell",
                    "monthly", "hourly_buy", "hourly_sell")
-_GRANULARITY_POS = {Granularity.DAILY: 0, Granularity.WEEKLY: 1,
-                    Granularity.MONTHLY: 2, Granularity.HOURLY: 3}
 _COMPARISONS = (("dw_vs_bb", "discrete_weibull", "beta_binomial"),
                 ("dw_vs_pow", "discrete_weibull", "power_law"))
 
@@ -103,8 +101,7 @@ def parse_granularities(text: str) -> list[Granularity]:
             g = Granularity(name)
         except ValueError:
             raise ValueError(f"unknown granularity {name!r}") from None
-        if g not in out:
-            out.append(g)
+        out.append(g)
     if not out:
         raise ValueError("at least one granularity is required")
     return out
@@ -117,8 +114,8 @@ def _timestep(granularity: Granularity, side: Side) -> str:
 
 
 def _instance_sort_key(inst: dict) -> tuple:
-    granularity, index = rates.parse_bucket_label(inst["bucket_key"])
-    return (_GRANULARITY_POS[granularity], index, inst["side"].value)
+    return rates.BucketKey(*rates.parse_bucket_label(inst["bucket_key"]),
+                           inst["side"]).sort_key()
 
 
 def _failure_reason(exc: LobfitError) -> str:
@@ -158,14 +155,13 @@ def cmd_synth(args) -> None:
 
 
 def cmd_rates(args) -> None:
-    granularities = tuple(parse_granularities(args.granularity))
+    store = rates.TallyStore(parse_granularities(args.granularity))
     reference = (TickReference.SAME_SIDE if args.reference == "same"
                  else TickReference.OPPOSITE_SIDE)
     if args.side == "both":
         sides = {Side.BUY, Side.SELL}
     else:
         sides = {Side[args.side.upper()]}
-    store = rates.TallyStore()
     sessions: dict[int, tuple] = {}  # session id -> (book, date)
     seen = 0
 
@@ -182,8 +178,7 @@ def cmd_rates(args) -> None:
         book, day = session
         for event in book.apply(msg):
             if event.side in sides:
-                rates.accumulate_event(store, event, day,
-                                       granularities=granularities)
+                rates.accumulate_event(store, event, day)
         seen += 1
     if seen == 0:
         raise LobfitError("input contains no messages")
@@ -242,6 +237,9 @@ def cmd_fit(args) -> None:
         for tag, fit in record["fits"].items():
             scores.setdefault((record["timestep"], tag), []).append(
                 fit["nps"])
+            # as for objective: fits.json stays standard JSON
+            if not math.isfinite(fit["nps"]):
+                fit["nps"] = None
 
     os.makedirs(args.out, exist_ok=True)
     payload = {

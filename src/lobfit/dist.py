@@ -27,6 +27,7 @@ best final value wins.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from lobfit import kernels, stats
@@ -347,15 +348,21 @@ def fit_mle(density, family: str = "discrete_weibull",
 
 
 def fit_power_law(density) -> FitResult:
-    """Least-squares fit of scale/tick^exponent to the density."""
+    """Least-squares fit of scale/tick^exponent to the density.
+
+    A scale that underflowed below the smallest normal float (the
+    search in ln scale ran off) carries boundary=True.
+    """
     weights = _clean_density(density)
     _require_spread(weights)
     k0 = max(weights[0], 1e-6)
     starts = [(math.log(k0), a) for a in _POW_EXPONENT_STARTS]
     best, used = _run_starts(kernels.KIND_POW, False, weights, starts)
     x, y, f, iters, ok = best
-    return FitResult(PowerLaw(scale=math.exp(x), exponent=y), objective=f,
-                     converged=ok, starts_used=used, iterations=iters)
+    scale = math.exp(x)
+    return FitResult(PowerLaw(scale=scale, exponent=y), objective=f,
+                     converged=ok, starts_used=used, iterations=iters,
+                     boundary=scale < sys.float_info.min)
 
 
 def fit_family(density, tag: str, truncated: bool = False) -> FitResult:

@@ -66,10 +66,6 @@ class MissingReference(BookError):
 
 # --- rates ---
 
-class OutsideTradingHours(LobfitError):
-    """Timestamp falls outside the continuous trading windows."""
-
-
 class EmptyBucket(LobfitError):
     """Density or ratio requested for a bucket with no observations."""
 

@@ -15,14 +15,14 @@ Arrivals accumulate quantity per tick over a 1..15 window, cancels
 accumulate the ratio quantity/level_quantity_before per tick over 1..10.
 Events beyond the windows are dropped and counted, never binned.
 
-Each tallied event is one increment in a session cube: flat lists
-indexed [side][hour slot][tick] that hold arrival quantity, cancel
-ratio sum and cancel count for one (session date, granularity set).
-Each granularity is a sum over those cubes, so the BucketKey -> tally
-dicts ``TallyStore.arrivals`` and ``TallyStore.cancels`` are derived
-views.  They are rolled up from all cubes on the first read after new
-events, sessions in date order, so float sums do not depend on when
-the views were read.
+The granularity set is fixed per TallyStore.  Each tallied event is
+one increment in the cube of its session date: flat lists indexed
+[side][hour slot][tick] that hold arrival quantity, cancel ratio sum
+and cancel count.  Each of the store's granularities is a sum over
+those cubes, so the BucketKey -> tally dicts ``TallyStore.arrivals``
+and ``TallyStore.cancels`` are derived views.  They are rolled up from
+all cubes on the first read after new events, sessions in date order,
+so float sums do not depend on when the views were read.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ import datetime as dt
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Iterable
 
 from lobfit.book import BookEvent, EventKind
-from lobfit.errors import EmptyBucket, OutsideTradingHours, SpecError
+from lobfit.errors import EmptyBucket, SpecError
 from lobfit.feed import Side
 
 __all__ = [
@@ -53,12 +53,9 @@ __all__ = [
     "date_to_session_id",
     "session_id_to_date",
     "in_trading_hours",
-    "hour_slot",
-    "assign_bucket",
     "accumulate_event",
     "arrival_density",
     "cancellation_ratio",
-    "merge",
     "parse_bucket_label",
     "write_rates_csv",
     "write_cancels_csv",
@@ -120,22 +117,9 @@ def session_id_to_date(session_id: int) -> dt.date:
             f"session id {session_id} does not encode a date") from None
 
 
-def _slot(timestamp_ns: int) -> int:
-    hour = timestamp_ns // NS_PER_HOUR
-    return _HOUR_SLOT[hour] if 0 <= hour < 24 else 0
-
-
 def in_trading_hours(timestamp_ns: int) -> bool:
-    return _slot(timestamp_ns) > 0
-
-
-def hour_slot(timestamp_ns: int) -> int:
-    """Map a within-session timestamp to its hour slot 1..7."""
-    slot = _slot(timestamp_ns)
-    if not slot:
-        raise OutsideTradingHours(
-            f"timestamp {timestamp_ns} ns is not in a slot")
-    return slot
+    hour = timestamp_ns // NS_PER_HOUR
+    return 0 <= hour < 24 and _HOUR_SLOT[hour] > 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,17 +181,6 @@ def _bucket_index(session_date: dt.date, g: Granularity, slot: int) -> tuple:
     return (iso[0], iso[1], slot)
 
 
-def assign_bucket(timestamp_ns: int, session_date: dt.date,
-                  granularity: Granularity, side: Side) -> BucketKey:
-    """Bucket for an in-hours event; OutsideTradingHours otherwise."""
-    if not in_trading_hours(timestamp_ns):
-        raise OutsideTradingHours(
-            f"timestamp {timestamp_ns} ns on {session_date}")
-    g = Granularity(granularity)
-    return BucketKey(g, _bucket_index(session_date, g, _slot(timestamp_ns)),
-                     Side(side))
-
-
 @dataclass(slots=True)
 class ArrivalTally:
     """Arriving quantity per tick, 1-based ticks stored at index tick-1."""
@@ -229,34 +202,25 @@ _ROWS = len(Side) * HOUR_SLOTS
 
 
 class _SessionCube:
-    """One session's tallies for one granularity set.
+    """One session's tallies.
 
     Row ``side * HOUR_SLOTS + slot - 1`` of each flat list holds the
     per-tick values of one (side, hour slot).
     """
 
-    __slots__ = ("day", "granularities", "quantity", "ratio_sum", "count")
+    __slots__ = ("day", "quantity", "ratio_sum", "count")
 
-    def __init__(self, day: dt.date, granularities: tuple):
+    def __init__(self, day: dt.date):
         self.day = day
-        self.granularities = granularities
         self.quantity = [0] * (_ROWS * ARRIVAL_TICKS)
         self.ratio_sum = [0.0] * (_ROWS * CANCEL_TICKS)
         self.count = [0] * (_ROWS * CANCEL_TICKS)
 
-    def sort_key(self) -> tuple:
-        return (self.day, [_GRANULARITY_RANK[g] for g in self.granularities])
-
-    def add(self, other: "_SessionCube") -> None:
-        self.quantity = _plus(self.quantity, other.quantity)
-        self.ratio_sum = _plus(self.ratio_sum, other.ratio_sum)
-        self.count = _plus(self.count, other.count)
-
-    def roll_into(self, arrivals: dict, cancels: dict) -> None:
+    def roll_into(self, granularities: tuple, arrivals: dict,
+                  cancels: dict) -> None:
         """Add this session's tallies to every bucket it belongs to."""
-        hourly = Granularity.HOURLY in self.granularities
-        coarse = [g for g in self.granularities
-                  if g is not Granularity.HOURLY]
+        hourly = Granularity.HOURLY in granularities
+        coarse = [g for g in granularities if g is not Granularity.HOURLY]
         for side in Side:
             quantity = [0] * ARRIVAL_TICKS
             ratio_sum = [0.0] * CANCEL_TICKS
@@ -304,46 +268,44 @@ def _add_tallies(arrivals, cancels, key, quantity, ratio_sum, count) -> None:
 class TallyStore:
     """Session cubes, the counters of skipped events, and derived views.
 
-    ``arrivals`` and ``cancels`` map BucketKey to ArrivalTally and
-    CancelTally.  They are recomputed from the cubes, so treat them as
-    read-only.  Two stores are equal when their views and counters are.
+    ``granularities`` is the store's granularity set, without repeats
+    and in Granularity order; every event is tallied under each of
+    them.  ``arrivals`` and ``cancels`` map BucketKey to ArrivalTally
+    and CancelTally.  They are recomputed from the cubes, so treat them
+    as read-only.  Two stores are equal when their views and counters
+    are.
     """
 
-    __slots__ = ("dropped_arrivals", "dropped_cancels", "out_of_hours",
-                 "_cubes", "_views", "_hot_cube", "_hot_granularities")
+    __slots__ = ("granularities", "dropped_arrivals", "dropped_cancels",
+                 "out_of_hours", "_cubes", "_views", "_hot_cube")
 
-    def __init__(self):
+    def __init__(self,
+                 granularities: Iterable[Granularity] = _ALL_GRANULARITIES):
+        self.granularities = tuple(sorted(
+            {Granularity(g) for g in granularities},
+            key=_GRANULARITY_RANK.get))
         self.dropped_arrivals = 0
         self.dropped_cancels = 0
         self.out_of_hours = 0
-        self._cubes: dict[tuple, _SessionCube] = {}
+        self._cubes: dict[dt.date, _SessionCube] = {}
         self._views: tuple[dict, dict] | None = ({}, {})
         # the cube the last event went to, until the next roll-up
         self._hot_cube: _SessionCube | None = None
-        self._hot_granularities = None
 
-    def _open(self, session_date: dt.date,
-              granularities: Sequence[Granularity]) -> _SessionCube:
-        wanted = frozenset(Granularity(g) for g in granularities)
-        cube = self._cubes.get((session_date, wanted))
+    def _open(self, session_date: dt.date) -> _SessionCube:
+        cube = self._cubes.get(session_date)
         if cube is None:
-            cube = self._cubes[(session_date, wanted)] = _SessionCube(
-                session_date,
-                tuple(sorted(wanted, key=_GRANULARITY_RANK.get)))
+            cube = self._cubes[session_date] = _SessionCube(session_date)
         self._views = None
         self._hot_cube = cube
-        # only an immutable sequence can be recognised by identity later
-        self._hot_granularities = (granularities
-                                   if isinstance(granularities, tuple)
-                                   else None)
         return cube
 
     def _rolled_up(self) -> tuple[dict, dict]:
         if self._views is None:
             arrivals, cancels = {}, {}
-            for cube in sorted(self._cubes.values(),
-                               key=_SessionCube.sort_key):
-                cube.roll_into(arrivals, cancels)
+            for day in sorted(self._cubes):
+                self._cubes[day].roll_into(self.granularities, arrivals,
+                                           cancels)
             self._views = (arrivals, cancels)
             self._hot_cube = None
         return self._views
@@ -377,22 +339,17 @@ class TallyStore:
 
 
 def accumulate_event(store: TallyStore, event: BookEvent,
-                     session_date: dt.date,
-                     granularities: Sequence[Granularity] = _ALL_GRANULARITIES,
-                     include_replaces: bool = True) -> bool:
-    """Tally one event under every requested granularity.
+                     session_date: dt.date) -> bool:
+    """Tally one event under each of the store's granularities.
 
     Events outside trading hours are skipped and counted (the stream
-    may open with book seeding before 10:00); replace-origin events are
-    skipped when include_replaces is False.  Arrivals beyond tick 15 and
-    cancels beyond tick 10 are not binned; they bump the matching
-    dropped counter once per requested granularity.  Executions are not
-    tallied.  Returns True if the event was tallied or dropped.
+    may open with book seeding before 10:00).  Arrivals beyond tick 15
+    and cancels beyond tick 10 are not binned; they bump the matching
+    dropped counter once per granularity of the store.  Executions are
+    not tallied.  Returns True if the event was tallied or dropped.
     """
     kind = event.kind
     if kind is _EXECUTION:
-        return False
-    if not include_replaces and event.from_replace:
         return False
     hour = event.timestamp_ns // NS_PER_HOUR
     slot = _HOUR_SLOT[hour] if 0 <= hour < 24 else 0
@@ -400,19 +357,18 @@ def accumulate_event(store: TallyStore, event: BookEvent,
         store.out_of_hours += 1
         return False
     cube = store._hot_cube
-    if (cube is None or granularities is not store._hot_granularities
-            or session_date != cube.day):
-        cube = store._open(session_date, granularities)
+    if cube is None or session_date != cube.day:
+        cube = store._open(session_date)
     row = event.side * HOUR_SLOTS + slot - 1
     tick = event.tick
     if kind is _ARRIVAL:
         if tick > ARRIVAL_TICKS:
-            store.dropped_arrivals += len(cube.granularities)
+            store.dropped_arrivals += len(store.granularities)
         else:
             cube.quantity[row * ARRIVAL_TICKS + tick - 1] += event.quantity
     elif kind is _CANCEL:
         if tick > CANCEL_TICKS:
-            store.dropped_cancels += len(cube.granularities)
+            store.dropped_cancels += len(store.granularities)
         else:
             i = row * CANCEL_TICKS + tick - 1
             cube.ratio_sum[i] += event.quantity / event.level_quantity_before
@@ -432,27 +388,6 @@ def cancellation_ratio(tally: CancelTally) -> list[float | None]:
     """Mean cancellation ratio per tick; None where nothing was observed."""
     return [s / c if c else None
             for s, c in zip(tally.ratio_sum, tally.count)]
-
-
-def merge(a: TallyStore, b: TallyStore) -> TallyStore:
-    """Entry-wise sum of two stores.
-
-    The session cubes are summed, so the result's views stay derived
-    and it can go on tallying.
-    """
-    out = TallyStore()
-    out.dropped_arrivals = a.dropped_arrivals + b.dropped_arrivals
-    out.dropped_cancels = a.dropped_cancels + b.dropped_cancels
-    out.out_of_hours = a.out_of_hours + b.out_of_hours
-    for src in (a, b):
-        for key, cube in src._cubes.items():
-            dst = out._cubes.get(key)
-            if dst is None:
-                dst = out._cubes[key] = _SessionCube(cube.day,
-                                                     cube.granularities)
-            dst.add(cube)
-    out._views = None
-    return out
 
 
 # --- CSV staging ---

@@ -198,9 +198,9 @@ def test_replace_is_cancel_then_arrival():
     assert [ev.kind for ev in events] == [EventKind.CANCEL,
                                           EventKind.LIMIT_ARRIVAL]
     cancel, arrival = events
-    assert cancel.quantity == 100 and cancel.from_replace
+    assert cancel.quantity == 100
     assert cancel.level_quantity_before == 100
-    assert arrival.quantity == 30 and arrival.from_replace
+    assert arrival.quantity == 30
     assert arrival.side is Side.BUY  # side carried over from the old order
     assert 1 not in book.orders
     assert book.orders[50].price == 1212

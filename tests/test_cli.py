@@ -69,9 +69,9 @@ class TestPipelineOutputs:
         assert len(body) % 15 == 0
         keys = []
         for row in body:
-            granularity, index = rates.parse_bucket_label(row[0])
-            keys.append((cli._GRANULARITY_POS[granularity], index, row[1],
-                         int(row[2])))
+            key = rates.BucketKey(*rates.parse_bucket_label(row[0]),
+                                  feed.Side[row[1].upper()])
+            keys.append((key.sort_key(), int(row[2])))
         assert keys == sorted(keys)
 
     def test_fit_report_shape(self, pipeline):
@@ -207,6 +207,24 @@ class TestExactCurveInstance:
         for tag in ("geometric", "beta_binomial", "exponential",
                     "power_law"):
             assert fits[tag]["nps"] > 1.0
+
+    def test_infinite_scores_are_written_as_null(self, tmp_path):
+        # all mass on tick 1 fits the geometric exactly, so the
+        # exponential's relative score is infinite
+        source = tmp_path / "rates.csv"
+        self._write_rates(source, [1.0] + [0.0] * 14)
+        assert cli.main(["fit", str(source), "--out", str(tmp_path)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not standard JSON")
+
+        payload = json.loads((tmp_path / "fits.json").read_text(),
+                             parse_constant=reject)
+        fits = payload["instances"][0]["fits"]
+        assert fits["geometric"]["nps"] == 1.0
+        assert fits["exponential"]["nps"] is None
+        summary = (tmp_path / "nps_summary.csv").read_text().splitlines()
+        assert "daily_buy,exponential,inf,0.0,1" in summary
 
 
 class TestFitFailureIsolation:

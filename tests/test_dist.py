@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -267,6 +268,7 @@ class TestPowerLawFit:
         # normalization fixes the level at the first tick's value
         assert r.family.scale == pytest.approx(curve[0], abs=1e-9)
         assert r.objective < 1e-15
+        assert not r.boundary
 
     def test_flat_curve_gives_zero_exponent(self):
         r = dist.fit_power_law([1.0 / T] * T)
@@ -278,6 +280,9 @@ class TestPowerLawFit:
         r = dist.fit_power_law([1e-300] * (T - 1) + [1.0])
         assert r.converged
         assert r.objective < 1e-12
+        # and the scale underflows with it: a boundary fit, not a normal one
+        assert r.family.scale < sys.float_info.min
+        assert r.boundary
 
 
 class TestDispatcher:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from lobfit import rates
 from lobfit.book import BookEvent, EventKind
-from lobfit.errors import EmptyBucket, OutsideTradingHours
+from lobfit.errors import EmptyBucket
 from lobfit.feed import Side
 from lobfit.rates import (
     ArrivalTally,
@@ -19,11 +19,8 @@ from lobfit.rates import (
     TallyStore,
     accumulate_event,
     arrival_density,
-    assign_bucket,
     cancellation_ratio,
-    hour_slot,
     in_trading_hours,
-    merge,
     parse_bucket_label,
 )
 
@@ -34,15 +31,24 @@ def ns(hours, minutes=0, seconds=0):
     return (hours * 3600 + minutes * 60 + seconds) * 1_000_000_000
 
 
-def arrival(tick, qty, ts=ns(10, 30), side=Side.BUY, from_replace=False):
-    return BookEvent(EventKind.LIMIT_ARRIVAL, side, ts, tick, qty,
-                     from_replace=from_replace)
+def arrival(tick, qty, ts=ns(10, 30), side=Side.BUY):
+    return BookEvent(EventKind.LIMIT_ARRIVAL, side, ts, tick, qty)
 
 
-def cancel(tick, qty, before, ts=ns(10, 30), side=Side.BUY,
-           from_replace=False):
+def cancel(tick, qty, before, ts=ns(10, 30), side=Side.BUY):
     return BookEvent(EventKind.CANCEL, side, ts, tick, qty,
-                     level_quantity_before=before, from_replace=from_replace)
+                     level_quantity_before=before)
+
+
+DAY = dt.date(2017, 8, 1)  # a Tuesday, ISO week 31
+DAILY_KEY = BucketKey(Granularity.DAILY, (2017, 8, 1), Side.BUY)
+
+
+def tallied_keys(granularities, ts, day, side=Side.BUY):
+    """The buckets one arrival at ``ts`` on ``day`` lands in."""
+    store = TallyStore(granularities)
+    assert accumulate_event(store, arrival(1, 10, ts=ts, side=side), day)
+    return list(store.arrivals)
 
 
 # --- trading hours and slots ---
@@ -58,98 +64,93 @@ def test_trading_hours_windows():
     assert not in_trading_hours(ns(9, 59, 59))
 
 
-def test_hour_slots():
-    assert hour_slot(ns(10, 30)) == 1
-    assert hour_slot(ns(11, 0)) == 2
-    assert hour_slot(ns(12, 59)) == 3
-    assert hour_slot(ns(14, 0)) == 4
-    assert hour_slot(ns(15, 45)) == 5
-    assert hour_slot(ns(16, 1)) == 6
-    assert hour_slot(ns(17, 59, 59)) == 7
-    with pytest.raises(OutsideTradingHours):
-        hour_slot(ns(13, 30))
-    with pytest.raises(OutsideTradingHours):
-        hour_slot(ns(18))
+def test_slot_of_each_trading_hour():
+    hourly = [Granularity.HOURLY]
+    for ts, slot in ((ns(10, 30), 1), (ns(11, 0), 2), (ns(12, 59), 3),
+                     (ns(14, 0), 4), (ns(15, 45), 5), (ns(16, 1), 6),
+                     (ns(17, 59, 59), 7)):
+        assert tallied_keys(hourly, ts, DAY) == [
+            BucketKey(Granularity.HOURLY, (2017, 31, slot), Side.BUY)]
+    for ts in (ns(13), ns(13, 30), ns(18)):
+        store = TallyStore(hourly)
+        assert not accumulate_event(store, arrival(1, 10, ts=ts), DAY)
+        assert store.out_of_hours == 1 and store.arrivals == {}
 
 
-# --- bucket assignment ---
+# --- bucket indices ---
 
-def test_assign_bucket_indices():
-    day = dt.date(2017, 8, 1)  # a Tuesday, ISO week 31
-    ts = ns(10, 30)
-    daily = assign_bucket(ts, day, Granularity.DAILY, Side.BUY)
-    weekly = assign_bucket(ts, day, Granularity.WEEKLY, Side.BUY)
-    monthly = assign_bucket(ts, day, Granularity.MONTHLY, Side.SELL)
-    hourly = assign_bucket(ns(14, 5), day, Granularity.HOURLY, Side.BUY)
-    assert daily.index == (2017, 8, 1)
-    assert weekly.index == (2017, 31)
-    assert monthly.index == (2017, 8)
-    assert hourly.index == (2017, 31, 4)
-    assert daily.label == "daily:2017-08-01"
-    assert weekly.label == "weekly:2017-W31"
-    assert monthly.label == "monthly:2017-08"
-    assert hourly.label == "hourly:2017-W31:h4"
+def test_bucket_indices_and_labels():
+    keys = tallied_keys(tuple(Granularity), ns(14, 5), DAY, side=Side.SELL)
+    assert {key.granularity: (key.index, key.side, key.label)
+            for key in keys} == {
+        Granularity.DAILY: ((2017, 8, 1), Side.SELL, "daily:2017-08-01"),
+        Granularity.WEEKLY: ((2017, 31), Side.SELL, "weekly:2017-W31"),
+        Granularity.MONTHLY: ((2017, 8), Side.SELL, "monthly:2017-08"),
+        Granularity.HOURLY: ((2017, 31, 4), Side.SELL, "hourly:2017-W31:h4")}
 
 
-def test_assign_bucket_iso_week_spans_year_end():
+def test_iso_week_spans_year_end():
     # 2018-01-01 falls in ISO week 1 of 2018; 2017-01-01 in week 52 of 2016
-    weekly = assign_bucket(ns(10), dt.date(2017, 1, 1),
-                           Granularity.WEEKLY, Side.BUY)
-    assert weekly.index == (2016, 52)
-
-
-def test_assign_bucket_outside_hours():
-    with pytest.raises(OutsideTradingHours):
-        assign_bucket(ns(13, 15), dt.date(2017, 8, 1),
-                      Granularity.DAILY, Side.BUY)
+    weekly = [Granularity.WEEKLY]
+    assert tallied_keys(weekly, ns(10), dt.date(2017, 1, 1)) == [
+        BucketKey(Granularity.WEEKLY, (2016, 52), Side.BUY)]
+    assert tallied_keys(weekly, ns(10), dt.date(2018, 1, 1)) == [
+        BucketKey(Granularity.WEEKLY, (2018, 1), Side.BUY)]
 
 
 def test_bucket_labels_round_trip():
-    day = dt.date(2017, 8, 1)
-    for g in Granularity:
-        key = assign_bucket(ns(15), day, g, Side.BUY)
-        assert parse_bucket_label(key.label) == (g, key.index)
+    keys = tallied_keys(tuple(Granularity), ns(15), DAY)
+    assert {key.granularity for key in keys} == set(Granularity)
+    for key in keys:
+        assert parse_bucket_label(key.label) == (key.granularity, key.index)
 
 
 # --- accumulation ---
 
-DAY = dt.date(2017, 8, 1)
-DAILY_KEY = BucketKey(Granularity.DAILY, (2017, 8, 1), Side.BUY)
-
-
 def test_accumulate_arrival_adds_quantity():
-    store = TallyStore()
+    store = TallyStore([Granularity.DAILY])
     for ev in (arrival(3, 40), arrival(3, 10), arrival(1, 5)):
-        assert accumulate_event(store, ev, DAY,
-                                granularities=[Granularity.DAILY])
+        assert accumulate_event(store, ev, DAY)
     assert store.arrivals[DAILY_KEY].quantity[2] == 50
     assert store.arrivals[DAILY_KEY].quantity[0] == 5
 
 
 def test_accumulate_drops_beyond_windows():
-    store = TallyStore()
-    daily = [Granularity.DAILY]
-    accumulate_event(store, arrival(16, 40), DAY, granularities=daily)
-    accumulate_event(store, cancel(11, 10, 100), DAY, granularities=daily)
+    store = TallyStore([Granularity.DAILY])
+    accumulate_event(store, arrival(16, 40), DAY)
+    accumulate_event(store, cancel(11, 10, 100), DAY)
     assert store.arrivals == {}
     assert store.cancels == {}
     assert store.dropped_arrivals == 1
     assert store.dropped_cancels == 1
-    accumulate_event(store, arrival(15, 40), DAY, granularities=daily)
-    accumulate_event(store, cancel(10, 10, 100), DAY, granularities=daily)
+    accumulate_event(store, arrival(15, 40), DAY)
+    accumulate_event(store, cancel(10, 10, 100), DAY)
     assert store.arrivals[DAILY_KEY].quantity[14] == 40
     assert store.cancels[DAILY_KEY].count[9] == 1
-    # one drop per requested granularity
+    # one drop per granularity of the store
+    store = TallyStore()
     accumulate_event(store, arrival(16, 40), DAY)
     accumulate_event(store, cancel(11, 10, 100), DAY)
-    assert store.dropped_arrivals == 1 + len(Granularity)
-    assert store.dropped_cancels == 1 + len(Granularity)
+    assert store.dropped_arrivals == len(Granularity)
+    assert store.dropped_cancels == len(Granularity)
+    # a repeated granularity is tallied and dropped once, in any container
+    daily, weekly = Granularity.DAILY, Granularity.WEEKLY
+    stores = [TallyStore(gs) for gs in ([weekly, daily, weekly],
+                                        (daily, weekly, daily),
+                                        {weekly, daily})]
+    for store in stores:
+        assert store.granularities == (daily, weekly)
+        for ev in (arrival(2, 40), arrival(16, 40), cancel(11, 10, 100)):
+            accumulate_event(store, ev, DAY)
+        assert store.arrivals[DAILY_KEY].quantity[1] == 40
+        assert store.dropped_arrivals == store.dropped_cancels == 2
+    assert stores[0] == stores[1] == stores[2]
 
 
 def test_accumulate_cancel_ratio():
-    store = TallyStore()
+    store = TallyStore([Granularity.DAILY])
     for ev in (cancel(2, 30, 120), cancel(2, 60, 120)):
-        accumulate_event(store, ev, DAY, granularities=[Granularity.DAILY])
+        accumulate_event(store, ev, DAY)
     tally = store.cancels[DAILY_KEY]
     assert tally.ratio_sum[1] == pytest.approx(0.75)
     assert tally.count[1] == 2
@@ -178,23 +179,10 @@ def test_accumulate_event_fans_out_to_granularities():
 
 def test_accumulate_event_skips_out_of_hours():
     store = TallyStore()
-    assert not accumulate_event(store, arrival(1, 10, ts=ns(9, 55)),
-                                dt.date(2017, 8, 1))
-    assert store.out_of_hours == 1
-    assert store.arrivals == {}
-
-
-def test_accumulate_event_replace_filter():
-    store = TallyStore()
-    day = dt.date(2017, 8, 1)
-    accumulate_event(store, arrival(1, 10, from_replace=True), day,
-                     include_replaces=False)
-    accumulate_event(store, cancel(1, 5, 50, from_replace=True), day,
-                     include_replaces=False)
+    assert not accumulate_event(store, arrival(1, 10, ts=ns(9, 55)), DAY)
+    assert not accumulate_event(store, cancel(1, 5, 50, ts=ns(13, 15)), DAY)
+    assert store.out_of_hours == 2
     assert store.arrivals == {} and store.cancels == {}
-    accumulate_event(store, arrival(1, 10, from_replace=True), day,
-                     include_replaces=True)
-    assert len(store.arrivals) == 4
 
 
 def test_density_normalizes():
@@ -255,8 +243,10 @@ def test_daily_tallies_sum_to_weekly_and_monthly():
     for coarse in (Granularity.WEEKLY, Granularity.MONTHLY):
         summed = {}
         for key, tally in daily.items():
-            day = dt.date(*key.index)
-            ck = assign_bucket(ns(10), day, coarse, key.side)
+            year, week, _ = dt.date(*key.index).isocalendar()
+            index = ((year, week) if coarse is Granularity.WEEKLY
+                     else key.index[:2])
+            ck = BucketKey(coarse, index, key.side)
             acc = summed.setdefault(ck, [0] * rates.ARRIVAL_TICKS)
             for i, q in enumerate(tally.quantity):
                 acc[i] += q
@@ -287,25 +277,6 @@ def test_weekly_sums_to_monthly_when_weeks_nest():
     assert summed == monthly
 
 
-def test_merge_matches_single_pass():
-    days = weekdays(dt.date(2017, 8, 1), 10)
-    events = random_events(23, days)
-    whole = TallyStore()
-    for day, ev in events:
-        accumulate_event(whole, ev, day)
-    half_a, half_b = TallyStore(), TallyStore()
-    for i, (day, ev) in enumerate(events):
-        accumulate_event(half_a if i % 2 else half_b, ev, day)
-    merged = merge(half_a, half_b)
-    assert {k: t.quantity for k, t in merged.arrivals.items()} == \
-           {k: t.quantity for k, t in whole.arrivals.items()}
-    for key in whole.cancels:
-        assert merged.cancels[key].count == whole.cancels[key].count
-        for a, b in zip(merged.cancels[key].ratio_sum,
-                        whole.cancels[key].ratio_sum):
-            assert a == pytest.approx(b, rel=1e-12)
-
-
 # --- session cube against a brute-force tally ---
 
 # weekdays across the Aug/Sep 2017 month end (ISO week 35 spans both
@@ -332,12 +303,12 @@ def cube_event(draw):
     return draw(st.sampled_from(CUBE_DAYS)), ev
 
 
-def reference_tally(events):
+def reference_tally(events, granularities):
     """Each event folded into each of its buckets, one key at a time."""
     arrivals, ratio_sums, counts = {}, {}, {}
     dropped = {EventKind.LIMIT_ARRIVAL: 0, EventKind.CANCEL: 0}
     out_of_hours = 0
-    for day, ev, granularities in events:
+    for day, ev in events:
         hour = ev.timestamp_ns // NS_H
         if 10 <= hour < 13:
             slot = hour - 9
@@ -368,16 +339,13 @@ def reference_tally(events):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.tuples(cube_event(), st.sampled_from(GRANULARITY_SETS)),
-                max_size=80))
-def test_store_matches_brute_force_tally(stream):
-    events = [(day, ev, granularities)
-              for (day, ev), granularities in stream]
-    store = TallyStore()
-    for day, ev, granularities in events:
-        accumulate_event(store, ev, day, granularities=granularities)
+@given(st.sampled_from(GRANULARITY_SETS), st.lists(cube_event(), max_size=80))
+def test_store_matches_brute_force_tally(granularities, events):
+    store = TallyStore(granularities)
+    for day, ev in events:
+        accumulate_event(store, ev, day)
     (arrivals, ratio_sums, counts, dropped_arrivals, dropped_cancels,
-     out_of_hours) = reference_tally(events)
+     out_of_hours) = reference_tally(events, granularities)
     assert {k: t.quantity for k, t in store.arrivals.items()} == arrivals
     assert {k: t.count for k, t in store.cancels.items()} == counts
     for key, sums in ratio_sums.items():
@@ -487,12 +455,10 @@ def test_cancels_csv_round_trip(tmp_path):
 
 
 def test_rates_csv_rows_are_sorted(tmp_path):
-    store = TallyStore()
+    store = TallyStore([Granularity.DAILY, Granularity.WEEKLY])
     for day in (dt.date(2017, 8, 3), dt.date(2017, 8, 1)):
         for side in (Side.SELL, Side.BUY):
-            accumulate_event(store, arrival(2, 10, side=side), day,
-                             granularities=[Granularity.DAILY,
-                                            Granularity.WEEKLY])
+            accumulate_event(store, arrival(2, 10, side=side), day)
     path = tmp_path / "rates.csv"
     rates.write_rates_csv(store, path)
     rows = list(csv.DictReader(path.open()))

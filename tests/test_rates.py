@@ -98,6 +98,15 @@ def test_iso_week_spans_year_end():
         BucketKey(Granularity.WEEKLY, (2018, 1), Side.BUY)]
 
 
+def test_assign_bucket_outside_hours():
+    # a lunch-break event is given no bucket of any granularity
+    store = TallyStore(tuple(Granularity))
+    assert not accumulate_event(store, arrival(1, 10, ts=ns(13, 15)), DAY)
+    assert not accumulate_event(store, cancel(1, 5, 50, ts=ns(13, 15)), DAY)
+    assert store.out_of_hours == 2
+    assert store.arrivals == {} and store.cancels == {}
+
+
 def test_bucket_labels_round_trip():
     keys = tallied_keys(tuple(Granularity), ns(15), DAY)
     assert {key.granularity for key in keys} == set(Granularity)
@@ -180,9 +189,8 @@ def test_accumulate_event_fans_out_to_granularities():
 def test_accumulate_event_skips_out_of_hours():
     store = TallyStore()
     assert not accumulate_event(store, arrival(1, 10, ts=ns(9, 55)), DAY)
-    assert not accumulate_event(store, cancel(1, 5, 50, ts=ns(13, 15)), DAY)
-    assert store.out_of_hours == 2
-    assert store.arrivals == {} and store.cancels == {}
+    assert store.out_of_hours == 1
+    assert store.arrivals == {}
 
 
 def test_density_normalizes():

@@ -4,8 +4,11 @@
 Each workload runs a fixed call sequence through the two entry points
 (``objective`` and ``minimize``) and reports its best wall time.  The
 histograms are multinomial draws from known curves, matching what the
-fitting layer feeds the kernels in production.  For end-to-end and
-per-layer numbers of the whole pipeline use ``perfbench/run.py``.
+fitting layer feeds the kernels in production.  A second table gives
+the cost of one ``objective`` call per kind, timed on a 5 x 5 grid of
+points around each histogram's optimum, which is where fits spend
+their evaluations.  For end-to-end and per-layer numbers of the whole
+pipeline use ``perfbench/run.py``.
 
 Run:
 
@@ -13,6 +16,7 @@ Run:
     python3 benchmarks/bench_kernels.py --repeats 5
 """
 import argparse
+import functools
 import math
 import time
 
@@ -26,6 +30,9 @@ _DW_STARTS = [(math.log(q / (1.0 - q)), math.log(b))
 _BB_STARTS = [(math.log(a), math.log(b))
               for a in (0.1, 0.5, 2.5, 12.5, 62.5)
               for b in (0.1, 0.5, 2.5, 12.5, 62.5)]
+_POW_EXPONENTS = (0.0, 0.5, 1.0, 1.5, 2.5)
+_OFFSETS = (-0.5, -0.25, 0.0, 0.25, 0.5)
+_CALL_ROUNDS = 20
 
 
 def multi_start_fit(kind, truncated, weights, starts):
@@ -49,12 +56,39 @@ def objective_sweep(kind, weights, grid):
     return total
 
 
-def timed(fn, repeats):
-    best = math.inf
+def starts_for(kind, weights):
+    if kind == kernels.KIND_DW:
+        return _DW_STARTS
+    if kind == kernels.KIND_BB:
+        return _BB_STARTS
+    # as dist.fit_power_law: the scale starts at the first-tick mass
+    k0 = math.log(max(weights[0], 1e-6))
+    return [(k0, a) for a in _POW_EXPONENTS]
+
+
+def grid_around_optimum(kind, truncated, weights):
+    z0, z1, *_ = multi_start_fit(kind, truncated, weights,
+                                 starts_for(kind, weights))
+    return [(weights, z0 + a, z1 + b) for a in _OFFSETS for b in _OFFSETS]
+
+
+def objective_calls(kind, truncated, points):
+    for weights, z0, z1 in points:
+        kernels.objective(kind, truncated, weights, z0, z1)
+
+
+def best_times(jobs, repeats):
+    """Best wall time of each job over ``repeats`` rounds.
+
+    Each round runs every job once, so a slow spell of a shared host
+    costs one repeat of each job rather than every repeat of one.
+    """
+    best = [math.inf] * len(jobs)
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
+        for i, job in enumerate(jobs):
+            t0 = time.perf_counter()
+            job()
+            best[i] = min(best[i], time.perf_counter() - t0)
     return best
 
 
@@ -73,6 +107,8 @@ def main():
                 for _ in range(args.instances)]
     bb_hists = [tuple(map(float, rng.multinomial(30_000, bb_curve)))
                 for _ in range(args.instances)]
+    # the power law is fitted to densities, as dist does
+    pow_densities = [tuple(v / sum(w) for v in w) for w in dw_hists]
     sweep_grid = [(z0 / 4.0, z1 / 4.0)
                   for z0 in range(-12, 13) for z1 in range(-6, 7)]
 
@@ -87,15 +123,47 @@ def main():
         (f"beta-binomial fit, 25 starts x {args.instances} histograms",
          lambda: [multi_start_fit(kernels.KIND_BB, False, w, _BB_STARTS)
                   for w in bb_hists]),
+        (f"beta-binomial fit, truncated, 25 starts x {args.instances} "
+         f"histograms",
+         lambda: [multi_start_fit(kernels.KIND_BB, True, w, _BB_STARTS)
+                  for w in bb_hists]),
+        (f"power-law fit, 5 starts x {args.instances} densities",
+         lambda: [multi_start_fit(kernels.KIND_POW, False, w,
+                                  starts_for(kernels.KIND_POW, w))
+                  for w in pow_densities]),
+    ]
+    per_call = [
+        ("weibull", kernels.KIND_DW, False, dw_hists),
+        ("weibull, truncated", kernels.KIND_DW, True, dw_hists),
+        ("beta-binomial", kernels.KIND_BB, False, bb_hists),
+        ("beta-binomial, truncated", kernels.KIND_BB, True, bb_hists),
+        ("power law", kernels.KIND_POW, False, pow_densities),
     ]
 
     name_width = max(len(name) for name, _ in workloads)
     header = f"{'workload':<{name_width}}  {'time':>10}"
     print(header)
     print("-" * len(header))
-    for name, job in workloads:
-        elapsed = timed(job, args.repeats)
+    times = best_times([job for _, job in workloads], args.repeats)
+    for (name, _), elapsed in zip(workloads, times):
         print(f"{name:<{name_width}}  {elapsed * 1e3:>8.1f}ms")
+
+    print()
+    header = f"{'objective call':<{name_width}}  {'time':>10}"
+    print(header)
+    print("-" * len(header))
+    calls = []  # (name, job, objective calls per job)
+    for name, kind, truncated, hists in per_call:
+        points = [p for w in hists
+                  for p in grid_around_optimum(kind, truncated, w)]
+        calls.append((name, functools.partial(objective_calls, kind,
+                                              truncated, points),
+                       len(points)))
+    # a few ms per job, so these get many more rounds than the fits
+    times = best_times([job for _, job, _ in calls],
+                       _CALL_ROUNDS * args.repeats)
+    for (name, _, count), elapsed in zip(calls, times):
+        print(f"{name:<{name_width}}  {elapsed / count * 1e6:>8.2f}us")
 
 
 if __name__ == "__main__":

@@ -40,8 +40,8 @@ import sys
 
 from lobfit import dist, feed, rates, stats
 from lobfit.book import OrderBook, TickReference
-from lobfit.errors import (AllZero, InsufficientData, LobfitError,
-                           MissingTicks, ZeroVariance)
+from lobfit.errors import (AllZero, DomainError, InsufficientData,
+                           LobfitError, MissingTicks, ZeroVariance)
 from lobfit.feed import Side
 from lobfit.rates import Granularity
 
@@ -259,7 +259,12 @@ def cmd_fit(args) -> None:
                 values = scores.get((timestep, tag))
                 if not values:
                     continue
-                sd = statistics.stdev(values) if len(values) > 1 else 0.0
+                if len(values) == 1:
+                    sd = 0.0
+                elif all(math.isfinite(v) for v in values):
+                    sd = statistics.stdev(values)
+                else:  # the spread of an infinite score is undefined
+                    sd = math.nan
                 fh.write(f"{timestep},{tag},{statistics.mean(values)!r},"
                          f"{sd!r},{len(values)}\n")
 
@@ -275,7 +280,7 @@ def cmd_fit(args) -> None:
                     continue
                 try:
                     result = stats.welch_t_test(a, b, tails=args.tail)
-                except (InsufficientData, ZeroVariance) as exc:
+                except (DomainError, InsufficientData, ZeroVariance) as exc:
                     _warn(f"{timestep} {name}: {exc}")
                     continue
                 fh.write(f"{timestep},{name},{result.statistic!r},"

@@ -184,8 +184,13 @@ def pmf_discrete_weibull(q: float, beta: float, x: int) -> float:
         raise DomainError(f"discrete Weibull needs beta > 0, got {beta}")
     if x < 1:
         raise DomainError(f"discrete Weibull support starts at 1, got {x}")
-    return (math.pow(q, math.pow(x - 1.0, beta))
-            - math.pow(q, math.pow(float(x), beta)))
+    try:
+        return (math.pow(q, math.pow(x - 1.0, beta))
+                - math.pow(q, math.pow(float(x), beta)))
+    except OverflowError:
+        raise DomainError(
+            f"discrete Weibull x**beta overflows at beta={beta}, "
+            f"x={x}") from None
 
 
 def pmf_beta_binomial(alpha: float, beta: float, trials: int, x: int) -> float:
@@ -196,9 +201,16 @@ def pmf_beta_binomial(alpha: float, beta: float, trials: int, x: int) -> float:
         raise DomainError(f"x must lie in 0..{trials}, got {x}")
     ln_choose = (stats.ln_gamma(trials + 1.0) - stats.ln_gamma(x + 1.0)
                  - stats.ln_gamma(trials - x + 1.0))
-    return math.exp(ln_choose
-                    + stats.ln_beta(x + alpha, trials - x + beta)
-                    - stats.ln_beta(alpha, beta))
+    try:
+        return math.exp(ln_choose
+                        + stats.ln_beta(x + alpha, trials - x + beta)
+                        - stats.ln_beta(alpha, beta))
+    except OverflowError:
+        # at saturated fits (alpha, beta ~ 1e16) the ln_beta difference
+        # is rounding noise, large enough to overflow exp()
+        raise DomainError(
+            f"beta-binomial mass overflows at alpha={alpha}, beta={beta}, "
+            f"x={x}") from None
 
 
 def discretize_exponential(rate: float, ticks: int = TICKS) -> list[float]:
@@ -214,7 +226,10 @@ def discretize_exponential(rate: float, ticks: int = TICKS) -> list[float]:
 
 
 def tick_curve(family, ticks: int = TICKS) -> list[float]:
-    """The family's density renormalized over ticks 1..ticks."""
+    """The family's density renormalized over ticks 1..ticks.
+
+    A curve whose masses leave the float range raises DomainError.
+    """
     if isinstance(family, Geometric):
         raw = [pmf_geometric(family.p, i) for i in range(1, ticks + 1)]
     elif isinstance(family, DiscreteWeibull):
@@ -230,8 +245,13 @@ def tick_curve(family, ticks: int = TICKS) -> list[float]:
     elif isinstance(family, Exponential):
         return discretize_exponential(family.rate, ticks)
     elif isinstance(family, PowerLaw):
-        raw = [family.scale / math.pow(float(i), family.exponent)
-               for i in range(1, ticks + 1)]
+        try:
+            raw = [family.scale / math.pow(float(i), family.exponent)
+                   for i in range(1, ticks + 1)]
+        except (OverflowError, ZeroDivisionError):
+            raise DomainError(
+                f"power law tick**exponent leaves the float range at "
+                f"exponent {family.exponent}") from None
     else:
         raise TypeError(f"not a model family: {family!r}")
     total = sum(raw)

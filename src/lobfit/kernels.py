@@ -16,10 +16,25 @@ one for the beta-binomial whose support already is the window).
 Objectives never raise on arithmetic: overflow, underflow into a
 division and NaN all come back as +inf, which the simplex treats as
 an infeasible point.
+
+Each evaluation does only the work that depends on (z0, z1).  What
+depends on the tick index alone is built once per window length and
+cached: the float ticks, and for the beta-binomial each x = tick - 1
+with its log binomial coefficient ln C(nb, x), nb = n - 1.  Per
+evaluation the beta-binomial takes ln Gamma(x + alpha) and
+ln Gamma(x + beta) in one pass each; ln Gamma(alpha) and
+ln Gamma(beta) are their x = 0 entries, and ln Gamma(nb - x + beta)
+is the second pass read backwards.  The result is the same float, bit
+for bit, as evaluating every term per tick: each term comes from the
+same expression on the same operands (nb - x is an exact
+integer-valued float, and 0.0 + alpha == alpha), terms are summed in
+the same left-to-right order, and the overflow shortcuts below fire
+only where the per-tick form returned +inf as well.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 BACKEND = "python"  # name of this kernel, for run records
@@ -52,7 +67,31 @@ def _lgamma(v: float) -> float:
         return _INF
 
 
-def _dw_nll(truncated: bool, w, n: int, z0: float, z1: float) -> float:
+@functools.cache
+def _ticks(n: int) -> tuple[float, ...]:
+    """The ticks 1..n as floats."""
+    return tuple(float(i) for i in range(1, n + 1))
+
+
+@functools.cache
+def _bb_terms(n: int) -> tuple[float, tuple, tuple]:
+    """nb = n - 1, then x = 0..nb and ln C(nb, x), as floats."""
+    nb = float(n - 1)
+    lgn1 = _lgamma(nb + 1.0)
+    xs = tuple(float(x) for x in range(n))
+    return nb, xs, tuple(lgn1 - _lgamma(x + 1.0) - _lgamma(nb - x + 1.0)
+                         for x in xs)
+
+
+def _powers(ticks, exponent: float) -> list[float]:
+    """tick**exponent for each tick, +inf where it overflows."""
+    try:
+        return [math.pow(t, exponent) for t in ticks]
+    except OverflowError:
+        return [_pow(t, exponent) for t in ticks]
+
+
+def _dw_nll(truncated: bool, w, ticks, z0: float, z1: float) -> float:
     # q = sigmoid(z0); ln q written via log1p for accuracy near q = 1
     lq = -math.log1p(_exp(-z0))
     beta = _exp(z1)
@@ -61,14 +100,14 @@ def _dw_nll(truncated: bool, w, n: int, z0: float, z1: float) -> float:
     nll = 0.0
     mass = 0.0
     prev = 1.0  # survival q^((i-1)^beta) at i = 1
-    for i in range(1, n + 1):
-        e = _pow(float(i), beta) * lq
-        cur = _exp(e) if e <= 0.0 else _INF
+    for power, wi in zip(_powers(ticks, beta), w):
+        # tick**beta >= 1 and ln q < 0, so the exponent is <= 0 (never
+        # NaN): exp() neither overflows nor reaches the _exp cap
+        cur = math.exp(power * lq)
         p = prev - cur
         prev = cur
         if truncated:
             mass += p
-        wi = w[i - 1]
         if wi != 0.0:
             if not p > 0.0:
                 return _INF
@@ -77,60 +116,64 @@ def _dw_nll(truncated: bool, w, n: int, z0: float, z1: float) -> float:
         if not mass > 0.0:
             return _INF
         sumw = 0.0
-        for i in range(n):
-            sumw += w[i]
+        for wi in w:
+            sumw += wi
         nll += math.log(mass) * sumw
     if nll != nll:
         return _INF
     return nll
 
 
-def _bb_nll(truncated: bool, w, n: int, z0: float, z1: float) -> float:
+def _bb_nll(truncated: bool, w, terms, z0: float, z1: float) -> float:
     alpha = _exp(z0)
     beta = _exp(z1)
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         return _INF
     if alpha <= 0.0 or beta <= 0.0:
         return _INF
-    nb = float(n - 1)
-    lbab = _lgamma(alpha) + _lgamma(beta) - _lgamma(alpha + beta)
-    lgn1 = _lgamma(nb + 1.0)
+    nb, xs, lchoose = terms
+    try:
+        la = [math.lgamma(x + alpha) for x in xs]
+        lb = [math.lgamma(x + beta) for x in xs]
+    except OverflowError:
+        # only alpha or beta >= ~2.5e305 gets here; then ln Gamma of
+        # alpha + beta or of nb + alpha + beta overflows too, and lbab
+        # or lgden below would not be finite
+        return _INF
+    lbab = la[0] + lb[0] - _lgamma(alpha + beta)
     lgden = _lgamma(nb + alpha + beta)
     if not (math.isfinite(lbab) and math.isfinite(lgden)):
         return _INF
     nll = 0.0
     mass = 0.0
-    for i in range(1, n + 1):
-        x = float(i - 1)
-        lp = (lgn1 - _lgamma(x + 1.0) - _lgamma(nb - x + 1.0)
-              + _lgamma(x + alpha) + _lgamma(nb - x + beta) - lgden - lbab)
+    # lb read backwards is ln Gamma(nb - x + beta)
+    for lc, lgx, lgr, wi in zip(lchoose, la, reversed(lb), w):
+        lp = lc + lgx + lgr - lgden - lbab
         if truncated:
             mass += _exp(lp)
-        wi = w[i - 1]
         if wi != 0.0:
             nll -= wi * lp
     if truncated:
         if not mass > 0.0:
             return _INF
         sumw = 0.0
-        for i in range(n):
-            sumw += w[i]
+        for wi in w:
+            sumw += wi
         nll += math.log(mass) * sumw
     if nll != nll:
         return _INF
     return nll
 
 
-def _pow_sse(w, n: int, z0: float, z1: float) -> float:
+def _pow_sse(w, ticks, z0: float, z1: float) -> float:
     k = _exp(z0)
     if not math.isfinite(k):
         return _INF
     sse = 0.0
-    for i in range(1, n + 1):
-        denom = _pow(float(i), z1)
+    for denom, wi in zip(_powers(ticks, z1), w):
         if denom == 0.0:  # tick**exponent underflowed
             return _INF
-        diff = w[i - 1] - k / denom
+        diff = wi - k / denom
         sse += diff * diff
     if sse != sse:
         return _INF
@@ -141,11 +184,11 @@ def objective(kind: int, truncated: bool, w, z0: float, z1: float) -> float:
     """Evaluate one objective; non-finite regions come back as +inf."""
     n = len(w)
     if kind == KIND_DW:
-        return _dw_nll(truncated, w, n, z0, z1)
+        return _dw_nll(truncated, w, _ticks(n), z0, z1)
     if kind == KIND_BB:
-        return _bb_nll(truncated, w, n, z0, z1)
+        return _bb_nll(truncated, w, _bb_terms(n), z0, z1)
     if kind == KIND_POW:
-        return _pow_sse(w, n, z0, z1)
+        return _pow_sse(w, _ticks(n), z0, z1)
     raise ValueError(f"unknown objective kind {kind}")
 
 
@@ -160,11 +203,11 @@ def minimize(kind: int, truncated: bool, w, z0: float, z1: float,
     """
     n = len(w)
     if kind == KIND_DW:
-        fn = lambda a, b: _dw_nll(truncated, w, n, a, b)
+        fn = functools.partial(_dw_nll, truncated, w, _ticks(n))
     elif kind == KIND_BB:
-        fn = lambda a, b: _bb_nll(truncated, w, n, a, b)
+        fn = functools.partial(_bb_nll, truncated, w, _bb_terms(n))
     elif kind == KIND_POW:
-        fn = lambda a, b: _pow_sse(w, n, a, b)
+        fn = functools.partial(_pow_sse, w, _ticks(n))
     else:
         raise ValueError(f"unknown objective kind {kind}")
 

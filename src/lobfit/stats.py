@@ -252,12 +252,16 @@ def welch_t_test(a, b, tails: str = "two") -> TestResult:
     probability in the direction of the observed statistic.  When both
     samples are constant with equal means the comparison is vacuous:
     the result is t=0, p=1, flagged degenerate.  Constant samples with
-    different means leave t undefined and raise ZeroVariance.
+    different means leave t undefined and raise ZeroVariance; a
+    non-finite value in either sample raises DomainError.
     """
     if tails not in ("one", "two"):
         raise ValueError(f"tails must be 'one' or 'two', got {tails!r}")
     if len(a) < 2 or len(b) < 2:
         raise InsufficientData("each sample needs at least two values")
+    for name, sample in (("first", a), ("second", b)):
+        if not all(math.isfinite(v) for v in sample):
+            raise DomainError(f"{name} sample holds a non-finite value")
     mean_a, var_a = _mean_var(a)
     mean_b, var_b = _mean_var(b)
     if var_a == 0.0 and var_b == 0.0:

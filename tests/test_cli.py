@@ -2,10 +2,14 @@ import datetime as dt
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lobfit
 from lobfit import cli, dist, feed, rates, synth
@@ -184,18 +188,21 @@ class TestSelectionFlags:
         assert all(line.split(",")[1] == "dw_vs_bb" for line in welch)
 
 
-class TestExactCurveInstance:
-    def _write_rates(self, path, density):
-        with open(path, "w") as fh:
-            fh.write("bucket_key,side,tick,quantity,density\n")
+def _write_rates_csv(path, densities):
+    """One daily buy instance per density, on consecutive days."""
+    with open(path, "w") as fh:
+        fh.write("bucket_key,side,tick,quantity,density\n")
+        for day, density in enumerate(densities, start=1):
             for tick, value in enumerate(density, start=1):
-                fh.write(f"daily:2017-08-01,buy,{tick},"
+                fh.write(f"daily:2017-08-{day:02d},buy,{tick},"
                          f"{round(value * 10 ** 6)},{value!r}\n")
 
+
+class TestExactCurveInstance:
     def test_true_family_scores_exactly_one(self, tmp_path):
         density = dist.tick_curve(dist.DiscreteWeibull(0.8, 1.2))
         source = tmp_path / "rates.csv"
-        self._write_rates(source, density)
+        _write_rates_csv(source, [density])
         assert cli.main(["fit", str(source), "--truncated-likelihood",
                          "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "fits.json").read_text())
@@ -212,7 +219,7 @@ class TestExactCurveInstance:
         # all mass on tick 1 fits the geometric exactly, so the
         # exponential's relative score is infinite
         source = tmp_path / "rates.csv"
-        self._write_rates(source, [1.0] + [0.0] * 14)
+        _write_rates_csv(source, [[1.0] + [0.0] * 14])
         assert cli.main(["fit", str(source), "--out", str(tmp_path)]) == 0
 
         def reject(constant):
@@ -225,6 +232,28 @@ class TestExactCurveInstance:
         assert fits["exponential"]["nps"] is None
         summary = (tmp_path / "nps_summary.csv").read_text().splitlines()
         assert "daily_buy,exponential,inf,0.0,1" in summary
+
+    def test_infinite_scores_in_a_multi_instance_timestep(self, tmp_path,
+                                                          capsys):
+        # a point mass on tick 1 gives the exponential an infinite score;
+        # 5e-324 on tick 2 keeps the geometric's L1 error positive but so
+        # small that the beta-binomial's score overflows to infinity
+        rng = random.Random(3)
+        spread = []
+        for _ in range(2):
+            raw = [rng.random() for _ in range(15)]
+            spread.append([v / sum(raw) for v in raw])
+        source = tmp_path / "rates.csv"
+        _write_rates_csv(source, [[1.0] + [0.0] * 14,
+                                  [1.0, 5e-324] + [0.0] * 13] + spread)
+        assert cli.main(["fit", str(source), "--out", str(tmp_path)]) == 0
+        summary = (tmp_path / "nps_summary.csv").read_text().splitlines()
+        assert "daily_buy,exponential,inf,nan,4" in summary
+        assert "daily_buy,beta_binomial,inf,nan,3" in summary
+        welch = (tmp_path / "welch_tests.csv").read_text().splitlines()
+        assert [row.split(",")[1] for row in welch[1:]] == ["dw_vs_pow"]
+        assert ("daily_buy dw_vs_bb: second sample holds a non-finite value"
+                in capsys.readouterr().err)
 
 
 class TestFitFailureIsolation:
@@ -245,6 +274,62 @@ class TestFitFailureIsolation:
         assert inst["failed"] == {"discrete_weibull": "domain_error"}
         assert set(inst["fits"]) == set(cli._FAMILY_ORDER) - {
             "discrete_weibull"}
+
+    @pytest.mark.parametrize("density, family", [
+        # fits alpha ~ 1.2e17, beta ~ 6.3e15, where the pmf overflows
+        ([0.0] * 13 + [0.5516752990754864, 0.254190258434606],
+         "beta_binomial"),
+        # fits exponent ~ 539, where tick**exponent overflows
+        ([1.0, 0.0, 5e-324, 5e-324, 0.0, 5e-324, 0.0, 1e-310, 5e-324,
+          1e-310, 0.0, 0.0, 1e-310, 1e-310, 0.0], "power_law"),
+    ])
+    def test_saturated_fit_is_a_domain_error(self, tmp_path, density,
+                                             family):
+        source = tmp_path / "rates.csv"
+        _write_rates_csv(source, [density])
+        assert cli.main(["fit", str(source), "--out", str(tmp_path)]) == 0
+        for name in ("fits.json", "nps_summary.csv", "welch_tests.csv"):
+            assert (tmp_path / name).exists(), name
+        (inst,) = json.loads((tmp_path / "fits.json").read_text())[
+            "instances"]
+        assert inst["failed"][family] == "domain_error"
+        assert set(inst["fits"]) | set(inst["failed"]) == set(
+            cli._FAMILY_ORDER)
+
+
+_CELL = st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-310, 1e-300]),
+                  st.floats(0.0, 1e6))
+_DENSITY = st.one_of(
+    st.lists(_CELL, min_size=15, max_size=15),
+    # tail-heavy: mass grows with the tick
+    st.lists(_CELL, min_size=15, max_size=15).map(sorted),
+    # sparse, down to a single tick
+    st.dictionaries(st.integers(0, 14), _CELL, min_size=1,
+                    max_size=3).map(
+        lambda cells: [cells.get(i, 0.0) for i in range(15)]),
+)
+
+
+class TestFitAnyDensity:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.lists(_DENSITY, min_size=1, max_size=3))
+    def test_every_family_fits_or_fails_and_the_run_completes(self,
+                                                              densities):
+        with tempfile.TemporaryDirectory() as out:
+            source = os.path.join(out, "rates.csv")
+            _write_rates_csv(source, densities)
+            assert cli.main(["fit", source, "--out", out]) == 0
+            for name in ("fits.json", "nps_summary.csv", "welch_tests.csv"):
+                assert os.path.exists(os.path.join(out, name)), name
+            with open(os.path.join(out, "fits.json")) as fh:
+                instances = json.load(fh)["instances"]
+        assert len(instances) == len(densities)
+        for inst in instances:
+            assert not set(inst["fits"]) & set(inst["failed"])
+            assert set(inst["fits"]) | set(inst["failed"]) == set(
+                cli._FAMILY_ORDER)
+            for fit in inst["fits"].values():
+                assert all(math.isfinite(v) for v in fit["params"].values())
 
 
 class TestImportBoundary:

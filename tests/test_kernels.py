@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lobfit import dist, kernels
 from lobfit.kernels import KIND_BB, KIND_DW, KIND_POW, minimize, objective
@@ -135,3 +137,181 @@ class TestInterface:
         # recorded in benchmark environment stamps and used as plain ints
         assert kernels.BACKEND == "python"
         assert (KIND_DW, KIND_BB, KIND_POW) == (0, 1, 2)
+
+
+# --- per-tick oracle ---
+# The kernels before the tick-only terms were hoisted out of the
+# evaluation, kept verbatim: every term is evaluated per tick through
+# the overflow-guarding wrappers.  The hoisted kernels must return the
+# same floats bit for bit.
+
+_INF = math.inf
+_EXP_CAP = 709.0
+
+
+def _exp(v):
+    if v > _EXP_CAP:
+        return _INF
+    return math.exp(v)
+
+
+def _pow(base, exponent):
+    try:
+        return math.pow(base, exponent)
+    except OverflowError:
+        return _INF
+
+
+def _lgamma(v):
+    try:
+        return math.lgamma(v)
+    except OverflowError:
+        return _INF
+
+
+def _dw_nll(truncated, w, n, z0, z1):
+    # q = sigmoid(z0); ln q written via log1p for accuracy near q = 1
+    lq = -math.log1p(_exp(-z0))
+    beta = _exp(z1)
+    if not lq < 0.0 or lq == -_INF or not math.isfinite(beta):
+        return _INF
+    nll = 0.0
+    mass = 0.0
+    prev = 1.0  # survival q^((i-1)^beta) at i = 1
+    for i in range(1, n + 1):
+        e = _pow(float(i), beta) * lq
+        cur = _exp(e) if e <= 0.0 else _INF
+        p = prev - cur
+        prev = cur
+        if truncated:
+            mass += p
+        wi = w[i - 1]
+        if wi != 0.0:
+            if not p > 0.0:
+                return _INF
+            nll -= wi * math.log(p)
+    if truncated:
+        if not mass > 0.0:
+            return _INF
+        sumw = 0.0
+        for i in range(n):
+            sumw += w[i]
+        nll += math.log(mass) * sumw
+    if nll != nll:
+        return _INF
+    return nll
+
+
+def _bb_nll(truncated, w, n, z0, z1):
+    alpha = _exp(z0)
+    beta = _exp(z1)
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        return _INF
+    if alpha <= 0.0 or beta <= 0.0:
+        return _INF
+    nb = float(n - 1)
+    lbab = _lgamma(alpha) + _lgamma(beta) - _lgamma(alpha + beta)
+    lgn1 = _lgamma(nb + 1.0)
+    lgden = _lgamma(nb + alpha + beta)
+    if not (math.isfinite(lbab) and math.isfinite(lgden)):
+        return _INF
+    nll = 0.0
+    mass = 0.0
+    for i in range(1, n + 1):
+        x = float(i - 1)
+        lp = (lgn1 - _lgamma(x + 1.0) - _lgamma(nb - x + 1.0)
+              + _lgamma(x + alpha) + _lgamma(nb - x + beta) - lgden - lbab)
+        if truncated:
+            mass += _exp(lp)
+        wi = w[i - 1]
+        if wi != 0.0:
+            nll -= wi * lp
+    if truncated:
+        if not mass > 0.0:
+            return _INF
+        sumw = 0.0
+        for i in range(n):
+            sumw += w[i]
+        nll += math.log(mass) * sumw
+    if nll != nll:
+        return _INF
+    return nll
+
+
+def _pow_sse(w, n, z0, z1):
+    k = _exp(z0)
+    if not math.isfinite(k):
+        return _INF
+    sse = 0.0
+    for i in range(1, n + 1):
+        denom = _pow(float(i), z1)
+        if denom == 0.0:  # tick**exponent underflowed
+            return _INF
+        diff = w[i - 1] - k / denom
+        sse += diff * diff
+    if sse != sse:
+        return _INF
+    return sse
+
+
+def oracle(kind, truncated, w, z0, z1):
+    if kind == KIND_DW:
+        return _dw_nll(truncated, w, len(w), z0, z1)
+    if kind == KIND_BB:
+        return _bb_nll(truncated, w, len(w), z0, z1)
+    return _pow_sse(w, len(w), z0, z1)
+
+
+def same_bits(a, b):
+    # float.hex tells -0.0 from 0.0 and maps every NaN to "nan"
+    return a.hex() == b.hex()
+
+
+_WEIGHT = st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-310]),
+                    st.floats(0.0, 1e6))
+
+
+class TestOracleEquality:
+    @settings(max_examples=1000, deadline=None)
+    @given(st.sampled_from([KIND_DW, KIND_BB, KIND_POW]), st.booleans(),
+           st.sampled_from([2, 15, 40]).flatmap(
+               lambda n: st.lists(_WEIGHT, min_size=n, max_size=n)),
+           st.floats(-800.0, 800.0), st.floats(-800.0, 800.0))
+    # alpha or beta past ~2.5e305 overflows ln Gamma in the x pass
+    @example(KIND_BB, False, [1.0] * 15, 705.0, 0.0)
+    @example(KIND_BB, True, [1.0] * 15, 0.0, 706.5)
+    # tick**beta and tick**exponent overflow: the per-tick fallback
+    @example(KIND_DW, True, [1.0] * 15, -0.5, 7.0)
+    @example(KIND_POW, False, [1.0] * 15, 0.0, 300.0)
+    # tick**exponent underflows to 0.0
+    @example(KIND_POW, False, [1.0] * 15, 0.0, -300.0)
+    def test_objective_matches_per_tick_oracle(self, kind, truncated, w,
+                                               z0, z1):
+        got = objective(kind, truncated, w, z0, z1)
+        assert same_bits(got, oracle(kind, truncated, w, z0, z1))
+
+    def test_minimize_matches_per_tick_oracle(self, monkeypatch):
+        starts = [(-1.5, -0.5), (0.5, 0.5), (2.0, 1.0)]
+        runs = {}
+        for use_oracle in (False, True):
+            if use_oracle:
+                monkeypatch.setattr(
+                    kernels, "_dw_nll",
+                    lambda truncated, w, ticks, z0, z1: _dw_nll(
+                        truncated, w, len(w), z0, z1))
+                monkeypatch.setattr(
+                    kernels, "_bb_nll",
+                    lambda truncated, w, terms, z0, z1: _bb_nll(
+                        truncated, w, len(w), z0, z1))
+                monkeypatch.setattr(
+                    kernels, "_pow_sse",
+                    lambda w, ticks, z0, z1: _pow_sse(w, len(w), z0, z1))
+            runs[use_oracle] = [
+                minimize(kind, truncated, w, z0, z1)
+                for w in densities()
+                for kind in (KIND_DW, KIND_BB, KIND_POW)
+                for truncated in (False, True)
+                for z0, z1 in starts]
+        for got, want in zip(runs[False], runs[True]):
+            assert all(map(same_bits, got[:3], want[:3]))
+            assert got[3:] == want[3:]

@@ -197,6 +197,10 @@ def test_welch_degenerate_and_errors():
         stats.welch_t_test([2.0, 2.0], [3.0, 3.0])
     with pytest.raises(InsufficientData):
         stats.welch_t_test([1.0], [2.0, 3.0])
+    with pytest.raises(DomainError, match="second sample"):
+        stats.welch_t_test([1.0, 2.0], [1.0, math.inf])
+    with pytest.raises(DomainError, match="first sample"):
+        stats.welch_t_test([math.nan, 2.0], [1.0, 3.0])
     with pytest.raises(ValueError):
         stats.welch_t_test([1.0, 2.0], [3.0, 4.0], tails="both")
 

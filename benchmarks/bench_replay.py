@@ -1,0 +1,122 @@
+#!/usr/bin/env python3
+"""Benchmark the replay stages of ``lobfit rates`` one at a time.
+
+One seeded synthetic stream is generated once, then each stage runs
+alone on the previous stage's output, held in memory:
+
+* ``feed.iter_frames``: decode the stream bytes into frames;
+* ``feed.iter_stream``: the session, sequence and timestamp checks over
+  the decoded frames;
+* ``OrderBook.apply``: every message through one book per session;
+* ``rates.accumulate_event``: every book event into a fresh
+  ``TallyStore`` with all four granularities.
+
+Decode, stream check and book report messages/s, and tally reports
+events/s.  Each time is the best over ``--repeats`` rounds, and every
+round runs each stage once, so a slow spell of a shared host costs one
+repeat of each stage rather than every repeat of one.  For end-to-end
+and per-layer numbers of the whole pipeline use ``perfbench/run.py``.
+
+Run:
+
+    python3 benchmarks/bench_replay.py
+    python3 benchmarks/bench_replay.py --repeats 9 --days 2
+"""
+import argparse
+import datetime as dt
+import math
+import time
+
+from lobfit import dist, feed, rates, synth
+from lobfit.book import OrderBook
+
+
+def best_times(jobs, repeats):
+    """Best wall time of each job over ``repeats`` round-robin rounds."""
+    best = [math.inf] * len(jobs)
+    for _ in range(repeats):
+        for i, job in enumerate(jobs):
+            t0 = time.perf_counter()
+            job()
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return best
+
+
+def decode(blob):
+    for _ in feed.iter_frames(blob):
+        pass
+
+
+def stream_check(frames):
+    for _ in feed.iter_stream(frames):
+        pass
+
+
+def replay_book(messages):
+    books = {}
+    for session_id, msg in messages:
+        book = books.get(session_id)
+        if book is None:
+            book = books[session_id] = OrderBook()
+        book.apply(msg)
+
+
+def tally(events):
+    store = rates.TallyStore()
+    accumulate = rates.accumulate_event
+    for event, day in events:
+        accumulate(store, event, day)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=5,
+                        help="take the best of this many timings")
+    parser.add_argument("--days", type=int, default=1,
+                        help="trading days in the stream")
+    parser.add_argument("--orders-per-day", type=int, default=3500)
+    parser.add_argument("--seed", type=int, default=20170801)
+    args = parser.parse_args()
+
+    blob, _ = synth.generate(synth.SynthSpec(
+        seed=args.seed, days=args.days, orders_per_day=args.orders_per_day,
+        buy_model=dist.DiscreteWeibull(0.8, 1.2),
+        sell_model=dist.DiscreteWeibull(0.75, 1.4),
+        cancel_probability=0.08,
+        cancel_style=synth.CancelStyle.UNIFORM_FRACTION,
+        start=dt.date(2017, 8, 1)))
+    frames = list(feed.iter_frames(blob))
+    messages = list(feed.iter_stream(frames))
+    books = {}
+    events = []
+    for session_id, msg in messages:
+        if session_id not in books:
+            books[session_id] = (OrderBook(),
+                                 rates.session_id_to_date(session_id))
+        book, day = books[session_id]
+        events.extend((event, day) for event in book.apply(msg))
+
+    n_msgs = len(messages)
+    stages = [
+        ("feed.iter_frames", lambda: decode(blob), n_msgs, "msg/s"),
+        ("feed.iter_stream", lambda: stream_check(frames), n_msgs, "msg/s"),
+        ("OrderBook.apply", lambda: replay_book(messages), n_msgs, "msg/s"),
+        ("rates.accumulate_event", lambda: tally(events), len(events),
+         "event/s"),
+    ]
+    print(f"stream: {args.days} day(s) x {args.orders_per_day} orders, "
+          f"seed {args.seed}: {len(blob):,} bytes, {len(frames)} frames, "
+          f"{n_msgs:,} messages, {len(events):,} events")
+    name_width = max(len(name) for name, *_ in stages)
+    header = (f"{'stage':<{name_width}}  {'items':>8}  {'time':>9}  "
+              f"{'rate':>16}")
+    print(header)
+    print("-" * len(header))
+    times = best_times([job for _, job, _, _ in stages], args.repeats)
+    for (name, _, items, unit), elapsed in zip(stages, times):
+        print(f"{name:<{name_width}}  {items:>8,}  {elapsed * 1e3:>7.1f}ms  "
+              f"{items / elapsed:>10,.0f} {unit}")
+
+
+if __name__ == "__main__":
+    main()

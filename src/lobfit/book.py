@@ -18,7 +18,7 @@ tick 1) and sells against ``best_bid``.  Distances that come out below
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from lobfit.errors import (
@@ -81,8 +81,45 @@ class PriceLevel:
     order_count: int = 0
 
 
+_new = object.__new__
+(_set_kind, _set_side, _set_timestamp, _set_tick, _set_quantity,
+ _set_level_before) = (
+    BookEvent.__dict__[f.name].__set__ for f in fields(BookEvent))
+
+
+def _event(kind, side, timestamp_ns, tick, quantity,
+           level_quantity_before) -> BookEvent:
+    # fills the slots directly; a frozen dataclass __init__ would route
+    # every field through object.__setattr__
+    ev = _new(BookEvent)
+    _set_kind(ev, kind)
+    _set_side(ev, side)
+    _set_timestamp(ev, timestamp_ns)
+    _set_tick(ev, tick)
+    _set_quantity(ev, quantity)
+    _set_level_before(ev, level_quantity_before)
+    return ev
+
+
+_BUY = Side.BUY
+_ARRIVAL = EventKind.LIMIT_ARRIVAL
+_CANCEL = EventKind.CANCEL
+_EXECUTION = EventKind.EXECUTION
+_ADD_MSG = MessageKind.ADD
+_CANCEL_MSG = MessageKind.CANCEL
+_DELETE_MSG = MessageKind.DELETE
+_EXECUTE_MSG = MessageKind.EXECUTE
+_REPLACE_MSG = MessageKind.REPLACE
+
+
 class OrderBook:
-    """Mutable book: two price ladders plus an order-id index."""
+    """Mutable book: two price ladders plus an order-id index.
+
+    ``bids`` and ``asks`` map price to level and ``orders`` maps order
+    id to its resting state.  All three are read-only to callers: the
+    book caches its best bid and ask and updates them only as ``apply``
+    mutates the ladders.
+    """
 
     def __init__(self, tick_size: int = 1,
                  reference: TickReference | str = TickReference.SAME_SIDE):
@@ -93,14 +130,19 @@ class OrderBook:
         self.bids: dict[int, PriceLevel] = {}
         self.asks: dict[int, PriceLevel] = {}
         self.orders: dict[int, RestingOrder] = {}
+        self._bid: int | None = None
+        self._ask: int | None = None
+        # same side: tick = gap // T + 1; opposite side: tick = gap // T
+        self._same = self.reference is TickReference.SAME_SIDE
+        self._shift = tick_size if self._same else 0
 
     @property
     def best_bid(self) -> int | None:
-        return max(self.bids) if self.bids else None
+        return self._bid
 
     @property
     def best_ask(self) -> int | None:
-        return min(self.asks) if self.asks else None
+        return self._ask
 
     def tick_distance(self, side: Side, price: int) -> int:
         """1-based distance of ``price`` from the configured reference.
@@ -108,66 +150,84 @@ class OrderBook:
         Raises MissingReference when the side the convention measures
         against holds no orders.
         """
-        if self.reference is TickReference.SAME_SIDE:
-            ref = self.best_bid if side is Side.BUY else self.best_ask
-            if ref is None:
+        if self._same:
+            if (self._bid if side is Side.BUY else self._ask) is None:
                 raise MissingReference(f"no resting {Side(side).name} orders")
-            gap = ref - price if side is Side.BUY else price - ref
-            tick = gap // self.tick_size + 1
-        else:
-            ref = self.best_ask if side is Side.BUY else self.best_bid
+        elif (self._ask if side is Side.BUY else self._bid) is None:
+            opposite = Side.SELL if side is Side.BUY else Side.BUY
+            raise MissingReference(f"no resting {opposite.name} orders")
+        return self._tick(side, price)
+
+    def _tick(self, side: Side, price: int) -> int:
+        # an empty reference side puts the event at the touch
+        if side is _BUY:
+            ref = self._bid if self._same else self._ask
             if ref is None:
-                opposite = Side.SELL if side is Side.BUY else Side.BUY
-                raise MissingReference(f"no resting {opposite.name} orders")
-            gap = ref - price if side is Side.BUY else price - ref
-            tick = gap // self.tick_size
+                return 1
+            gap = ref - price
+        else:
+            ref = self._ask if self._same else self._bid
+            if ref is None:
+                return 1
+            gap = price - ref
+        tick = (gap + self._shift) // self.tick_size
         return tick if tick >= 1 else 1
-
-    def _event_tick(self, side: Side, price: int) -> int:
-        # first arrival on an unreferenced ladder seeds at the touch
-        try:
-            return self.tick_distance(side, price)
-        except MissingReference:
-            return 1
-
-    def _ladder(self, side: Side) -> dict[int, PriceLevel]:
-        return self.bids if side is Side.BUY else self.asks
 
     def _insert(self, order_id: int, side: Side, price: int, quantity: int,
                 timestamp_ns: int) -> BookEvent:
-        if order_id in self.orders:
+        orders = self.orders
+        if order_id in orders:
             raise DuplicateOrderId(f"order {order_id} already resting")
-        tick = self._event_tick(side, price)
-        level = self._ladder(side).setdefault(price, PriceLevel())
+        tick = self._tick(side, price)  # before the insert moves the best
+        if side is _BUY:
+            ladder = self.bids
+            if self._bid is None or price > self._bid:
+                self._bid = price
+        else:
+            ladder = self.asks
+            if self._ask is None or price < self._ask:
+                self._ask = price
+        level = ladder.get(price)
+        if level is None:
+            level = ladder[price] = PriceLevel()
         level.total_quantity += quantity
         level.order_count += 1
-        self.orders[order_id] = RestingOrder(side, price, quantity)
-        return BookEvent(EventKind.LIMIT_ARRIVAL, side, timestamp_ns, tick,
-                         quantity)
+        orders[order_id] = RestingOrder(side, price, quantity)
+        return _event(_ARRIVAL, side, timestamp_ns, tick, quantity, None)
 
-    def _remove(self, order_id: int, quantity: int, timestamp_ns: int,
-                kind: EventKind) -> BookEvent:
-        order = self.orders.get(order_id)
-        if order is None:
-            raise UnknownOrderId(f"order {order_id}")
+    def _remove(self, order_id: int, order: RestingOrder, quantity: int,
+                timestamp_ns: int, kind: EventKind) -> BookEvent:
         if quantity > order.remaining:
             raise OverCancel(
                 f"order {order_id}: {quantity} exceeds remaining "
                 f"{order.remaining}")
-        ladder = self._ladder(order.side)
-        level = ladder[order.price]
+        side = order.side
+        price = order.price
+        tick = self._tick(side, price)
+        ladder = self.bids if side is _BUY else self.asks
+        level = ladder[price]
         before = level.total_quantity
-        tick = self._event_tick(order.side, order.price)
         order.remaining -= quantity
         level.total_quantity -= quantity
         if order.remaining == 0:
             del self.orders[order_id]
             level.order_count -= 1
         if level.total_quantity == 0:
-            del ladder[order.price]
-        return BookEvent(
-            kind, order.side, timestamp_ns, tick, quantity,
-            level_quantity_before=before if kind is EventKind.CANCEL else None)
+            del ladder[price]
+            # only emptying the best level moves the cached best price
+            if side is _BUY:
+                if price == self._bid:
+                    self._bid = max(ladder) if ladder else None
+            elif price == self._ask:
+                self._ask = min(ladder) if ladder else None
+        return _event(kind, side, timestamp_ns, tick, quantity,
+                      before if kind is _CANCEL else None)
+
+    def _resting(self, order_id: int) -> RestingOrder:
+        order = self.orders.get(order_id)
+        if order is None:
+            raise UnknownOrderId(f"order {order_id}")
+        return order
 
     def apply(self, msg: MarketMessage) -> list[BookEvent]:
         """Apply one message and return the ladder events it caused.
@@ -179,29 +239,26 @@ class OrderBook:
         against the book as it stood before the mutation.
         """
         kind = msg.kind
-        if kind is MessageKind.ADD:
+        if kind is _ADD_MSG:
             return [self._insert(msg.order_id, msg.side, msg.price,
                                  msg.quantity, msg.timestamp_ns)]
-        if kind is MessageKind.CANCEL:
-            return [self._remove(msg.order_id, msg.quantity, msg.timestamp_ns,
-                                 EventKind.CANCEL)]
-        if kind is MessageKind.DELETE:
-            order = self.orders.get(msg.order_id)
-            if order is None:
-                raise UnknownOrderId(f"order {msg.order_id}")
-            return [self._remove(msg.order_id, order.remaining,
-                                 msg.timestamp_ns, EventKind.CANCEL)]
-        if kind is MessageKind.EXECUTE:
-            return [self._remove(msg.order_id, msg.quantity, msg.timestamp_ns,
-                                 EventKind.EXECUTION)]
-        if kind is MessageKind.REPLACE:
-            order = self.orders.get(msg.order_id)
-            if order is None:
-                raise UnknownOrderId(f"order {msg.order_id}")
-            side = order.side
-            cancel = self._remove(msg.order_id, order.remaining,
-                                  msg.timestamp_ns, EventKind.CANCEL)
-            arrival = self._insert(msg.new_order_id, side, msg.price,
+        if kind is _CANCEL_MSG:
+            order = self._resting(msg.order_id)
+            return [self._remove(msg.order_id, order, msg.quantity,
+                                 msg.timestamp_ns, _CANCEL)]
+        if kind is _DELETE_MSG:
+            order = self._resting(msg.order_id)
+            return [self._remove(msg.order_id, order, order.remaining,
+                                 msg.timestamp_ns, _CANCEL)]
+        if kind is _EXECUTE_MSG:
+            order = self._resting(msg.order_id)
+            return [self._remove(msg.order_id, order, msg.quantity,
+                                 msg.timestamp_ns, _EXECUTION)]
+        if kind is _REPLACE_MSG:
+            order = self._resting(msg.order_id)
+            cancel = self._remove(msg.order_id, order, order.remaining,
+                                  msg.timestamp_ns, _CANCEL)
+            arrival = self._insert(msg.new_order_id, order.side, msg.price,
                                    msg.quantity, msg.timestamp_ns)
             return [cancel, arrival]
         raise ValueError(f"unhandled message kind {kind!r}")

@@ -91,8 +91,10 @@ class SpecError(LobfitError):
 
 
 # --- statistics ---
-# stats.LengthMismatch lives in lobfit.stats to keep its natural name
-# without colliding with the wire-format error above.
+
+class VectorLengthMismatch(LobfitError):
+    """Paired vectors have different lengths (not a wire-format error)."""
+
 
 class InsufficientData(LobfitError):
     """Sample too small for the requested test."""

@@ -36,12 +36,21 @@ removes the remainder.  Replace moves the remaining quantity of
 
 Within one session timestamps are non-decreasing and frame sequence
 numbers are contiguous; ``iter_stream`` enforces both.
+
+Frames and ``decode_message`` share one per-message decoder.  It reads
+the length and kind bytes in place, unpacks the body straight from the
+buffer, and checks only what the fixed-width layout leaves open: the
+declared length against the kind, the kind byte, the side byte, and
+zero prices and quantities.  The u32 and u64 ranges hold by
+construction, so decoded messages are built without running
+``MarketMessage.__post_init__``; only public construction
+(``MarketMessage(...)`` and its classmethods) runs every check.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
 from typing import Iterable, Iterator
 
@@ -105,6 +114,16 @@ _BODY = {
 
 # length prefix covers the kind byte plus the body
 _WIRE_LENGTH = {kind: 1 + fmt.size for kind, fmt in _BODY.items()}
+
+# kind byte -> (kind, declared length, body unpacker)
+_LAYOUT = {int(kind): (kind, _WIRE_LENGTH[kind], fmt.unpack_from)
+           for kind, fmt in _BODY.items()}
+
+_ADD = MessageKind.ADD
+_CANCEL = MessageKind.CANCEL
+_EXECUTE = MessageKind.EXECUTE
+_REPLACE = MessageKind.REPLACE
+_SIDES = (Side.BUY, Side.SELL)
 
 
 def _check_range(name: str, value: int, limit: int) -> None:
@@ -192,6 +211,27 @@ class MarketMessage:
                    new_order_id=new_order_id, price=price, quantity=quantity)
 
 
+_new = object.__new__
+(_set_kind, _set_timestamp, _set_order_id, _set_side, _set_price,
+ _set_quantity, _set_new_order_id) = (
+    MarketMessage.__dict__[f.name].__set__ for f in fields(MarketMessage))
+
+
+def _decoded(kind, timestamp_ns, order_id, side, price, quantity,
+             new_order_id) -> MarketMessage:
+    # fills the slots directly: the decoder has made the checks that
+    # __post_init__ would, and the field widths bound the rest
+    msg = _new(MarketMessage)
+    _set_kind(msg, kind)
+    _set_timestamp(msg, timestamp_ns)
+    _set_order_id(msg, order_id)
+    _set_side(msg, side)
+    _set_price(msg, price)
+    _set_quantity(msg, quantity)
+    _set_new_order_id(msg, new_order_id)
+    return msg
+
+
 @dataclass(frozen=True, slots=True)
 class LobfFrame:
     """One frame: header fields plus decoded messages."""
@@ -224,6 +264,55 @@ def encode_message(msg: MarketMessage) -> bytes:
     return bytes([_WIRE_LENGTH[kind], int(kind)]) + body
 
 
+def _layout_error(data: bytes, offset: int) -> FormatError:
+    declared = data[offset]
+    if declared == 0:
+        return LengthMismatch("length prefix 0 leaves no kind byte")
+    code = data[offset + 1]
+    layout = _LAYOUT.get(code)
+    if layout is None:
+        return UnknownMessageKind(f"kind byte 0x{code:02X}")
+    kind, length, _ = layout
+    return LengthMismatch(f"{kind.name.lower()} declares {declared} bytes, "
+                          f"layout requires {length}")
+
+
+def _message_at(data: bytes, offset: int) -> MarketMessage:
+    """Decode the message whose length prefix is ``data[offset]``.
+
+    The caller has checked that the declared length fits in ``data``.
+    """
+    declared = data[offset]
+    layout = _LAYOUT.get(data[offset + 1]) if declared else None
+    if layout is None or layout[1] != declared:
+        raise _layout_error(data, offset)
+    kind, _, unpack_from = layout
+    if kind is _CANCEL or kind is _EXECUTE:
+        ts, oid, qty = unpack_from(data, offset + 2)
+        if not qty:
+            raise ZeroQuantity(
+                f"{kind.name.lower()} quantity must be positive")
+        return _decoded(kind, ts, oid, None, None, qty, None)
+    if kind is _ADD:
+        ts, oid, side_code, price, qty = unpack_from(data, offset + 2)
+        if side_code > 1:
+            raise FormatError(f"add side byte {side_code}")
+        if not price:
+            raise ZeroPrice("add price must be positive")
+        if not qty:
+            raise ZeroQuantity("add quantity must be positive")
+        return _decoded(kind, ts, oid, _SIDES[side_code], price, qty, None)
+    if kind is _REPLACE:
+        ts, oid, new_oid, price, qty = unpack_from(data, offset + 2)
+        if not price:
+            raise ZeroPrice("replace price must be positive")
+        if not qty:
+            raise ZeroQuantity("replace quantity must be positive")
+        return _decoded(kind, ts, oid, None, price, qty, new_oid)
+    ts, oid = unpack_from(data, offset + 2)
+    return _decoded(kind, ts, oid, None, None, None, None)
+
+
 def decode_message(data: bytes) -> MarketMessage:
     """Decode exactly one length-prefixed message from ``data``.
 
@@ -236,31 +325,7 @@ def decode_message(data: bytes) -> MarketMessage:
     if len(data) != 1 + declared:
         raise LengthMismatch(
             f"length prefix {declared} but {len(data) - 1} bytes follow")
-    code = data[1]
-    try:
-        kind = MessageKind(code)
-    except ValueError:
-        raise UnknownMessageKind(f"kind byte 0x{code:02X}") from None
-    if declared != _WIRE_LENGTH[kind]:
-        raise LengthMismatch(
-            f"{kind.name.lower()} declares {declared} bytes, "
-            f"layout requires {_WIRE_LENGTH[kind]}")
-    fields = _BODY[kind].unpack(data[2:])
-    if kind is MessageKind.ADD:
-        ts, oid, side_code, price, qty = fields
-        if side_code not in (0, 1):
-            raise FormatError(f"add side byte {side_code}")
-        return MarketMessage(kind, ts, oid, side=Side(side_code),
-                             price=price, quantity=qty)
-    if kind in (MessageKind.CANCEL, MessageKind.EXECUTE):
-        ts, oid, qty = fields
-        return MarketMessage(kind, ts, oid, quantity=qty)
-    if kind is MessageKind.DELETE:
-        ts, oid = fields
-        return MarketMessage(kind, ts, oid)
-    ts, oid, new_oid, price, qty = fields
-    return MarketMessage(kind, ts, oid, new_order_id=new_oid,
-                         price=price, quantity=qty)
+    return _message_at(data, 0)
 
 
 def encode_frame(frame: LobfFrame) -> bytes:
@@ -279,16 +344,17 @@ def _decode_frame_at(data: bytes, offset: int) -> tuple[LobfFrame, int]:
     if magic != MAGIC:
         raise BadMagic(f"got {magic!r}")
     offset += _HEADER.size
+    size = len(data)
     messages = []
+    append = messages.append
     for _ in range(count):
-        if offset >= len(data):
+        if offset >= size:
             raise TruncatedFrame("frame ends before declared message count")
-        declared = data[offset]
-        end = offset + 1 + declared
-        if end > len(data):
+        end = offset + 1 + data[offset]
+        if end > size:
             raise TruncatedFrame(
-                f"message needs {1 + declared} bytes, {len(data) - offset} left")
-        messages.append(decode_message(data[offset:end]))
+                f"message needs {end - offset} bytes, {size - offset} left")
+        append(_message_at(data, offset))
         offset = end
     return LobfFrame(session_id, sequence, tuple(messages)), offset
 

@@ -18,12 +18,12 @@ from lobfit.errors import (
     AllZero,
     DomainError,
     InsufficientData,
-    LobfitError,
+    VectorLengthMismatch,
     ZeroVariance,
 )
 
 __all__ = [
-    "LengthMismatch",
+    "VectorLengthMismatch",
     "TestResult",
     "ln_gamma",
     "ln_beta",
@@ -36,10 +36,6 @@ __all__ = [
     "welch_t_test",
     "chi_square_uniformity",
 ]
-
-
-class LengthMismatch(LobfitError):
-    """Paired vectors have different lengths."""
 
 
 _EPS = 1e-15
@@ -203,7 +199,8 @@ def chi_square_sf(x: float, df: float) -> float:
 def l1_error(observed, fitted) -> float:
     """Sum of absolute per-tick differences between two densities."""
     if len(observed) != len(fitted):
-        raise LengthMismatch(f"{len(observed)} vs {len(fitted)} entries")
+        raise VectorLengthMismatch(
+            f"{len(observed)} vs {len(fitted)} entries")
     return sum(abs(a - b) for a, b in zip(observed, fitted))
 
 
@@ -253,7 +250,9 @@ def welch_t_test(a, b, tails: str = "two") -> TestResult:
     samples are constant with equal means the comparison is vacuous:
     the result is t=0, p=1, flagged degenerate.  Constant samples with
     different means leave t undefined and raise ZeroVariance; a
-    non-finite value in either sample raises DomainError.
+    non-finite value in either sample raises DomainError, and so do
+    finite samples whose moments or degrees of freedom leave the float
+    range.
     """
     if tails not in ("one", "two"):
         raise ValueError(f"tails must be 'one' or 'two', got {tails!r}")
@@ -262,17 +261,25 @@ def welch_t_test(a, b, tails: str = "two") -> TestResult:
     for name, sample in (("first", a), ("second", b)):
         if not all(math.isfinite(v) for v in sample):
             raise DomainError(f"{name} sample holds a non-finite value")
-    mean_a, var_a = _mean_var(a)
-    mean_b, var_b = _mean_var(b)
-    if var_a == 0.0 and var_b == 0.0:
-        if mean_a == mean_b:
-            df = float(len(a) + len(b) - 2)
-            return TestResult(0.0, df, 1.0, degenerate=True)
-        raise ZeroVariance("both samples constant with different means")
-    sa = var_a / len(a)
-    sb = var_b / len(b)
-    t = (mean_a - mean_b) / math.sqrt(sa + sb)
-    df = (sa + sb) ** 2 / (sa * sa / (len(a) - 1) + sb * sb / (len(b) - 1))
+    try:
+        mean_a, var_a = _mean_var(a)
+        mean_b, var_b = _mean_var(b)
+        if var_a == 0.0 and var_b == 0.0:
+            if mean_a == mean_b:
+                df = float(len(a) + len(b) - 2)
+                return TestResult(0.0, df, 1.0, degenerate=True)
+            raise ZeroVariance("both samples constant with different means")
+        sa = var_a / len(a)
+        sb = var_b / len(b)
+        t = (mean_a - mean_b) / math.sqrt(sa + sb)
+        df = (sa + sb) ** 2 / (sa * sa / (len(a) - 1)
+                               + sb * sb / (len(b) - 1))
+    except OverflowError:
+        raise DomainError("welch t-test arithmetic overflows") from None
+    except ZeroDivisionError:
+        raise DomainError("welch degrees of freedom underflow") from None
+    if not math.isfinite(df):  # an infinite variance makes inf / inf
+        raise DomainError("welch t-test arithmetic overflows")
     p = student_t_sf2(t, df)
     if tails == "one":
         p *= 0.5
@@ -293,7 +300,8 @@ def chi_square_uniformity(ratios) -> TestResult:
     freedom over the 10 ticks.
     """
     if len(ratios) != 10:
-        raise LengthMismatch(f"expected 10 ratios, got {len(ratios)}")
+        raise VectorLengthMismatch(
+            f"expected 10 ratios, got {len(ratios)}")
     for r in ratios:
         if not 0.0 <= r <= 1.0:
             raise DomainError(f"ratio {r} outside [0, 1]")

@@ -16,7 +16,7 @@ from lobfit.errors import (
     OverCancel,
     UnknownOrderId,
 )
-from lobfit.feed import MarketMessage, Side
+from lobfit.feed import MarketMessage, MessageKind, Side
 
 
 def seeded_book(reference=TickReference.SAME_SIDE):
@@ -295,6 +295,8 @@ def audit(book):
     }
     assert totals == ladder_totals
     assert counts == ladder_counts
+    assert book.best_bid == (max(book.bids) if book.bids else None)
+    assert book.best_ask == (min(book.asks) if book.asks else None)
 
 
 def test_conservation_under_random_streams():
@@ -309,6 +311,52 @@ def test_conservation_under_random_streams():
         assert ev.tick >= 1
         if ev.kind is EventKind.CANCEL:
             assert ev.level_quantity_before >= ev.quantity
+
+
+def oracle_tick(bids, asks, book, side, price):
+    """Tick of ``price`` against ladders given as price -> quantity."""
+    best_bid = max(bids) if bids else None
+    best_ask = min(asks) if asks else None
+    if book.reference is TickReference.SAME_SIDE:
+        ref = best_bid if side is Side.BUY else best_ask
+        shift = 1
+    else:
+        ref = best_ask if side is Side.BUY else best_bid
+        shift = 0
+    if ref is None:
+        return 1
+    gap = ref - price if side is Side.BUY else price - ref
+    return max(1, gap // book.tick_size + shift)
+
+
+def expected_ticks(book, msg):
+    """Event ticks of ``msg`` from the ladders as they stand before it."""
+    bids = {p: lvl.total_quantity for p, lvl in book.bids.items()}
+    asks = {p: lvl.total_quantity for p, lvl in book.asks.items()}
+    if msg.kind is MessageKind.ADD:
+        return [oracle_tick(bids, asks, book, msg.side, msg.price)]
+    order = book.orders[msg.order_id]
+    ticks = [oracle_tick(bids, asks, book, order.side, order.price)]
+    if msg.kind is MessageKind.REPLACE:
+        # the arrival sees the book without the replaced order
+        ladder = bids if order.side is Side.BUY else asks
+        ladder[order.price] -= order.remaining
+        if not ladder[order.price]:
+            del ladder[order.price]
+        ticks.append(oracle_tick(bids, asks, book, order.side, msg.price))
+    return ticks
+
+
+@pytest.mark.parametrize("reference", list(TickReference))
+@pytest.mark.parametrize("tick_size", [1, 5])
+def test_cached_best_prices_and_ticks_under_random_streams(reference,
+                                                           tick_size):
+    _, messages = random_stream(13, 3000)
+    book = OrderBook(tick_size=tick_size, reference=reference)
+    for msg in messages:
+        want = expected_ticks(book, msg)
+        assert [ev.tick for ev in book.apply(msg)] == want
+        audit(book)
 
 
 def test_replay_is_deterministic():

@@ -256,6 +256,25 @@ class TestExactCurveInstance:
                 in capsys.readouterr().err)
 
 
+    def test_huge_finite_scores_skip_the_welch_test(self, tmp_path, capsys):
+        # 1e-100 on tick 2 scores the beta-binomial ~1.3e86: finite,
+        # but its variance overflows the Welch degrees of freedom
+        rng = random.Random(3)
+        spread = []
+        for _ in range(2):
+            raw = [rng.random() for _ in range(15)]
+            spread.append([v / sum(raw) for v in raw])
+        source = tmp_path / "rates.csv"
+        _write_rates_csv(source, [[1.0, 1e-100] + [0.0] * 13] + spread)
+        assert cli.main(["fit", str(source), "--out", str(tmp_path)]) == 0
+        for name in ("fits.json", "nps_summary.csv", "welch_tests.csv"):
+            assert (tmp_path / name).exists(), name
+        welch = (tmp_path / "welch_tests.csv").read_text().splitlines()
+        assert [row.split(",")[1] for row in welch[1:]] == ["dw_vs_pow"]
+        assert "daily_buy dw_vs_bb: welch t-test arithmetic overflows" \
+            in capsys.readouterr().err
+
+
 class TestFitFailureIsolation:
     def test_failed_family_is_recorded_and_the_rest_fit(self, tmp_path):
         # all mass on ticks 14-15 drives the Weibull fit to q = 1

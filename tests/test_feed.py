@@ -1,7 +1,10 @@
 import random
 import struct
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lobfit import feed
 from lobfit.errors import (
@@ -185,6 +188,74 @@ def test_fuzz_random_bytes_raise_typed_errors_only():
         except FormatError:
             pass
     assert decoded == 0  # 4-byte magic makes accidental success implausible
+
+
+# --- the decoder against the public constructors ---
+
+_U64 = st.one_of(st.sampled_from([0, 1, 2**64 - 1]),
+                 st.integers(0, 2**64 - 1))
+_U32 = st.one_of(st.sampled_from([1, 2**32 - 1]), st.integers(1, 2**32 - 1))
+_MESSAGES = st.one_of(
+    st.builds(MarketMessage.add, _U64, _U64, st.sampled_from(Side), _U32,
+              _U32),
+    st.builds(MarketMessage.cancel, _U64, _U64, _U32),
+    st.builds(MarketMessage.delete, _U64, _U64),
+    st.builds(MarketMessage.execute, _U64, _U64, _U32),
+    st.builds(MarketMessage.replace, _U64, _U64, _U64, _U32, _U32),
+)
+
+
+def _field_values(msg):
+    return [getattr(msg, f.name) for f in fields(msg)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), _U64,
+       st.lists(_MESSAGES, max_size=12).map(tuple))
+def test_decoded_messages_equal_public_construction(session, sequence,
+                                                    msgs):
+    frame = LobfFrame(session, sequence, msgs)
+    decoded = feed.decode_frame(feed.encode_frame(frame))
+    assert decoded == frame
+    for got, want in zip(decoded.messages, msgs):
+        assert type(got) is MarketMessage
+        assert got == want and hash(got) == hash(want)
+        # Side and MessageKind members, not their int values
+        assert [type(v) for v in _field_values(got)] \
+            == [type(v) for v in _field_values(want)]
+        with pytest.raises(FrozenInstanceError):
+            got.price = 1
+
+
+def _decode_outcome(decode, data):
+    try:
+        return decode(data)
+    except FormatError as exc:
+        return type(exc)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_MESSAGES, st.integers(0, 32),
+       st.one_of(st.sampled_from([0, 1, 2, 255]), st.integers(0, 255)))
+# a side byte of 2, then a zero add price, replace price and cancel size
+@example(MarketMessage.add(0, 1, Side.BUY, 1, 1), 18, 2)
+@example(MarketMessage.add(0, 1, Side.BUY, 1, 1), 22, 0)
+@example(MarketMessage.replace(0, 1, 2, 1, 1), 29, 0)
+@example(MarketMessage.cancel(0, 1, 1), 21, 0)
+def test_frame_and_message_decode_agree_on_a_changed_byte(msg, at, value):
+    data = bytearray(feed.encode_message(msg))
+    data[at % len(data)] = value
+    header = feed.encode_frame(LobfFrame(1, 0, (msg,)))[:18]
+    # decode_frame ignores trailing bytes; the padding keeps a grown
+    # length prefix inside the buffer, so the frame reports what the
+    # message decoder reports rather than a truncated frame
+    from_frame = _decode_outcome(
+        lambda b: feed.decode_frame(b).messages[0],
+        header + bytes(data) + bytes(256))
+    alone = _decode_outcome(feed.decode_message, bytes(data))
+    assert from_frame == alone
+    if isinstance(alone, MarketMessage):
+        assert MarketMessage(*_field_values(alone)) == alone
 
 
 # --- stream helpers ---

@@ -125,7 +125,7 @@ def test_l1_error_basic():
     b = [0.4, 0.4, 0.2]
     assert stats.l1_error(a, b) == pytest.approx(0.2)
     assert stats.l1_error(a, a) == 0.0
-    with pytest.raises(stats.LengthMismatch):
+    with pytest.raises(stats.VectorLengthMismatch):
         stats.l1_error([0.5, 0.5], [1.0])
 
 
@@ -201,6 +201,8 @@ def test_welch_degenerate_and_errors():
         stats.welch_t_test([1.0, 2.0], [1.0, math.inf])
     with pytest.raises(DomainError, match="first sample"):
         stats.welch_t_test([math.nan, 2.0], [1.0, 3.0])
+    with pytest.raises(DomainError, match="overflows"):
+        stats.welch_t_test([1.1e307, 1.0, 2.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         stats.welch_t_test([1.0, 2.0], [3.0, 4.0], tails="both")
 
@@ -249,7 +251,7 @@ def test_chi_square_rounding_half_away_from_zero():
 
 
 def test_chi_square_errors():
-    with pytest.raises(stats.LengthMismatch):
+    with pytest.raises(stats.VectorLengthMismatch):
         stats.chi_square_uniformity([0.1] * 9)
     with pytest.raises(AllZero):
         stats.chi_square_uniformity([0.001] * 10)

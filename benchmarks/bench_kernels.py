@@ -7,8 +7,11 @@ histograms are multinomial draws from known curves, matching what the
 fitting layer feeds the kernels in production.  A second table gives
 the cost of one ``objective`` call per kind, timed on a 5 x 5 grid of
 points around each histogram's optimum, which is where fits spend
-their evaluations.  For end-to-end and per-layer numbers of the whole
-pipeline use ``perfbench/run.py``.
+their evaluations.  A third table gives instances/s per family through
+``dist.fit_family`` in this one process, the unit a ``lobfit fit``
+worker runs.  The multi-start fits use ``dist``'s own start grids and
+loop.  For end-to-end and per-layer numbers of the whole pipeline use
+``perfbench/run.py``.
 
 Run:
 
@@ -24,27 +27,18 @@ import numpy as np
 
 from lobfit import dist, kernels
 
-_DW_STARTS = [(math.log(q / (1.0 - q)), math.log(b))
-              for q in (0.1, 0.3, 0.5, 0.7, 0.9)
-              for b in (0.25, 0.5, 1.0, 2.0, 4.0)]
+# the start grids of dist.fit_mle; the power law's are per density
+_DW_STARTS = [(dist._logit(q), math.log(b))
+              for q in dist._Q_STARTS for b in dist._BETA_STARTS]
 _BB_STARTS = [(math.log(a), math.log(b))
-              for a in (0.1, 0.5, 2.5, 12.5, 62.5)
-              for b in (0.1, 0.5, 2.5, 12.5, 62.5)]
-_POW_EXPONENTS = (0.0, 0.5, 1.0, 1.5, 2.5)
+              for a in dist._AB_STARTS for b in dist._AB_STARTS]
 _OFFSETS = (-0.5, -0.25, 0.0, 0.25, 0.5)
 _CALL_ROUNDS = 20
 
 
 def multi_start_fit(kind, truncated, weights, starts):
-    best = None
-    for z0, z1 in starts:
-        if not math.isfinite(kernels.objective(kind, truncated, weights,
-                                               z0, z1)):
-            continue
-        run = kernels.minimize(kind, truncated, weights, z0, z1)
-        if best is None or run[2] < best[2]:
-            best = run
-    return best
+    """The winning (z0*, z1*, f*, iters, ok) of dist's multi-start loop."""
+    return dist._run_starts(kind, truncated, weights, starts)[0]
 
 
 def objective_sweep(kind, weights, grid):
@@ -63,7 +57,7 @@ def starts_for(kind, weights):
         return _BB_STARTS
     # as dist.fit_power_law: the scale starts at the first-tick mass
     k0 = math.log(max(weights[0], 1e-6))
-    return [(k0, a) for a in _POW_EXPONENTS]
+    return [(k0, a) for a in dist._POW_EXPONENT_STARTS]
 
 
 def grid_around_optimum(kind, truncated, weights):
@@ -75,6 +69,11 @@ def grid_around_optimum(kind, truncated, weights):
 def objective_calls(kind, truncated, points):
     for weights, z0, z1 in points:
         kernels.objective(kind, truncated, weights, z0, z1)
+
+
+def fit_all(tag, densities):
+    for density in densities:
+        dist.fit_family(density, tag)
 
 
 def best_times(jobs, repeats):
@@ -164,6 +163,19 @@ def main():
                        _CALL_ROUNDS * args.repeats)
     for (name, _, count), elapsed in zip(calls, times):
         print(f"{name:<{name_width}}  {elapsed / count * 1e6:>8.2f}us")
+
+    # what one lobfit fit worker does per instance and family
+    corpus = dw_hists + bb_hists
+    print()
+    header = (f"{f'dist.fit_family, {len(corpus)} instances':<{name_width}}"
+              f"  {'instances/s':>12}")
+    print(header)
+    print("-" * len(header))
+    fits = [(tag, functools.partial(fit_all, tag, corpus))
+            for tag in dist.FAMILY_TAGS]
+    times = best_times([job for _, job in fits], args.repeats)
+    for (tag, _), elapsed in zip(fits, times):
+        print(f"{tag:<{name_width}}  {len(corpus) / elapsed:>12.1f}")
 
 
 if __name__ == "__main__":

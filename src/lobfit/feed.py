@@ -150,6 +150,10 @@ class MarketMessage:
         if kind is MessageKind.ADD:
             if self.side is None or self.price is None or self.quantity is None:
                 raise ValueError("add requires side, price and quantity")
+            if type(self.side) is not Side:
+                # the book tests sides by identity, so a plain int must
+                # become a Side; a value that names no side raises
+                object.__setattr__(self, "side", Side(self.side))
             if self.new_order_id is not None:
                 raise ValueError("add carries no new_order_id")
         elif kind in (MessageKind.CANCEL, MessageKind.EXECUTE):
@@ -186,7 +190,7 @@ class MarketMessage:
     def add(cls, timestamp_ns: int, order_id: int, side: Side,
             price: int, quantity: int) -> "MarketMessage":
         return cls(MessageKind.ADD, timestamp_ns, order_id,
-                   side=Side(side), price=price, quantity=quantity)
+                   side=side, price=price, quantity=quantity)
 
     @classmethod
     def cancel(cls, timestamp_ns: int, order_id: int,

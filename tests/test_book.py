@@ -118,6 +118,20 @@ def test_duplicate_order_id():
         book.apply(MarketMessage.add(1, 1, Side.BUY, 1213, 10))
 
 
+def test_plain_int_side_rests_on_its_own_ladder():
+    book = OrderBook()
+    book.apply(MarketMessage.add(0, 1, Side.BUY, 100, 5))
+    book.apply(MarketMessage.add(1, 2, Side.SELL, 110, 5))
+    msg = MarketMessage(MessageKind.ADD, 2, 3, side=0, price=90, quantity=5)
+    assert msg.side is Side.BUY
+    book.apply(msg)
+    assert book.best_bid == 100 and book.best_ask == 110
+    assert book.bids[90].total_quantity == 5
+    assert MarketMessage.add(3, 4, 1, 120, 5).side is Side.SELL
+    with pytest.raises(ValueError):
+        MarketMessage(MessageKind.ADD, 4, 5, side=2, price=90, quantity=5)
+
+
 # --- apply: cancels, deletes, executes ---
 
 def test_partial_cancel_reports_level_before():

@@ -351,22 +351,85 @@ class TestFitAnyDensity:
                 assert all(math.isfinite(v) for v in fit["params"].values())
 
 
+def _python(code, *args, timeout=None):
+    """Run ``code`` in a fresh interpreter that imports this lobfit."""
+    src = os.path.dirname(os.path.dirname(lobfit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
 class TestImportBoundary:
     def test_fit_path_imports_neither_numpy_nor_a_compiled_kernel(self):
-        # numpy costs every non-synth command its import time
-        src = os.path.dirname(os.path.dirname(lobfit.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        # numpy costs every non-synth command its import time, and
+        # multiprocessing every command but fit, which imports it itself
         probe = ("import sys; import lobfit.cli; "
                  "from lobfit import dist, kernels, rates, stats; "
                  "print(*sorted(name for name, m in sys.modules.items() "
-                 "if name.partition('.')[0] == 'numpy' "
+                 "if name.partition('.')[0] in ('numpy', 'multiprocessing') "
                  "or name.startswith('lobfit.') "
                  "and not m.__file__.endswith('.py')))")
-        proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                              capture_output=True, text=True)
+        proc = _python(probe)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == []
+
+
+class TestFitPool:
+    _OUTPUTS = ("fits.json", "nps_summary.csv", "welch_tests.csv")
+
+    def _rates_csv(self, path):
+        # daily and weekly buckets on both sides, so the instances sort
+        # into several timesteps and the Welch tests have samples
+        rng = random.Random(11)
+        with open(path, "w") as fh:
+            fh.write("bucket_key,side,tick,quantity,density\n")
+            for key in ("daily:2017-08-01", "daily:2017-08-02",
+                        "daily:2017-08-03", "weekly:2017-W31",
+                        "weekly:2017-W32", "weekly:2017-W33"):
+                for side in ("buy", "sell"):
+                    raw = [rng.randint(1, 900) for _ in range(15)]
+                    for tick, q in enumerate(raw, start=1):
+                        fh.write(f"{key},{side},{tick},{q},"
+                                 f"{q / sum(raw)!r}\n")
+
+    def _fit(self, source, out, cpus=None):
+        """Fit in a fresh interpreter; ``cpus`` fakes the CPU affinity."""
+        code = ("import os, sys; from lobfit import cli\n"
+                "if sys.argv[1]:\n"
+                "    cpus = set(range(int(sys.argv[1])))\n"
+                "    os.sched_getaffinity = lambda pid: cpus\n"
+                "sys.exit(cli.main(sys.argv[2:]))")
+        proc = _python(code, str(cpus or ""), "fit", str(source), "--out",
+                       str(out), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return {name: (out / name).read_bytes() for name in self._OUTPUTS}
+
+    def test_same_bytes_on_one_cpu_and_on_all(self, tmp_path):
+        source = tmp_path / "rates.csv"
+        self._rates_csv(source)
+        everywhere = self._fit(source, tmp_path / "all")
+        assert self._fit(source, tmp_path / "one", cpus=1) == everywhere
+        # more workers than this host may have CPUs, still in order
+        assert self._fit(source, tmp_path / "four", cpus=4) == everywhere
+        instances = json.loads(everywhere["fits.json"])["instances"]
+        assert len(instances) == 12
+
+    def test_worker_failure_exits_two_without_hanging(self, tmp_path):
+        source = tmp_path / "rates.csv"
+        self._rates_csv(source)
+        # forked workers inherit the patched dist.fit_family
+        code = ("import sys; from lobfit import cli, dist\n"
+                "def boom(*args, **kwargs):\n"
+                "    raise RuntimeError('wires crossed')\n"
+                "dist.fit_family = boom\n"
+                "sys.exit(cli.main(sys.argv[1:]))")
+        proc = _python(code, "fit", str(source), "--out",
+                       str(tmp_path / "out"), timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "internal error" in proc.stderr
+        assert "wires crossed" in proc.stderr
+        assert not (tmp_path / "out").exists()
 
 
 class TestCancelTestEdgeCases:

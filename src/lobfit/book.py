@@ -17,7 +17,6 @@ tick 1) and sells against ``best_bid``.  Distances that come out below
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -36,7 +35,6 @@ __all__ = [
     "PriceLevel",
     "RestingOrder",
     "OrderBook",
-    "write_events_csv",
 ]
 
 
@@ -262,21 +260,3 @@ class OrderBook:
                                    msg.quantity, msg.timestamp_ns)
             return [cancel, arrival]
         raise ValueError(f"unhandled message kind {kind!r}")
-
-
-def write_events_csv(path, events) -> None:
-    """Event log export: one row per event, cancels carry the level size."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "side", "timestamp_ns", "tick",
-                         "quantity", "level_quantity_before"])
-        for ev in events:
-            writer.writerow([
-                ev.kind.value,
-                ev.side.name.lower(),
-                ev.timestamp_ns,
-                ev.tick,
-                ev.quantity,
-                "" if ev.level_quantity_before is None
-                else ev.level_quantity_before,
-            ])

@@ -50,9 +50,7 @@ from lobfit.feed import Side
 from lobfit.rates import Granularity
 
 _FAMILY_ORDER = tuple(dist.FAMILY_TAGS)
-_SHORTHAND = {"geo": "geometric", "dw": "discrete_weibull",
-              "bb": "beta_binomial", "exp": "exponential",
-              "pow": "power_law"}
+_SHORTHAND = {cls.shorthand: tag for tag, cls in dist.FAMILY_TAGS.items()}
 _TIMESTEP_ORDER = ("daily_buy", "daily_sell", "weekly_buy", "weekly_sell",
                    "monthly", "hourly_buy", "hourly_sell")
 _COMPARISONS = (("dw_vs_bb", "discrete_weibull", "beta_binomial"),
@@ -236,6 +234,7 @@ def _usable_cpus() -> int:
 def cmd_fit(args) -> None:
     # imported here: no other command starts a process pool
     import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
     families = parse_families(args.families)
     instances = rates.read_rates_csv(args.rates)
@@ -246,9 +245,11 @@ def cmd_fit(args) -> None:
     # order, so the outputs are the same bytes for any number of workers
     fit_one = functools.partial(_fit_instance, families=families,
                                 truncated=args.truncated_likelihood)
+    # a worker that dies raises BrokenProcessPool here instead of hanging
     workers = min(_usable_cpus(), len(instances))
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        records = pool.map(fit_one, instances, chunksize=1)
+    with ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        records = list(pool.map(fit_one, instances))
 
     scores: dict[tuple[str, str], list[float]] = {}
     for record in records:

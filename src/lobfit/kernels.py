@@ -180,16 +180,21 @@ def _pow_sse(w, ticks, z0: float, z1: float) -> float:
     return sse
 
 
-def objective(kind: int, truncated: bool, w, z0: float, z1: float) -> float:
-    """Evaluate one objective; non-finite regions come back as +inf."""
+def _bind(kind: int, truncated: bool, w):
+    """The objective of ``kind`` on weights ``w`` as a function of (z0, z1)."""
     n = len(w)
     if kind == KIND_DW:
-        return _dw_nll(truncated, w, _ticks(n), z0, z1)
+        return functools.partial(_dw_nll, truncated, w, _ticks(n))
     if kind == KIND_BB:
-        return _bb_nll(truncated, w, _bb_terms(n), z0, z1)
+        return functools.partial(_bb_nll, truncated, w, _bb_terms(n))
     if kind == KIND_POW:
-        return _pow_sse(w, _ticks(n), z0, z1)
+        return functools.partial(_pow_sse, w, _ticks(n))
     raise ValueError(f"unknown objective kind {kind}")
+
+
+def objective(kind: int, truncated: bool, w, z0: float, z1: float) -> float:
+    """Evaluate one objective; non-finite regions come back as +inf."""
+    return _bind(kind, truncated, w)(z0, z1)
 
 
 def minimize(kind: int, truncated: bool, w, z0: float, z1: float,
@@ -201,15 +206,7 @@ def minimize(kind: int, truncated: bool, w, z0: float, z1: float,
     0.5).  Converged means the simplex diameter in the transformed
     coordinates fell below ``tol`` within ``max_iter`` iterations.
     """
-    n = len(w)
-    if kind == KIND_DW:
-        fn = functools.partial(_dw_nll, truncated, w, _ticks(n))
-    elif kind == KIND_BB:
-        fn = functools.partial(_bb_nll, truncated, w, _bb_terms(n))
-    elif kind == KIND_POW:
-        fn = functools.partial(_pow_sse, w, _ticks(n))
-    else:
-        raise ValueError(f"unknown objective kind {kind}")
+    fn = _bind(kind, truncated, w)
 
     x0, y0 = z0, z1
     x1, y1 = z0 + step, z1

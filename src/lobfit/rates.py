@@ -52,7 +52,6 @@ __all__ = [
     "TallyStore",
     "date_to_session_id",
     "session_id_to_date",
-    "in_trading_hours",
     "accumulate_event",
     "arrival_density",
     "cancellation_ratio",
@@ -115,11 +114,6 @@ def session_id_to_date(session_id: int) -> dt.date:
     except ValueError:
         raise SpecError(
             f"session id {session_id} does not encode a date") from None
-
-
-def in_trading_hours(timestamp_ns: int) -> bool:
-    hour = timestamp_ns // NS_PER_HOUR
-    return 0 <= hour < 24 and _HOUR_SLOT[hour] > 0
 
 
 @dataclass(frozen=True, slots=True)

@@ -59,7 +59,8 @@ _AFTERNOON_OPEN = rates.AFTERNOON_HOURS[0] * _NS_PER_HOUR
 _SESSION_SPAN = rates.HOUR_SLOTS * _NS_PER_HOUR
 _LADDER_TIME = 9 * _NS_PER_HOUR + 30 * 60 * 1_000_000_000
 
-_LADDER_LEVELS = 15
+# one resting level per tick of the arrival window
+_LADDER_LEVELS = rates.ARRIVAL_TICKS
 _LADDER_QUANTITY = 200
 _MAX_ARRIVAL_QUANTITY = 100
 # only orders inside the tallied cancel window are canceled

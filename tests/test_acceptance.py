@@ -173,7 +173,7 @@ def test_c3_parameter_recovery():
         for seed in range(1, 21):
             w = np.random.default_rng(seed).multinomial(
                 100_000, curve).astype(float)
-            fit = dist.fit_mle(w, truncated=True)
+            fit = dist.fit_family(w, "discrete_weibull", truncated=True)
             results.append((w, fit))
             if (abs(fit.family.q - 0.8) <= 0.02
                     and abs(fit.family.beta - 1.2) <= 0.02):
@@ -185,7 +185,8 @@ def test_c3_parameter_recovery():
             assert abs(fit.family.q - gq) <= 1.5e-3
             assert abs(fit.family.beta - gb) <= 1.5e-3
 
-        exact = dist.fit_mle(curve, truncated=True)
+        exact = dist.fit_family(curve, "discrete_weibull",
+                                 truncated=True)
         assert abs(exact.family.q - 0.8) <= 1e-4
         assert abs(exact.family.beta - 1.2) <= 1e-4
 

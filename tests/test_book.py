@@ -1,4 +1,3 @@
-import csv
 import random
 
 import pytest
@@ -8,7 +7,6 @@ from lobfit.book import (
     EventKind,
     OrderBook,
     TickReference,
-    write_events_csv,
 )
 from lobfit.errors import (
     DuplicateOrderId,
@@ -379,19 +377,3 @@ def test_replay_is_deterministic():
     out_a = [ev for m in messages for ev in first.apply(m)]
     out_b = [ev for m in messages for ev in second.apply(m)]
     assert out_a == out_b
-
-
-def test_events_csv_layout(tmp_path):
-    book, _ = seeded_book()
-    events = []
-    events.extend(book.apply(MarketMessage.add(100, 40, Side.BUY, 1213, 7)))
-    events.extend(book.apply(MarketMessage.cancel(110, 40, 3)))
-    events.extend(book.apply(MarketMessage.execute(120, 1, 5)))
-    path = tmp_path / "events.csv"
-    write_events_csv(path, events)
-    rows = list(csv.reader(path.open()))
-    assert rows[0] == ["kind", "side", "timestamp_ns", "tick",
-                       "quantity", "level_quantity_before"]
-    assert rows[1] == ["limit_arrival", "buy", "100", "2", "7", ""]
-    assert rows[2] == ["cancel", "buy", "110", "2", "3", "107"]
-    assert rows[3] == ["execution", "buy", "120", "1", "5", ""]

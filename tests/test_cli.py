@@ -237,7 +237,8 @@ class TestExactCurveInstance:
                                                           capsys):
         # a point mass on tick 1 gives the exponential an infinite score;
         # 5e-324 on tick 2 keeps the geometric's L1 error positive but so
-        # small that the beta-binomial's score overflows to infinity
+        # small that the beta-binomial's score overflows to infinity, and
+        # the Weibull's (beta ~ 1.2e7, a point mass pair) reads ~1.1e307
         rng = random.Random(3)
         spread = []
         for _ in range(2):
@@ -250,15 +251,22 @@ class TestExactCurveInstance:
         summary = (tmp_path / "nps_summary.csv").read_text().splitlines()
         assert "daily_buy,exponential,inf,nan,4" in summary
         assert "daily_buy,beta_binomial,inf,nan,3" in summary
+        (dw,) = [row for row in summary
+                 if row.startswith("daily_buy,discrete_weibull,")]
+        assert dw.endswith(",3")
+        # the Weibull's huge score overflows the Welch arithmetic
         welch = (tmp_path / "welch_tests.csv").read_text().splitlines()
-        assert [row.split(",")[1] for row in welch[1:]] == ["dw_vs_pow"]
+        assert welch[1:] == []
+        err = capsys.readouterr().err
         assert ("daily_buy dw_vs_bb: second sample holds a non-finite value"
-                in capsys.readouterr().err)
+                in err)
+        assert "daily_buy dw_vs_pow: welch t-test arithmetic overflows" in err
 
 
     def test_huge_finite_scores_skip_the_welch_test(self, tmp_path, capsys):
-        # 1e-100 on tick 2 scores the beta-binomial ~1.3e86: finite,
-        # but its variance overflows the Welch degrees of freedom
+        # 1e-100 on tick 2 scores the beta-binomial ~1.3e86 and the
+        # Weibull ~5.6e83: finite, but their variances overflow the Welch
+        # degrees of freedom
         rng = random.Random(3)
         spread = []
         for _ in range(2):
@@ -270,9 +278,10 @@ class TestExactCurveInstance:
         for name in ("fits.json", "nps_summary.csv", "welch_tests.csv"):
             assert (tmp_path / name).exists(), name
         welch = (tmp_path / "welch_tests.csv").read_text().splitlines()
-        assert [row.split(",")[1] for row in welch[1:]] == ["dw_vs_pow"]
-        assert "daily_buy dw_vs_bb: welch t-test arithmetic overflows" \
-            in capsys.readouterr().err
+        assert welch[1:] == []
+        err = capsys.readouterr().err
+        assert "daily_buy dw_vs_bb: welch t-test arithmetic overflows" in err
+        assert "daily_buy dw_vs_pow: welch t-test arithmetic overflows" in err
 
 
 class TestFitFailureIsolation:
@@ -429,6 +438,24 @@ class TestFitPool:
         assert proc.returncode == 2, proc.stderr
         assert "internal error" in proc.stderr
         assert "wires crossed" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_dead_worker_exits_two_without_hanging(self, tmp_path):
+        source = tmp_path / "rates.csv"
+        self._rates_csv(source)
+        # a worker process that dies outright, as under an OOM kill
+        code = ("import os, sys; from lobfit import cli, dist\n"
+                "fit_family = dist.fit_family\n"
+                "def die(density, tag, **kwargs):\n"
+                "    if tag == 'power_law':\n"
+                "        os._exit(9)\n"
+                "    return fit_family(density, tag, **kwargs)\n"
+                "dist.fit_family = die\n"
+                "sys.exit(cli.main(sys.argv[1:]))")
+        proc = _python(code, "fit", str(source), "--out",
+                       str(tmp_path / "out"), timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "internal error: BrokenProcessPool" in proc.stderr
         assert not (tmp_path / "out").exists()
 
 

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from lobfit import dist, kernels
 from lobfit.kernels import KIND_BB, KIND_DW, KIND_POW, minimize, objective
@@ -33,7 +34,7 @@ def z_points():
 def dw_nll_reference(w, z0, z1, truncated):
     q = 1.0 / (1.0 + math.exp(-z0))
     beta = math.exp(z1)
-    masses = [dist.pmf_discrete_weibull(q, beta, i) for i in range(1, T + 1)]
+    masses = dist.DiscreteWeibull(q, beta).masses(T)
     if any(m <= 0.0 for m in masses):
         # an underflowed cell poisons the whole evaluation
         return math.inf
@@ -44,13 +45,15 @@ def dw_nll_reference(w, z0, z1, truncated):
 
 
 def bb_nll_reference(w, z0, z1, truncated):
-    a, b = math.exp(z0), math.exp(z1)
-    masses = [dist.pmf_beta_binomial(a, b, T - 1, i - 1)
-              for i in range(1, T + 1)]
-    ll = sum(wi * math.log(m) for wi, m in zip(w, masses))
-    if truncated:
-        ll -= math.log(sum(masses)) * sum(w)
-    return -ll
+    # in 40-digit arithmetic, independent of the kernel's libm lgamma
+    with mp.workdps(40):
+        a, b = mp.exp(z0), mp.exp(z1)
+        masses = [mp.binomial(T - 1, x) * mp.beta(x + a, T - 1 - x + b)
+                  / mp.beta(a, b) for x in range(T)]
+        ll = sum(wi * mp.log(m) for wi, m in zip(w, masses))
+        if truncated:
+            ll -= mp.log(sum(masses)) * sum(w)
+        return float(-ll)
 
 
 def pow_sse_reference(w, z0, z1):
@@ -87,8 +90,7 @@ class TestObjectiveValues:
         z0, z1 = 1.2, 0.1
         q = 1.0 / (1.0 + math.exp(-z0))
         beta = math.exp(z1)
-        mass = sum(dist.pmf_discrete_weibull(q, beta, i)
-                   for i in range(1, T + 1))
+        mass = sum(dist.DiscreteWeibull(q, beta).masses(T))
         plain = objective(KIND_DW, False, w, z0, z1)
         cond = objective(KIND_DW, True, w, z0, z1)
         assert cond - plain == pytest.approx(math.log(mass), abs=1e-12)

@@ -20,7 +20,6 @@ from lobfit.rates import (
     accumulate_event,
     arrival_density,
     cancellation_ratio,
-    in_trading_hours,
     parse_bucket_label,
 )
 
@@ -54,14 +53,14 @@ def tallied_keys(granularities, ts, day, side=Side.BUY):
 # --- trading hours and slots ---
 
 def test_trading_hours_windows():
-    assert in_trading_hours(ns(10))
-    assert in_trading_hours(ns(12, 59, 59))
-    assert not in_trading_hours(ns(13))
-    assert not in_trading_hours(ns(13, 30))
-    assert in_trading_hours(ns(14))
-    assert in_trading_hours(ns(17, 59, 59))
-    assert not in_trading_hours(ns(18))
-    assert not in_trading_hours(ns(9, 59, 59))
+    # the edges of both sessions, seen through the out-of-hours count
+    for ts, in_hours in ((ns(10), True), (ns(12, 59, 59), True),
+                         (ns(13), False), (ns(13, 30), False),
+                         (ns(14), True), (ns(17, 59, 59), True),
+                         (ns(18), False), (ns(9, 59, 59), False)):
+        store = TallyStore()
+        assert accumulate_event(store, arrival(1, 10, ts=ts), DAY) is in_hours
+        assert store.out_of_hours == (0 if in_hours else 1)
 
 
 def test_slot_of_each_trading_hour():

@@ -183,18 +183,19 @@ class BetaBinomial:
             raise DomainError(
                 f"beta-binomial with {n} trials does not span "
                 f"a {ticks}-tick window")
-        ln_gamma_n = stats.ln_gamma(n + 1.0)
-        ln_beta_ab = stats.ln_beta(self.alpha, self.beta)
         try:
-            return [math.exp(ln_gamma_n - stats.ln_gamma(x + 1.0)
-                             - stats.ln_gamma(n - x + 1.0)
+            ln_gamma_n = math.lgamma(n + 1.0)
+            ln_beta_ab = stats.ln_beta(self.alpha, self.beta)
+            return [math.exp(ln_gamma_n - math.lgamma(x + 1.0)
+                             - math.lgamma(n - x + 1.0)
                              + stats.ln_beta(x + self.alpha,
                                              n - x + self.beta)
                              - ln_beta_ab)
                     for x in range(ticks)]
         except OverflowError:
             # at saturated fits (alpha, beta ~ 1e16) the ln_beta
-            # difference is rounding noise, large enough to overflow exp()
+            # difference is rounding noise, large enough to overflow
+            # exp(); past ~2.5e305 lgamma itself overflows
             raise DomainError(
                 f"beta-binomial mass overflows at alpha={self.alpha}, "
                 f"beta={self.beta}") from None

@@ -1,12 +1,13 @@
 """Model comparison metrics and the statistical tests behind them.
 
-The special functions (log-gamma, regularized incomplete beta and
-gamma) are implemented here rather than imported, so the test p-values
-have no external numerical dependency.  Continued fractions follow the
-modified Lentz scheme; the series/fraction split points are the usual
-ones (x < (a+1)/(a+b+2) for the beta, x < s+1 for the gamma).  Target
-relative accuracy is 1e-13, comfortably inside the 1e-10 the test
-suite asserts.
+Log-gamma is the standard library's ``math.lgamma``, the routine the
+fit kernels use.  The regularized incomplete beta and gamma are
+implemented here rather than imported, so the test p-values have no
+numerical dependency outside the standard library.  Continued fractions
+follow the modified Lentz scheme; the series/fraction split points are
+the usual ones (x < (a+1)/(a+b+2) for the beta, x < s+1 for the
+gamma).  Target relative accuracy is 1e-13, comfortably inside the
+1e-10 the test suite asserts.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from lobfit.errors import (
 __all__ = [
     "VectorLengthMismatch",
     "TestResult",
-    "ln_gamma",
     "ln_beta",
     "reg_inc_beta",
     "reg_inc_gamma_lower",
@@ -41,40 +41,10 @@ __all__ = [
 _EPS = 1e-15
 _MAX_ITER = 300
 
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0 (Lanczos, g=7)."""
-    if not x > 0.0 or math.isinf(x):
-        raise DomainError(f"ln_gamma requires finite x > 0, got {x}")
-    if x < 0.5:
-        # reflection keeps the approximation on its accurate half-line
-        return (math.log(math.pi / math.sin(math.pi * x))
-                - ln_gamma(1.0 - x))
-    x -= 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (x + 0.5) * math.log(t) - t + math.log(acc)
-
 
 def ln_beta(u: float, v: float) -> float:
     """ln B(u, v) = ln Gamma(u) + ln Gamma(v) - ln Gamma(u + v)."""
-    return ln_gamma(u) + ln_gamma(v) - ln_gamma(u + v)
+    return math.lgamma(u) + math.lgamma(v) - math.lgamma(u + v)
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
@@ -138,7 +108,7 @@ def reg_inc_gamma_lower(s: float, x: float) -> float:
         raise DomainError(f"reg_inc_gamma_lower requires x >= 0, got {x}")
     if x == 0.0:
         return 0.0
-    front = math.exp(-x + s * math.log(x) - ln_gamma(s))
+    front = math.exp(-x + s * math.log(x) - math.lgamma(s))
     if x < s + 1.0:
         # series for the lower function
         term = 1.0 / s

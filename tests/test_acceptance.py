@@ -226,7 +226,7 @@ def test_c5_relative_scoring(forty_day_run):
 
 def test_c6_statistics_oracles():
     with criterion("C6 stats: frozen Welch and chi-square values, "
-                   "log-gamma and incomplete-beta identities to 1e-10"):
+                   "incomplete-beta identity to 1e-10"):
         welch = stats.welch_t_test([1, 2, 3], [4, 5, 6])
         assert abs(welch.statistic - (-3.674)) <= 1e-3
         assert abs(welch.statistic - (-3.6742346141747673)) < 1e-12
@@ -241,7 +241,6 @@ def test_c6_statistics_oracles():
         assert abs(chi.p_value - 0.5158) <= 1e-3
         assert abs(chi.p_value - 0.5159324048536893) < 1e-12
 
-        assert abs(stats.ln_gamma(5.0) - math.log(24.0)) < 1e-10
         for a in (0.5, 2.0, 7.5):
             for b in (0.5, 2.0, 7.5):
                 for x in (0.1, 0.42, 0.9):

@@ -17,28 +17,6 @@ mp.dps = 40
 
 # --- special functions ---
 
-def test_ln_gamma_small_integers():
-    assert stats.ln_gamma(5.0) == pytest.approx(math.log(24.0), abs=1e-12)
-    assert stats.ln_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-    assert stats.ln_gamma(2.0) == pytest.approx(0.0, abs=1e-14)
-    assert stats.ln_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi),
-                                                rel=1e-13)
-
-
-def test_ln_gamma_matches_reference():
-    for x in [1e-6, 0.01, 0.2, 0.5, 0.9, 1.5, 3.0, 4.5, 7.5, 14.0,
-              29.0, 100.0, 1e4, 1e8]:
-        ref = float(loggamma(mpf(x)))
-        assert stats.ln_gamma(x) == pytest.approx(ref, rel=1e-12, abs=1e-12)
-    assert stats.ln_gamma(10.0) == pytest.approx(math.lgamma(10.0), rel=1e-13)
-
-
-def test_ln_gamma_domain():
-    for bad in (0.0, -1.0, -0.5, math.inf):
-        with pytest.raises(DomainError):
-            stats.ln_gamma(bad)
-
-
 def test_ln_beta_is_gamma_combination():
     for u, v in [(1.0, 1.0), (2.5, 4.0), (0.5, 0.5), (14.0, 3.0)]:
         ref = float(loggamma(mpf(u)) + loggamma(mpf(v)) - loggamma(mpf(u + v)))

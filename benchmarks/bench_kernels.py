@@ -27,7 +27,8 @@ import numpy as np
 
 from lobfit import dist, kernels
 
-# the start grids of dist.fit_mle; the power law's are per density
+# the start grids of DiscreteWeibull.fit and BetaBinomial.fit in dist;
+# the power law's are per density
 _DW_STARTS = [(dist._logit(q), math.log(b))
               for q in dist._Q_STARTS for b in dist._BETA_STARTS]
 _BB_STARTS = [(math.log(a), math.log(b))
@@ -55,7 +56,7 @@ def starts_for(kind, weights):
         return _DW_STARTS
     if kind == kernels.KIND_BB:
         return _BB_STARTS
-    # as dist.fit_power_law: the scale starts at the first-tick mass
+    # as dist.PowerLaw.fit: the scale starts at the first-tick mass
     k0 = math.log(max(weights[0], 1e-6))
     return [(k0, a) for a in dist._POW_EXPONENT_STARTS]
 

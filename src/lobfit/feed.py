@@ -119,6 +119,12 @@ _WIRE_LENGTH = {kind: 1 + fmt.size for kind, fmt in _BODY.items()}
 _LAYOUT = {int(kind): (kind, _WIRE_LENGTH[kind], fmt.unpack_from)
            for kind, fmt in _BODY.items()}
 
+# kind (or its plain-int code) -> (kind, declared length, packer of the
+# length byte, the kind byte and the body in one call)
+_PACK = {kind: (kind, _WIRE_LENGTH[kind],
+                struct.Struct(">BB" + fmt.format.lstrip(">")).pack)
+         for kind, fmt in _BODY.items()}
+
 _ADD = MessageKind.ADD
 _CANCEL = MessageKind.CANCEL
 _EXECUTE = MessageKind.EXECUTE
@@ -253,19 +259,20 @@ class LobfFrame:
 
 def encode_message(msg: MarketMessage) -> bytes:
     """Serialize one message as length byte + kind byte + body."""
-    kind = MessageKind(msg.kind)
-    body_struct = _BODY[kind]
-    if kind is MessageKind.ADD:
-        body = body_struct.pack(msg.timestamp_ns, msg.order_id,
-                                int(msg.side), msg.price, msg.quantity)
-    elif kind in (MessageKind.CANCEL, MessageKind.EXECUTE):
-        body = body_struct.pack(msg.timestamp_ns, msg.order_id, msg.quantity)
-    elif kind is MessageKind.DELETE:
-        body = body_struct.pack(msg.timestamp_ns, msg.order_id)
-    else:
-        body = body_struct.pack(msg.timestamp_ns, msg.order_id,
-                                msg.new_order_id, msg.price, msg.quantity)
-    return bytes([_WIRE_LENGTH[kind], int(kind)]) + body
+    try:
+        kind, length, pack = _PACK[msg.kind]
+    except KeyError:
+        raise ValueError(f"kind {msg.kind!r} has no wire layout") from None
+    if kind is _CANCEL or kind is _EXECUTE:
+        return pack(length, kind, msg.timestamp_ns, msg.order_id,
+                    msg.quantity)
+    if kind is _ADD:
+        return pack(length, kind, msg.timestamp_ns, msg.order_id,
+                    msg.side, msg.price, msg.quantity)
+    if kind is _REPLACE:
+        return pack(length, kind, msg.timestamp_ns, msg.order_id,
+                    msg.new_order_id, msg.price, msg.quantity)
+    return pack(length, kind, msg.timestamp_ns, msg.order_id)
 
 
 def _layout_error(data: bytes, offset: int) -> FormatError:
@@ -336,7 +343,7 @@ def encode_frame(frame: LobfFrame) -> bytes:
     """Serialize header plus all messages."""
     parts = [_HEADER.pack(MAGIC, frame.session_id, frame.sequence_number,
                           len(frame.messages))]
-    parts.extend(encode_message(m) for m in frame.messages)
+    parts.extend(map(encode_message, frame.messages))
     return b"".join(parts)
 
 

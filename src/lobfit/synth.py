@@ -20,6 +20,14 @@ configured probability, either in full or by a uniform fraction of its
 remainder.
 Cancels carry the timestamp of the arrival that triggered them.
 
+Invariant: within a session, from the first ladder pair on,
+``best_bid`` and ``best_ask`` stay at ``initial_mid - tick_size`` and
+``initial_mid + tick_size`` after every message.  The ladder's top
+levels are never canceled and no arrival improves on them, so whether
+an order is cancelable is fixed when it arrives, and the cancel step
+draws from the cancelable arrivals still resting, in arrival order,
+with no scan of the book.
+
 Session ids encode the session date as YYYYMMDD
 (``rates.date_to_session_id``), which is how the pipeline recovers
 dates when reading a stream back.
@@ -27,6 +35,7 @@ dates when reading a stream back.
 
 from __future__ import annotations
 
+import bisect
 import datetime as dt
 import itertools
 import json
@@ -65,6 +74,7 @@ _LADDER_QUANTITY = 200
 _MAX_ARRIVAL_QUANTITY = 100
 # only orders inside the tallied cancel window are canceled
 _CANCELABLE_TICKS = rates.CANCEL_TICKS
+_SIDES = (Side.BUY, Side.SELL)
 
 
 class CancelStyle(Enum):
@@ -149,21 +159,12 @@ def _cumulative(curve) -> list[float]:
     return out
 
 
-def _draw_tick(cumulative, u: float) -> int:
-    for i, edge in enumerate(cumulative, start=1):
-        if u < edge:
-            return i
-    return len(cumulative)
-
-
 def generate(spec: SynthSpec) -> tuple[bytes, GroundTruth]:
     """Emit the full byte stream and the tallies of what went into it."""
     rng = np.random.default_rng(spec.seed)
     store = rates.TallyStore()
-    cumulative = {
-        Side.BUY: _cumulative(dist.tick_curve(spec.buy_model)),
-        Side.SELL: _cumulative(dist.tick_curve(spec.sell_model)),
-    }
+    cumulative = (_cumulative(dist.tick_curve(spec.buy_model)),
+                  _cumulative(dist.tick_curve(spec.sell_model)))
     order_ids = itertools.count(1)
     chunks = []
     for session_date in default_calendar(spec.days, spec.start):
@@ -191,51 +192,62 @@ def _generate_session(spec, session_date, rng, cumulative, order_ids,
                                spec.initial_mid - i * tick, _LADDER_QUANTITY))
         emit(MarketMessage.add(_LADDER_TIME + i, next(order_ids), Side.SELL,
                                spec.initial_mid + i * tick, _LADDER_QUANTITY))
+    # the ladder is never canceled and arrivals rest at or behind the
+    # touch, so the best prices stay put for the whole session
+    touch = (book.best_bid, book.best_ask)
+    step = (-tick, tick)
 
     n = spec.orders_per_day
-    offsets = np.sort(rng.integers(0, _SESSION_SPAN, size=n))
-    sides = rng.integers(0, 2, size=n)
-    tick_draws = rng.random(n)
-    quantities = rng.integers(1, _MAX_ARRIVAL_QUANTITY + 1, size=n)
-    live: dict[int, tuple[Side, int]] = {}
+    offsets = np.sort(rng.integers(0, _SESSION_SPAN, size=n)).tolist()
+    sides = rng.integers(0, 2, size=n).tolist()
+    tick_draws = rng.random(n).tolist()
+    quantities = rng.integers(1, _MAX_ARRIVAL_QUANTITY + 1,
+                              size=n).tolist()
+    probability = spec.cancel_probability
+    fraction = spec.cancel_style is CancelStyle.UNIFORM_FRACTION
+    # ids of the resting arrivals inside the cancel window, in arrival
+    # order; an arrival's distance from the fixed touch decides once
+    # whether it can ever be canceled
+    live: dict[int, None] = {}
 
-    for i in range(n):
-        ts = _timestamp(int(offsets[i]))
-        side = Side(int(sides[i]))
-        distance = _draw_tick(cumulative[side], float(tick_draws[i]))
-        if side is Side.BUY:
-            price = book.best_bid - (distance - 1) * tick
-        else:
-            price = book.best_ask + (distance - 1) * tick
+    for offset, s, u, quantity in zip(offsets, sides, tick_draws,
+                                      quantities):
+        ts = _timestamp(offset)
+        # u < 1.0, the last edge, so the index is at most len - 1
+        distance = bisect.bisect_right(cumulative[s], u) + 1
         oid = next(order_ids)
-        emit(MarketMessage.add(ts, oid, side, price, int(quantities[i])))
-        live[oid] = (side, price)
-        if spec.cancel_probability > 0.0:
-            _cancel_step(spec, ts, book, live, rng, emit)
+        emit(MarketMessage.add(ts, oid, _SIDES[s],
+                               touch[s] + (distance - 1) * step[s],
+                               quantity))
+        if distance <= _CANCELABLE_TICKS:
+            live[oid] = None
+        if probability > 0.0:
+            _cancel_step(ts, live, probability, fraction, book, rng, emit)
     return messages
 
 
-def _cancel_step(spec, ts, book, live, rng, emit) -> None:
-    reach = (_CANCELABLE_TICKS - 1) * spec.tick_size
-    bid, ask = book.best_bid, book.best_ask
-    candidates = [oid for oid, (side, price) in live.items()
-                  if (bid - price if side is Side.BUY else price - ask)
-                  <= reach]
-    if not candidates:
+def _cancel_step(ts, live, probability, fraction, book, rng, emit) -> None:
+    if not live:
         return
-    hits = int(rng.binomial(len(candidates), spec.cancel_probability))
+    candidates = list(live)
+    hits = int(rng.binomial(len(candidates), probability))
     if hits == 0:
         return
-    chosen = rng.choice(len(candidates), size=hits, replace=False)
-    for idx in sorted(int(j) for j in chosen):
+    chosen = sorted(rng.choice(len(candidates), size=hits,
+                               replace=False).tolist())
+    if not fraction:
+        for idx in chosen:
+            oid = candidates[idx]
+            emit(MarketMessage.delete(ts, oid))
+            del live[oid]
+        return
+    # PCG64 gives the same doubles in one call as in `hits` calls
+    for idx, u in zip(chosen, rng.random(hits).tolist()):
         oid = candidates[idx]
         remaining = book.orders[oid].remaining
-        if spec.cancel_style is CancelStyle.FULL:
-            emit(MarketMessage.delete(ts, oid))
-        else:
-            amount = max(1, int(rng.random() * remaining))
-            emit(MarketMessage.cancel(ts, oid, amount))
-        if oid not in book.orders:
+        amount = max(1, int(u * remaining))
+        emit(MarketMessage.cancel(ts, oid, amount))
+        if amount == remaining:
             del live[oid]
 
 

@@ -227,6 +227,71 @@ def test_decoded_messages_equal_public_construction(session, sequence,
             got.price = 1
 
 
+# the wire layout spelled out field by field, as the module docstring
+# gives it: the oracle the one-pack encoder must match byte for byte
+_ORACLE_BODY = {
+    MessageKind.ADD: (">QQBII", ("timestamp_ns", "order_id", "side",
+                                 "price", "quantity")),
+    MessageKind.CANCEL: (">QQI", ("timestamp_ns", "order_id", "quantity")),
+    MessageKind.DELETE: (">QQ", ("timestamp_ns", "order_id")),
+    MessageKind.EXECUTE: (">QQI", ("timestamp_ns", "order_id", "quantity")),
+    MessageKind.REPLACE: (">QQQII", ("timestamp_ns", "order_id",
+                                     "new_order_id", "price", "quantity")),
+}
+
+
+def _oracle_encoding(msg):
+    kind = MessageKind(msg.kind)
+    fmt, names = _ORACLE_BODY[kind]
+    body = struct.pack(fmt, *(int(getattr(msg, n)) for n in names))
+    return bytes([1 + len(body), int(kind)]) + body
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_MESSAGES)
+@example(MarketMessage.add(0, 0, Side.BUY, 1, 1))
+@example(MarketMessage.add(2**64 - 1, 2**64 - 1, Side.SELL, 2**32 - 1,
+                           2**32 - 1))
+@example(MarketMessage.cancel(0, 0, 2**32 - 1))
+@example(MarketMessage.delete(2**64 - 1, 0))
+@example(MarketMessage.execute(2**64 - 1, 2**64 - 1, 1))
+@example(MarketMessage.replace(0, 2**64 - 1, 0, 2**32 - 1, 2**32 - 1))
+def test_encoder_matches_field_by_field_oracle(msg):
+    assert feed.encode_message(msg) == _oracle_encoding(msg)
+
+
+def test_encoder_accepts_plain_int_kind_codes():
+    # the constructor keeps an int code for cancel and execute
+    for kind in (MessageKind.CANCEL, MessageKind.EXECUTE):
+        msg = MarketMessage(int(kind), 5, 6, quantity=7)
+        assert type(msg.kind) is int
+        assert feed.encode_message(msg) == _oracle_encoding(msg)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("timestamp_ns", 2**64), ("order_id", -1), ("price", 2**32),
+    ("quantity", 2**32), ("new_order_id", 2**64)])
+def test_encoder_rejects_out_of_range_fields(field, value):
+    # public construction refuses these values, so force them in past
+    # the checks; the packer must still refuse to truncate them
+    if field == "new_order_id":
+        msg = MarketMessage.replace(1, 2, 3, 4, 5)
+    else:
+        msg = MarketMessage.add(1, 2, Side.BUY, 4, 5)
+    object.__setattr__(msg, field, value)
+    with pytest.raises(struct.error):
+        _oracle_encoding(msg)
+    with pytest.raises(struct.error):
+        feed.encode_message(msg)
+
+
+def test_encoder_rejects_unknown_kind():
+    msg = MarketMessage.delete(1, 2)
+    object.__setattr__(msg, "kind", 0x5A)
+    with pytest.raises(ValueError):
+        feed.encode_message(msg)
+
+
 def _decode_outcome(decode, data):
     try:
         return decode(data)

@@ -1,7 +1,10 @@
 import datetime as dt
+import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lobfit import dist, feed, rates, stats, synth
 from lobfit.book import OrderBook, TickReference
@@ -168,6 +171,79 @@ class TestGeneration:
             cancel_style=synth.CancelStyle.UNIFORM_FRACTION))
         assert gt.store.dropped_arrivals == 0
         assert gt.store.dropped_cancels == 0
+
+
+# sha256 of stream.lobf and ground_truth.json, recorded before the
+# generator lost its per-arrival cancel scan; any change to the rng
+# order, the cancel candidates or the encoder moves them
+GOLDEN_SPECS = {
+    "dw_dw_fraction": (
+        synth.SynthSpec(seed=7, days=2, orders_per_day=500,
+                        buy_model=dist.DiscreteWeibull(0.8, 1.2),
+                        sell_model=dist.DiscreteWeibull(0.75, 1.4),
+                        cancel_probability=0.15,
+                        cancel_style=synth.CancelStyle.UNIFORM_FRACTION),
+        "10aaf102482a9e4cbf074f48c71b13e0d07cf710a332fa35a1f81a30211b3e42",
+        "739d471a8782a89af2202eb7675d8c4ade5b237d05a1e25724548ec4158fda6f"),
+    "geo_bb_full": (
+        synth.SynthSpec(seed=11, days=2, orders_per_day=500,
+                        buy_model=dist.Geometric(0.35),
+                        sell_model=dist.BetaBinomial(1.5, 6.0),
+                        cancel_probability=0.2,
+                        cancel_style=synth.CancelStyle.FULL),
+        "f32394d9b05f20d145ec89e3a5b869529a706088b3ef6b1b813981aa0a0cd89f",
+        "e697147b9548cd9a3176427f244cab3b350540a4d99d408b9b44176bf67bea4f"),
+    "exp_pow_fraction_tick5": (
+        synth.SynthSpec(seed=13, days=2, orders_per_day=500,
+                        buy_model=dist.Exponential(0.4),
+                        sell_model=dist.PowerLaw(1.0, 1.5),
+                        cancel_probability=0.5,
+                        cancel_style=synth.CancelStyle.UNIFORM_FRACTION,
+                        tick_size=5),
+        "daf2004646331a53ca0348d3b140f7192ef1554e2d513cfa319a7a8bfa7c2a40",
+        "91aed0777a797b11ac568eba1b8b99bda180b6d628c37042a8d4a194521b2421"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+def test_golden_bytes(name, tmp_path):
+    spec, stream_digest, truth_digest = GOLDEN_SPECS[name]
+    blob, gt = synth.generate(spec)
+    truth = tmp_path / "ground_truth.json"
+    synth.write_ground_truth(truth, gt)
+    assert hashlib.sha256(blob).hexdigest() == stream_digest
+    assert hashlib.sha256(truth.read_bytes()).hexdigest() == truth_digest
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**64 - 1), tick_size=st.integers(1, 5),
+       probability=st.one_of(st.sampled_from([0.0, 1.0]),
+                             st.floats(0.0, 1.0)),
+       style=st.sampled_from(synth.CancelStyle))
+def test_touch_never_moves_and_cancels_stay_in_the_window(
+        seed, tick_size, probability, style):
+    spec = synth.SynthSpec(seed=seed, days=1, orders_per_day=150,
+                           buy_model=dist.Geometric(0.2),
+                           sell_model=dist.DiscreteWeibull(0.9, 1.1),
+                           cancel_probability=probability,
+                           cancel_style=style, tick_size=tick_size)
+    blob, _ = synth.generate(spec)
+    book = OrderBook(tick_size=tick_size, reference=TickReference.SAME_SIDE)
+    bid = spec.initial_mid - tick_size
+    ask = spec.initial_mid + tick_size
+    reach = (rates.CANCEL_TICKS - 1) * tick_size
+    messages = stream_messages(blob)
+    ladder = {msg.order_id for _, msg in messages[:30]}
+    for i, (_, msg) in enumerate(messages):
+        if msg.kind in (MessageKind.CANCEL, MessageKind.DELETE):
+            assert msg.order_id not in ladder
+            order = book.orders[msg.order_id]
+            distance = (bid - order.price if order.side is Side.BUY
+                        else order.price - ask)
+            assert 0 <= distance <= reach
+        book.apply(msg)
+        if i >= 1:  # from the first ladder pair on
+            assert (book.best_bid, book.best_ask) == (bid, ask)
 
 
 def _group_by_session(blob):

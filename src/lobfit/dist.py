@@ -146,7 +146,12 @@ class DiscreteWeibull:
 
     @staticmethod
     def fit(weights, truncated: bool) -> FitResult:
-        """Weighted maximum likelihood over a (q, beta) grid of starts."""
+        """Weighted maximum likelihood over a (q, beta) grid of starts.
+
+        An objective below the weights' entropy (the search ran off to
+        q -> 0, beta -> inf, where the NLL is rounding noise) carries
+        boundary=True.
+        """
         _require_spread(weights)
         starts = [(_logit(q), math.log(b))
                   for q in _Q_STARTS for b in _BETA_STARTS]
@@ -154,7 +159,8 @@ class DiscreteWeibull:
                                                  weights, starts)
         return FitResult(DiscreteWeibull(q=_sigmoid(x), beta=math.exp(y)),
                          objective=f, converged=ok, starts_used=used,
-                         iterations=iters)
+                         iterations=iters,
+                         boundary=_below_entropy(f, weights))
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,7 +208,12 @@ class BetaBinomial:
 
     @staticmethod
     def fit(weights, truncated: bool) -> FitResult:
-        """Weighted maximum likelihood over an (alpha, beta) grid of starts."""
+        """Weighted maximum likelihood over an (alpha, beta) grid of starts.
+
+        An objective below the weights' entropy (the search ran off
+        towards the binomial limit, where the NLL is rounding noise)
+        carries boundary=True.
+        """
         _require_spread(weights)
         starts = [(math.log(a), math.log(b))
                   for a in _AB_STARTS for b in _AB_STARTS]
@@ -211,7 +222,8 @@ class BetaBinomial:
         return FitResult(BetaBinomial(alpha=math.exp(x), beta=math.exp(y),
                                       trials=len(weights) - 1),
                          objective=f, converged=ok, starts_used=used,
-                         iterations=iters)
+                         iterations=iters,
+                         boundary=_below_entropy(f, weights))
 
 
 @dataclass(frozen=True, slots=True)
@@ -335,6 +347,19 @@ def _require_spread(weights) -> None:
     if sum(1 for w in weights if w > 0.0) < 2:
         raise DegenerateData(
             "all mass on a single tick cannot identify two parameters")
+
+
+def _below_entropy(objective: float, weights) -> bool:
+    """True when a weighted NLL undercuts the weights' entropy H(w).
+
+    The NLL of any pmf whose masses sum to at most 1 is at least
+    H(w) = -sum w ln w (Gibbs' inequality), so a fit that reports less
+    has run off to where its objective is rounding noise; the 1e-9
+    margin leaves exact curves, which land within rounding of H(w),
+    unflagged.
+    """
+    entropy = -sum(w * math.log(w) for w in weights if w > 0.0)
+    return objective < entropy * (1.0 - 1e-9)
 
 
 def _logit(q: float) -> float:

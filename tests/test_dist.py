@@ -273,6 +273,34 @@ class TestLikelihoodFits:
         with pytest.raises(DegenerateData):
             dist.fit_family([1.0] + [0.0] * 14, "power_law")
 
+    @pytest.mark.parametrize("density, tag", [
+        ([0.0] * 13 + [0.5, 0.5], "beta_binomial"),
+        ([1.0, 1e-100] + [0.0] * 13, "discrete_weibull"),
+        ([1.0, 5e-324] + [0.0] * 13, "discrete_weibull"),
+    ])
+    def test_objective_below_the_entropy_is_flagged(self, density, tag):
+        # a normalised pmf cannot score below H(w) = -sum w ln w, so
+        # these fits ran off into rounding noise
+        r = dist.fit_family(density, tag)
+        weights = [v / sum(density) for v in density]
+        entropy = -sum(w * math.log(w) for w in weights if w > 0.0)
+        assert r.objective < entropy
+        assert r.boundary
+
+    @pytest.mark.parametrize("family", [dist.DiscreteWeibull(0.8, 1.2),
+                                        dist.DiscreteWeibull(0.6, 2.0),
+                                        dist.BetaBinomial(1.5, 6.0),
+                                        dist.BetaBinomial(2.0, 0.7)])
+    @pytest.mark.parametrize("truncated", [False, True])
+    def test_exact_and_sampled_curves_are_not_flagged(self, family,
+                                                      truncated):
+        curve = dist.tick_curve(family)
+        # the exact curve, and a rounded sample of it with empty ticks
+        sample = [round(v * 400) for v in curve]
+        for density in (curve, sample):
+            r = dist.fit_family(density, family.tag, truncated)
+            assert not r.boundary
+
     def test_unknown_family_rejected(self):
         # fits take the family tag, not its command-line shorthand
         with pytest.raises(ValueError):

@@ -21,10 +21,10 @@ Run:
 import argparse
 import functools
 import math
-import time
 
 import numpy as np
 
+from bench_replay import best_times
 from lobfit import dist, kernels
 
 # the start grids of DiscreteWeibull.fit and BetaBinomial.fit in dist;
@@ -75,21 +75,6 @@ def objective_calls(kind, truncated, points):
 def fit_all(tag, densities):
     for density in densities:
         dist.fit_family(density, tag)
-
-
-def best_times(jobs, repeats):
-    """Best wall time of each job over ``repeats`` rounds.
-
-    Each round runs every job once, so a slow spell of a shared host
-    costs one repeat of each job rather than every repeat of one.
-    """
-    best = [math.inf] * len(jobs)
-    for _ in range(repeats):
-        for i, job in enumerate(jobs):
-            t0 = time.perf_counter()
-            job()
-            best[i] = min(best[i], time.perf_counter() - t0)
-    return best
 
 
 def main():

@@ -68,23 +68,45 @@ def tally(events):
         accumulate(store, event, day)
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def parse_args(doc):
+    """The options shared by the stream benchmarks."""
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5,
                         help="take the best of this many timings")
     parser.add_argument("--days", type=int, default=1,
                         help="trading days in the stream")
     parser.add_argument("--orders-per-day", type=int, default=3500)
     parser.add_argument("--seed", type=int, default=20170801)
-    args = parser.parse_args()
+    return parser.parse_args()
 
-    blob, _ = synth.generate(synth.SynthSpec(
+
+def stream_spec(args):
+    """The seeded DW/DW spec with fraction cancels at p=0.08."""
+    return synth.SynthSpec(
         seed=args.seed, days=args.days, orders_per_day=args.orders_per_day,
         buy_model=dist.DiscreteWeibull(0.8, 1.2),
         sell_model=dist.DiscreteWeibull(0.75, 1.4),
         cancel_probability=0.08,
         cancel_style=synth.CancelStyle.UNIFORM_FRACTION,
-        start=dt.date(2017, 8, 1)))
+        start=dt.date(2017, 8, 1))
+
+
+def print_table(stages, repeats):
+    """Time ``(name, job, items, unit)`` stages and print their rates."""
+    name_width = max(len(name) for name, *_ in stages)
+    header = (f"{'stage':<{name_width}}  {'items':>8}  {'time':>9}  "
+              f"{'rate':>16}")
+    print(header)
+    print("-" * len(header))
+    times = best_times([job for _, job, _, _ in stages], repeats)
+    for (name, _, items, unit), elapsed in zip(stages, times):
+        print(f"{name:<{name_width}}  {items:>8,}  {elapsed * 1e3:>7.1f}ms  "
+              f"{items / elapsed:>10,.0f} {unit}")
+
+
+def main():
+    args = parse_args(__doc__)
+    blob, _ = synth.generate(stream_spec(args))
     frames = list(feed.iter_frames(blob))
     messages = list(feed.iter_stream(frames))
     books = {}
@@ -107,15 +129,7 @@ def main():
     print(f"stream: {args.days} day(s) x {args.orders_per_day} orders, "
           f"seed {args.seed}: {len(blob):,} bytes, {len(frames)} frames, "
           f"{n_msgs:,} messages, {len(events):,} events")
-    name_width = max(len(name) for name, *_ in stages)
-    header = (f"{'stage':<{name_width}}  {'items':>8}  {'time':>9}  "
-              f"{'rate':>16}")
-    print(header)
-    print("-" * len(header))
-    times = best_times([job for _, job, _, _ in stages], args.repeats)
-    for (name, _, items, unit), elapsed in zip(stages, times):
-        print(f"{name:<{name_width}}  {items:>8,}  {elapsed * 1e3:>7.1f}ms  "
-              f"{items / elapsed:>10,.0f} {unit}")
+    print_table(stages, args.repeats)
 
 
 if __name__ == "__main__":

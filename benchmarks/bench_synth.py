@@ -1,30 +1,25 @@
 #!/usr/bin/env python3
 """Benchmark the generator behind ``lobfit synth`` and its encoder.
 
-One seeded spec is generated once to count its messages and frames,
-then two stages are timed:
+The spec of ``bench_replay.py`` is generated once to count its messages
+and frames, then two stages are timed:
 
 * ``synth.generate``: the whole generator, with its own book replay,
   tally and encoding, from the spec to the stream bytes;
 * ``feed.encode_frame``: the encoder alone, over the decoded frames of
   that stream, held in memory.
 
-Both report messages/s.  Each time is the best over ``--repeats``
-rounds, and every round runs each stage once, so a slow spell of a
-shared host costs one repeat of each stage rather than every repeat of
-one.  For end-to-end and per-layer numbers of the whole command use
-``perfbench/run.py --workload generate``.
+Both report messages/s, best of ``--repeats`` round-robin rounds as in
+``bench_replay.py``.  For end-to-end and per-layer numbers of the whole
+command use ``perfbench/run.py --workload generate``.
 
 Run:
 
     python3 benchmarks/bench_synth.py
-    python3 benchmarks/bench_synth.py --repeats 9 --days 2 --style full
+    python3 benchmarks/bench_synth.py --repeats 9 --days 2
 """
-import argparse
-import datetime as dt
-
-from bench_replay import best_times
-from lobfit import dist, feed, synth
+from bench_replay import parse_args, print_table, stream_spec
+from lobfit import feed, synth
 
 
 def encode(frames):
@@ -33,47 +28,20 @@ def encode(frames):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=5,
-                        help="take the best of this many timings")
-    parser.add_argument("--days", type=int, default=1,
-                        help="trading days in the stream")
-    parser.add_argument("--orders-per-day", type=int, default=3500)
-    parser.add_argument("--cancel-probability", type=float, default=0.08)
-    parser.add_argument("--style", choices=[s.value for s in
-                                            synth.CancelStyle],
-                        default=synth.CancelStyle.UNIFORM_FRACTION.value)
-    parser.add_argument("--seed", type=int, default=20170801)
-    args = parser.parse_args()
-
-    spec = synth.SynthSpec(
-        seed=args.seed, days=args.days, orders_per_day=args.orders_per_day,
-        buy_model=dist.DiscreteWeibull(0.8, 1.2),
-        sell_model=dist.DiscreteWeibull(0.75, 1.4),
-        cancel_probability=args.cancel_probability,
-        cancel_style=synth.CancelStyle(args.style),
-        start=dt.date(2017, 8, 1))
+    args = parse_args(__doc__)
+    spec = stream_spec(args)
     blob, _ = synth.generate(spec)
     frames = list(feed.iter_frames(blob))
     n_msgs = sum(len(frame.messages) for frame in frames)
 
     stages = [
-        ("synth.generate", lambda: synth.generate(spec)),
-        ("feed.encode_frame", lambda: encode(frames)),
+        ("synth.generate", lambda: synth.generate(spec), n_msgs, "msg/s"),
+        ("feed.encode_frame", lambda: encode(frames), n_msgs, "msg/s"),
     ]
     print(f"spec: {args.days} day(s) x {args.orders_per_day} orders, "
-          f"{args.style} cancels at p={args.cancel_probability}, "
           f"seed {args.seed}: {len(blob):,} bytes, {len(frames)} frames, "
           f"{n_msgs:,} messages")
-    name_width = max(len(name) for name, _ in stages)
-    header = (f"{'stage':<{name_width}}  {'msgs':>8}  {'time':>9}  "
-              f"{'rate':>16}")
-    print(header)
-    print("-" * len(header))
-    times = best_times([job for _, job in stages], args.repeats)
-    for (name, _), elapsed in zip(stages, times):
-        print(f"{name:<{name_width}}  {n_msgs:>8,}  {elapsed * 1e3:>7.1f}ms  "
-              f"{n_msgs / elapsed:>10,.0f} msg/s")
+    print_table(stages, args.repeats)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Benchmark the replay stages of ``lobfit rates`` one at a time.
+"""Benchmark the synth and replay stages of ``lobfit`` one at a time.
 
 One seeded synthetic stream is generated once, then each stage runs
 alone on the previous stage's output, held in memory:
 
+* ``synth.generate``: the whole generator, with its own book replay,
+  tally and encoding, from the spec to the stream bytes;
+* ``feed.encode_frame``: the encoder alone, over the decoded frames;
 * ``feed.iter_frames``: decode the stream bytes into frames;
 * ``feed.iter_stream``: the session, sequence and timestamp checks over
   the decoded frames;
@@ -11,11 +14,11 @@ alone on the previous stage's output, held in memory:
 * ``rates.accumulate_event``: every book event into a fresh
   ``TallyStore`` with all four granularities.
 
-Decode, stream check and book report messages/s, and tally reports
-events/s.  Each time is the best over ``--repeats`` rounds, and every
-round runs each stage once, so a slow spell of a shared host costs one
-repeat of each stage rather than every repeat of one.  For end-to-end
-and per-layer numbers of the whole pipeline use ``perfbench/run.py``.
+Tally reports events/s and every other stage messages/s.  Each time is
+the best over ``--repeats`` rounds, and every round runs each stage
+once, so a slow spell of a shared host costs one repeat of each stage
+rather than every repeat of one.  For end-to-end and per-layer numbers
+of the whole pipeline use ``perfbench/run.py``.
 
 Run:
 
@@ -40,6 +43,11 @@ def best_times(jobs, repeats):
             job()
             best[i] = min(best[i], time.perf_counter() - t0)
     return best
+
+
+def encode(frames):
+    for frame in frames:
+        feed.encode_frame(frame)
 
 
 def decode(blob):
@@ -68,9 +76,8 @@ def tally(events):
         accumulate(store, event, day)
 
 
-def parse_args(doc):
-    """The options shared by the stream benchmarks."""
-    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
+def parse_args():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5,
                         help="take the best of this many timings")
     parser.add_argument("--days", type=int, default=1,
@@ -105,8 +112,9 @@ def print_table(stages, repeats):
 
 
 def main():
-    args = parse_args(__doc__)
-    blob, _ = synth.generate(stream_spec(args))
+    args = parse_args()
+    spec = stream_spec(args)
+    blob, _ = synth.generate(spec)
     frames = list(feed.iter_frames(blob))
     messages = list(feed.iter_stream(frames))
     books = {}
@@ -120,6 +128,8 @@ def main():
 
     n_msgs = len(messages)
     stages = [
+        ("synth.generate", lambda: synth.generate(spec), n_msgs, "msg/s"),
+        ("feed.encode_frame", lambda: encode(frames), n_msgs, "msg/s"),
         ("feed.iter_frames", lambda: decode(blob), n_msgs, "msg/s"),
         ("feed.iter_stream", lambda: stream_check(frames), n_msgs, "msg/s"),
         ("OrderBook.apply", lambda: replay_book(messages), n_msgs, "msg/s"),

@@ -5,34 +5,32 @@ message stream and reports, for every mutation, where in the ladder it
 happened.  There is no matching engine; an Add whose price crosses the
 opposite side is still inserted, and its arrival event is clamped to
 tick 1 (such orders trade immediately in the venue this format mirrors,
-so they belong at the touch in arrival statistics).
+so they belong at the touch in arrival statistics).  The ladders keep
+only the resting quantity at each price: that quantity before a cancel
+is the denominator of the cancellation ratio.
 
 Tick distance is 1-based.  With tick size T and the same-side
 convention, a buy at ``best_bid`` is tick 1 and each T below adds one;
 sells mirror against ``best_ask``.  The opposite-side convention
 measures buys against ``best_ask`` (a buy one T below the ask is
 tick 1) and sells against ``best_bid``.  Distances that come out below
-1 clamp to 1.
+1 clamp to 1, and a reference side with no resting orders puts the
+price at tick 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from lobfit.errors import (
-    DuplicateOrderId,
-    MissingReference,
-    OverCancel,
-    UnknownOrderId,
-)
+from lobfit.errors import DuplicateOrderId, OverCancel, UnknownOrderId
 from lobfit.feed import MarketMessage, MessageKind, Side
 
 __all__ = [
     "TickReference",
     "EventKind",
     "BookEvent",
-    "PriceLevel",
     "RestingOrder",
     "OrderBook",
 ]
@@ -49,8 +47,7 @@ class EventKind(Enum):
     EXECUTION = "execution"
 
 
-@dataclass(frozen=True, slots=True)
-class BookEvent:
+class BookEvent(NamedTuple):
     """One ladder mutation derived from an applied message.
 
     level_quantity_before is the level's total resting quantity before
@@ -73,32 +70,6 @@ class RestingOrder:
     remaining: int
 
 
-@dataclass(slots=True)
-class PriceLevel:
-    total_quantity: int = 0
-    order_count: int = 0
-
-
-_new = object.__new__
-(_set_kind, _set_side, _set_timestamp, _set_tick, _set_quantity,
- _set_level_before) = (
-    BookEvent.__dict__[f.name].__set__ for f in fields(BookEvent))
-
-
-def _event(kind, side, timestamp_ns, tick, quantity,
-           level_quantity_before) -> BookEvent:
-    # fills the slots directly; a frozen dataclass __init__ would route
-    # every field through object.__setattr__
-    ev = _new(BookEvent)
-    _set_kind(ev, kind)
-    _set_side(ev, side)
-    _set_timestamp(ev, timestamp_ns)
-    _set_tick(ev, tick)
-    _set_quantity(ev, quantity)
-    _set_level_before(ev, level_quantity_before)
-    return ev
-
-
 _BUY = Side.BUY
 _ARRIVAL = EventKind.LIMIT_ARRIVAL
 _CANCEL = EventKind.CANCEL
@@ -113,10 +84,10 @@ _REPLACE_MSG = MessageKind.REPLACE
 class OrderBook:
     """Mutable book: two price ladders plus an order-id index.
 
-    ``bids`` and ``asks`` map price to level and ``orders`` maps order
-    id to its resting state.  All three are read-only to callers: the
-    book caches its best bid and ask and updates them only as ``apply``
-    mutates the ladders.
+    ``bids`` and ``asks`` map price to the total quantity resting there
+    and ``orders`` maps order id to its resting state.  All three are
+    read-only to callers: the book caches its best bid and ask and
+    updates them only as ``apply`` mutates the ladders.
     """
 
     def __init__(self, tick_size: int = 1,
@@ -125,8 +96,8 @@ class OrderBook:
             raise ValueError("tick_size must be a positive price increment")
         self.tick_size = tick_size
         self.reference = TickReference(reference)
-        self.bids: dict[int, PriceLevel] = {}
-        self.asks: dict[int, PriceLevel] = {}
+        self.bids: dict[int, int] = {}
+        self.asks: dict[int, int] = {}
         self.orders: dict[int, RestingOrder] = {}
         self._bid: int | None = None
         self._ask: int | None = None
@@ -145,19 +116,8 @@ class OrderBook:
     def tick_distance(self, side: Side, price: int) -> int:
         """1-based distance of ``price`` from the configured reference.
 
-        Raises MissingReference when the side the convention measures
-        against holds no orders.
+        An empty reference side gives tick 1, as it does for events.
         """
-        if self._same:
-            if (self._bid if side is Side.BUY else self._ask) is None:
-                raise MissingReference(f"no resting {Side(side).name} orders")
-        elif (self._ask if side is Side.BUY else self._bid) is None:
-            opposite = Side.SELL if side is Side.BUY else Side.BUY
-            raise MissingReference(f"no resting {opposite.name} orders")
-        return self._tick(side, price)
-
-    def _tick(self, side: Side, price: int) -> int:
-        # an empty reference side puts the event at the touch
         if side is _BUY:
             ref = self._bid if self._same else self._ask
             if ref is None:
@@ -176,7 +136,8 @@ class OrderBook:
         orders = self.orders
         if order_id in orders:
             raise DuplicateOrderId(f"order {order_id} already resting")
-        tick = self._tick(side, price)  # before the insert moves the best
+        # measured before the insert moves the best
+        tick = self.tick_distance(side, price)
         if side is _BUY:
             ladder = self.bids
             if self._bid is None or price > self._bid:
@@ -185,13 +146,9 @@ class OrderBook:
             ladder = self.asks
             if self._ask is None or price < self._ask:
                 self._ask = price
-        level = ladder.get(price)
-        if level is None:
-            level = ladder[price] = PriceLevel()
-        level.total_quantity += quantity
-        level.order_count += 1
+        ladder[price] = ladder.get(price, 0) + quantity
         orders[order_id] = RestingOrder(side, price, quantity)
-        return _event(_ARRIVAL, side, timestamp_ns, tick, quantity, None)
+        return BookEvent(_ARRIVAL, side, timestamp_ns, tick, quantity)
 
     def _remove(self, order_id: int, order: RestingOrder, quantity: int,
                 timestamp_ns: int, kind: EventKind) -> BookEvent:
@@ -201,16 +158,13 @@ class OrderBook:
                 f"{order.remaining}")
         side = order.side
         price = order.price
-        tick = self._tick(side, price)
+        tick = self.tick_distance(side, price)
         ladder = self.bids if side is _BUY else self.asks
-        level = ladder[price]
-        before = level.total_quantity
+        before = ladder[price]
         order.remaining -= quantity
-        level.total_quantity -= quantity
         if order.remaining == 0:
             del self.orders[order_id]
-            level.order_count -= 1
-        if level.total_quantity == 0:
+        if before == quantity:
             del ladder[price]
             # only emptying the best level moves the cached best price
             if side is _BUY:
@@ -218,8 +172,10 @@ class OrderBook:
                     self._bid = max(ladder) if ladder else None
             elif price == self._ask:
                 self._ask = min(ladder) if ladder else None
-        return _event(kind, side, timestamp_ns, tick, quantity,
-                      before if kind is _CANCEL else None)
+        else:
+            ladder[price] = before - quantity
+        return BookEvent(kind, side, timestamp_ns, tick, quantity,
+                         before if kind is _CANCEL else None)
 
     def _resting(self, order_id: int) -> RestingOrder:
         order = self.orders.get(order_id)

@@ -51,8 +51,6 @@ from lobfit.rates import Granularity
 
 _FAMILY_ORDER = tuple(dist.FAMILY_TAGS)
 _SHORTHAND = {cls.shorthand: tag for tag, cls in dist.FAMILY_TAGS.items()}
-_TIMESTEP_ORDER = ("daily_buy", "daily_sell", "weekly_buy", "weekly_sell",
-                   "monthly", "hourly_buy", "hourly_sell")
 _COMPARISONS = (("dw_vs_bb", "discrete_weibull", "beta_binomial"),
                 ("dw_vs_pow", "discrete_weibull", "power_law"))
 
@@ -113,6 +111,10 @@ def _timestep(granularity: Granularity, side: Side) -> str:
     if granularity is Granularity.MONTHLY:
         return "monthly"
     return f"{granularity.value}_{side.name.lower()}"
+
+
+_TIMESTEP_ORDER = tuple(dict.fromkeys(_timestep(g, s)
+                                      for g in Granularity for s in Side))
 
 
 def _instance_sort_key(inst: dict) -> tuple:

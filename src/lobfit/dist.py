@@ -56,10 +56,6 @@ __all__ = [
 # the families are fitted on the tallied arrival window
 TICKS = rates.ARRIVAL_TICKS
 
-_NM_STEP = 0.25
-_NM_TOL = 1e-8
-_NM_MAX_ITER = 10000
-
 # multi-start grids in natural parameters; q is even in log-odds
 _Q_STARTS = (0.1, 0.3, 0.5, 0.7, 0.9)
 _BETA_STARTS = (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -381,9 +377,8 @@ def _run_starts(kind: int, truncated: bool, weights, starts):
                                                z0, z1)):
             continue
         used += 1
-        x, y, f, iters, ok = kernels.minimize(
-            kind, truncated, weights, z0, z1,
-            step=_NM_STEP, tol=_NM_TOL, max_iter=_NM_MAX_ITER)
+        x, y, f, iters, ok = kernels.minimize(kind, truncated, weights,
+                                              z0, z1)
         if math.isfinite(f) and (best is None or f < best[2]):
             best = (x, y, f, iters, ok)
     if best is None:

@@ -60,10 +60,6 @@ class OverCancel(BookError):
     """Cancel or execute quantity exceeds the order's remaining quantity."""
 
 
-class MissingReference(BookError):
-    """Tick distance requested but the reference side has no orders."""
-
-
 # --- rates ---
 
 class EmptyBucket(LobfitError):

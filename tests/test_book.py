@@ -8,12 +8,7 @@ from lobfit.book import (
     OrderBook,
     TickReference,
 )
-from lobfit.errors import (
-    DuplicateOrderId,
-    MissingReference,
-    OverCancel,
-    UnknownOrderId,
-)
+from lobfit.errors import DuplicateOrderId, OverCancel, UnknownOrderId
 from lobfit.feed import MarketMessage, MessageKind, Side
 
 
@@ -65,17 +60,21 @@ def test_tick_size_scales_distance():
     assert book.tick_distance(Side.BUY, 990) == 3
 
 
-def test_missing_reference():
-    book = OrderBook()
-    with pytest.raises(MissingReference):
-        book.tick_distance(Side.BUY, 1214)
-    book.apply(MarketMessage.add(0, 1, Side.BUY, 1214, 10))
-    with pytest.raises(MissingReference):
-        book.tick_distance(Side.SELL, 1217)
-    opp = OrderBook(reference=TickReference.OPPOSITE_SIDE)
-    opp.apply(MarketMessage.add(0, 1, Side.BUY, 1214, 10))
-    with pytest.raises(MissingReference):
-        opp.tick_distance(Side.BUY, 1213)
+def test_empty_reference_side_is_tick_one():
+    for reference in TickReference:
+        book = OrderBook(reference=reference)
+        assert book.tick_distance(Side.BUY, 1214) == 1
+        assert book.tick_distance(Side.SELL, 1217) == 1
+        book.apply(MarketMessage.add(0, 1, Side.BUY, 1214, 10))
+        # the ask ladder is still empty: sells measure against it under
+        # the same-side convention, buys under the opposite-side one
+        if reference is TickReference.SAME_SIDE:
+            side, price = Side.SELL, 1230
+        else:
+            side, price = Side.BUY, 1200
+        assert book.tick_distance(side, price) == 1
+        (ev,) = book.apply(MarketMessage.add(1, 2, side, price, 10))
+        assert ev.tick == 1
 
 
 # --- apply: arrivals ---
@@ -107,7 +106,7 @@ def test_crossing_arrival_clamps_and_rests():
     book, oid = seeded_book()
     (ev,) = book.apply(MarketMessage.add(9, oid, Side.BUY, 1218, 10))
     assert ev.tick == 1
-    assert book.bids[1218].total_quantity == 10
+    assert book.bids[1218] == 10
 
 
 def test_duplicate_order_id():
@@ -124,7 +123,7 @@ def test_plain_int_side_rests_on_its_own_ladder():
     assert msg.side is Side.BUY
     book.apply(msg)
     assert book.best_bid == 100 and book.best_ask == 110
-    assert book.bids[90].total_quantity == 5
+    assert book.bids[90] == 5
     assert MarketMessage.add(3, 4, 1, 120, 5).side is Side.SELL
     with pytest.raises(ValueError):
         MarketMessage(MessageKind.ADD, 4, 5, side=2, price=90, quantity=5)
@@ -141,9 +140,8 @@ def test_partial_cancel_reports_level_before():
     assert ev.quantity == 30
     assert ev.level_quantity_before == 120
     assert ev.tick == 1
-    assert book.bids[1214].total_quantity == 90
+    assert book.bids[1214] == 90
     assert book.orders[1].remaining == 40
-    assert book.bids[1214].order_count == 2
 
 
 def test_cancel_to_zero_removes_order():
@@ -162,8 +160,7 @@ def test_delete_removes_remainder():
     assert ev.kind is EventKind.CANCEL
     assert ev.quantity == 80
     assert ev.level_quantity_before == 100
-    assert book.asks[1217].total_quantity == 20
-    assert book.asks[1217].order_count == 1
+    assert book.asks[1217] == 20
 
 
 def test_cancel_of_best_level_uses_pre_mutation_reference():
@@ -289,24 +286,17 @@ def random_stream(seed, n):
 
 def audit(book):
     totals = {}
-    counts = {}
     for order in book.orders.values():
         key = (order.side, order.price)
         assert order.remaining > 0
         totals[key] = totals.get(key, 0) + order.remaining
-        counts[key] = counts.get(key, 0) + 1
     ladder_totals = {
-        (side, price): level.total_quantity
+        (side, price): quantity
         for side, ladder in ((Side.BUY, book.bids), (Side.SELL, book.asks))
-        for price, level in ladder.items()
+        for price, quantity in ladder.items()
     }
-    ladder_counts = {
-        (side, price): level.order_count
-        for side, ladder in ((Side.BUY, book.bids), (Side.SELL, book.asks))
-        for price, level in ladder.items()
-    }
+    assert all(type(q) is int for q in ladder_totals.values())
     assert totals == ladder_totals
-    assert counts == ladder_counts
     assert book.best_bid == (max(book.bids) if book.bids else None)
     assert book.best_ask == (min(book.asks) if book.asks else None)
 
@@ -343,8 +333,8 @@ def oracle_tick(bids, asks, book, side, price):
 
 def expected_ticks(book, msg):
     """Event ticks of ``msg`` from the ladders as they stand before it."""
-    bids = {p: lvl.total_quantity for p, lvl in book.bids.items()}
-    asks = {p: lvl.total_quantity for p, lvl in book.asks.items()}
+    bids = dict(book.bids)
+    asks = dict(book.asks)
     if msg.kind is MessageKind.ADD:
         return [oracle_tick(bids, asks, book, msg.side, msg.price)]
     order = book.orders[msg.order_id]
@@ -367,6 +357,8 @@ def test_cached_best_prices_and_ticks_under_random_streams(reference,
     book = OrderBook(tick_size=tick_size, reference=reference)
     for msg in messages:
         want = expected_ticks(book, msg)
+        if msg.kind is MessageKind.ADD:
+            assert book.tick_distance(msg.side, msg.price) == want[0]
         assert [ev.tick for ev in book.apply(msg)] == want
         audit(book)
 

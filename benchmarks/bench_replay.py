@@ -4,8 +4,8 @@
 One seeded synthetic stream is generated once, then each stage runs
 alone on the previous stage's output, held in memory:
 
-* ``synth.generate``: the whole generator, with its own book replay,
-  tally and encoding, from the spec to the stream bytes;
+* ``synth.generate``: the whole generator, with its own tally and
+  encoding, from the spec to the stream bytes;
 * ``feed.encode_frame``: the encoder alone, over the decoded frames;
 * ``feed.iter_frames``: decode the stream bytes into frames;
 * ``feed.iter_stream``: the session, sequence and timestamp checks over

@@ -71,6 +71,7 @@ class RestingOrder:
 
 
 _BUY = Side.BUY
+_SELL = Side.SELL
 _ARRIVAL = EventKind.LIMIT_ARRIVAL
 _CANCEL = EventKind.CANCEL
 _EXECUTION = EventKind.EXECUTION
@@ -117,17 +118,20 @@ class OrderBook:
         """1-based distance of ``price`` from the configured reference.
 
         An empty reference side gives tick 1, as it does for events.
+        A plain int side is read as its ``Side``.
         """
         if side is _BUY:
             ref = self._bid if self._same else self._ask
             if ref is None:
                 return 1
             gap = ref - price
-        else:
+        elif side is _SELL:
             ref = self._ask if self._same else self._bid
             if ref is None:
                 return 1
             gap = price - ref
+        else:
+            return self.tick_distance(Side(side), price)
         tick = (gap + self._shift) // self.tick_size
         return tick if tick >= 1 else 1
 

@@ -43,7 +43,7 @@ import statistics
 import sys
 
 from lobfit import dist, feed, rates, stats
-from lobfit.book import OrderBook, TickReference
+from lobfit.book import TickReference
 from lobfit.errors import (AllZero, DomainError, InsufficientData,
                            LobfitError, MissingTicks, ZeroVariance)
 from lobfit.feed import Side
@@ -160,31 +160,12 @@ def cmd_synth(args) -> None:
 
 def cmd_rates(args) -> None:
     store = rates.TallyStore(parse_granularities(args.granularity))
-    reference = (TickReference.SAME_SIDE if args.reference == "same"
-                 else TickReference.OPPOSITE_SIDE)
-    if args.side == "both":
-        sides = {Side.BUY, Side.SELL}
-    else:
-        sides = {Side[args.side.upper()]}
-    sessions: dict[int, tuple] = {}  # session id -> (book, date)
-    seen = 0
-
-    def all_frames():
-        for path in args.inputs:
-            yield from feed.read_lobf(path)
-
-    for session_id, msg in feed.iter_stream(all_frames()):
-        session = sessions.get(session_id)
-        if session is None:
-            session = sessions[session_id] = (
-                OrderBook(tick_size=args.tick_size, reference=reference),
-                rates.session_id_to_date(session_id))
-        book, day = session
-        for event in book.apply(msg):
-            if event.side in sides:
-                rates.accumulate_event(store, event, day)
-        seen += 1
-    if seen == 0:
+    sides = (tuple(Side) if args.side == "both"
+             else (Side[args.side.upper()],))
+    frames = (frame for path in args.inputs
+              for frame in feed.read_lobf(path))
+    if rates.tally_stream(store, frames, args.tick_size,
+                          TickReference(args.reference), sides) == 0:
         raise LobfitError("input contains no messages")
     os.makedirs(args.out, exist_ok=True)
     rates.write_rates_csv(store, os.path.join(args.out, "rates.csv"))

@@ -77,7 +77,6 @@ __all__ = [
     "iter_frames",
     "iter_stream",
     "build_frames",
-    "write_lobf",
     "read_lobf",
 ]
 
@@ -434,12 +433,6 @@ def build_frames(session_id: int, messages: Iterable[MarketMessage],
         chunk = tuple(msgs[start:start + max_per_frame])
         frames.append(LobfFrame(session_id, start, chunk))
     return frames
-
-
-def write_lobf(path, frames: Iterable[LobfFrame]) -> None:
-    with open(path, "wb") as fh:
-        for frame in frames:
-            fh.write(encode_frame(frame))
 
 
 def read_lobf(path) -> Iterator[LobfFrame]:

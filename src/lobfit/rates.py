@@ -34,7 +34,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
-from lobfit.book import BookEvent, EventKind
+from lobfit import feed
+from lobfit.book import BookEvent, EventKind, OrderBook, TickReference
 from lobfit.errors import EmptyBucket, SpecError
 from lobfit.feed import Side
 
@@ -53,6 +54,7 @@ __all__ = [
     "date_to_session_id",
     "session_id_to_date",
     "accumulate_event",
+    "tally_stream",
     "arrival_density",
     "cancellation_ratio",
     "parse_bucket_label",
@@ -368,6 +370,28 @@ def accumulate_event(store: TallyStore, event: BookEvent,
             cube.ratio_sum[i] += event.quantity / event.level_quantity_before
             cube.count[i] += 1
     return True
+
+
+def tally_stream(store: TallyStore, frames, tick_size: int = 1,
+                 reference: TickReference = TickReference.SAME_SIDE,
+                 sides: tuple[Side, ...] = (Side.BUY, Side.SELL)) -> int:
+    """Replay frames through one book per session; tally events on ``sides``.
+
+    Returns the number of messages applied.
+    """
+    sessions: dict[int, tuple] = {}  # session id -> (book, date)
+    seen = 0
+    for session_id, msg in feed.iter_stream(frames):
+        session = sessions.get(session_id)
+        if session is None:
+            session = sessions[session_id] = (OrderBook(tick_size, reference),
+                                              session_id_to_date(session_id))
+        book, day = session
+        for event in book.apply(msg):
+            if event.side in sides:
+                accumulate_event(store, event, day)
+        seen += 1
+    return seen
 
 
 def arrival_density(tally: ArrivalTally) -> list[float]:

@@ -1,11 +1,11 @@
 """Seeded order-flow generator with a known ground truth.
 
-The generator emits complete binary sessions, one per weekday, and at
-the same time replays its own output through the real book and tally
-code.  What comes back from that replay is the GroundTruth: not the
-analytic curve the ticks were drawn from, but the exact per-bucket
-tallies of what was emitted.  A pipeline that re-reads the bytes must
-reproduce those tallies to the last unit; any gap is a bug, not noise.
+The generator emits complete binary sessions, one per weekday, and
+tallies the book event each of its draws implies, with no book.  That
+is the GroundTruth: not the analytic curve the ticks were drawn from,
+but the exact per-bucket tallies of what was emitted.  A pipeline that
+re-reads the bytes through the book must reproduce those tallies to the
+last unit; any gap is a bug, not noise.
 Convergence of the measured densities to the analytic curve is a
 separate, statistical question.
 
@@ -17,16 +17,17 @@ model curve and rest at that distance from the current best price.
 After every arrival, each cancelable resting order (a non-ladder order
 within the first 10 ticks) is canceled independently with the
 configured probability, either in full or by a uniform fraction of its
-remainder.
+remainder: cancels follow what rests (Cont, Stoikov & Talreja 2010).
 Cancels carry the timestamp of the arrival that triggered them.
 
 Invariant: within a session, from the first ladder pair on,
 ``best_bid`` and ``best_ask`` stay at ``initial_mid - tick_size`` and
 ``initial_mid + tick_size`` after every message.  The ladder's top
-levels are never canceled and no arrival improves on them, so whether
-an order is cancelable is fixed when it arrives, and the cancel step
-draws from the cancelable arrivals still resting, in arrival order,
-with no scan of the book.
+levels are never canceled and no arrival improves on them, so ladder
+rung i is tick i, an arrival's tick is its drawn distance and a
+cancel's tick is its order's.  Whether an order is cancelable is fixed
+when it arrives, and the cancel step draws from the cancelable
+arrivals still resting, in arrival order, with no scan of the book.
 
 Session ids encode the session date as YYYYMMDD
 (``rates.date_to_session_id``), which is how the pipeline recovers
@@ -45,7 +46,7 @@ from enum import Enum
 import numpy as np
 
 from lobfit import dist, feed, rates
-from lobfit.book import OrderBook, TickReference
+from lobfit.book import BookEvent, EventKind
 from lobfit.errors import SpecError
 from lobfit.feed import MarketMessage, Side
 
@@ -75,6 +76,8 @@ _MAX_ARRIVAL_QUANTITY = 100
 # only orders inside the tallied cancel window are canceled
 _CANCELABLE_TICKS = rates.CANCEL_TICKS
 _SIDES = (Side.BUY, Side.SELL)
+_ARRIVAL = EventKind.LIMIT_ARRIVAL
+_CANCEL = EventKind.CANCEL
 
 
 class CancelStyle(Enum):
@@ -179,23 +182,28 @@ def generate(spec: SynthSpec) -> tuple[bytes, GroundTruth]:
 def _generate_session(spec, session_date, rng, cumulative, order_ids,
                       store) -> list[MarketMessage]:
     tick = spec.tick_size
-    book = OrderBook(tick_size=tick, reference=TickReference.SAME_SIDE)
     messages = []
-
-    def emit(msg):
-        messages.append(msg)
-        for event in book.apply(msg):
-            rates.accumulate_event(store, event, session_date)
-
-    for i in range(1, _LADDER_LEVELS + 1):
-        emit(MarketMessage.add(_LADDER_TIME + i, next(order_ids), Side.BUY,
-                               spec.initial_mid - i * tick, _LADDER_QUANTITY))
-        emit(MarketMessage.add(_LADDER_TIME + i, next(order_ids), Side.SELL,
-                               spec.initial_mid + i * tick, _LADDER_QUANTITY))
     # the ladder is never canceled and arrivals rest at or behind the
     # touch, so the best prices stay put for the whole session
-    touch = (book.best_bid, book.best_ask)
+    touch = (spec.initial_mid - tick, spec.initial_mid + tick)
     step = (-tick, tick)
+
+    def emit(msg, event):
+        messages.append(msg)
+        rates.accumulate_event(store, event, session_date)
+
+    def add(ts, s, distance, quantity) -> int:
+        oid = next(order_ids)
+        side = _SIDES[s]
+        emit(MarketMessage.add(ts, oid, side,
+                               touch[s] + (distance - 1) * step[s],
+                               quantity),
+             BookEvent(_ARRIVAL, side, ts, distance, quantity))
+        return oid
+
+    for i in range(1, _LADDER_LEVELS + 1):
+        for s in range(len(_SIDES)):
+            add(_LADDER_TIME + i, s, i, _LADDER_QUANTITY)
 
     n = spec.orders_per_day
     offsets = np.sort(rng.integers(0, _SESSION_SPAN, size=n)).tolist()
@@ -205,28 +213,28 @@ def _generate_session(spec, session_date, rng, cumulative, order_ids,
                               size=n).tolist()
     probability = spec.cancel_probability
     fraction = spec.cancel_style is CancelStyle.UNIFORM_FRACTION
-    # ids of the resting arrivals inside the cancel window, in arrival
-    # order; an arrival's distance from the fixed touch decides once
-    # whether it can ever be canceled
-    live: dict[int, None] = {}
+    # resting quantity per side and tick of the cancel window
+    resting = [[_LADDER_QUANTITY] * _CANCELABLE_TICKS for _ in _SIDES]
+    # [side, tick, remaining] of the resting arrivals inside the cancel
+    # window, in arrival order; an arrival's distance from the fixed
+    # touch decides once whether it can ever be canceled
+    live: dict[int, list] = {}
 
     for offset, s, u, quantity in zip(offsets, sides, tick_draws,
                                       quantities):
         ts = _timestamp(offset)
         # u < 1.0, the last edge, so the index is at most len - 1
         distance = bisect.bisect_right(cumulative[s], u) + 1
-        oid = next(order_ids)
-        emit(MarketMessage.add(ts, oid, _SIDES[s],
-                               touch[s] + (distance - 1) * step[s],
-                               quantity))
+        oid = add(ts, s, distance, quantity)
         if distance <= _CANCELABLE_TICKS:
-            live[oid] = None
+            live[oid] = [_SIDES[s], distance, quantity]
+            resting[s][distance - 1] += quantity
         if probability > 0.0:
-            _cancel_step(ts, live, probability, fraction, book, rng, emit)
+            _cancel_step(ts, live, resting, probability, fraction, rng, emit)
     return messages
 
 
-def _cancel_step(ts, live, probability, fraction, book, rng, emit) -> None:
+def _cancel_step(ts, live, resting, probability, fraction, rng, emit) -> None:
     if not live:
         return
     candidates = list(live)
@@ -235,19 +243,19 @@ def _cancel_step(ts, live, probability, fraction, book, rng, emit) -> None:
         return
     chosen = sorted(rng.choice(len(candidates), size=hits,
                                replace=False).tolist())
-    if not fraction:
-        for idx in chosen:
-            oid = candidates[idx]
-            emit(MarketMessage.delete(ts, oid))
-            del live[oid]
-        return
     # PCG64 gives the same doubles in one call as in `hits` calls
-    for idx, u in zip(chosen, rng.random(hits).tolist()):
+    shares = rng.random(hits).tolist() if fraction else [1.0] * hits
+    for idx, u in zip(chosen, shares):
         oid = candidates[idx]
-        remaining = book.orders[oid].remaining
+        side, tick, remaining = order = live[oid]
         amount = max(1, int(u * remaining))
-        emit(MarketMessage.cancel(ts, oid, amount))
-        if amount == remaining:
+        emit(MarketMessage.cancel(ts, oid, amount) if fraction
+             else MarketMessage.delete(ts, oid),
+             BookEvent(_CANCEL, side, ts, tick, amount,
+                       resting[side][tick - 1]))
+        resting[side][tick - 1] -= amount
+        order[2] -= amount
+        if not order[2]:
             del live[oid]
 
 

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from lobfit import cli, dist, feed, rates, stats, synth
-from lobfit.book import OrderBook, TickReference
 from lobfit.errors import FormatError
 from lobfit.feed import MarketMessage, MessageKind, Side
 
@@ -55,15 +54,7 @@ def forty_day_run(tmp_path_factory):
 
 def replay(blob, tick_size=1):
     store = rates.TallyStore()
-    books = {}
-    for sid, msg in feed.iter_stream(feed.iter_frames(blob)):
-        book = books.get(sid)
-        if book is None:
-            book = books[sid] = OrderBook(
-                tick_size=tick_size, reference=TickReference.SAME_SIDE)
-        day = rates.session_id_to_date(sid)
-        for event in book.apply(msg):
-            rates.accumulate_event(store, event, day)
+    rates.tally_stream(store, feed.iter_frames(blob), tick_size)
     return store
 
 

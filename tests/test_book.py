@@ -36,6 +36,10 @@ def test_same_side_ticks():
     assert book.tick_distance(Side.BUY, 1200) == 15
     assert book.tick_distance(Side.SELL, 1217) == 1
     assert book.tick_distance(Side.SELL, 1218) == 2
+    assert book.tick_distance(0, 1210) == 5
+    assert book.tick_distance(1, 1218) == 2
+    with pytest.raises(ValueError):
+        book.tick_distance(2, 1210)
 
 
 def test_opposite_side_ticks():

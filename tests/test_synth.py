@@ -22,16 +22,8 @@ def small_spec(**overrides):
 
 def replay(blob, tick_size=1):
     store = rates.TallyStore()
-    books = {}
-    for sid, msg in feed.iter_stream(feed.iter_frames(blob)):
-        book = books.get(sid)
-        if book is None:
-            book = books[sid] = OrderBook(
-                tick_size=tick_size, reference=TickReference.SAME_SIDE)
-        day = rates.session_id_to_date(sid)
-        for event in book.apply(msg):
-            rates.accumulate_event(store, event, day)
-    return store, books
+    rates.tally_stream(store, feed.iter_frames(blob), tick_size)
+    return store
 
 
 def in_trading_hours(timestamp_ns):
@@ -110,15 +102,13 @@ class TestGeneration:
     def test_replay_reproduces_ground_truth_exactly(self):
         spec = small_spec(cancel_style=synth.CancelStyle.UNIFORM_FRACTION)
         blob, gt = synth.generate(spec)
-        store, books = replay(blob)
-        assert store == gt.store
-        assert len(books) == spec.days
+        assert replay(blob) == gt.store
+        assert len(_group_by_session(blob)) == spec.days
 
     def test_replay_closure_with_coarse_price_grid(self):
         spec = small_spec(tick_size=5, initial_mid=2000)
         blob, gt = synth.generate(spec)
-        store, _ = replay(blob, tick_size=5)
-        assert store == gt.store
+        assert replay(blob, tick_size=5) == gt.store
 
     def test_zero_cancel_probability_means_no_cancels(self):
         blob, gt = synth.generate(small_spec(cancel_probability=0.0))
@@ -141,9 +131,7 @@ class TestGeneration:
     def test_ladder_opens_each_session_and_is_never_canceled(self):
         spec = small_spec(cancel_probability=0.5)
         blob, gt = synth.generate(spec)
-        per_session = {}
-        for sid, msg in stream_messages(blob):
-            per_session.setdefault(sid, []).append(msg)
+        per_session = _group_by_session(blob)
         assert len(per_session) == spec.days
         ladder_ids = set()
         for msgs in per_session.values():
@@ -213,6 +201,16 @@ def test_golden_bytes(name, tmp_path):
     synth.write_ground_truth(truth, gt)
     assert hashlib.sha256(blob).hexdigest() == stream_digest
     assert hashlib.sha256(truth.read_bytes()).hexdigest() == truth_digest
+
+
+def test_ground_truth_does_not_come_from_the_book(tmp_path, monkeypatch):
+    # closure replays the stream through the book, so it checks the book
+    # only if the generator's truth comes without one
+    def refuse(self, msg):
+        raise AssertionError("the generator applied a message to a book")
+
+    monkeypatch.setattr(OrderBook, "apply", refuse)
+    test_golden_bytes("dw_dw_fraction", tmp_path)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

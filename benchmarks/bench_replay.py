@@ -8,6 +8,10 @@ alone on the previous stage's output, held in memory:
   encoding, from the spec to the stream bytes;
 * ``feed.encode_frame``: the encoder alone, over the decoded frames;
 * ``feed.iter_frames``: decode the stream bytes into frames;
+* ``feed.session_runs``: split the stream bytes into one run of frames
+  per session, reading only frame headers and message lengths.  This
+  is the serial share of ``lobfit rates``, which then tallies the runs
+  on one worker process per CPU;
 * ``feed.iter_stream``: the session, sequence and timestamp checks over
   the decoded frames;
 * ``OrderBook.apply``: every message through one book per session;
@@ -131,6 +135,8 @@ def main():
         ("synth.generate", lambda: synth.generate(spec), n_msgs, "msg/s"),
         ("feed.encode_frame", lambda: encode(frames), n_msgs, "msg/s"),
         ("feed.iter_frames", lambda: decode(blob), n_msgs, "msg/s"),
+        ("feed.session_runs", lambda: feed.session_runs([blob]), n_msgs,
+         "msg/s"),
         ("feed.iter_stream", lambda: stream_check(frames), n_msgs, "msg/s"),
         ("OrderBook.apply", lambda: replay_book(messages), n_msgs, "msg/s"),
         ("rates.accumulate_event", lambda: tally(events), len(events),

@@ -8,7 +8,10 @@ Four subcommands chain the package into the full workflow:
 
     lobfit rates run/stream.lobf --out run/
         replay the stream through the book and write run/rates.csv and
-        run/cancels.csv, one row per (bucket, side, tick)
+        run/cancels.csv, one row per (bucket, side, tick); each session
+        starts on an empty book, so sessions are replayed in parallel,
+        one worker process per CPU this process may run on, and the
+        outputs are byte-identical for any number of CPUs
 
     lobfit fit run/rates.csv --out run/
         fit every selected family to every instance and write
@@ -35,36 +38,43 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import math
 import os
 import re
-import statistics
 import sys
 
-from lobfit import dist, feed, rates, stats
+# only what every command needs: the fitting and statistics modules are
+# imported by the commands that use them
+from lobfit import feed, rates
 from lobfit.book import TickReference
 from lobfit.errors import (AllZero, DomainError, InsufficientData,
                            LobfitError, MissingTicks, ZeroVariance)
 from lobfit.feed import Side
 from lobfit.rates import Granularity
 
-_FAMILY_ORDER = tuple(dist.FAMILY_TAGS)
-_SHORTHAND = {cls.shorthand: tag for tag, cls in dist.FAMILY_TAGS.items()}
 _COMPARISONS = (("dw_vs_bb", "discrete_weibull", "beta_binomial"),
                 ("dw_vs_pow", "discrete_weibull", "power_law"))
 
 
 # --- argument parsing helpers ---
 
+def _shorthands() -> dict[str, str]:
+    """Family shorthand -> family tag, in the families' canonical order."""
+    from lobfit import dist
+    return {cls.shorthand: tag for tag, cls in dist.FAMILY_TAGS.items()}
+
+
 def parse_model(text: str):
     """Build a model family from shorthand syntax like ``dw:0.8,1.2``."""
+    from lobfit import dist
+
+    shorthands = _shorthands()
     head, sep, tail = text.partition(":")
-    tag = _SHORTHAND.get(head.strip())
+    tag = shorthands.get(head.strip())
     if tag is None or not sep:
         raise ValueError(
             f"bad model {text!r}; use one of "
-            f"{','.join(_SHORTHAND)} followed by ':' and parameters")
+            f"{','.join(shorthands)} followed by ':' and parameters")
     try:
         values = [float(v) for v in tail.split(",")]
     except ValueError:
@@ -81,16 +91,17 @@ def parse_model(text: str):
 
 
 def parse_families(text: str) -> list[str]:
+    shorthands = _shorthands()
     tags = []
     for part in text.split(","):
-        tag = _SHORTHAND.get(part.strip())
+        tag = shorthands.get(part.strip())
         if tag is None:
             raise ValueError(
                 f"unknown family {part.strip()!r}; "
-                f"choose from {','.join(_SHORTHAND)}")
+                f"choose from {','.join(shorthands)}")
         if tag not in tags:
             tags.append(tag)
-    return sorted(tags, key=_FAMILY_ORDER.index)
+    return sorted(tags, key=list(shorthands.values()).index)
 
 
 def parse_granularities(text: str) -> list[Granularity]:
@@ -158,14 +169,62 @@ def cmd_synth(args) -> None:
                              truth)
 
 
+def _session_runs(paths) -> list:
+    """The input's sessions in stream order, each as spans
+    ``(path, start, stop)`` of the input files."""
+    blobs = []
+    for path in paths:
+        with open(path, "rb") as fh:
+            blobs.append(fh.read())
+    return [[(paths[i], start, stop) for i, start, stop in run]
+            for run in feed.session_runs(blobs)]
+
+
+def _read_span(path, start: int, stop: int) -> bytes:
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        return fh.read(stop - start)
+
+
+def _tally_run(spans, granularities, tick_size, reference, sides):
+    """Tally one session, given as spans of stream files, in its own store.
+
+    Returns the store and the number of messages applied.
+    """
+    store = rates.TallyStore(granularities)
+    frames = (frame for path, start, stop in spans
+              for frame in feed.iter_frames(_read_span(path, start, stop)))
+    return store, rates.tally_stream(store, frames, tick_size, reference,
+                                     sides)
+
+
 def cmd_rates(args) -> None:
-    store = rates.TallyStore(parse_granularities(args.granularity))
+    granularities = parse_granularities(args.granularity)
     sides = (tuple(Side) if args.side == "both"
              else (Side[args.side.upper()],))
-    frames = (frame for path in args.inputs
-              for frame in feed.read_lobf(path))
-    if rates.tally_stream(store, frames, args.tick_size,
-                          TickReference(args.reference), sides) == 0:
+    reference = TickReference(args.reference)
+    store = rates.TallyStore(granularities)
+    # each session starts on an empty book, so the sessions are tallied
+    # apart; every session keeps its own sums, so the merged store is the
+    # same for any number of workers
+    tally_run = functools.partial(
+        _tally_run, granularities=granularities, tick_size=args.tick_size,
+        reference=reference, sides=sides)
+    seen = 0
+    try:
+        for part, applied in _map_on_cpus(tally_run,
+                                          _session_runs(args.inputs)):
+            store.merge(part)
+            seen += applied
+    except (LobfitError, OSError, ValueError):
+        # a bad input: the serial replay meets the first fault in stream
+        # order, and its error is the one to report
+        store = rates.TallyStore(granularities)
+        frames = (frame for path in args.inputs
+                  for frame in feed.read_lobf(path))
+        seen = rates.tally_stream(store, frames, args.tick_size, reference,
+                                  sides)
+    if seen == 0:
         raise LobfitError("input contains no messages")
     os.makedirs(args.out, exist_ok=True)
     rates.write_rates_csv(store, os.path.join(args.out, "rates.csv"))
@@ -173,6 +232,8 @@ def cmd_rates(args) -> None:
 
 
 def _fit_instance(inst: dict, families, truncated: bool) -> dict:
+    from lobfit import dist, stats
+
     density = inst["density"]
     record = {
         "bucket_key": inst["bucket_key"],
@@ -214,25 +275,42 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def cmd_fit(args) -> None:
-    # imported here: no other command starts a process pool
+def _map_on_cpus(fn, items: list) -> list:
+    """``fn`` over ``items`` in forked workers, one per usable CPU.
+
+    Results come back in the order of ``items`` for any number of
+    workers.  A worker that dies raises BrokenProcessPool here instead
+    of hanging.
+    """
+    # imported here: only the commands that start a pool pay for it
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+
+    if not items:
+        return []
+    workers = min(_usable_cpus(), len(items))
+    with ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(fn, items))
+
+
+def cmd_fit(args) -> None:
+    import json
+    import statistics
+
+    from lobfit import stats
 
     families = parse_families(args.families)
     instances = rates.read_rates_csv(args.rates)
     if not instances:
         raise LobfitError(f"no instances in {args.rates}")
     instances.sort(key=_instance_sort_key)
-    # each instance's fit depends on no other, and map keeps the sorted
-    # order, so the outputs are the same bytes for any number of workers
+    # each instance's fit depends on no other, and the pool keeps the
+    # sorted order, so the outputs are the same bytes for any number of
+    # workers
     fit_one = functools.partial(_fit_instance, families=families,
                                 truncated=args.truncated_likelihood)
-    # a worker that dies raises BrokenProcessPool here instead of hanging
-    workers = min(_usable_cpus(), len(instances))
-    with ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        records = list(pool.map(fit_one, instances))
+    records = _map_on_cpus(fit_one, instances)
 
     scores: dict[tuple[str, str], list[float]] = {}
     for record in records:
@@ -291,6 +369,8 @@ def cmd_fit(args) -> None:
 
 
 def cmd_cancel_test(args) -> None:
+    from lobfit import stats
+
     instances = rates.read_cancels_csv(args.cancels)
     tested = [inst for inst in instances
               if inst["granularity"] in (Granularity.WEEKLY,

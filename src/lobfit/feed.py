@@ -35,7 +35,9 @@ removes the remainder.  Replace moves the remaining quantity of
 ``order_id`` to a fresh ``new_order_id`` at a new price and quantity.
 
 Within one session timestamps are non-decreasing and frame sequence
-numbers are contiguous; ``iter_stream`` enforces both.
+numbers are contiguous; ``iter_stream`` enforces both.  Sessions are
+independent, and ``session_runs`` finds where each one's frames lie
+without decoding a message, so they can be decoded apart.
 
 Frames and ``decode_message`` share one per-message decoder.  It reads
 the length and kind bytes in place, unpacks the body straight from the
@@ -52,7 +54,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, fields
 from enum import IntEnum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from lobfit.errors import (
     BadMagic,
@@ -77,6 +79,7 @@ __all__ = [
     "iter_frames",
     "iter_stream",
     "build_frames",
+    "session_runs",
     "read_lobf",
 ]
 
@@ -433,6 +436,58 @@ def build_frames(session_id: int, messages: Iterable[MarketMessage],
         chunk = tuple(msgs[start:start + max_per_frame])
         frames.append(LobfFrame(session_id, start, chunk))
     return frames
+
+
+def session_runs(blobs: Sequence[bytes]) -> list[list[tuple[int, int, int]]]:
+    """Split a stream held in several buffers into one run per session.
+
+    ``blobs`` are the stream's files in order.  Only frame headers and
+    message length bytes are read.  A run lists the spans
+    ``(blob index, start, stop)`` of one session's frames, one span per
+    buffer the session has frames in; runs come in stream order, and
+    decoding a run's spans with ``iter_frames`` yields the session's
+    frames.  A header cut short, a frame whose messages run past the end
+    of its buffer and a bad magic raise as they do in ``iter_frames``;
+    a session id that recurs after another session raises as it does in
+    ``iter_stream``.
+    """
+    runs: list[list[tuple[int, int, int]]] = []
+    current: int | None = None
+    seen: set[int] = set()
+    header = _HEADER.size
+    unpack_header = _HEADER.unpack_from
+    for index, data in enumerate(blobs):
+        size = len(data)
+        offset = start = 0
+        while offset < size:
+            if size - offset < header:
+                raise TruncatedFrame(
+                    f"{size - offset} bytes left, header needs {header}")
+            magic, session_id, _, count = unpack_header(data, offset)
+            if magic != MAGIC:
+                raise BadMagic(f"got {magic!r}")
+            if session_id != current:
+                if session_id in seen:
+                    raise FormatError(
+                        f"session {session_id} split across the stream")
+                seen.add(session_id)
+                current = session_id
+                if offset > start:
+                    runs[-1].append((index, start, offset))
+                start = offset
+                runs.append([])
+            offset += header
+            try:
+                for _ in range(count):
+                    offset += data[offset] + 1
+            except IndexError:
+                raise TruncatedFrame(
+                    "frame ends before declared message count") from None
+            if offset > size:
+                raise TruncatedFrame("last message runs past the buffer")
+        if offset > start:
+            runs[-1].append((index, start, offset))
+    return runs
 
 
 def read_lobf(path) -> Iterator[LobfFrame]:

@@ -314,6 +314,27 @@ class TallyStore:
     def cancels(self) -> dict[BucketKey, CancelTally]:
         return self._rolled_up()[1]
 
+    def merge(self, other: "TallyStore") -> None:
+        """Add the sessions and counters of ``other`` to this store.
+
+        Both stores must tally the same granularities, and no session
+        date may be in both.  Each session keeps its own sums, so
+        tallying sessions in separate stores and merging them gives the
+        views that tallying them all into one store gives.  The sessions
+        are shared with ``other``, not copied.
+        """
+        if other.granularities != self.granularities:
+            raise ValueError("merged stores must tally the same "
+                             "granularities")
+        common = self._cubes.keys() & other._cubes.keys()
+        if common:
+            raise ValueError(f"session {min(common)} is in both stores")
+        self._cubes.update(other._cubes)
+        self.dropped_arrivals += other.dropped_arrivals
+        self.dropped_cancels += other.dropped_cancels
+        self.out_of_hours += other.out_of_hours
+        self._views = None
+
     def _counters(self) -> tuple[int, int, int]:
         return (self.dropped_arrivals, self.dropped_cancels,
                 self.out_of_hours)

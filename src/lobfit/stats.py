@@ -13,6 +13,7 @@ gamma).  Target relative accuracy is 1e-13, comfortably inside the
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from lobfit.errors import (
@@ -179,7 +180,9 @@ def nps(errors: dict[str, float]) -> dict[str, float]:
 
     The best family scores exactly 1.  If every error is zero all
     families score 1; a zero error alongside nonzero ones maps the
-    nonzero families to infinity.
+    nonzero families to infinity.  Only a smallest error of exactly 0
+    gives infinity: a quotient that overflows, as over a subnormal
+    smallest error, saturates at ``sys.float_info.max``.
     """
     if not errors:
         return {}
@@ -193,7 +196,7 @@ def nps(errors: dict[str, float]) -> dict[str, float]:
         elif smallest == 0.0:
             out[name] = math.inf
         else:
-            out[name] = err / smallest
+            out[name] = min(err / smallest, sys.float_info.max)
     return out
 
 

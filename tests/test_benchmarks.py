@@ -46,7 +46,8 @@ def test_bench_replay_prints_one_row_per_stage():
     (rows,) = tables(stdout)
     assert [row.split()[0] for row in rows] == [
         "synth.generate", "feed.encode_frame", "feed.iter_frames",
-        "feed.iter_stream", "OrderBook.apply", "rates.accumulate_event"]
+        "feed.session_runs", "feed.iter_stream", "OrderBook.apply",
+        "rates.accumulate_event"]
 
 
 def test_bench_kernels_prints_one_row_per_stage():

@@ -1,4 +1,8 @@
+import contextlib
+import dataclasses
 import datetime as dt
+import functools
+import io
 import json
 import math
 import os
@@ -13,6 +17,8 @@ from hypothesis import strategies as st
 
 import lobfit
 from lobfit import cli, dist, feed, rates, synth
+from lobfit.book import TickReference
+from lobfit.errors import LobfitError
 
 
 @pytest.fixture(scope="module")
@@ -80,14 +86,14 @@ class TestPipelineOutputs:
 
     def test_fit_report_shape(self, pipeline):
         payload = json.loads((pipeline / "fits.json").read_text())
-        assert payload["families"] == list(cli._FAMILY_ORDER)
+        assert payload["families"] == list(dist.FAMILY_TAGS)
         assert payload["truncated_likelihood"] is False
         lines = (pipeline / "rates.csv").read_text().splitlines()
         assert len(payload["instances"]) == (len(lines) - 1) // 15
         for inst in payload["instances"]:
             assert inst["timestep"] in cli._TIMESTEP_ORDER
             assert not inst["failed"]
-            assert set(inst["fits"]) == set(cli._FAMILY_ORDER)
+            assert set(inst["fits"]) == set(dist.FAMILY_TAGS)
             best = min(f["nps"] for f in inst["fits"].values())
             assert best == 1.0
             for fit in inst["fits"].values():
@@ -237,8 +243,9 @@ class TestExactCurveInstance:
                                                           capsys):
         # a point mass on tick 1 gives the exponential an infinite score;
         # 5e-324 on tick 2 keeps the geometric's L1 error positive but so
-        # small that the beta-binomial's score overflows to infinity, and
-        # the Weibull's (beta ~ 1.2e7, a point mass pair) reads ~1.1e307
+        # small that the beta-binomial's quotient overflows and its score
+        # saturates at the largest float, and the Weibull's (beta ~
+        # 1.2e7, a point mass pair) reads ~1.1e307
         rng = random.Random(3)
         spread = []
         for _ in range(2):
@@ -250,16 +257,21 @@ class TestExactCurveInstance:
         assert cli.main(["fit", str(source), "--out", str(tmp_path)]) == 0
         summary = (tmp_path / "nps_summary.csv").read_text().splitlines()
         assert "daily_buy,exponential,inf,nan,4" in summary
-        assert "daily_buy,beta_binomial,inf,nan,3" in summary
-        (dw,) = [row for row in summary
-                 if row.startswith("daily_buy,discrete_weibull,")]
-        assert dw.endswith(",3")
-        # the Weibull's huge score overflows the Welch arithmetic
+        instances = json.loads((tmp_path / "fits.json").read_text())[
+            "instances"]
+        assert (instances[1]["fits"]["beta_binomial"]["nps"]
+                == sys.float_info.max)
+        for family in ("beta_binomial", "discrete_weibull"):
+            (row,) = [row for row in summary
+                      if row.startswith(f"daily_buy,{family},")]
+            mean, sd, count = row.split(",")[2:]
+            assert math.isfinite(float(mean)) and math.isfinite(float(sd))
+            assert count == "3"
+        # the huge finite scores overflow the Welch arithmetic
         welch = (tmp_path / "welch_tests.csv").read_text().splitlines()
         assert welch[1:] == []
         err = capsys.readouterr().err
-        assert ("daily_buy dw_vs_bb: second sample holds a non-finite value"
-                in err)
+        assert "daily_buy dw_vs_bb: welch t-test arithmetic overflows" in err
         assert "daily_buy dw_vs_pow: welch t-test arithmetic overflows" in err
 
 
@@ -303,7 +315,7 @@ class TestFitFailureIsolation:
             "instances"]
         assert inst["failed"] == {"discrete_weibull": "domain_error",
                                   "beta_binomial": "domain_error"}
-        assert set(inst["fits"]) == set(cli._FAMILY_ORDER) - {
+        assert set(inst["fits"]) == set(dist.FAMILY_TAGS) - {
             "discrete_weibull", "beta_binomial"}
 
     @pytest.mark.parametrize("density, family", [
@@ -325,7 +337,7 @@ class TestFitFailureIsolation:
             "instances"]
         assert inst["failed"][family] == "domain_error"
         assert set(inst["fits"]) | set(inst["failed"]) == set(
-            cli._FAMILY_ORDER)
+            dist.FAMILY_TAGS)
 
 
 _CELL = st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-310, 1e-300]),
@@ -358,7 +370,7 @@ class TestFitAnyDensity:
         for inst in instances:
             assert not set(inst["fits"]) & set(inst["failed"])
             assert set(inst["fits"]) | set(inst["failed"]) == set(
-                cli._FAMILY_ORDER)
+                dist.FAMILY_TAGS)
             for fit in inst["fits"].values():
                 assert all(math.isfinite(v) for v in fit["params"].values())
 
@@ -375,13 +387,24 @@ def _python(code, *args, timeout=None):
 class TestImportBoundary:
     def test_fit_path_imports_neither_numpy_nor_a_compiled_kernel(self):
         # numpy costs every non-synth command its import time, and
-        # multiprocessing every command but fit, which imports it itself
+        # multiprocessing every command but fit and rates, which import
+        # it themselves
         probe = ("import sys; import lobfit.cli; "
                  "from lobfit import dist, kernels, rates, stats; "
                  "print(*sorted(name for name, m in sys.modules.items() "
                  "if name.partition('.')[0] in ('numpy', 'multiprocessing') "
                  "or name.startswith('lobfit.') "
                  "and not m.__file__.endswith('.py')))")
+        proc = _python(probe)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
+
+    def test_cli_import_loads_no_fitting_module(self):
+        # the commands that fit, test or generate import these themselves
+        probe = ("import sys; import lobfit.cli; "
+                 "print(*sorted(name for name in sys.modules if name in "
+                 "('lobfit.dist', 'lobfit.kernels', 'lobfit.stats', "
+                 "'lobfit.synth', 'statistics')))")
         proc = _python(probe)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == []
@@ -460,6 +483,194 @@ class TestFitPool:
         assert proc.returncode == 2, proc.stderr
         assert "internal error: BrokenProcessPool" in proc.stderr
         assert not (tmp_path / "out").exists()
+
+
+def _two_file_stream(directory, days=3, orders_per_day=200, seed=5,
+                     per_frame=100):
+    """A synth stream of ``days`` sessions, reframed at ``per_frame``
+    messages a frame and cut into two files inside the second session."""
+    spec = synth.SynthSpec(seed=seed, days=days,
+                           orders_per_day=orders_per_day,
+                           buy_model=dist.Geometric(0.4),
+                           sell_model=dist.BetaBinomial(2, 6),
+                           cancel_probability=0.15,
+                           cancel_style=synth.CancelStyle.UNIFORM_FRACTION)
+    blob, _ = synth.generate(spec)
+    sessions = {}
+    for session_id, msg in feed.iter_stream(feed.iter_frames(blob)):
+        sessions.setdefault(session_id, []).append(msg)
+    frames = [frame for session_id, msgs in sessions.items()
+              for frame in feed.build_frames(session_id, msgs, per_frame)]
+    second = list(sessions)[1]
+    cut = [f.session_id for f in frames].index(second) + 1
+    assert frames[cut].session_id == second
+    paths = [os.path.join(directory, "part1.lobf"),
+             os.path.join(directory, "part2.lobf")]
+    for path, part in zip(paths, (frames[:cut], frames[cut:])):
+        with open(path, "wb") as fh:
+            fh.write(b"".join(map(feed.encode_frame, part)))
+    return paths
+
+
+def _serial_rates(paths, flags, out):
+    """What a replay in one process writes: one tally_stream over the
+    files in order.  Returns the error text instead when it raises."""
+    args = cli.build_parser().parse_args(
+        ["rates", *map(str, paths), *flags, "--out", str(out)])
+    store = rates.TallyStore(cli.parse_granularities(args.granularity))
+    sides = (tuple(feed.Side) if args.side == "both"
+             else (feed.Side[args.side.upper()],))
+    frames = (frame for path in args.inputs for frame in feed.read_lobf(path))
+    try:
+        if not rates.tally_stream(store, frames, args.tick_size,
+                                  TickReference(args.reference), sides):
+            return "input contains no messages"
+    except (LobfitError, ValueError) as exc:
+        return str(exc)
+    os.makedirs(out, exist_ok=True)
+    rates.write_rates_csv(store, os.path.join(out, "rates.csv"))
+    rates.write_cancels_csv(store, os.path.join(out, "cancels.csv"))
+    return None
+
+
+class TestRatesPool:
+    _OUTPUTS = ("rates.csv", "cancels.csv")
+    _FLAGS = ([], ["--side", "buy"], ["--reference", "opposite"],
+              ["--tick-size", "3"], ["--granularity", "daily"])
+
+    @pytest.fixture(scope="class")
+    def streams(self, tmp_path_factory):
+        return _two_file_stream(str(tmp_path_factory.mktemp("streams")))
+
+    def _rates(self, paths, out, cpus=None):
+        """Every flag set in a fresh interpreter; ``cpus`` fakes the CPU
+        affinity.  Returns the outputs per flag set."""
+        code = ("import json, os, sys; from lobfit import cli\n"
+                "if sys.argv[1]:\n"
+                "    cpus = set(range(int(sys.argv[1])))\n"
+                "    os.sched_getaffinity = lambda pid: cpus\n"
+                "out, flag_sets, *paths = sys.argv[2:]\n"
+                "for i, flags in enumerate(json.loads(flag_sets)):\n"
+                "    code = cli.main(['rates', *paths, *flags,\n"
+                "                     '--out', os.path.join(out, str(i))])\n"
+                "    if code:\n"
+                "        sys.exit(code)")
+        proc = _python(code, str(cpus or ""), str(out),
+                       json.dumps(self._FLAGS), *paths, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return [{name: (out / str(i) / name).read_bytes()
+                 for name in self._OUTPUTS} for i in range(len(self._FLAGS))]
+
+    def test_same_bytes_as_one_process_on_any_cpu_count(self, streams,
+                                                        tmp_path):
+        serial = []
+        for i, flags in enumerate(self._FLAGS):
+            assert _serial_rates(streams, flags, tmp_path / str(i)) is None
+            serial.append({name: (tmp_path / str(i) / name).read_bytes()
+                           for name in self._OUTPUTS})
+        assert self._rates(streams, tmp_path / "all") == serial
+        assert self._rates(streams, tmp_path / "one", cpus=1) == serial
+        # more workers than this host may have CPUs, still in order
+        assert self._rates(streams, tmp_path / "four", cpus=4) == serial
+        days = {line.split(",")[0] for line in
+                serial[-1]["rates.csv"].decode().splitlines()[1:]}
+        assert len(days) == 3
+
+    def test_worker_failure_exits_two_without_hanging(self, streams,
+                                                      tmp_path):
+        # forked workers inherit the patched rates.tally_stream
+        code = ("import sys; from lobfit import cli, rates\n"
+                "def boom(*args, **kwargs):\n"
+                "    raise RuntimeError('wires crossed')\n"
+                "rates.tally_stream = boom\n"
+                "sys.exit(cli.main(sys.argv[1:]))")
+        proc = _python(code, "rates", *streams, "--out",
+                       str(tmp_path / "out"), timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "internal error" in proc.stderr
+        assert "wires crossed" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_dead_worker_exits_two_without_hanging(self, streams, tmp_path):
+        # a worker process that dies outright, as under an OOM kill; only
+        # workers replay a good stream
+        code = ("import os, sys; from lobfit import cli, rates\n"
+                "def die(*args, **kwargs):\n"
+                "    os._exit(9)\n"
+                "rates.tally_stream = die\n"
+                "sys.exit(cli.main(sys.argv[1:]))")
+        proc = _python(code, "rates", *streams, "--out",
+                       str(tmp_path / "out"), timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "internal error: BrokenProcessPool" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+
+@functools.lru_cache(maxsize=None)
+def _small_stream_frames():
+    with tempfile.TemporaryDirectory() as directory:
+        paths = _two_file_stream(directory, days=3, orders_per_day=20,
+                                 seed=12, per_frame=15)
+        return tuple(frame for path in paths
+                     for frame in feed.read_lobf(path))
+
+
+@st.composite
+def _mangled_two_file_stream(draw):
+    """A small three-session stream, perhaps broken, in two files."""
+    frames = list(_small_stream_frames())
+    first_session = frames[0].session_id
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(frames) - 1))
+        change = draw(st.sampled_from(("drop", "repeat", "recur")))
+        if change == "drop" and len(frames) > 1:
+            del frames[at]
+        elif change == "repeat":
+            frames.insert(at, frames[at])
+        else:
+            frames[at] = dataclasses.replace(frames[at],
+                                             session_id=first_session)
+    encoded = [feed.encode_frame(frame) for frame in frames]
+    data = bytearray(b"".join(encoded))
+    for _ in range(draw(st.integers(0, 2))):
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    bounds = [len(b"".join(encoded[:k])) for k in range(len(encoded) + 1)]
+    cut = draw(st.one_of(st.sampled_from(bounds),
+                         st.integers(0, len(data))))
+    first, second = bytes(data[:cut]), bytes(data[cut:])
+    if draw(st.booleans()):
+        second = second[:draw(st.integers(0, len(second)))]
+    return first, second
+
+
+class TestRatesFailsAsSerial:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_mangled_two_file_stream(),
+           st.sampled_from(TestRatesPool._FLAGS))
+    def test_bad_stream_fails_with_the_serial_error(self, stream, flags):
+        with tempfile.TemporaryDirectory() as directory:
+            paths = []
+            for i, data in enumerate(stream):
+                paths.append(os.path.join(directory, f"part{i}.lobf"))
+                with open(paths[-1], "wb") as fh:
+                    fh.write(data)
+            want = _serial_rates(paths, flags,
+                                 os.path.join(directory, "serial"))
+            out = os.path.join(directory, "out")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(["rates", *paths, *flags, "--out", out])
+            if want is None:
+                assert code == 0, err.getvalue()
+                for name in TestRatesPool._OUTPUTS:
+                    with open(os.path.join(out, name), "rb") as got, \
+                            open(os.path.join(directory, "serial", name),
+                                 "rb") as serial:
+                        assert got.read() == serial.read()
+            else:
+                assert code == 1
+                assert err.getvalue() == f"error: {want}\n"
+                assert not os.path.exists(out)
 
 
 class TestCancelTestEdgeCases:

@@ -390,3 +390,71 @@ def test_write_and_read_file(tmp_path):
     path = tmp_path / "stream.lobf"
     path.write_bytes(b"".join(map(feed.encode_frame, frames)))
     assert list(feed.read_lobf(path)) == frames
+
+
+# --- session split ---
+
+def _sessions_stream(rng, sizes, max_per_frame):
+    """Frames of consecutive sessions 1, 2, ... with ``sizes`` messages."""
+    return [frame for sid, n in enumerate(sizes, start=1)
+            for frame in feed.build_frames(
+                sid, [random_message(rng) for _ in range(n)], max_per_frame)]
+
+
+def _decoded_runs(blobs, runs):
+    return [[frame for i, start, stop in run
+             for frame in feed.iter_frames(blobs[i][start:stop])]
+            for run in runs]
+
+
+def test_session_runs_follow_a_session_across_files():
+    rng = random.Random(9)
+    frames = _sessions_stream(rng, [3, 7, 2], max_per_frame=2)
+    encoded = [feed.encode_frame(f) for f in frames]
+    # the first file ends after the second frame of session 2
+    first, second = b"".join(encoded[:4]), b"".join(encoded[4:])
+    runs = feed.session_runs([first, second])
+    cut = len(b"".join(encoded[:2]))
+    assert runs == [[(0, 0, cut)],
+                    [(0, cut, len(first)),
+                     (1, 0, len(b"".join(encoded[4:6])))],
+                    [(1, len(b"".join(encoded[4:6])), len(second))]]
+    assert _decoded_runs([first, second], runs) == [
+        frames[:2], frames[2:6], frames[6:]]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=5),
+       st.integers(1, 3), st.lists(st.integers(0, 10 ** 6), max_size=3))
+def test_session_runs_cover_the_stream_in_order(sizes, max_per_frame, cuts):
+    # empty sessions give no frame; cuts fall on frame boundaries
+    rng = random.Random(len(sizes) * 7 + max_per_frame)
+    frames = _sessions_stream(rng, sizes, max_per_frame)
+    encoded = [feed.encode_frame(f) for f in frames]
+    bounds = sorted({0, len(encoded)} | {c % (len(encoded) + 1)
+                                         for c in cuts})
+    blobs = [b"".join(encoded[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    runs = feed.session_runs(blobs)
+    decoded = _decoded_runs(blobs, runs)
+    assert [f for run in decoded for f in run] == frames
+    assert [{f.session_id for f in run} for run in decoded] == [
+        {sid} for sid, n in enumerate(sizes, start=1) if n]
+    assert all(stop > start for run in runs for _, start, stop in run)
+
+
+def test_session_runs_reject_what_the_decoder_rejects():
+    rng = random.Random(10)
+    frames = _sessions_stream(rng, [3, 3], max_per_frame=2)
+    data = b"".join(feed.encode_frame(f) for f in frames)
+    assert feed.session_runs([b"", b""]) == []
+    for cut in range(1, len(data)):
+        if any(cut == len(b"".join(feed.encode_frame(f)
+                                   for f in frames[:k]))
+               for k in range(len(frames))):
+            continue
+        with pytest.raises(TruncatedFrame):
+            feed.session_runs([data[:cut], data[cut:]])
+    with pytest.raises(BadMagic):
+        feed.session_runs([b"LOBX" + data[4:]])
+    with pytest.raises(FormatError, match="session 1 split across"):
+        feed.session_runs([data, feed.encode_frame(frames[0])])

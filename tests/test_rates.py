@@ -422,6 +422,33 @@ def test_reading_mid_stream_matches_single_pass(events, data):
     assert interrupted == single
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(cube_event(), max_size=80), st.randoms(use_true_random=False))
+def test_merging_stores_of_single_sessions_matches_one_store(events, rnd):
+    single = TallyStore()
+    per_day = {}
+    for day, ev in events:
+        accumulate_event(single, ev, day)
+        accumulate_event(per_day.setdefault(day, TallyStore()), ev, day)
+    parts = list(per_day.values())
+    rnd.shuffle(parts)
+    merged = TallyStore()
+    for part in parts:
+        merged.merge(part)
+    # exact: each session keeps its own float sums
+    assert merged == single
+
+
+def test_merge_rejects_a_shared_session_or_other_granularities():
+    store, same_day = TallyStore(), TallyStore()
+    for target in (store, same_day):
+        accumulate_event(target, arrival(1, 10), DAY)
+    with pytest.raises(ValueError, match="in both stores"):
+        store.merge(same_day)
+    with pytest.raises(ValueError, match="same granularities"):
+        store.merge(TallyStore([Granularity.DAILY]))
+
+
 # --- csv staging ---
 
 def test_rates_csv_round_trip(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from mpmath import mp, mpf, betainc, gammainc, loggamma
@@ -122,6 +123,15 @@ def test_nps_scores():
     assert stats.nps({}) == {}
     with pytest.raises(DomainError):
         stats.nps({"a": -0.1, "b": 0.2})
+
+
+def test_nps_overflow_saturates_and_only_zero_gives_infinity():
+    scores = stats.nps({"geometric": 5e-324, "beta_binomial": 0.3})
+    assert scores == {"geometric": 1.0, "beta_binomial": sys.float_info.max}
+    tiny = 1e-310  # subnormal: 1 over it overflows
+    scores = stats.nps({"a": tiny, "b": 2 * tiny, "c": 1.0})
+    assert scores["b"] == 2.0 and scores["c"] == sys.float_info.max
+    assert math.isinf(stats.nps({"a": 0.0, "b": 5e-324})["b"])
 
 
 def test_nps_best_is_exactly_one():

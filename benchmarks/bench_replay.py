@@ -7,6 +7,8 @@ alone on the previous stage's output, held in memory:
 * ``synth.generate``: the whole generator, with its own tally and
   encoding, from the spec to the stream bytes;
 * ``feed.encode_frame``: the encoder alone, over the decoded frames;
+* ``feed.encode_session``: the framing ``synth`` uses, over the same
+  stream's messages packed one session at a time;
 * ``feed.iter_frames``: decode the stream bytes into frames;
 * ``feed.session_runs``: split the stream bytes into one run of frames
   per session, reading only frame headers and message lengths.  This
@@ -52,6 +54,11 @@ def best_times(jobs, repeats):
 def encode(frames):
     for frame in frames:
         feed.encode_frame(frame)
+
+
+def encode_sessions(packed):
+    for session_id, messages in packed:
+        feed.encode_session(session_id, messages)
 
 
 def decode(blob):
@@ -121,6 +128,10 @@ def main():
     blob, _ = synth.generate(spec)
     frames = list(feed.iter_frames(blob))
     messages = list(feed.iter_stream(frames))
+    packed = {}
+    for session_id, msg in messages:
+        packed.setdefault(session_id, []).append(feed.encode_message(msg))
+    packed = list(packed.items())
     books = {}
     events = []
     for session_id, msg in messages:
@@ -134,6 +145,8 @@ def main():
     stages = [
         ("synth.generate", lambda: synth.generate(spec), n_msgs, "msg/s"),
         ("feed.encode_frame", lambda: encode(frames), n_msgs, "msg/s"),
+        ("feed.encode_session", lambda: encode_sessions(packed), n_msgs,
+         "msg/s"),
         ("feed.iter_frames", lambda: decode(blob), n_msgs, "msg/s"),
         ("feed.session_runs", lambda: feed.session_runs([blob]), n_msgs,
          "msg/s"),

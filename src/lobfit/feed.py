@@ -47,6 +47,16 @@ zero prices and quantities.  The u32 and u64 ranges hold by
 construction, so decoded messages are built without running
 ``MarketMessage.__post_init__``; only public construction
 (``MarketMessage(...)`` and its classmethods) runs every check.
+
+The encoder has one packer per kind, which writes a whole message
+(length byte, kind byte and body) from the body fields.
+``encode_message`` calls it on a ``MarketMessage``, whose constructor
+has checked the fields.  A writer that proves its ranges once, as ``synth`` does on
+its spec, calls the packers ``pack_add``, ``pack_cancel`` and
+``pack_delete`` directly and frames one session's packed messages with
+``encode_session``.  These trust their caller: a field too wide for its
+slot raises ``struct.error``, and a zero price or quantity, a side code
+other than 0 or 1, or an out-of-order timestamp is written as given.
 """
 
 from __future__ import annotations
@@ -54,6 +64,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, fields
 from enum import IntEnum
+from functools import partial
 from typing import Iterable, Iterator, Sequence
 
 from lobfit.errors import (
@@ -73,6 +84,10 @@ __all__ = [
     "MarketMessage",
     "LobfFrame",
     "encode_message",
+    "pack_add",
+    "pack_cancel",
+    "pack_delete",
+    "encode_session",
     "decode_message",
     "encode_frame",
     "decode_frame",
@@ -121,11 +136,19 @@ _WIRE_LENGTH = {kind: 1 + fmt.size for kind, fmt in _BODY.items()}
 _LAYOUT = {int(kind): (kind, _WIRE_LENGTH[kind], fmt.unpack_from)
            for kind, fmt in _BODY.items()}
 
-# kind (or its plain-int code) -> (kind, declared length, packer of the
-# length byte, the kind byte and the body in one call)
-_PACK = {kind: (kind, _WIRE_LENGTH[kind],
-                struct.Struct(">BB" + fmt.format.lstrip(">")).pack)
+# kind (or its plain-int code) -> packer of the length byte, the kind
+# byte and the body in one call, from the body fields alone
+_PACK = {kind: partial(struct.Struct(">BB" + fmt.format.lstrip(">")).pack,
+                       _WIRE_LENGTH[kind], kind)
          for kind, fmt in _BODY.items()}
+
+# the trusted packers (see the module docstring):
+# pack_add(timestamp_ns, order_id, side, price, quantity),
+# pack_cancel(timestamp_ns, order_id, quantity) and
+# pack_delete(timestamp_ns, order_id)
+pack_add = _PACK[MessageKind.ADD]
+pack_cancel = _PACK[MessageKind.CANCEL]
+pack_delete = _PACK[MessageKind.DELETE]
 
 _ADD = MessageKind.ADD
 _CANCEL = MessageKind.CANCEL
@@ -261,20 +284,21 @@ class LobfFrame:
 
 def encode_message(msg: MarketMessage) -> bytes:
     """Serialize one message as length byte + kind byte + body."""
+    kind = msg.kind
     try:
-        kind, length, pack = _PACK[msg.kind]
+        pack = _PACK[kind]
     except KeyError:
-        raise ValueError(f"kind {msg.kind!r} has no wire layout") from None
-    if kind is _CANCEL or kind is _EXECUTE:
-        return pack(length, kind, msg.timestamp_ns, msg.order_id,
+        raise ValueError(f"kind {kind!r} has no wire layout") from None
+    # == rather than is: the constructor keeps a plain-int kind code
+    if kind == _CANCEL or kind == _EXECUTE:
+        return pack(msg.timestamp_ns, msg.order_id, msg.quantity)
+    if kind == _ADD:
+        return pack(msg.timestamp_ns, msg.order_id, msg.side, msg.price,
                     msg.quantity)
-    if kind is _ADD:
-        return pack(length, kind, msg.timestamp_ns, msg.order_id,
-                    msg.side, msg.price, msg.quantity)
-    if kind is _REPLACE:
-        return pack(length, kind, msg.timestamp_ns, msg.order_id,
-                    msg.new_order_id, msg.price, msg.quantity)
-    return pack(length, kind, msg.timestamp_ns, msg.order_id)
+    if kind == _REPLACE:
+        return pack(msg.timestamp_ns, msg.order_id, msg.new_order_id,
+                    msg.price, msg.quantity)
+    return pack(msg.timestamp_ns, msg.order_id)
 
 
 def _layout_error(data: bytes, offset: int) -> FormatError:
@@ -436,6 +460,23 @@ def build_frames(session_id: int, messages: Iterable[MarketMessage],
         chunk = tuple(msgs[start:start + max_per_frame])
         frames.append(LobfFrame(session_id, start, chunk))
     return frames
+
+
+def encode_session(session_id: int, packed: Sequence[bytes],
+                   max_per_frame: int = 1000) -> bytes:
+    """Frame one session's packed messages, chunked as ``build_frames``
+    chunks them: each frame's sequence number is the index of its first
+    message.  The messages and ``session_id`` are trusted, as the
+    packers trust their fields.
+    """
+    if not 1 <= max_per_frame <= 0xFFFF:
+        raise ValueError("max_per_frame must be in 1..65535")
+    parts = []
+    for start in range(0, len(packed), max_per_frame):
+        chunk = packed[start:start + max_per_frame]
+        parts.append(_HEADER.pack(MAGIC, session_id, start, len(chunk)))
+        parts.extend(chunk)
+    return b"".join(parts)
 
 
 def session_runs(blobs: Sequence[bytes]) -> list[list[tuple[int, int, int]]]:

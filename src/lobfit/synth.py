@@ -32,6 +32,16 @@ arrivals still resting, in arrival order, with no scan of the book.
 Session ids encode the session date as YYYYMMDD
 (``rates.date_to_session_id``), which is how the pipeline recovers
 dates when reading a stream back.
+
+The generator writes wire bytes: each message is packed by
+``feed.pack_add``, ``feed.pack_cancel`` or ``feed.pack_delete`` as it
+is drawn, and ``feed.encode_session`` frames a session's messages.  No
+``MarketMessage`` is built, so its per-message checks do not run; the
+spec's bounds are the range checks instead.  ``SynthSpec`` proves once
+that every price lies in ``initial_mid -/+ 15 * tick_size``, which is
+positive and fits a u32, and that the order ids, counted from 1, fit a
+u64.  Quantities lie in 1..200, sides are 0 or 1 and timestamps fall
+within the session's day by construction.
 """
 
 from __future__ import annotations
@@ -48,7 +58,7 @@ import numpy as np
 from lobfit import dist, feed, rates
 from lobfit.book import BookEvent, EventKind
 from lobfit.errors import SpecError
-from lobfit.feed import MarketMessage, Side
+from lobfit.feed import Side, pack_add, pack_cancel, pack_delete
 
 __all__ = [
     "CancelStyle",
@@ -73,6 +83,8 @@ _LADDER_TIME = 9 * _NS_PER_HOUR + 30 * 60 * 1_000_000_000
 _LADDER_LEVELS = rates.ARRIVAL_TICKS
 _LADDER_QUANTITY = 200
 _MAX_ARRIVAL_QUANTITY = 100
+_U32_MAX = 2**32 - 1
+_U64_MAX = 2**64 - 1
 # only orders inside the tallied cancel window are canceled
 _CANCELABLE_TICKS = rates.CANCEL_TICKS
 _SIDES = (Side.BUY, Side.SELL)
@@ -115,6 +127,15 @@ class SynthSpec:
                 f"initial_mid {self.initial_mid} leaves no room for a "
                 f"{_LADDER_LEVELS}-level ladder at tick size "
                 f"{self.tick_size}")
+        if self.initial_mid + _LADDER_LEVELS * self.tick_size > _U32_MAX:
+            raise SpecError(
+                f"initial_mid {self.initial_mid} + {_LADDER_LEVELS} * "
+                f"tick_size {self.tick_size} exceeds the largest price "
+                f"{_U32_MAX}")
+        if self.days * (self.orders_per_day + 2 * _LADDER_LEVELS) > _U64_MAX:
+            raise SpecError(
+                f"days {self.days} of orders_per_day {self.orders_per_day} "
+                f"need order ids past {_U64_MAX}")
         families = tuple(dist.FAMILY_TAGS.values())
         for name, model in (("buy_model", self.buy_model),
                             ("sell_model", self.sell_model)):
@@ -171,34 +192,31 @@ def generate(spec: SynthSpec) -> tuple[bytes, GroundTruth]:
     order_ids = itertools.count(1)
     chunks = []
     for session_date in default_calendar(spec.days, spec.start):
-        messages = _generate_session(spec, session_date, rng, cumulative,
-                                     order_ids, store)
-        frames = feed.build_frames(rates.date_to_session_id(session_date),
-                                   messages)
-        chunks.extend(feed.encode_frame(f) for f in frames)
+        packed = _generate_session(spec, session_date, rng, cumulative,
+                                   order_ids, store)
+        chunks.append(feed.encode_session(
+            rates.date_to_session_id(session_date), packed))
     return b"".join(chunks), GroundTruth(spec=spec, store=store)
 
 
 def _generate_session(spec, session_date, rng, cumulative, order_ids,
-                      store) -> list[MarketMessage]:
+                      store) -> list[bytes]:
     tick = spec.tick_size
-    messages = []
+    packed = []
     # the ladder is never canceled and arrivals rest at or behind the
     # touch, so the best prices stay put for the whole session
     touch = (spec.initial_mid - tick, spec.initial_mid + tick)
     step = (-tick, tick)
 
-    def emit(msg, event):
-        messages.append(msg)
+    def emit(message, event):
+        packed.append(message)
         rates.accumulate_event(store, event, session_date)
 
     def add(ts, s, distance, quantity) -> int:
         oid = next(order_ids)
-        side = _SIDES[s]
-        emit(MarketMessage.add(ts, oid, side,
-                               touch[s] + (distance - 1) * step[s],
-                               quantity),
-             BookEvent(_ARRIVAL, side, ts, distance, quantity))
+        emit(pack_add(ts, oid, s, touch[s] + (distance - 1) * step[s],
+                      quantity),
+             BookEvent(_ARRIVAL, _SIDES[s], ts, distance, quantity))
         return oid
 
     for i in range(1, _LADDER_LEVELS + 1):
@@ -231,7 +249,7 @@ def _generate_session(spec, session_date, rng, cumulative, order_ids,
             resting[s][distance - 1] += quantity
         if probability > 0.0:
             _cancel_step(ts, live, resting, probability, fraction, rng, emit)
-    return messages
+    return packed
 
 
 def _cancel_step(ts, live, resting, probability, fraction, rng, emit) -> None:
@@ -249,8 +267,8 @@ def _cancel_step(ts, live, resting, probability, fraction, rng, emit) -> None:
         oid = candidates[idx]
         side, tick, remaining = order = live[oid]
         amount = max(1, int(u * remaining))
-        emit(MarketMessage.cancel(ts, oid, amount) if fraction
-             else MarketMessage.delete(ts, oid),
+        emit(pack_cancel(ts, oid, amount) if fraction
+             else pack_delete(ts, oid),
              BookEvent(_CANCEL, side, ts, tick, amount,
                        resting[side][tick - 1]))
         resting[side][tick - 1] -= amount

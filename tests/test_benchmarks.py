@@ -45,7 +45,8 @@ def test_bench_replay_prints_one_row_per_stage():
                         "--orders-per-day", "300")
     (rows,) = tables(stdout)
     assert [row.split()[0] for row in rows] == [
-        "synth.generate", "feed.encode_frame", "feed.iter_frames",
+        "synth.generate", "feed.encode_frame", "feed.encode_session",
+        "feed.iter_frames",
         "feed.session_runs", "feed.iter_stream", "OrderBook.apply",
         "rates.accumulate_event"]
 

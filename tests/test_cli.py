@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import datetime as dt
 import functools
+import hashlib
 import io
 import json
 import math
@@ -732,6 +733,26 @@ class TestExitCodes:
         assert cli.main(["synth", "--days", "0"] + out) == 1
         assert cli.main(["fit", "whatever.csv", "--families", "geo,xx"]
                         + out) == 1
+
+    def test_synth_price_bound(self, tmp_path, capsys):
+        # the largest ask, initial_mid + 15 ticks, is the last u32 price
+        edge = str(2**32 - 1 - rates.ARRIVAL_TICKS)
+        base = ["synth", "--days", "1", "--orders-per-day", "10"]
+        assert cli.main(base + ["--mid", edge, "--out", str(tmp_path)]) == 0
+        for name, digest in (
+                ("stream.lobf", "50540c675805f68a378b87d701ca9ed8"
+                                "f89948dfcfbf3e2edfe67c1a1e48342a"),
+                ("ground_truth.json", "b5e4f545cbc8eb4500d1158ff385c8fe"
+                                      "11525240bf84311035e45ee9923886f4")):
+            data = (tmp_path / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest
+        capsys.readouterr()
+        assert cli.main(base + ["--mid", str(int(edge) + 1),
+                                "--out", str(tmp_path / "past")]) == 1
+        err = capsys.readouterr().err
+        assert "initial_mid" in err and "tick_size" in err
+        assert "internal error" not in err
+        assert not (tmp_path / "past").exists()
 
     def test_usage_errors_exit_one(self, capsys):
         assert cli.main(["frobnicate"]) == 1

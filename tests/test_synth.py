@@ -55,6 +55,18 @@ class TestSpecValidation:
         with pytest.raises(SpecError):
             small_spec(seed=-1)
 
+    @pytest.mark.parametrize("tick_size", [1, 7])
+    def test_largest_ask_must_fit_a_u32_price(self, tick_size):
+        # the spec's bound stands in for the per-message price check
+        edge = 2**32 - 1 - rates.ARRIVAL_TICKS * tick_size
+        small_spec(initial_mid=edge, tick_size=tick_size)
+        with pytest.raises(SpecError, match="initial_mid.*tick_size"):
+            small_spec(initial_mid=edge + 1, tick_size=tick_size)
+
+    def test_order_ids_must_fit_a_u64(self):
+        with pytest.raises(SpecError, match="order ids"):
+            small_spec(days=2**32, orders_per_day=2**32)
+
     def test_accepts_probability_edges(self):
         small_spec(cancel_probability=0.0)
         small_spec(cancel_probability=1.0)
@@ -242,6 +254,46 @@ def test_touch_never_moves_and_cancels_stay_in_the_window(
         book.apply(msg)
         if i >= 1:  # from the first ladder pair on
             assert (book.best_bid, book.best_ask) == (bid, ask)
+
+
+_ONE_PER_FAMILY = (dist.Geometric(0.35), dist.DiscreteWeibull(0.8, 1.2),
+                   dist.BetaBinomial(1.5, 6.0), dist.Exponential(0.4),
+                   dist.PowerLaw(1.0, 1.5))
+
+
+@pytest.mark.parametrize("index", range(len(_ONE_PER_FAMILY)))
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**64 - 1), days=st.integers(1, 2),
+       orders=st.integers(1, 300), tick_size=st.integers(1, 9),
+       probability=st.sampled_from([0.0, 0.08, 1.0]),
+       style=st.sampled_from(synth.CancelStyle),
+       at_price_bound=st.booleans())
+def test_trusted_packing_writes_what_validated_messages_encode_to(
+        index, seed, days, orders, tick_size, probability, style,
+        at_price_bound):
+    # each family is the buy side once and the sell side once
+    mid = (2**32 - 1 - rates.ARRIVAL_TICKS * tick_size if at_price_bound
+           else 10_000)
+    spec = synth.SynthSpec(
+        seed=seed, days=days, orders_per_day=orders,
+        buy_model=_ONE_PER_FAMILY[index],
+        sell_model=_ONE_PER_FAMILY[index - 1],
+        cancel_probability=probability, cancel_style=style,
+        tick_size=tick_size, initial_mid=mid)
+    blob, _ = synth.generate(spec)
+    sessions = {}
+    for frame in feed.iter_frames(blob):
+        sessions.setdefault(frame.session_id, []).extend(
+            feed.MarketMessage(msg.kind, msg.timestamp_ns, msg.order_id,
+                               side=msg.side, price=msg.price,
+                               quantity=msg.quantity,
+                               new_order_id=msg.new_order_id)
+            for msg in frame.messages)
+    assert len(sessions) == days
+    rebuilt = b"".join(feed.encode_frame(frame)
+                       for session_id, messages in sessions.items()
+                       for frame in feed.build_frames(session_id, messages))
+    assert rebuilt == blob
 
 
 def _group_by_session(blob):

@@ -51,12 +51,14 @@ construction, so decoded messages are built without running
 The encoder has one packer per kind, which writes a whole message
 (length byte, kind byte and body) from the body fields.
 ``encode_message`` calls it on a ``MarketMessage``, whose constructor
-has checked the fields.  A writer that proves its ranges once, as ``synth`` does on
-its spec, calls the packers ``pack_add``, ``pack_cancel`` and
-``pack_delete`` directly and frames one session's packed messages with
-``encode_session``.  These trust their caller: a field too wide for its
-slot raises ``struct.error``, and a zero price or quantity, a side code
-other than 0 or 1, or an out-of-order timestamp is written as given.
+has checked the fields.  A writer that proves its ranges once, as
+``synth`` does on its spec against ``MAX_PRICE`` and ``MAX_ORDER_ID``,
+calls the packers ``pack_add``, ``pack_cancel`` and ``pack_delete``
+directly and frames one session's packed messages with
+``encode_session``.  These trust their caller: a field too wide for
+its slot raises ``struct.error``, and a zero price or quantity, a side
+code other than 0 or 1, or an out-of-order timestamp is written as
+given.
 """
 
 from __future__ import annotations
@@ -88,6 +90,8 @@ __all__ = [
     "pack_cancel",
     "pack_delete",
     "encode_session",
+    "MAX_PRICE",
+    "MAX_ORDER_ID",
     "decode_message",
     "encode_frame",
     "decode_frame",
@@ -104,6 +108,9 @@ _HEADER = struct.Struct(">4sIQH")
 
 _U64_MAX = 2**64 - 1
 _U32_MAX = 2**32 - 1
+
+# messages per frame written by build_frames and encode_session
+_FRAME_MESSAGES = 1000
 
 
 class Side(IntEnum):
@@ -149,6 +156,9 @@ _PACK = {kind: partial(struct.Struct(">BB" + fmt.format.lstrip(">")).pack,
 pack_add = _PACK[MessageKind.ADD]
 pack_cancel = _PACK[MessageKind.CANCEL]
 pack_delete = _PACK[MessageKind.DELETE]
+# the largest price and order id the packers' slots hold
+MAX_PRICE = _U32_MAX
+MAX_ORDER_ID = _U64_MAX
 
 _ADD = MessageKind.ADD
 _CANCEL = MessageKind.CANCEL
@@ -450,7 +460,7 @@ def iter_stream(frames: Iterable[LobfFrame]) -> Iterator[tuple[int, MarketMessag
 
 
 def build_frames(session_id: int, messages: Iterable[MarketMessage],
-                 max_per_frame: int = 1000) -> list[LobfFrame]:
+                 max_per_frame: int = _FRAME_MESSAGES) -> list[LobfFrame]:
     """Chunk one session's messages into frames with contiguous sequences."""
     if not 1 <= max_per_frame <= 0xFFFF:
         raise ValueError("max_per_frame must be in 1..65535")
@@ -462,18 +472,15 @@ def build_frames(session_id: int, messages: Iterable[MarketMessage],
     return frames
 
 
-def encode_session(session_id: int, packed: Sequence[bytes],
-                   max_per_frame: int = 1000) -> bytes:
+def encode_session(session_id: int, packed: Sequence[bytes]) -> bytes:
     """Frame one session's packed messages, chunked as ``build_frames``
-    chunks them: each frame's sequence number is the index of its first
-    message.  The messages and ``session_id`` are trusted, as the
-    packers trust their fields.
+    chunks them by default: each frame's sequence number is the index of
+    its first message.  The messages and ``session_id`` are trusted, as
+    the packers trust their fields.
     """
-    if not 1 <= max_per_frame <= 0xFFFF:
-        raise ValueError("max_per_frame must be in 1..65535")
     parts = []
-    for start in range(0, len(packed), max_per_frame):
-        chunk = packed[start:start + max_per_frame]
+    for start in range(0, len(packed), _FRAME_MESSAGES):
+        chunk = packed[start:start + _FRAME_MESSAGES]
         parts.append(_HEADER.pack(MAGIC, session_id, start, len(chunk)))
         parts.extend(chunk)
     return b"".join(parts)

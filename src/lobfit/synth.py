@@ -58,7 +58,8 @@ import numpy as np
 from lobfit import dist, feed, rates
 from lobfit.book import BookEvent, EventKind
 from lobfit.errors import SpecError
-from lobfit.feed import Side, pack_add, pack_cancel, pack_delete
+from lobfit.feed import (MAX_ORDER_ID, MAX_PRICE, Side, pack_add,
+                         pack_cancel, pack_delete)
 
 __all__ = [
     "CancelStyle",
@@ -83,8 +84,6 @@ _LADDER_TIME = 9 * _NS_PER_HOUR + 30 * 60 * 1_000_000_000
 _LADDER_LEVELS = rates.ARRIVAL_TICKS
 _LADDER_QUANTITY = 200
 _MAX_ARRIVAL_QUANTITY = 100
-_U32_MAX = 2**32 - 1
-_U64_MAX = 2**64 - 1
 # only orders inside the tallied cancel window are canceled
 _CANCELABLE_TICKS = rates.CANCEL_TICKS
 _SIDES = (Side.BUY, Side.SELL)
@@ -127,15 +126,16 @@ class SynthSpec:
                 f"initial_mid {self.initial_mid} leaves no room for a "
                 f"{_LADDER_LEVELS}-level ladder at tick size "
                 f"{self.tick_size}")
-        if self.initial_mid + _LADDER_LEVELS * self.tick_size > _U32_MAX:
+        if self.initial_mid + _LADDER_LEVELS * self.tick_size > MAX_PRICE:
             raise SpecError(
                 f"initial_mid {self.initial_mid} + {_LADDER_LEVELS} * "
                 f"tick_size {self.tick_size} exceeds the largest price "
-                f"{_U32_MAX}")
-        if self.days * (self.orders_per_day + 2 * _LADDER_LEVELS) > _U64_MAX:
+                f"{MAX_PRICE}")
+        if (self.days * (self.orders_per_day + 2 * _LADDER_LEVELS)
+                > MAX_ORDER_ID):
             raise SpecError(
                 f"days {self.days} of orders_per_day {self.orders_per_day} "
-                f"need order ids past {_U64_MAX}")
+                f"need order ids past {MAX_ORDER_ID}")
         families = tuple(dist.FAMILY_TAGS.values())
         for name, model in (("buy_model", self.buy_model),
                             ("sell_model", self.sell_model)):

@@ -18,7 +18,10 @@ alone on the previous stage's output, held in memory:
   the decoded frames;
 * ``OrderBook.apply``: every message through one book per session;
 * ``rates.accumulate_event``: every book event into a fresh
-  ``TallyStore`` with all four granularities.
+  ``TallyStore`` with all four granularities;
+* ``rates.tally_stream``: the whole replay from the stream bytes into a
+  fresh ``TallyStore``, decode, book and tally in one loop, as
+  ``lobfit rates`` runs it on each session.
 
 Tally reports events/s and every other stage messages/s.  Each time is
 the best over ``--repeats`` rounds, and every round runs each stage
@@ -154,6 +157,9 @@ def main():
         ("OrderBook.apply", lambda: replay_book(messages), n_msgs, "msg/s"),
         ("rates.accumulate_event", lambda: tally(events), len(events),
          "event/s"),
+        ("rates.tally_stream",
+         lambda: rates.tally_stream(rates.TallyStore(), [blob]), n_msgs,
+         "msg/s"),
     ]
     print(f"stream: {args.days} day(s) x {args.orders_per_day} orders, "
           f"seed {args.seed}: {len(blob):,} bytes, {len(frames)} frames, "

@@ -9,6 +9,12 @@ so they belong at the touch in arrival statistics).  The ladders keep
 only the resting quantity at each price: that quantity before a cancel
 is the denominator of the cancellation ratio.
 
+``OrderBook`` is the object-level book: one ``apply`` call per
+``MarketMessage``, returning ``BookEvent`` objects.  ``lobfit rates``
+does not call it; its replay loop, ``rates.tally_stream``, applies these
+same rules inline on plain dicts, and the tests hold that loop to this
+class.
+
 Tick distance is 1-based.  With tick size T and the same-side
 convention, a buy at ``best_bid`` is tick 1 and each T below adds one;
 sells mirror against ``best_ask``.  The opposite-side convention

@@ -169,13 +169,15 @@ def cmd_synth(args) -> None:
                              truth)
 
 
+def _read_file(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def _session_runs(paths) -> list:
     """The input's sessions in stream order, each as spans
     ``(path, start, stop)`` of the input files."""
-    blobs = []
-    for path in paths:
-        with open(path, "rb") as fh:
-            blobs.append(fh.read())
+    blobs = [_read_file(path) for path in paths]
     return [[(paths[i], start, stop) for i, start, stop in run]
             for run in feed.session_runs(blobs)]
 
@@ -192,9 +194,8 @@ def _tally_run(spans, granularities, tick_size, reference, sides):
     Returns the store and the number of messages applied.
     """
     store = rates.TallyStore(granularities)
-    frames = (frame for path, start, stop in spans
-              for frame in feed.iter_frames(_read_span(path, start, stop)))
-    return store, rates.tally_stream(store, frames, tick_size, reference,
+    blobs = (_read_span(path, start, stop) for path, start, stop in spans)
+    return store, rates.tally_stream(store, blobs, tick_size, reference,
                                      sides)
 
 
@@ -220,10 +221,8 @@ def cmd_rates(args) -> None:
         # a bad input: the serial replay meets the first fault in stream
         # order, and its error is the one to report
         store = rates.TallyStore(granularities)
-        frames = (frame for path in args.inputs
-                  for frame in feed.read_lobf(path))
-        seen = rates.tally_stream(store, frames, args.tick_size, reference,
-                                  sides)
+        seen = rates.tally_stream(store, map(_read_file, args.inputs),
+                                  args.tick_size, reference, sides)
     if seen == 0:
         raise LobfitError("input contains no messages")
     os.makedirs(args.out, exist_ok=True)

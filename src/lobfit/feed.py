@@ -35,18 +35,27 @@ removes the remainder.  Replace moves the remaining quantity of
 ``order_id`` to a fresh ``new_order_id`` at a new price and quantity.
 
 Within one session timestamps are non-decreasing and frame sequence
-numbers are contiguous; ``iter_stream`` enforces both.  Sessions are
-independent, and ``session_runs`` finds where each one's frames lie
-without decoding a message, so they can be decoded apart.
+numbers are contiguous; ``iter_stream`` enforces both, as does
+``rates.tally_stream``.  Sessions are independent, and ``session_runs``
+finds where each one's frames lie without decoding a message, so they
+can be decoded apart.
 
-Frames and ``decode_message`` share one per-message decoder.  It reads
+Frames and ``decode_message`` share one message decoder.  It reads
 the length and kind bytes in place, unpacks the body straight from the
 buffer, and checks only what the fixed-width layout leaves open: the
 declared length against the kind, the kind byte, the side byte, and
-zero prices and quantities.  The u32 and u64 ranges hold by
-construction, so decoded messages are built without running
-``MarketMessage.__post_init__``; only public construction
-(``MarketMessage(...)`` and its classmethods) runs every check.
+zero prices and quantities.  It yields each message as a ``(kind,
+body)`` pair of the kind and its body fields' tuple, and ``frame_at``
+decodes a whole frame into such pairs.  ``frame_at`` is the decoder of
+the hot loop, ``rates.tally_stream``, which replays from these pairs.
+``iter_frames``, ``decode_frame``, ``decode_message`` and
+``iter_stream`` are the object-level API over the same decoder: they
+build ``MarketMessage`` and ``LobfFrame`` objects, for callers that want
+objects and as the reference the replay loop is tested against.  The
+u32 and u64 ranges hold by construction, so decoded messages are built
+without running ``MarketMessage.__post_init__``; only public
+construction (``MarketMessage(...)`` and its classmethods) runs every
+check.
 
 The encoder has one packer per kind, which writes a whole message
 (length byte, kind byte and body) from the body fields.
@@ -67,6 +76,7 @@ import struct
 from dataclasses import dataclass, fields
 from enum import IntEnum
 from functools import partial
+from itertools import starmap
 from typing import Iterable, Iterator, Sequence
 
 from lobfit.errors import (
@@ -93,6 +103,7 @@ __all__ = [
     "MAX_PRICE",
     "MAX_ORDER_ID",
     "decode_message",
+    "frame_at",
     "encode_frame",
     "decode_frame",
     "iter_frames",
@@ -142,6 +153,8 @@ _WIRE_LENGTH = {kind: 1 + fmt.size for kind, fmt in _BODY.items()}
 # kind byte -> (kind, declared length, body unpacker)
 _LAYOUT = {int(kind): (kind, _WIRE_LENGTH[kind], fmt.unpack_from)
            for kind, fmt in _BODY.items()}
+# the same, indexed by every byte value: None for a byte that names no kind
+_LAYOUT_BY_CODE = tuple(map(_LAYOUT.get, range(256)))
 
 # kind (or its plain-int code) -> packer of the length byte, the kind
 # byte and the body in one call, from the body fields alone
@@ -162,6 +175,7 @@ MAX_ORDER_ID = _U64_MAX
 
 _ADD = MessageKind.ADD
 _CANCEL = MessageKind.CANCEL
+_DELETE = MessageKind.DELETE
 _EXECUTE = MessageKind.EXECUTE
 _REPLACE = MessageKind.REPLACE
 _SIDES = (Side.BUY, Side.SELL)
@@ -264,8 +278,6 @@ _new = object.__new__
 
 def _decoded(kind, timestamp_ns, order_id, side, price, quantity,
              new_order_id) -> MarketMessage:
-    # fills the slots directly: the decoder has made the checks that
-    # __post_init__ would, and the field widths bound the rest
     msg = _new(MarketMessage)
     _set_kind(msg, kind)
     _set_timestamp(msg, timestamp_ns)
@@ -324,39 +336,91 @@ def _layout_error(data: bytes, offset: int) -> FormatError:
                           f"layout requires {length}")
 
 
-def _message_at(data: bytes, offset: int) -> MarketMessage:
-    """Decode the message whose length prefix is ``data[offset]``.
+def _body_error(kind: MessageKind, body: tuple) -> FormatError:
+    """The error of a body that failed the core's value checks."""
+    if kind is _ADD:
+        if body[2] > 1:
+            return FormatError(f"add side byte {body[2]}")
+        if not body[3]:
+            return ZeroPrice("add price must be positive")
+    elif kind is _REPLACE and not body[3]:
+        return ZeroPrice("replace price must be positive")
+    return ZeroQuantity(f"{kind.name.lower()} quantity must be positive")
 
-    The caller has checked that the declared length fits in ``data``.
+
+def _messages_at(data, offset: int, count: int) -> tuple[list, int]:
+    """Decode ``count`` messages from ``data[offset:]``.
+
+    This is the one message decoder: it returns each message as a
+    ``(kind, body)`` pair, ``body`` the tuple of the kind's body fields
+    in wire order with the Add side as its code, and the offset after
+    the last message.  Nothing is built per message beyond that pair.
     """
-    declared = data[offset]
-    layout = _LAYOUT.get(data[offset + 1]) if declared else None
-    if layout is None or layout[1] != declared:
-        raise _layout_error(data, offset)
-    kind, _, unpack_from = layout
+    size = len(data)
+    out = []
+    append = out.append
+    layouts = _LAYOUT_BY_CODE
+    try:
+        for _ in range(count):
+            # past the end of the buffer, this raises IndexError
+            declared = data[offset]
+            end = offset + 1 + declared
+            if end > size:
+                raise TruncatedFrame(f"message needs {end - offset} bytes, "
+                                     f"{size - offset} left")
+            layout = layouts[data[offset + 1]] if declared else None
+            if layout is None or layout[1] != declared:
+                raise _layout_error(data, offset)
+            kind, _, unpack_from = layout
+            body = unpack_from(data, offset + 2)
+            if kind is _ADD:
+                if body[2] > 1 or not body[3] or not body[4]:
+                    raise _body_error(kind, body)
+            elif kind is _REPLACE:
+                if not body[3] or not body[4]:
+                    raise _body_error(kind, body)
+            elif kind is not _DELETE and not body[2]:
+                raise _body_error(kind, body)
+            append((kind, body))
+            offset = end
+    except IndexError:
+        raise TruncatedFrame(
+            "frame ends before declared message count") from None
+    return out, offset
+
+
+def frame_at(data, offset: int) -> tuple[int, int, list, int]:
+    """Decode the frame that starts at ``data[offset]``.
+
+    Returns ``(session_id, sequence_number, messages, end)``, with the
+    messages as ``(kind, body)`` pairs (see ``_messages_at``) and
+    ``end`` the offset after the frame.  Every check of ``iter_frames``
+    is made, with the same error, and a format error anywhere in the
+    frame is raised before any message of it is returned.
+    """
+    if len(data) - offset < _HEADER.size:
+        raise TruncatedFrame(
+            f"{len(data) - offset} bytes left, header needs {_HEADER.size}")
+    magic, session_id, sequence, count = _HEADER.unpack_from(data, offset)
+    if magic != MAGIC:
+        raise BadMagic(f"got {magic!r}")
+    messages, end = _messages_at(data, offset + _HEADER.size, count)
+    return session_id, sequence, messages, end
+
+
+def _message(kind: MessageKind, body: tuple) -> MarketMessage:
+    # fills the slots directly: the core has made the checks that
+    # __post_init__ would, and the field widths bound the rest
     if kind is _CANCEL or kind is _EXECUTE:
-        ts, oid, qty = unpack_from(data, offset + 2)
-        if not qty:
-            raise ZeroQuantity(
-                f"{kind.name.lower()} quantity must be positive")
+        ts, oid, qty = body
         return _decoded(kind, ts, oid, None, None, qty, None)
     if kind is _ADD:
-        ts, oid, side_code, price, qty = unpack_from(data, offset + 2)
-        if side_code > 1:
-            raise FormatError(f"add side byte {side_code}")
-        if not price:
-            raise ZeroPrice("add price must be positive")
-        if not qty:
-            raise ZeroQuantity("add quantity must be positive")
+        ts, oid, side_code, price, qty = body
         return _decoded(kind, ts, oid, _SIDES[side_code], price, qty, None)
     if kind is _REPLACE:
-        ts, oid, new_oid, price, qty = unpack_from(data, offset + 2)
-        if not price:
-            raise ZeroPrice("replace price must be positive")
-        if not qty:
-            raise ZeroQuantity("replace quantity must be positive")
+        ts, oid, new_oid, price, qty = body
         return _decoded(kind, ts, oid, None, price, qty, new_oid)
-    ts, oid = unpack_from(data, offset + 2)
+    ts, oid = body
     return _decoded(kind, ts, oid, None, None, None, None)
 
 
@@ -372,7 +436,8 @@ def decode_message(data: bytes) -> MarketMessage:
     if len(data) != 1 + declared:
         raise LengthMismatch(
             f"length prefix {declared} but {len(data) - 1} bytes follow")
-    return _message_at(data, 0)
+    ((kind, body),), _ = _messages_at(data, 0, 1)
+    return _message(kind, body)
 
 
 def encode_frame(frame: LobfFrame) -> bytes:
@@ -384,26 +449,9 @@ def encode_frame(frame: LobfFrame) -> bytes:
 
 
 def _decode_frame_at(data: bytes, offset: int) -> tuple[LobfFrame, int]:
-    if len(data) - offset < _HEADER.size:
-        raise TruncatedFrame(
-            f"{len(data) - offset} bytes left, header needs {_HEADER.size}")
-    magic, session_id, sequence, count = _HEADER.unpack_from(data, offset)
-    if magic != MAGIC:
-        raise BadMagic(f"got {magic!r}")
-    offset += _HEADER.size
-    size = len(data)
-    messages = []
-    append = messages.append
-    for _ in range(count):
-        if offset >= size:
-            raise TruncatedFrame("frame ends before declared message count")
-        end = offset + 1 + data[offset]
-        if end > size:
-            raise TruncatedFrame(
-                f"message needs {end - offset} bytes, {size - offset} left")
-        append(_message_at(data, offset))
-        offset = end
-    return LobfFrame(session_id, sequence, tuple(messages)), offset
+    session_id, sequence, messages, offset = frame_at(data, offset)
+    messages = tuple(starmap(_message, messages))
+    return LobfFrame(session_id, sequence, messages), offset
 
 
 def decode_frame(data: bytes) -> LobfFrame:

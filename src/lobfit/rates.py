@@ -23,6 +23,12 @@ those cubes, so the BucketKey -> tally dicts ``TallyStore.arrivals``
 and ``TallyStore.cancels`` are derived views.  They are rolled up from
 all cubes on the first read after new events, sessions in date order,
 so float sums do not depend on when the views were read.
+
+``tally_stream`` is the hot loop, the replay ``lobfit rates`` runs: it
+goes from wire bytes to cube increments and builds no object per
+message.  ``accumulate_event`` tallies one ``BookEvent`` and, with
+``feed.iter_frames``, ``feed.iter_stream`` and ``OrderBook.apply``,
+makes up the object-level API that ``tally_stream`` is tested against.
 """
 
 from __future__ import annotations
@@ -35,9 +41,10 @@ from enum import Enum
 from typing import Iterable
 
 from lobfit import feed
-from lobfit.book import BookEvent, EventKind, OrderBook, TickReference
-from lobfit.errors import EmptyBucket, SpecError
-from lobfit.feed import Side
+from lobfit.book import BookEvent, EventKind, TickReference
+from lobfit.errors import (DuplicateOrderId, EmptyBucket, FormatError,
+                           OverCancel, SpecError, UnknownOrderId)
+from lobfit.feed import MessageKind, Side
 
 __all__ = [
     "ARRIVAL_TICKS",
@@ -393,26 +400,196 @@ def accumulate_event(store: TallyStore, event: BookEvent,
     return True
 
 
-def tally_stream(store: TallyStore, frames, tick_size: int = 1,
+def tally_stream(store: TallyStore, blobs: Iterable[bytes],
+                 tick_size: int = 1,
                  reference: TickReference = TickReference.SAME_SIDE,
                  sides: tuple[Side, ...] = (Side.BUY, Side.SELL)) -> int:
-    """Replay frames through one book per session; tally events on ``sides``.
+    """Replay a stream from its wire bytes; tally events on ``sides``.
 
+    ``blobs`` are the stream's buffers in order, each holding whole
+    frames.  Per frame this runs ``feed.frame_at``, the checks of
+    ``feed.iter_stream``, the rules of ``OrderBook.apply`` on one book
+    per session and the counting of ``accumulate_event``, all inline on
+    plain dicts and tuples, so it tallies what
+    ``iter_frames -> iter_stream -> OrderBook.apply -> accumulate_event``
+    tallies and raises what that chain raises, at the same message.
     Returns the number of messages applied.
     """
-    sessions: dict[int, tuple] = {}  # session id -> (book, date)
-    seen = 0
-    for session_id, msg in feed.iter_stream(frames):
-        session = sessions.get(session_id)
-        if session is None:
-            session = sessions[session_id] = (OrderBook(tick_size, reference),
-                                              session_id_to_date(session_id))
-        book, day = session
-        for event in book.apply(msg):
-            if event.side in sides:
-                accumulate_event(store, event, day)
-        seen += 1
-    return seen
+    if isinstance(blobs, (bytes, bytearray, memoryview)):
+        raise TypeError("tally_stream takes the stream's buffers, "
+                        "not one buffer")
+    # per side and hour of the day, the cube index of tick 0 in the
+    # hour's row (tick t is at base + t), None out of trading hours; the
+    # whole side is None when it is not tallied
+    arrival_rows: list[list[int | None] | None] = [None, None]
+    cancel_rows: list[list[int | None] | None] = [None, None]
+    for side in Side:
+        if side in sides:
+            arrival_rows[side] = [
+                (side * HOUR_SLOTS + slot - 1) * ARRIVAL_TICKS - 1
+                if slot else None for slot in _HOUR_SLOT]
+            cancel_rows[side] = [
+                (side * HOUR_SLOTS + slot - 1) * CANCEL_TICKS - 1
+                if slot else None for slot in _HOUR_SLOT]
+    per_drop = len(store.granularities)
+    frame_at = feed.frame_at
+    add, delete, execute, replace = (MessageKind.ADD, MessageKind.DELETE,
+                                     MessageKind.EXECUTE, MessageKind.REPLACE)
+    seen: set[int] = set()
+    session = orders = None
+    applied = out_of_hours = dropped_arrivals = dropped_cancels = 0
+    try:
+        for data in blobs:
+            offset, size = 0, len(data)
+            while offset < size:
+                session_id, sequence, messages, offset = frame_at(data,
+                                                                  offset)
+                if session_id != session:
+                    if session_id in seen:
+                        raise FormatError(
+                            f"session {session_id} split across the stream")
+                    seen.add(session_id)
+                    session = session_id
+                    next_sequence = last_ts = 0
+                    orders = None
+                if sequence != next_sequence:
+                    raise FormatError(
+                        f"session {session_id}: frame sequence {sequence}, "
+                        f"expected {next_sequence}")
+                next_sequence += len(messages)
+                for kind, body in messages:
+                    ts = body[0]
+                    if ts < last_ts:
+                        raise FormatError(
+                            f"session {session_id}: timestamp went backwards "
+                            f"({ts} after {last_ts})")
+                    last_ts = ts
+                    if orders is None:
+                        # the session's first message opens its book, as
+                        # OrderBook(tick_size, reference) would, and
+                        # resolves its date
+                        if tick_size < 1:
+                            raise ValueError("tick_size must be a positive "
+                                             "price increment")
+                        same = (TickReference(reference)
+                                is TickReference.SAME_SIDE)
+                        # same side: tick = gap // T + 1; opposite: gap // T
+                        shift = tick_size if same else 0
+                        day = session_id_to_date(session_id)
+                        # price -> resting quantity, per side; order id ->
+                        # (side, price, remaining); cached best prices
+                        bids, asks, orders = {}, {}, {}
+                        bid = ask = cube = None
+                    hour = ts // NS_PER_HOUR
+                    order_id = body[1]
+                    if kind is add:
+                        side, price, quantity = body[2], body[3], body[4]
+                        if order_id in orders:
+                            raise DuplicateOrderId(
+                                f"order {order_id} already resting")
+                    else:
+                        # Cancel, Delete, Execute, and Replace's cancel of
+                        # the old order, which it then re-adds on its side
+                        order = orders.get(order_id)
+                        if order is None:
+                            raise UnknownOrderId(f"order {order_id}")
+                        side, price, remaining = order
+                        quantity = (remaining if kind is delete
+                                    or kind is replace else body[2])
+                        if quantity > remaining:
+                            raise OverCancel(
+                                f"order {order_id}: {quantity} exceeds "
+                                f"remaining {remaining}")
+                        # the tick against the book before the removal
+                        if side:
+                            ref = ask if same else bid
+                            tick = (1 if ref is None
+                                    else (price - ref + shift) // tick_size)
+                        else:
+                            ref = bid if same else ask
+                            tick = (1 if ref is None
+                                    else (ref - price + shift) // tick_size)
+                        if tick < 1:
+                            tick = 1
+                        ladder = asks if side else bids
+                        before = ladder[price]
+                        if quantity == remaining:
+                            del orders[order_id]
+                        else:
+                            orders[order_id] = (side, price,
+                                                remaining - quantity)
+                        if before == quantity:
+                            del ladder[price]
+                            # only emptying the best level moves the best
+                            if side:
+                                if price == ask:
+                                    ask = min(ladder) if ladder else None
+                            elif price == bid:
+                                bid = max(ladder) if ladder else None
+                        else:
+                            ladder[price] = before - quantity
+                        if kind is execute:
+                            continue
+                        if kind is replace:
+                            # a failed re-add tallies neither event
+                            if body[2] in orders:
+                                raise DuplicateOrderId(
+                                    f"order {body[2]} already resting")
+                        rows = cancel_rows[side]
+                        if rows is not None:
+                            base = rows[hour] if hour < 24 else None
+                            if base is None:
+                                out_of_hours += 1
+                            else:
+                                if cube is None:
+                                    cube = store._open(day)
+                                if tick > CANCEL_TICKS:
+                                    dropped_cancels += per_drop
+                                else:
+                                    cube.ratio_sum[base + tick] += (
+                                        quantity / before)
+                                    cube.count[base + tick] += 1
+                        if kind is not replace:
+                            continue
+                        order_id, price, quantity = body[2], body[3], body[4]
+                    # the arrival of an Add or a Replace, measured against
+                    # the book before the insert; crossing prices clamp
+                    if side:
+                        ref = ask if same else bid
+                        tick = (1 if ref is None
+                                else (price - ref + shift) // tick_size)
+                        if ask is None or price < ask:
+                            ask = price
+                        ladder = asks
+                    else:
+                        ref = bid if same else ask
+                        tick = (1 if ref is None
+                                else (ref - price + shift) // tick_size)
+                        if bid is None or price > bid:
+                            bid = price
+                        ladder = bids
+                    if tick < 1:
+                        tick = 1
+                    ladder[price] = ladder.get(price, 0) + quantity
+                    orders[order_id] = (side, price, quantity)
+                    rows = arrival_rows[side]
+                    if rows is not None:
+                        base = rows[hour] if hour < 24 else None
+                        if base is None:
+                            out_of_hours += 1
+                        else:
+                            if cube is None:
+                                cube = store._open(day)
+                            if tick > ARRIVAL_TICKS:
+                                dropped_arrivals += per_drop
+                            else:
+                                cube.quantity[base + tick] += quantity
+                applied += len(messages)
+    finally:
+        store.out_of_hours += out_of_hours
+        store.dropped_arrivals += dropped_arrivals
+        store.dropped_cancels += dropped_cancels
+    return applied
 
 
 def arrival_density(tally: ArrivalTally) -> list[float]:

@@ -136,6 +136,8 @@ class SynthSpec:
             raise SpecError(
                 f"days {self.days} of orders_per_day {self.orders_per_day} "
                 f"need order ids past {MAX_ORDER_ID}")
+        # raises unless the calendar's last weekday is a date
+        _last_weekday(self.days, self.start)
         families = tuple(dist.FAMILY_TAGS.values())
         for name, model in (("buy_model", self.buy_model),
                             ("sell_model", self.sell_model)):
@@ -153,18 +155,31 @@ class GroundTruth:
     store: rates.TallyStore
 
 
+def _last_weekday(days: int, start: dt.date) -> int:
+    """The ordinal of the last of the first `days` weekdays from `start`.
+
+    Worked out in ordinals, which do not overflow, and checked against
+    `datetime.date.max`.
+    """
+    first, weekday = start.toordinal(), start.weekday()
+    if weekday > 4:  # a weekend start moves on to Monday
+        first, weekday = first + 7 - weekday, 0
+    weeks, rest = divmod(days - 1, 5)
+    last = first + 7 * weeks + rest + (2 if weekday + rest > 4 else 0)
+    if last > dt.date.max.toordinal():
+        raise SpecError(f"days {days} from start {start} end after the "
+                        f"last date, {dt.date.max}")
+    return last
+
+
 def default_calendar(days: int,
                      start: dt.date = dt.date(2017, 8, 1)) -> list[dt.date]:
     """The first `days` weekdays from `start` onward."""
     if days < 1:
         raise SpecError(f"days must be >= 1, got {days}")
-    out = []
-    cursor = start
-    while len(out) < days:
-        if cursor.weekday() < 5:
-            out.append(cursor)
-        cursor += dt.timedelta(days=1)
-    return out
+    days_on = map(dt.date.fromordinal,
+                  range(start.toordinal(), _last_weekday(days, start) + 1))
+    return [day for day in days_on if day.weekday() < 5]
 
 
 def _timestamp(offset_ns: int) -> int:

@@ -54,7 +54,7 @@ def forty_day_run(tmp_path_factory):
 
 def replay(blob, tick_size=1):
     store = rates.TallyStore()
-    rates.tally_stream(store, feed.iter_frames(blob), tick_size)
+    rates.tally_stream(store, [blob], tick_size)
     return store
 
 

@@ -48,7 +48,7 @@ def test_bench_replay_prints_one_row_per_stage():
         "synth.generate", "feed.encode_frame", "feed.encode_session",
         "feed.iter_frames",
         "feed.session_runs", "feed.iter_stream", "OrderBook.apply",
-        "rates.accumulate_event"]
+        "rates.accumulate_event", "rates.tally_stream"]
 
 
 def test_bench_kernels_prints_one_row_per_stage():

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import lobfit
 from lobfit import cli, dist, feed, rates, synth
-from lobfit.book import TickReference
+from lobfit.book import OrderBook, TickReference
 from lobfit.errors import LobfitError
 
 
@@ -514,17 +514,28 @@ def _two_file_stream(directory, days=3, orders_per_day=200, seed=5,
 
 
 def _serial_rates(paths, flags, out):
-    """What a replay in one process writes: one tally_stream over the
-    files in order.  Returns the error text instead when it raises."""
+    """What a replay in one process writes, through the object-level API
+    (``read_lobf -> iter_stream -> OrderBook.apply -> accumulate_event``)
+    rather than ``rates.tally_stream``, over the files in order.  Returns
+    the error text instead when it raises."""
     args = cli.build_parser().parse_args(
         ["rates", *map(str, paths), *flags, "--out", str(out)])
     store = rates.TallyStore(cli.parse_granularities(args.granularity))
     sides = (tuple(feed.Side) if args.side == "both"
              else (feed.Side[args.side.upper()],))
     frames = (frame for path in args.inputs for frame in feed.read_lobf(path))
+    books = {}
     try:
-        if not rates.tally_stream(store, frames, args.tick_size,
-                                  TickReference(args.reference), sides):
+        for session_id, msg in feed.iter_stream(frames):
+            if session_id not in books:
+                books[session_id] = (
+                    OrderBook(args.tick_size, TickReference(args.reference)),
+                    rates.session_id_to_date(session_id))
+            book, day = books[session_id]
+            for event in book.apply(msg):
+                if event.side in sides:
+                    rates.accumulate_event(store, event, day)
+        if not books:
             return "input contains no messages"
     except (LobfitError, ValueError) as exc:
         return str(exc)
@@ -751,6 +762,15 @@ class TestExitCodes:
                                 "--out", str(tmp_path / "past")]) == 1
         err = capsys.readouterr().err
         assert "initial_mid" in err and "tick_size" in err
+        assert "internal error" not in err
+        assert not (tmp_path / "past").exists()
+
+    def test_synth_calendar_bound(self, tmp_path, capsys):
+        # the 3,000,000th weekday from 2017-08-01 falls after 9999-12-31
+        assert cli.main(["synth", "--days", "3000000", "--orders-per-day",
+                         "1", "--out", str(tmp_path / "past")]) == 1
+        err = capsys.readouterr().err
+        assert "days 3000000 from start 2017-08-01" in err
         assert "internal error" not in err
         assert not (tmp_path / "past").exists()
 

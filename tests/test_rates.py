@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import datetime as dt
 import math
 import random
@@ -7,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lobfit import rates
-from lobfit.book import BookEvent, EventKind
-from lobfit.errors import EmptyBucket
-from lobfit.feed import Side
+from lobfit import feed, rates
+from lobfit.book import BookEvent, EventKind, OrderBook, TickReference
+from lobfit.errors import EmptyBucket, LobfitError
+from lobfit.feed import MarketMessage, MessageKind, Side
 from lobfit.rates import (
     ArrivalTally,
     BucketKey,
@@ -510,3 +511,164 @@ def test_byte_identical_rewrite(tmp_path):
     rates.write_rates_csv(store, a)
     rates.write_rates_csv(store, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+# --- tally_stream against the object-level replay ---
+
+def object_tally(store, blobs, tick_size, reference, sides):
+    """The replay through the object-level API, one call per layer."""
+    books = {}
+    applied = 0
+    frames = (frame for blob in blobs for frame in feed.iter_frames(blob))
+    for session_id, msg in feed.iter_stream(frames):
+        if session_id not in books:
+            books[session_id] = (OrderBook(tick_size, reference),
+                                 rates.session_id_to_date(session_id))
+        book, day = books[session_id]
+        for event in book.apply(msg):
+            if event.side in sides:
+                accumulate_event(store, event, day)
+        applied += 1
+    return applied
+
+
+# a Friday, then the Monday and Tuesday after: two ISO weeks, two months
+FLOW_DAYS = (dt.date(2017, 9, 29), dt.date(2017, 10, 2), dt.date(2017, 10, 3))
+
+
+@st.composite
+def order_flow(draw, session_id, reject_at=None):
+    """One session's messages: every kind, crossing and far-off prices,
+    and timestamps from before the open to after the close.  Message
+    ``reject_at``, if there is one, is one the book rejects."""
+    live = {}  # order id -> (side, remaining)
+    ids = iter(range(session_id * 1000, session_id * 1000 + 1000))
+    ts = draw(st.integers(ns(9, 30), ns(10, 30)))
+    msgs = []
+    for at in range(draw(st.integers(0, 40))):
+        ts += draw(st.integers(0, NS_H // 2))
+        kind = (MessageKind.ADD if not live else draw(st.sampled_from(
+            [MessageKind.ADD] * 3 + list(MessageKind)[1:])))
+        price = draw(st.integers(960, 1040))
+        qty = draw(st.integers(1, 30))
+        reject = at == reject_at and bool(live)
+        if kind is MessageKind.ADD:
+            oid = draw(st.sampled_from(sorted(live))) if reject else next(ids)
+        elif reject and kind is MessageKind.DELETE:
+            oid = 7  # never an order id
+        else:
+            oid = draw(st.sampled_from(sorted(live)))
+        side, remaining = live.get(oid, (Side.BUY, qty))
+        if kind is MessageKind.ADD:
+            side = draw(st.sampled_from(Side))
+            msgs.append(MarketMessage.add(ts, oid, side, price, qty))
+            live[oid] = (side, qty)
+        elif kind in (MessageKind.CANCEL, MessageKind.EXECUTE):
+            take = remaining + 1 if reject else min(qty, remaining)
+            msgs.append(MarketMessage(kind, ts, oid, quantity=take))
+            if take < remaining:
+                live[oid] = (side, remaining - take)
+            else:
+                live.pop(oid, None)
+        elif kind is MessageKind.DELETE:
+            msgs.append(MarketMessage.delete(ts, oid))
+            live.pop(oid, None)
+        else:
+            if reject:
+                # a new id that is resting: an Add puts it there first
+                new = next(ids)
+                msgs.append(MarketMessage.add(ts, new, side, price, 1))
+            else:
+                new = oid if draw(st.booleans()) else next(ids)
+            msgs.append(MarketMessage.replace(ts, oid, new, price, qty))
+            live.pop(oid)
+            live[new] = (side, qty)
+    return msgs
+
+
+@st.composite
+def flow_stream(draw):
+    """Sessions of order flow, framed with empty frames among the rest,
+    in two buffers cut at a frame boundary; sometimes the book rejects a
+    message, or frames or bytes are mangled."""
+    mangle = draw(st.sampled_from(("none",) * 3 + ("book",) * 2
+                                  + ("frame", "byte")))
+    days = draw(st.lists(st.sampled_from(FLOW_DAYS), min_size=1,
+                         max_size=3, unique=True))
+    frames = []
+    for day in sorted(days):
+        session_id = rates.date_to_session_id(day)
+        reject_at = draw(st.integers(0, 20)) if mangle == "book" else None
+        msgs = draw(order_flow(session_id, reject_at))
+        start = 0
+        while True:
+            size = draw(st.integers(0, 12))
+            frames.append(feed.LobfFrame(session_id, start,
+                                         tuple(msgs[start:start + size])))
+            start += size
+            if start >= len(msgs):
+                break
+    if mangle == "frame":
+        at = draw(st.integers(0, len(frames) - 1))
+        frame = frames[at]
+        change = draw(st.sampled_from(("drop", "repeat", "session",
+                                       "timestamp")))
+        if change == "drop":
+            del frames[at]
+        elif change == "repeat":
+            frames.insert(at, frame)
+        elif change == "session":
+            frames[at] = dataclasses.replace(frame, session_id=draw(
+                st.sampled_from((frames[0].session_id, 20171332))))
+        elif frame.messages:
+            msg = frame.messages[-1]
+            frames[at] = dataclasses.replace(frame, messages=(
+                *frame.messages[:-1],
+                dataclasses.replace(msg, timestamp_ns=msg.timestamp_ns // 2)))
+    encoded = [feed.encode_frame(frame) for frame in frames]
+    cut = draw(st.integers(0, len(encoded)))
+    blobs = [b"".join(encoded[:cut]), b"".join(encoded[cut:])]
+    if mangle == "byte":
+        which = draw(st.sampled_from([i for i, b in enumerate(blobs) if b]))
+        data = bytearray(blobs[which])
+        for _ in range(draw(st.integers(1, 3))):
+            data[draw(st.integers(0, len(data) - 1))] = draw(
+                st.integers(0, 255))
+        if draw(st.booleans()):
+            del data[draw(st.integers(0, len(data))):]
+        blobs[which] = bytes(data)
+    return blobs
+
+
+def replay_outcome(tally, blobs, granularities, tick_size, reference,
+                   sides):
+    """What a replay returns or raises, and the store it leaves."""
+    store = TallyStore(granularities)
+    try:
+        result = tally(store, blobs, tick_size, reference, sides)
+    except (LobfitError, ValueError) as exc:
+        result = (type(exc), str(exc))
+    return result, store
+
+
+@settings(max_examples=200, deadline=None)
+@given(flow_stream(), st.sampled_from((1, 3)),
+       st.sampled_from(TickReference),
+       st.sampled_from(((Side.BUY, Side.SELL), (Side.BUY,), (Side.SELL,))),
+       st.sampled_from(GRANULARITY_SETS))
+def test_tally_stream_matches_the_object_replay(blobs, tick_size, reference,
+                                                sides, granularities):
+    want = replay_outcome(object_tally, blobs, granularities, tick_size,
+                          reference, sides)
+    got = replay_outcome(rates.tally_stream, blobs, granularities,
+                         tick_size, reference, sides)
+    assert got[0] == want[0]
+    # the same tallies and counters, also up to the message that failed
+    assert got[1] == want[1]
+
+
+def test_tally_stream_takes_buffers_not_one_buffer():
+    with pytest.raises(TypeError, match="not one buffer"):
+        rates.tally_stream(TallyStore(), b"LOBF")
+    assert rates.tally_stream(TallyStore(), []) == 0
+    assert rates.tally_stream(TallyStore(), [b"", b""]) == 0

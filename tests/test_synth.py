@@ -22,7 +22,7 @@ def small_spec(**overrides):
 
 def replay(blob, tick_size=1):
     store = rates.TallyStore()
-    rates.tally_stream(store, feed.iter_frames(blob), tick_size)
+    rates.tally_stream(store, [blob], tick_size)
     return store
 
 
@@ -67,6 +67,16 @@ class TestSpecValidation:
         with pytest.raises(SpecError, match="order ids"):
             small_spec(days=2**32, orders_per_day=2**32)
 
+    def test_calendar_must_end_by_the_last_date(self):
+        # 9999-12-31, the last date, is a Friday
+        assert small_spec(days=1, start=dt.date.max).start == dt.date.max
+        small_spec(days=5, start=dt.date(9999, 12, 25))
+        for days, start in ((2, dt.date.max), (6, dt.date(9999, 12, 25)),
+                            (3_000_000, dt.date(2017, 8, 1))):
+            with pytest.raises(SpecError, match=f"days {days} from start "
+                                                f"{start.isoformat()}"):
+                small_spec(days=days, start=start)
+
     def test_accepts_probability_edges(self):
         small_spec(cancel_probability=0.0)
         small_spec(cancel_probability=1.0)
@@ -83,6 +93,22 @@ class TestCalendar:
         months = {(d.year, d.month) for d in days}
         assert len(weeks) == 9
         assert len(months) == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.dates(dt.date(2017, 1, 1), dt.date(2017, 12, 31)),
+           st.integers(1, 30))
+    def test_first_weekdays_from_any_start(self, start, days):
+        walked, cursor = [], start
+        while len(walked) < days:
+            if cursor.weekday() < 5:
+                walked.append(cursor)
+            cursor += dt.timedelta(days=1)
+        assert synth.default_calendar(days, start) == walked
+
+    def test_last_date_ends_a_calendar(self):
+        assert synth.default_calendar(1, dt.date.max) == [dt.date.max]
+        with pytest.raises(SpecError, match="after the last date"):
+            synth.default_calendar(2, dt.date.max)
 
     def test_weekend_start_rolls_forward(self):
         days = synth.default_calendar(1, start=dt.date(2017, 8, 5))

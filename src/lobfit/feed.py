@@ -150,11 +150,11 @@ _BODY = {
 # length prefix covers the kind byte plus the body
 _WIRE_LENGTH = {kind: 1 + fmt.size for kind, fmt in _BODY.items()}
 
-# kind byte -> (kind, declared length, body unpacker)
-_LAYOUT = {int(kind): (kind, _WIRE_LENGTH[kind], fmt.unpack_from)
-           for kind, fmt in _BODY.items()}
-# the same, indexed by every byte value: None for a byte that names no kind
-_LAYOUT_BY_CODE = tuple(map(_LAYOUT.get, range(256)))
+# kind byte -> (kind, declared length, body unpacker), indexed by every
+# byte value: None for a byte that names no kind
+_LAYOUT = tuple(
+    (MessageKind(code), _WIRE_LENGTH[code], _BODY[code].unpack_from)
+    if code in _BODY else None for code in range(256))
 
 # kind (or its plain-int code) -> packer of the length byte, the kind
 # byte and the body in one call, from the body fields alone
@@ -328,7 +328,7 @@ def _layout_error(data: bytes, offset: int) -> FormatError:
     if declared == 0:
         return LengthMismatch("length prefix 0 leaves no kind byte")
     code = data[offset + 1]
-    layout = _LAYOUT.get(code)
+    layout = _LAYOUT[code]
     if layout is None:
         return UnknownMessageKind(f"kind byte 0x{code:02X}")
     kind, length, _ = layout
@@ -359,7 +359,7 @@ def _messages_at(data, offset: int, count: int) -> tuple[list, int]:
     size = len(data)
     out = []
     append = out.append
-    layouts = _LAYOUT_BY_CODE
+    layouts = _LAYOUT
     try:
         for _ in range(count):
             # past the end of the buffer, this raises IndexError

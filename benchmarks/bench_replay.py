@@ -2,26 +2,34 @@
 """Benchmark the synth and replay stages of ``lobfit`` one at a time.
 
 One seeded synthetic stream is generated once, then each stage runs
-alone on the previous stage's output, held in memory:
+alone on the previous stage's output, held in memory.  Some rows time
+code that the commands run:
 
 * ``synth.generate``: the whole generator, with its own tally and
-  encoding, from the spec to the stream bytes;
-* ``feed.encode_frame``: the encoder alone, over the decoded frames;
-* ``feed.encode_session``: the framing ``synth`` uses, over the same
+  encoding, from the spec to the stream bytes (``lobfit synth``);
+* ``feed.encode_session``: the framing ``synth`` uses, over the
   stream's messages packed one session at a time;
-* ``feed.iter_frames``: decode the stream bytes into frames;
+* ``feed.frame_at``: decode the stream bytes into ``(kind, body)``
+  pairs, frame by frame, the decoder ``rates.tally_stream`` runs;
 * ``feed.session_runs``: split the stream bytes into one run of frames
   per session, reading only frame headers and message lengths.  This
   is the serial share of ``lobfit rates``, which then tallies the runs
   on one worker process per CPU;
-* ``feed.iter_stream``: the session, sequence and timestamp checks over
-  the decoded frames;
-* ``OrderBook.apply``: every message through one book per session;
 * ``rates.accumulate_event``: every book event into a fresh
-  ``TallyStore`` with all four granularities;
+  ``TallyStore`` with all four granularities, as ``synth`` tallies its
+  draws;
 * ``rates.tally_stream``: the whole replay from the stream bytes into a
   fresh ``TallyStore``, decode, book and tally in one loop, as
   ``lobfit rates`` runs it on each session.
+
+The other rows time the object-level API, which no command runs: it is
+kept plain, as the reference the tests hold the fast paths to.
+
+* ``feed.encode_frame``: the encoder, over the decoded frames;
+* ``feed.iter_frames``: decode the stream bytes into frames;
+* ``feed.iter_stream``: the session, sequence and timestamp checks over
+  the decoded frames;
+* ``OrderBook.apply``: every message through one book per session.
 
 Tally reports events/s and every other stage messages/s.  Each time is
 the best over ``--repeats`` rounds, and every round runs each stage
@@ -62,6 +70,12 @@ def encode(frames):
 def encode_sessions(packed):
     for session_id, messages in packed:
         feed.encode_session(session_id, messages)
+
+
+def decode_pairs(blob):
+    offset = 0
+    while offset < len(blob):
+        *_, offset = feed.frame_at(blob, offset)
 
 
 def decode(blob):
@@ -150,6 +164,7 @@ def main():
         ("feed.encode_frame", lambda: encode(frames), n_msgs, "msg/s"),
         ("feed.encode_session", lambda: encode_sessions(packed), n_msgs,
          "msg/s"),
+        ("feed.frame_at", lambda: decode_pairs(blob), n_msgs, "msg/s"),
         ("feed.iter_frames", lambda: decode(blob), n_msgs, "msg/s"),
         ("feed.session_runs", lambda: feed.session_runs([blob]), n_msgs,
          "msg/s"),

@@ -13,7 +13,9 @@ is the denominator of the cancellation ratio.
 ``MarketMessage``, returning ``BookEvent`` objects.  ``lobfit rates``
 does not call it; its replay loop, ``rates.tally_stream``, applies these
 same rules inline on plain dicts, and the tests hold that loop to this
-class.
+class.  The class is kept plain on purpose, as the specification: it
+caches nothing (the best bid is ``max(bids)``, the best ask
+``min(asks)``), and speed belongs in ``rates.tally_stream``.
 
 Tick distance is 1-based.  With tick size T and the same-side
 convention, a buy at ``best_bid`` is tick 1 and each T below adds one;
@@ -76,25 +78,12 @@ class RestingOrder:
     remaining: int
 
 
-_BUY = Side.BUY
-_SELL = Side.SELL
-_ARRIVAL = EventKind.LIMIT_ARRIVAL
-_CANCEL = EventKind.CANCEL
-_EXECUTION = EventKind.EXECUTION
-_ADD_MSG = MessageKind.ADD
-_CANCEL_MSG = MessageKind.CANCEL
-_DELETE_MSG = MessageKind.DELETE
-_EXECUTE_MSG = MessageKind.EXECUTE
-_REPLACE_MSG = MessageKind.REPLACE
-
-
 class OrderBook:
     """Mutable book: two price ladders plus an order-id index.
 
     ``bids`` and ``asks`` map price to the total quantity resting there
     and ``orders`` maps order id to its resting state.  All three are
-    read-only to callers: the book caches its best bid and ask and
-    updates them only as ``apply`` mutates the ladders.
+    read-only to callers; only ``apply`` mutates them.
     """
 
     def __init__(self, tick_size: int = 1,
@@ -106,19 +95,14 @@ class OrderBook:
         self.bids: dict[int, int] = {}
         self.asks: dict[int, int] = {}
         self.orders: dict[int, RestingOrder] = {}
-        self._bid: int | None = None
-        self._ask: int | None = None
-        # same side: tick = gap // T + 1; opposite side: tick = gap // T
-        self._same = self.reference is TickReference.SAME_SIDE
-        self._shift = tick_size if self._same else 0
 
     @property
     def best_bid(self) -> int | None:
-        return self._bid
+        return max(self.bids) if self.bids else None
 
     @property
     def best_ask(self) -> int | None:
-        return self._ask
+        return min(self.asks) if self.asks else None
 
     def tick_distance(self, side: Side, price: int) -> int:
         """1-based distance of ``price`` from the configured reference.
@@ -126,39 +110,32 @@ class OrderBook:
         An empty reference side gives tick 1, as it does for events.
         A plain int side is read as its ``Side``.
         """
-        if side is _BUY:
-            ref = self._bid if self._same else self._ask
+        same = self.reference is TickReference.SAME_SIDE
+        if Side(side) is Side.BUY:
+            ref = self.best_bid if same else self.best_ask
             if ref is None:
                 return 1
             gap = ref - price
-        elif side is _SELL:
-            ref = self._ask if self._same else self._bid
+        else:
+            ref = self.best_ask if same else self.best_bid
             if ref is None:
                 return 1
             gap = price - ref
-        else:
-            return self.tick_distance(Side(side), price)
-        tick = (gap + self._shift) // self.tick_size
-        return tick if tick >= 1 else 1
+        # same side: tick = gap // T + 1; opposite side: tick = gap // T
+        tick = gap // self.tick_size + (1 if same else 0)
+        return max(tick, 1)
 
     def _insert(self, order_id: int, side: Side, price: int, quantity: int,
                 timestamp_ns: int) -> BookEvent:
-        orders = self.orders
-        if order_id in orders:
+        if order_id in self.orders:
             raise DuplicateOrderId(f"order {order_id} already resting")
         # measured before the insert moves the best
         tick = self.tick_distance(side, price)
-        if side is _BUY:
-            ladder = self.bids
-            if self._bid is None or price > self._bid:
-                self._bid = price
-        else:
-            ladder = self.asks
-            if self._ask is None or price < self._ask:
-                self._ask = price
+        ladder = self.bids if side is Side.BUY else self.asks
         ladder[price] = ladder.get(price, 0) + quantity
-        orders[order_id] = RestingOrder(side, price, quantity)
-        return BookEvent(_ARRIVAL, side, timestamp_ns, tick, quantity)
+        self.orders[order_id] = RestingOrder(side, price, quantity)
+        return BookEvent(EventKind.LIMIT_ARRIVAL, side, timestamp_ns, tick,
+                         quantity)
 
     def _remove(self, order_id: int, order: RestingOrder, quantity: int,
                 timestamp_ns: int, kind: EventKind) -> BookEvent:
@@ -169,23 +146,17 @@ class OrderBook:
         side = order.side
         price = order.price
         tick = self.tick_distance(side, price)
-        ladder = self.bids if side is _BUY else self.asks
+        ladder = self.bids if side is Side.BUY else self.asks
         before = ladder[price]
         order.remaining -= quantity
         if order.remaining == 0:
             del self.orders[order_id]
         if before == quantity:
             del ladder[price]
-            # only emptying the best level moves the cached best price
-            if side is _BUY:
-                if price == self._bid:
-                    self._bid = max(ladder) if ladder else None
-            elif price == self._ask:
-                self._ask = min(ladder) if ladder else None
         else:
             ladder[price] = before - quantity
         return BookEvent(kind, side, timestamp_ns, tick, quantity,
-                         before if kind is _CANCEL else None)
+                         before if kind is EventKind.CANCEL else None)
 
     def _resting(self, order_id: int) -> RestingOrder:
         order = self.orders.get(order_id)
@@ -203,25 +174,25 @@ class OrderBook:
         against the book as it stood before the mutation.
         """
         kind = msg.kind
-        if kind is _ADD_MSG:
+        if kind is MessageKind.ADD:
             return [self._insert(msg.order_id, msg.side, msg.price,
                                  msg.quantity, msg.timestamp_ns)]
-        if kind is _CANCEL_MSG:
+        if kind is MessageKind.CANCEL:
             order = self._resting(msg.order_id)
             return [self._remove(msg.order_id, order, msg.quantity,
-                                 msg.timestamp_ns, _CANCEL)]
-        if kind is _DELETE_MSG:
+                                 msg.timestamp_ns, EventKind.CANCEL)]
+        if kind is MessageKind.DELETE:
             order = self._resting(msg.order_id)
             return [self._remove(msg.order_id, order, order.remaining,
-                                 msg.timestamp_ns, _CANCEL)]
-        if kind is _EXECUTE_MSG:
+                                 msg.timestamp_ns, EventKind.CANCEL)]
+        if kind is MessageKind.EXECUTE:
             order = self._resting(msg.order_id)
             return [self._remove(msg.order_id, order, msg.quantity,
-                                 msg.timestamp_ns, _EXECUTION)]
-        if kind is _REPLACE_MSG:
+                                 msg.timestamp_ns, EventKind.EXECUTION)]
+        if kind is MessageKind.REPLACE:
             order = self._resting(msg.order_id)
             cancel = self._remove(msg.order_id, order, order.remaining,
-                                  msg.timestamp_ns, _CANCEL)
+                                  msg.timestamp_ns, EventKind.CANCEL)
             arrival = self._insert(msg.new_order_id, order.side, msg.price,
                                    msg.quantity, msg.timestamp_ns)
             return [cancel, arrival]

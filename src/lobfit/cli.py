@@ -384,7 +384,7 @@ def cmd_cancel_test(args) -> None:
                           if r is None]
                 raise MissingTicks(f"no cancels in ticks {absent}")
             result = stats.chi_square_uniformity(inst["mean_ratio"])
-        except (MissingTicks, AllZero) as exc:
+        except (MissingTicks, AllZero, DomainError) as exc:
             _warn(f"skipping {label}: {exc}")
             continue
         rows.append((inst["bucket_key"], inst["side"].name.lower(),

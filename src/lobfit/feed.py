@@ -50,20 +50,20 @@ decodes a whole frame into such pairs.  ``frame_at`` is the decoder of
 the hot loop, ``rates.tally_stream``, which replays from these pairs.
 ``iter_frames``, ``decode_frame``, ``decode_message`` and
 ``iter_stream`` are the object-level API over the same decoder: they
-build ``MarketMessage`` and ``LobfFrame`` objects, for callers that want
-objects and as the reference the replay loop is tested against.  The
-u32 and u64 ranges hold by construction, so decoded messages are built
-without running ``MarketMessage.__post_init__``; only public
-construction (``MarketMessage(...)`` and its classmethods) runs every
-check.
+build ``MarketMessage`` and ``LobfFrame`` objects through their public
+constructors, for callers that want objects and as the reference the
+replay loop is tested against.  That API is kept plain on purpose, as
+the specification; speed belongs in ``frame_at`` and
+``rates.tally_stream``.  One table, ``_FIELDS``, names each kind's
+``MarketMessage`` fields in wire order, and both directions read it.
 
 The encoder has one packer per kind, which writes a whole message
 (length byte, kind byte and body) from the body fields.
-``encode_message`` calls it on a ``MarketMessage``, whose constructor
-has checked the fields.  A writer that proves its ranges once, as
-``synth`` does on its spec against ``MAX_PRICE`` and ``MAX_ORDER_ID``,
-calls the packers ``pack_add``, ``pack_cancel`` and ``pack_delete``
-directly and frames one session's packed messages with
+``encode_message`` calls it with the fields of a ``MarketMessage``,
+whose constructor has checked them.  A writer that proves its ranges
+once, as ``synth`` does on its spec against ``MAX_PRICE`` and
+``MAX_ORDER_ID``, calls the packers ``pack_add``, ``pack_cancel`` and
+``pack_delete`` directly and frames one session's packed messages with
 ``encode_session``.  These trust their caller: a field too wide for
 its slot raises ``struct.error``, and a zero price or quantity, a side
 code other than 0 or 1, or an out-of-order timestamp is written as
@@ -73,7 +73,7 @@ given.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import IntEnum
 from functools import partial
 from itertools import starmap
@@ -139,6 +139,16 @@ class MessageKind(IntEnum):
     REPLACE = 0x55  # 'U'
 
 
+# kind -> the MarketMessage fields of its body, in wire order
+_FIELDS = {
+    MessageKind.ADD: ("timestamp_ns", "order_id", "side", "price",
+                      "quantity"),
+    MessageKind.CANCEL: ("timestamp_ns", "order_id", "quantity"),
+    MessageKind.DELETE: ("timestamp_ns", "order_id"),
+    MessageKind.EXECUTE: ("timestamp_ns", "order_id", "quantity"),
+    MessageKind.REPLACE: ("timestamp_ns", "order_id", "new_order_id",
+                          "price", "quantity"),
+}
 _BODY = {
     MessageKind.ADD: struct.Struct(">QQBII"),
     MessageKind.CANCEL: struct.Struct(">QQI"),
@@ -156,8 +166,8 @@ _LAYOUT = tuple(
     (MessageKind(code), _WIRE_LENGTH[code], _BODY[code].unpack_from)
     if code in _BODY else None for code in range(256))
 
-# kind (or its plain-int code) -> packer of the length byte, the kind
-# byte and the body in one call, from the body fields alone
+# kind -> packer of the length byte, the kind byte and the body in one
+# call, from the body fields alone
 _PACK = {kind: partial(struct.Struct(">BB" + fmt.format.lstrip(">")).pack,
                        _WIRE_LENGTH[kind], kind)
          for kind, fmt in _BODY.items()}
@@ -174,11 +184,8 @@ MAX_PRICE = _U32_MAX
 MAX_ORDER_ID = _U64_MAX
 
 _ADD = MessageKind.ADD
-_CANCEL = MessageKind.CANCEL
 _DELETE = MessageKind.DELETE
-_EXECUTE = MessageKind.EXECUTE
 _REPLACE = MessageKind.REPLACE
-_SIDES = (Side.BUY, Side.SELL)
 
 
 def _check_range(name: str, value: int, limit: int) -> None:
@@ -199,9 +206,17 @@ class MarketMessage:
     new_order_id: int | None = None
 
     def __post_init__(self) -> None:
-        kind = self.kind
         _check_range("timestamp_ns", self.timestamp_ns, _U64_MAX)
         _check_range("order_id", self.order_id, _U64_MAX)
+        kind = self.kind
+        if type(kind) is not MessageKind:
+            # the book tests kinds by identity, so a plain int code must
+            # become a MessageKind
+            try:
+                kind = MessageKind(kind)
+            except ValueError:
+                raise UnknownMessageKind(f"kind {kind!r}") from None
+            object.__setattr__(self, "kind", kind)
         if kind is MessageKind.ADD:
             if self.side is None or self.price is None or self.quantity is None:
                 raise ValueError("add requires side, price and quantity")
@@ -221,15 +236,13 @@ class MarketMessage:
             if (self.side, self.price, self.quantity, self.new_order_id) \
                     != (None, None, None, None):
                 raise ValueError("delete carries no extra fields")
-        elif kind is MessageKind.REPLACE:
+        else:  # replace
             if self.new_order_id is None or self.price is None \
                     or self.quantity is None:
                 raise ValueError("replace requires new_order_id, price, quantity")
             if self.side is not None:
                 raise ValueError("replace carries no side")
             _check_range("new_order_id", self.new_order_id, _U64_MAX)
-        else:
-            raise UnknownMessageKind(f"kind {kind!r}")
         if self.price is not None:
             _check_range("price", self.price, _U32_MAX)
             if self.price == 0:
@@ -270,25 +283,6 @@ class MarketMessage:
                    new_order_id=new_order_id, price=price, quantity=quantity)
 
 
-_new = object.__new__
-(_set_kind, _set_timestamp, _set_order_id, _set_side, _set_price,
- _set_quantity, _set_new_order_id) = (
-    MarketMessage.__dict__[f.name].__set__ for f in fields(MarketMessage))
-
-
-def _decoded(kind, timestamp_ns, order_id, side, price, quantity,
-             new_order_id) -> MarketMessage:
-    msg = _new(MarketMessage)
-    _set_kind(msg, kind)
-    _set_timestamp(msg, timestamp_ns)
-    _set_order_id(msg, order_id)
-    _set_side(msg, side)
-    _set_price(msg, price)
-    _set_quantity(msg, quantity)
-    _set_new_order_id(msg, new_order_id)
-    return msg
-
-
 @dataclass(frozen=True, slots=True)
 class LobfFrame:
     """One frame: header fields plus decoded messages."""
@@ -311,16 +305,7 @@ def encode_message(msg: MarketMessage) -> bytes:
         pack = _PACK[kind]
     except KeyError:
         raise ValueError(f"kind {kind!r} has no wire layout") from None
-    # == rather than is: the constructor keeps a plain-int kind code
-    if kind == _CANCEL or kind == _EXECUTE:
-        return pack(msg.timestamp_ns, msg.order_id, msg.quantity)
-    if kind == _ADD:
-        return pack(msg.timestamp_ns, msg.order_id, msg.side, msg.price,
-                    msg.quantity)
-    if kind == _REPLACE:
-        return pack(msg.timestamp_ns, msg.order_id, msg.new_order_id,
-                    msg.price, msg.quantity)
-    return pack(msg.timestamp_ns, msg.order_id)
+    return pack(*[getattr(msg, name) for name in _FIELDS[kind]])
 
 
 def _layout_error(data: bytes, offset: int) -> FormatError:
@@ -389,6 +374,18 @@ def _messages_at(data, offset: int, count: int) -> tuple[list, int]:
     return out, offset
 
 
+def _header_at(data, offset: int) -> tuple[int, int, int]:
+    """The session id, sequence number and message count of the frame
+    header at ``data[offset]``."""
+    if len(data) - offset < _HEADER.size:
+        raise TruncatedFrame(
+            f"{len(data) - offset} bytes left, header needs {_HEADER.size}")
+    magic, session_id, sequence, count = _HEADER.unpack_from(data, offset)
+    if magic != MAGIC:
+        raise BadMagic(f"got {magic!r}")
+    return session_id, sequence, count
+
+
 def frame_at(data, offset: int) -> tuple[int, int, list, int]:
     """Decode the frame that starts at ``data[offset]``.
 
@@ -398,30 +395,13 @@ def frame_at(data, offset: int) -> tuple[int, int, list, int]:
     is made, with the same error, and a format error anywhere in the
     frame is raised before any message of it is returned.
     """
-    if len(data) - offset < _HEADER.size:
-        raise TruncatedFrame(
-            f"{len(data) - offset} bytes left, header needs {_HEADER.size}")
-    magic, session_id, sequence, count = _HEADER.unpack_from(data, offset)
-    if magic != MAGIC:
-        raise BadMagic(f"got {magic!r}")
+    session_id, sequence, count = _header_at(data, offset)
     messages, end = _messages_at(data, offset + _HEADER.size, count)
     return session_id, sequence, messages, end
 
 
 def _message(kind: MessageKind, body: tuple) -> MarketMessage:
-    # fills the slots directly: the core has made the checks that
-    # __post_init__ would, and the field widths bound the rest
-    if kind is _CANCEL or kind is _EXECUTE:
-        ts, oid, qty = body
-        return _decoded(kind, ts, oid, None, None, qty, None)
-    if kind is _ADD:
-        ts, oid, side_code, price, qty = body
-        return _decoded(kind, ts, oid, _SIDES[side_code], price, qty, None)
-    if kind is _REPLACE:
-        ts, oid, new_oid, price, qty = body
-        return _decoded(kind, ts, oid, None, price, qty, new_oid)
-    ts, oid = body
-    return _decoded(kind, ts, oid, None, None, None, None)
+    return MarketMessage(kind, **dict(zip(_FIELDS[kind], body)))
 
 
 def decode_message(data: bytes) -> MarketMessage:
@@ -550,18 +530,11 @@ def session_runs(blobs: Sequence[bytes]) -> list[list[tuple[int, int, int]]]:
     runs: list[list[tuple[int, int, int]]] = []
     current: int | None = None
     seen: set[int] = set()
-    header = _HEADER.size
-    unpack_header = _HEADER.unpack_from
     for index, data in enumerate(blobs):
         size = len(data)
         offset = start = 0
         while offset < size:
-            if size - offset < header:
-                raise TruncatedFrame(
-                    f"{size - offset} bytes left, header needs {header}")
-            magic, session_id, _, count = unpack_header(data, offset)
-            if magic != MAGIC:
-                raise BadMagic(f"got {magic!r}")
+            session_id, _, count = _header_at(data, offset)
             if session_id != current:
                 if session_id in seen:
                     raise FormatError(
@@ -572,7 +545,7 @@ def session_runs(blobs: Sequence[bytes]) -> list[list[tuple[int, int, int]]]:
                     runs[-1].append((index, start, offset))
                 start = offset
                 runs.append([])
-            offset += header
+            offset += _HEADER.size
             try:
                 for _ in range(count):
                     offset += data[offset] + 1

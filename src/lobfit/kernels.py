@@ -46,6 +46,11 @@ KIND_DW = 0
 KIND_BB = 1
 KIND_POW = 2
 
+# simplex search: initial side, convergence diameter, iteration cap
+_STEP = 0.25
+_TOL = 1e-8
+_MAX_ITER = 10000
+
 
 def _exp(v: float) -> float:
     if v > _EXP_CAP:
@@ -197,20 +202,20 @@ def objective(kind: int, truncated: bool, w, z0: float, z1: float) -> float:
     return _bind(kind, truncated, w)(z0, z1)
 
 
-def minimize(kind: int, truncated: bool, w, z0: float, z1: float,
-             step: float = 0.25, tol: float = 1e-8,
-             max_iter: int = 10000) -> tuple[float, float, float, int, bool]:
+def minimize(kind: int, truncated: bool, w, z0: float,
+             z1: float) -> tuple[float, float, float, int, bool]:
     """Nelder-Mead descent from (z0, z1); returns (z0*, z1*, f*, iters, ok).
 
     Standard reflect/expand/contract/shrink coefficients (1, 2, 0.5,
-    0.5).  Converged means the simplex diameter in the transformed
-    coordinates fell below ``tol`` within ``max_iter`` iterations.
+    0.5), from a simplex of side ``_STEP``.  Converged means the simplex
+    diameter in the transformed coordinates fell below ``_TOL`` within
+    ``_MAX_ITER`` iterations.
     """
     fn = _bind(kind, truncated, w)
 
     x0, y0 = z0, z1
-    x1, y1 = z0 + step, z1
-    x2, y2 = z0, z1 + step
+    x1, y1 = z0 + _STEP, z1
+    x2, y2 = z0, z1 + _STEP
     f0 = fn(x0, y0)
     f1 = fn(x1, y1)
     f2 = fn(x2, y2)
@@ -235,10 +240,10 @@ def minimize(kind: int, truncated: bool, w, z0: float, z1: float,
         d = abs(y2 - y0)
         if d > diam:
             diam = d
-        if diam < tol:
+        if diam < _TOL:
             converged = True
             break
-        if iterations >= max_iter:
+        if iterations >= _MAX_ITER:
             break
         iterations += 1
 

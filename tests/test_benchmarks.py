@@ -46,7 +46,7 @@ def test_bench_replay_prints_one_row_per_stage():
     (rows,) = tables(stdout)
     assert [row.split()[0] for row in rows] == [
         "synth.generate", "feed.encode_frame", "feed.encode_session",
-        "feed.iter_frames",
+        "feed.frame_at", "feed.iter_frames",
         "feed.session_runs", "feed.iter_stream", "OrderBook.apply",
         "rates.accumulate_event", "rates.tally_stream"]
 

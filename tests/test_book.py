@@ -355,8 +355,7 @@ def expected_ticks(book, msg):
 
 @pytest.mark.parametrize("reference", list(TickReference))
 @pytest.mark.parametrize("tick_size", [1, 5])
-def test_cached_best_prices_and_ticks_under_random_streams(reference,
-                                                           tick_size):
+def test_best_prices_and_ticks_under_random_streams(reference, tick_size):
     _, messages = random_stream(13, 3000)
     book = OrderBook(tick_size=tick_size, reference=reference)
     for msg in messages:

@@ -703,6 +703,26 @@ class TestCancelTestEdgeCases:
         assert len(lines) == 2
         assert lines[1].startswith("weekly:2017-W32,buy,")
 
+    @pytest.mark.parametrize("bad", ["1.5", "nan"])
+    def test_bucket_with_ratio_outside_unit_interval_is_skipped(
+            self, tmp_path, capsys, bad):
+        source = tmp_path / "cancels.csv"
+        with open(source, "w") as fh:
+            fh.write("bucket_key,side,tick,count,mean_ratio\n")
+            for week in ("2017-W31", "2017-W32"):
+                for tick in range(1, 11):
+                    ratio = bad if (week, tick) == ("2017-W31", 4) else "0.5"
+                    fh.write(f"weekly:{week},sell,{tick},4,{ratio}\n")
+                    fh.write(f"weekly:{week},buy,{tick},4,0.5\n")
+        assert cli.main(["cancel-test", str(source),
+                         "--out", str(tmp_path)]) == 0
+        err = capsys.readouterr().err
+        assert f"skipping weekly:2017-W31 sell: ratio {bad} outside" in err
+        lines = (tmp_path / "chi_square.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            ["weekly:2017-W31", "buy"], ["weekly:2017-W32", "buy"],
+            ["weekly:2017-W32", "sell"]]
+
     def test_daily_buckets_are_not_tested(self, tmp_path):
         source = tmp_path / "cancels.csv"
         with open(source, "w") as fh:

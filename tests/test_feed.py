@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lobfit import feed
+from lobfit.book import OrderBook
 from lobfit.errors import (
     BadMagic,
     FormatError,
@@ -261,11 +262,31 @@ def test_encoder_matches_field_by_field_oracle(msg):
 
 
 def test_encoder_accepts_plain_int_kind_codes():
-    # the constructor keeps an int code for cancel and execute
-    for kind in (MessageKind.CANCEL, MessageKind.EXECUTE):
-        msg = MarketMessage(int(kind), 5, 6, quantity=7)
-        assert type(msg.kind) is int
-        assert feed.encode_message(msg) == _oracle_encoding(msg)
+    # the constructor reads a plain int code as its MessageKind, so the
+    # encoder and the book take the message as the classmethod form
+    by_code = [
+        MarketMessage(0x41, 1, 6, side=0, price=90, quantity=7),
+        MarketMessage(0x58, 2, 6, quantity=3),
+        MarketMessage(0x45, 3, 6, quantity=1),
+        MarketMessage(0x55, 4, 6, new_order_id=8, price=91, quantity=5),
+        MarketMessage(0x44, 5, 8),
+    ]
+    public = [
+        MarketMessage.add(1, 6, Side.BUY, 90, 7),
+        MarketMessage.cancel(2, 6, 3),
+        MarketMessage.execute(3, 6, 1),
+        MarketMessage.replace(4, 6, 8, 91, 5),
+        MarketMessage.delete(5, 8),
+    ]
+    assert by_code == public
+    book_by_code, book_public = OrderBook(), OrderBook()
+    for msg, want in zip(by_code, public):
+        assert type(msg.kind) is MessageKind
+        assert msg.kind is want.kind
+        assert feed.encode_message(msg) == _oracle_encoding(want)
+        assert book_by_code.apply(msg) == book_public.apply(want)
+    with pytest.raises(UnknownMessageKind, match="kind 90"):
+        MarketMessage(0x5A, 1, 2)
 
 
 @pytest.mark.parametrize("field, value", [

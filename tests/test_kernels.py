@@ -121,9 +121,10 @@ class TestMinimize:
         assert q == pytest.approx(0.7, abs=1e-6)
         assert math.exp(z1) == pytest.approx(1.5, abs=1e-6)
 
-    def test_iteration_cap_reports_no_convergence(self):
+    def test_iteration_cap_reports_no_convergence(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_MAX_ITER", 3)
         w = dist.tick_curve(dist.DiscreteWeibull(0.7, 1.5))
-        *_, iters, ok = minimize(KIND_DW, False, w, -2.0, 1.0, max_iter=3)
+        *_, iters, ok = minimize(KIND_DW, False, w, -2.0, 1.0)
         assert not ok
         assert iters == 3
 

@@ -15,9 +15,6 @@ code that the commands run:
   per session, reading only frame headers and message lengths.  This
   is the serial share of ``lobfit rates``, which then tallies the runs
   on one worker process per CPU;
-* ``rates.accumulate_event``: every book event into a fresh
-  ``TallyStore`` with all four granularities, as ``synth`` tallies its
-  draws;
 * ``rates.tally_stream``: the whole replay from the stream bytes into a
   fresh ``TallyStore``, decode, book and tally in one loop, as
   ``lobfit rates`` runs it on each session.
@@ -29,7 +26,9 @@ kept plain, as the reference the tests hold the fast paths to.
 * ``feed.iter_frames``: decode the stream bytes into frames;
 * ``feed.iter_stream``: the session, sequence and timestamp checks over
   the decoded frames;
-* ``OrderBook.apply``: every message through one book per session.
+* ``OrderBook.apply``: every message through one book per session;
+* ``rates.accumulate_event``: every book event into a fresh
+  ``TallyStore`` with all four granularities, one event at a time.
 
 Tally reports events/s and every other stage messages/s.  Each time is
 the best over ``--repeats`` rounds, and every round runs each stage

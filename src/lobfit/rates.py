@@ -26,9 +26,12 @@ so float sums do not depend on when the views were read.
 
 ``tally_stream`` is the hot loop, the replay ``lobfit rates`` runs: it
 goes from wire bytes to cube increments and builds no object per
-message.  ``accumulate_event`` tallies one ``BookEvent`` and, with
+message.  It and the generator in ``synth`` write into a session's cube
+(``TallyStore.session_cube``) at the row bases of one pair of tables,
+``ARRIVAL_ROWS`` and ``CANCEL_ROWS``.  ``accumulate_event`` tallies one
+``BookEvent``.  No command runs it: it is reference code that, with
 ``feed.iter_frames``, ``feed.iter_stream`` and ``OrderBook.apply``,
-makes up the object-level API that ``tally_stream`` is tested against.
+makes up the object-level API both fast paths are tested against.
 """
 
 from __future__ import annotations
@@ -49,6 +52,8 @@ from lobfit.feed import MessageKind, Side
 __all__ = [
     "ARRIVAL_TICKS",
     "CANCEL_TICKS",
+    "ARRIVAL_ROWS",
+    "CANCEL_ROWS",
     "HOUR_SLOTS",
     "NS_PER_HOUR",
     "MORNING_HOURS",
@@ -94,6 +99,21 @@ def _slot_of_hour(hour: int) -> int:
 _HOUR_SLOT = tuple(_slot_of_hour(hour) for hour in range(24))
 
 
+def _row_bases(ticks: int) -> tuple:
+    """Per side and hour of the day, the session cube index of tick 0 in
+    that hour's row of ``ticks`` values (tick t is at base + t); None
+    out of trading hours."""
+    return tuple(tuple((side * HOUR_SLOTS + slot - 1) * ticks - 1
+                       if slot else None for slot in _HOUR_SLOT)
+                 for side in Side)
+
+
+# the row bases of the cube's arrival quantities and of its cancel
+# ratio sums and counts, indexed [side][hour]
+ARRIVAL_ROWS = _row_bases(ARRIVAL_TICKS)
+CANCEL_ROWS = _row_bases(CANCEL_TICKS)
+
+
 class Granularity(Enum):
     DAILY = "daily"
     WEEKLY = "weekly"
@@ -103,12 +123,6 @@ class Granularity(Enum):
 
 _GRANULARITY_RANK = {g: i for i, g in enumerate(Granularity)}
 _ALL_GRANULARITIES = tuple(Granularity)
-
-# enum members as module globals: a class attribute lookup on an Enum
-# costs several times more, and accumulate_event runs once per event
-_ARRIVAL = EventKind.LIMIT_ARRIVAL
-_CANCEL = EventKind.CANCEL
-_EXECUTION = EventKind.EXECUTION
 
 
 def date_to_session_id(day: dt.date) -> int:
@@ -280,7 +294,7 @@ class TallyStore:
     """
 
     __slots__ = ("granularities", "dropped_arrivals", "dropped_cancels",
-                 "out_of_hours", "_cubes", "_views", "_hot_cube")
+                 "out_of_hours", "_cubes", "_views")
 
     def __init__(self,
                  granularities: Iterable[Granularity] = _ALL_GRANULARITIES):
@@ -292,15 +306,18 @@ class TallyStore:
         self.out_of_hours = 0
         self._cubes: dict[dt.date, _SessionCube] = {}
         self._views: tuple[dict, dict] | None = ({}, {})
-        # the cube the last event went to, until the next roll-up
-        self._hot_cube: _SessionCube | None = None
 
-    def _open(self, session_date: dt.date) -> _SessionCube:
+    def session_cube(self, session_date: dt.date) -> _SessionCube:
+        """The cube of ``session_date``, opened empty on first use.
+
+        Tallies go straight into its flat lists, at the row bases of
+        ``ARRIVAL_ROWS`` and ``CANCEL_ROWS``.  The views are stale from
+        this call on, so finish writing before reading them.
+        """
         cube = self._cubes.get(session_date)
         if cube is None:
             cube = self._cubes[session_date] = _SessionCube(session_date)
         self._views = None
-        self._hot_cube = cube
         return cube
 
     def _rolled_up(self) -> tuple[dict, dict]:
@@ -310,7 +327,6 @@ class TallyStore:
                 self._cubes[day].roll_into(self.granularities, arrivals,
                                            cancels)
             self._views = (arrivals, cancels)
-            self._hot_cube = None
         return self._views
 
     @property
@@ -373,24 +389,22 @@ def accumulate_event(store: TallyStore, event: BookEvent,
     not tallied.  Returns True if the event was tallied or dropped.
     """
     kind = event.kind
-    if kind is _EXECUTION:
+    if kind is EventKind.EXECUTION:
         return False
     hour = event.timestamp_ns // NS_PER_HOUR
     slot = _HOUR_SLOT[hour] if 0 <= hour < 24 else 0
     if not slot:
         store.out_of_hours += 1
         return False
-    cube = store._hot_cube
-    if cube is None or session_date != cube.day:
-        cube = store._open(session_date)
+    cube = store.session_cube(session_date)
     row = event.side * HOUR_SLOTS + slot - 1
     tick = event.tick
-    if kind is _ARRIVAL:
+    if kind is EventKind.LIMIT_ARRIVAL:
         if tick > ARRIVAL_TICKS:
             store.dropped_arrivals += len(store.granularities)
         else:
             cube.quantity[row * ARRIVAL_TICKS + tick - 1] += event.quantity
-    elif kind is _CANCEL:
+    elif kind is EventKind.CANCEL:
         if tick > CANCEL_TICKS:
             store.dropped_cancels += len(store.granularities)
         else:
@@ -418,19 +432,12 @@ def tally_stream(store: TallyStore, blobs: Iterable[bytes],
     if isinstance(blobs, (bytes, bytearray, memoryview)):
         raise TypeError("tally_stream takes the stream's buffers, "
                         "not one buffer")
-    # per side and hour of the day, the cube index of tick 0 in the
-    # hour's row (tick t is at base + t), None out of trading hours; the
-    # whole side is None when it is not tallied
-    arrival_rows: list[list[int | None] | None] = [None, None]
-    cancel_rows: list[list[int | None] | None] = [None, None]
-    for side in Side:
-        if side in sides:
-            arrival_rows[side] = [
-                (side * HOUR_SLOTS + slot - 1) * ARRIVAL_TICKS - 1
-                if slot else None for slot in _HOUR_SLOT]
-            cancel_rows[side] = [
-                (side * HOUR_SLOTS + slot - 1) * CANCEL_TICKS - 1
-                if slot else None for slot in _HOUR_SLOT]
+    # the cube's row bases per side and hour, None for a side that is
+    # not tallied
+    arrival_rows = [ARRIVAL_ROWS[side] if side in sides else None
+                    for side in Side]
+    cancel_rows = [CANCEL_ROWS[side] if side in sides else None
+                   for side in Side]
     per_drop = len(store.granularities)
     frame_at = feed.frame_at
     add, delete, execute, replace = (MessageKind.ADD, MessageKind.DELETE,
@@ -542,7 +549,7 @@ def tally_stream(store: TallyStore, blobs: Iterable[bytes],
                                 out_of_hours += 1
                             else:
                                 if cube is None:
-                                    cube = store._open(day)
+                                    cube = store.session_cube(day)
                                 if tick > CANCEL_TICKS:
                                     dropped_cancels += per_drop
                                 else:
@@ -579,7 +586,7 @@ def tally_stream(store: TallyStore, blobs: Iterable[bytes],
                             out_of_hours += 1
                         else:
                             if cube is None:
-                                cube = store._open(day)
+                                cube = store.session_cube(day)
                             if tick > ARRIVAL_TICKS:
                                 dropped_arrivals += per_drop
                             else:

@@ -1,7 +1,10 @@
 """Seeded order-flow generator with a known ground truth.
 
 The generator emits complete binary sessions, one per weekday, and
-tallies the book event each of its draws implies, with no book.  That
+tallies what each of its draws implies, with no book and no event
+object: each arrival and cancel is one increment in its session's cube
+(``TallyStore.session_cube``), at the row bases ``rates.ARRIVAL_ROWS``
+and ``rates.CANCEL_ROWS`` that ``rates.tally_stream`` also uses.  That
 is the GroundTruth: not the analytic curve the ticks were drawn from,
 but the exact per-bucket tallies of what was emitted.  A pipeline that
 re-reads the bytes through the book must reproduce those tallies to the
@@ -40,8 +43,8 @@ is drawn, and ``feed.encode_session`` frames a session's messages.  No
 spec's bounds are the range checks instead.  ``SynthSpec`` proves once
 that every price lies in ``initial_mid -/+ 15 * tick_size``, which is
 positive and fits a u32, and that the order ids, counted from 1, fit a
-u64.  Quantities lie in 1..200, sides are 0 or 1 and timestamps fall
-within the session's day by construction.
+u64.  Quantities lie in 1..200, sides are 0 or 1 and arrivals fall
+within trading hours by construction, so each has a cube row.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ from enum import Enum
 import numpy as np
 
 from lobfit import dist, feed, rates
-from lobfit.book import BookEvent, EventKind
 from lobfit.errors import SpecError
 from lobfit.feed import (MAX_ORDER_ID, MAX_PRICE, Side, pack_add,
                          pack_cancel, pack_delete)
@@ -86,9 +88,6 @@ _LADDER_QUANTITY = 200
 _MAX_ARRIVAL_QUANTITY = 100
 # only orders inside the tallied cancel window are canceled
 _CANCELABLE_TICKS = rates.CANCEL_TICKS
-_SIDES = (Side.BUY, Side.SELL)
-_ARRIVAL = EventKind.LIMIT_ARRIVAL
-_CANCEL = EventKind.CANCEL
 
 
 class CancelStyle(Enum):
@@ -218,25 +217,25 @@ def _generate_session(spec, session_date, rng, cumulative, order_ids,
                       store) -> list[bytes]:
     tick = spec.tick_size
     packed = []
+    emit = packed.append
     # the ladder is never canceled and arrivals rest at or behind the
     # touch, so the best prices stay put for the whole session
     touch = (spec.initial_mid - tick, spec.initial_mid + tick)
     step = (-tick, tick)
-
-    def emit(message, event):
-        packed.append(message)
-        rates.accumulate_event(store, event, session_date)
-
-    def add(ts, s, distance, quantity) -> int:
-        oid = next(order_ids)
-        emit(pack_add(ts, oid, s, touch[s] + (distance - 1) * step[s],
-                      quantity),
-             BookEvent(_ARRIVAL, _SIDES[s], ts, distance, quantity))
-        return oid
+    cube = store.session_cube(session_date)
+    arrived, ratio_sum, count = cube.quantity, cube.ratio_sum, cube.count
+    arrival_rows, cancel_rows = rates.ARRIVAL_ROWS, rates.CANCEL_ROWS
 
     for i in range(1, _LADDER_LEVELS + 1):
-        for s in range(len(_SIDES)):
-            add(_LADDER_TIME + i, s, i, _LADDER_QUANTITY)
+        ts = _LADDER_TIME + i
+        for s in Side:
+            emit(pack_add(ts, next(order_ids), s, touch[s] + (i - 1) * step[s],
+                          _LADDER_QUANTITY))
+            base = arrival_rows[s][ts // _NS_PER_HOUR]
+            if base is None:
+                store.out_of_hours += 1
+            else:
+                arrived[base + i] += _LADDER_QUANTITY
 
     n = spec.orders_per_day
     offsets = np.sort(rng.integers(0, _SESSION_SPAN, size=n)).tolist()
@@ -246,8 +245,9 @@ def _generate_session(spec, session_date, rng, cumulative, order_ids,
                               size=n).tolist()
     probability = spec.cancel_probability
     fraction = spec.cancel_style is CancelStyle.UNIFORM_FRACTION
+    binomial, choice, uniform = rng.binomial, rng.choice, rng.random
     # resting quantity per side and tick of the cancel window
-    resting = [[_LADDER_QUANTITY] * _CANCELABLE_TICKS for _ in _SIDES]
+    resting = [[_LADDER_QUANTITY] * _CANCELABLE_TICKS for _ in Side]
     # [side, tick, remaining] of the resting arrivals inside the cancel
     # window, in arrival order; an arrival's distance from the fixed
     # touch decides once whether it can ever be canceled
@@ -256,40 +256,40 @@ def _generate_session(spec, session_date, rng, cumulative, order_ids,
     for offset, s, u, quantity in zip(offsets, sides, tick_draws,
                                       quantities):
         ts = _timestamp(offset)
+        hour = ts // _NS_PER_HOUR
         # u < 1.0, the last edge, so the index is at most len - 1
         distance = bisect.bisect_right(cumulative[s], u) + 1
-        oid = add(ts, s, distance, quantity)
+        oid = next(order_ids)
+        emit(pack_add(ts, oid, s, touch[s] + (distance - 1) * step[s],
+                      quantity))
+        arrived[arrival_rows[s][hour] + distance] += quantity
         if distance <= _CANCELABLE_TICKS:
-            live[oid] = [_SIDES[s], distance, quantity]
+            live[oid] = [s, distance, quantity]
             resting[s][distance - 1] += quantity
-        if probability > 0.0:
-            _cancel_step(ts, live, resting, probability, fraction, rng, emit)
-    return packed
-
-
-def _cancel_step(ts, live, resting, probability, fraction, rng, emit) -> None:
-    if not live:
-        return
-    candidates = list(live)
-    hits = int(rng.binomial(len(candidates), probability))
-    if hits == 0:
-        return
-    chosen = sorted(rng.choice(len(candidates), size=hits,
+        if not (probability and live):
+            continue
+        hits = int(binomial(len(live), probability))
+        if not hits:
+            continue
+        candidates = list(live)
+        chosen = sorted(choice(len(candidates), size=hits,
                                replace=False).tolist())
-    # PCG64 gives the same doubles in one call as in `hits` calls
-    shares = rng.random(hits).tolist() if fraction else [1.0] * hits
-    for idx, u in zip(chosen, shares):
-        oid = candidates[idx]
-        side, tick, remaining = order = live[oid]
-        amount = max(1, int(u * remaining))
-        emit(pack_cancel(ts, oid, amount) if fraction
-             else pack_delete(ts, oid),
-             BookEvent(_CANCEL, side, ts, tick, amount,
-                       resting[side][tick - 1]))
-        resting[side][tick - 1] -= amount
-        order[2] -= amount
-        if not order[2]:
-            del live[oid]
+        # PCG64 gives the same doubles in one call as in `hits` calls
+        shares = uniform(hits).tolist() if fraction else [1.0] * hits
+        for idx, share in zip(chosen, shares):
+            oid = candidates[idx]
+            side, level, remaining = order = live[oid]
+            amount = max(1, int(share * remaining))
+            emit(pack_cancel(ts, oid, amount) if fraction
+                 else pack_delete(ts, oid))
+            i = cancel_rows[side][hour] + level
+            ratio_sum[i] += amount / resting[side][level - 1]
+            count[i] += 1
+            resting[side][level - 1] -= amount
+            order[2] -= amount
+            if not order[2]:
+                del live[oid]
+    return packed
 
 
 # --- serialization ---

@@ -5,6 +5,7 @@ One test per shipping criterion.  Each prints a single PASS/FAIL line
 forty-day synthetic run that backs the closure, scoring, and accounting
 checks is generated once per module and shared between criteria.
 """
+import hashlib
 import json
 import math
 import random
@@ -44,6 +45,7 @@ def forty_day_run(tmp_path_factory):
     blob, truth = synth.generate(spec)
     stream = out / "stream.lobf"
     stream.write_bytes(blob)
+    synth.write_ground_truth(out / "ground_truth.json", truth)
     assert cli.main(["rates", str(stream), "--out", str(out)]) == 0
     assert cli.main(["fit", str(out / "rates.csv"),
                      "--out", str(out)]) == 0
@@ -149,6 +151,23 @@ def test_c2_ground_truth_closure(forty_day_run):
         for spec in variants:
             blob, truth = synth.generate(spec)
             assert replay(blob, spec.tick_size) == truth.store
+
+
+# sha256 of the forty-day stream.lobf and ground_truth.json; any change
+# to the generator's draws, its encoding or its tally moves them
+FORTY_DAY_STREAM_SHA256 = (
+    "73c7e8200105e4f83343dfa991820a6751a92f1c38d488d66b1fce94252645b9")
+FORTY_DAY_TRUTH_SHA256 = (
+    "403aabb5ace53933c72c28936f3dc6dd0789730cc56868f534a0155615cc1543")
+
+
+def test_c2_forty_day_bytes_are_as_recorded(forty_day_run):
+    with criterion("C2 bytes: forty-day stream and truth as recorded"):
+        out = forty_day_run["dir"]
+        assert (hashlib.sha256((out / "stream.lobf").read_bytes())
+                .hexdigest() == FORTY_DAY_STREAM_SHA256)
+        assert (hashlib.sha256((out / "ground_truth.json").read_bytes())
+                .hexdigest() == FORTY_DAY_TRUTH_SHA256)
 
 
 def test_c3_parameter_recovery():

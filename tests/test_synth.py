@@ -199,6 +199,11 @@ class TestGeneration:
         assert gt.store.dropped_cancels == 0
 
 
+_ONE_PER_FAMILY = (dist.Geometric(0.35), dist.DiscreteWeibull(0.8, 1.2),
+                   dist.BetaBinomial(1.5, 6.0), dist.Exponential(0.4),
+                   dist.PowerLaw(1.0, 1.5))
+
+
 # sha256 of stream.lobf and ground_truth.json, recorded before the
 # generator lost its per-arrival cancel scan; any change to the rng
 # order, the cancel candidates or the encoder moves them
@@ -243,12 +248,52 @@ def test_golden_bytes(name, tmp_path):
 
 def test_ground_truth_does_not_come_from_the_book(tmp_path, monkeypatch):
     # closure replays the stream through the book, so it checks the book
-    # only if the generator's truth comes without one
+    # only if the generator's truth comes without one; and the generator
+    # tallies into its cubes, not through the per-event reference
     def refuse(self, msg):
         raise AssertionError("the generator applied a message to a book")
 
+    def refuse_event(store, event, session_date):
+        raise AssertionError("the generator tallied a BookEvent")
+
     monkeypatch.setattr(OrderBook, "apply", refuse)
+    monkeypatch.setattr(rates, "accumulate_event", refuse_event)
     test_golden_bytes("dw_dw_fraction", tmp_path)
+
+
+def object_replay(blob, tick_size):
+    """The stream's tallies through the object-level chain,
+    ``iter_frames -> iter_stream -> OrderBook.apply -> accumulate_event``.
+    """
+    store = rates.TallyStore()
+    books = {}
+    for session_id, msg in stream_messages(blob):
+        if session_id not in books:
+            books[session_id] = (OrderBook(tick_size=tick_size),
+                                 rates.session_id_to_date(session_id))
+        book, day = books[session_id]
+        for event in book.apply(msg):
+            rates.accumulate_event(store, event, day)
+    return store
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**64 - 1), days=st.integers(1, 2),
+       orders=st.integers(1, 300), tick_size=st.integers(1, 5),
+       probability=st.one_of(st.sampled_from([0.0, 1.0]),
+                             st.floats(0.0, 1.0)),
+       style=st.sampled_from(synth.CancelStyle),
+       buy=st.sampled_from(_ONE_PER_FAMILY),
+       sell=st.sampled_from(_ONE_PER_FAMILY))
+def test_truth_is_what_both_replays_tally(seed, days, orders, tick_size,
+                                          probability, style, buy, sell):
+    spec = synth.SynthSpec(seed=seed, days=days, orders_per_day=orders,
+                           buy_model=buy, sell_model=sell,
+                           cancel_probability=probability,
+                           cancel_style=style, tick_size=tick_size)
+    blob, gt = synth.generate(spec)
+    assert gt.store == replay(blob, tick_size)
+    assert gt.store == object_replay(blob, tick_size)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -280,11 +325,6 @@ def test_touch_never_moves_and_cancels_stay_in_the_window(
         book.apply(msg)
         if i >= 1:  # from the first ladder pair on
             assert (book.best_bid, book.best_ask) == (bid, ask)
-
-
-_ONE_PER_FAMILY = (dist.Geometric(0.35), dist.DiscreteWeibull(0.8, 1.2),
-                   dist.BetaBinomial(1.5, 6.0), dist.Exponential(0.4),
-                   dist.PowerLaw(1.0, 1.5))
 
 
 @pytest.mark.parametrize("index", range(len(_ONE_PER_FAMILY)))

@@ -19,8 +19,10 @@ code that the commands run:
   fresh ``TallyStore``, decode, book and tally in one loop, as
   ``lobfit rates`` runs it on each session.
 
-The other rows time the object-level API, which no command runs: it is
-kept plain, as the reference the tests hold the fast paths to.
+The other rows time the object-level API in ``lobfit.book``, which no
+command runs: it is kept plain, as the reference the tests hold the
+fast paths to.  Their names are the ``feed`` and ``rates`` names, which
+still resolve to ``lobfit.book``, so rows compare across versions.
 
 * ``feed.encode_frame``: the encoder, over the decoded frames;
 * ``feed.iter_frames``: decode the stream bytes into frames;
@@ -46,8 +48,7 @@ import datetime as dt
 import math
 import time
 
-from lobfit import dist, feed, rates, synth
-from lobfit.book import OrderBook
+from lobfit import book, dist, feed, rates, synth
 
 
 def best_times(jobs, repeats):
@@ -63,7 +64,7 @@ def best_times(jobs, repeats):
 
 def encode(frames):
     for frame in frames:
-        feed.encode_frame(frame)
+        book.encode_frame(frame)
 
 
 def encode_sessions(packed):
@@ -78,27 +79,27 @@ def decode_pairs(blob):
 
 
 def decode(blob):
-    for _ in feed.iter_frames(blob):
+    for _ in book.iter_frames(blob):
         pass
 
 
 def stream_check(frames):
-    for _ in feed.iter_stream(frames):
+    for _ in book.iter_stream(frames):
         pass
 
 
 def replay_book(messages):
     books = {}
     for session_id, msg in messages:
-        book = books.get(session_id)
-        if book is None:
-            book = books[session_id] = OrderBook()
-        book.apply(msg)
+        session_book = books.get(session_id)
+        if session_book is None:
+            session_book = books[session_id] = book.OrderBook()
+        session_book.apply(msg)
 
 
 def tally(events):
     store = rates.TallyStore()
-    accumulate = rates.accumulate_event
+    accumulate = book.accumulate_event
     for event, day in events:
         accumulate(store, event, day)
 
@@ -142,20 +143,20 @@ def main():
     args = parse_args()
     spec = stream_spec(args)
     blob, _ = synth.generate(spec)
-    frames = list(feed.iter_frames(blob))
-    messages = list(feed.iter_stream(frames))
+    frames = list(book.iter_frames(blob))
+    messages = list(book.iter_stream(frames))
     packed = {}
     for session_id, msg in messages:
-        packed.setdefault(session_id, []).append(feed.encode_message(msg))
+        packed.setdefault(session_id, []).append(book.encode_message(msg))
     packed = list(packed.items())
     books = {}
     events = []
     for session_id, msg in messages:
         if session_id not in books:
-            books[session_id] = (OrderBook(),
+            books[session_id] = (book.OrderBook(),
                                  rates.session_id_to_date(session_id))
-        book, day = books[session_id]
-        events.extend((event, day) for event in book.apply(msg))
+        session_book, day = books[session_id]
+        events.extend((event, day) for event in session_book.apply(msg))
 
     n_msgs = len(messages)
     stages = [

@@ -36,7 +36,6 @@ beta), ``exp:0.7`` (rate), ``pow:0.3,1.4`` (scale, exponent).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import os
@@ -44,13 +43,13 @@ import re
 import sys
 
 # only what every command needs: the fitting and statistics modules are
-# imported by the commands that use them
+# imported by the commands that use them, and no command imports the
+# object-level reference model in lobfit.book
 from lobfit import feed, rates
-from lobfit.book import TickReference
 from lobfit.errors import (AllZero, DomainError, InsufficientData,
                            LobfitError, MissingTicks, ZeroVariance)
 from lobfit.feed import Side
-from lobfit.rates import Granularity
+from lobfit.rates import Granularity, TickReference
 
 _COMPARISONS = (("dw_vs_bb", "discrete_weibull", "beta_binomial"),
                 ("dw_vs_pow", "discrete_weibull", "power_law"))
@@ -66,6 +65,10 @@ def _shorthands() -> dict[str, str]:
 
 def parse_model(text: str):
     """Build a model family from shorthand syntax like ``dw:0.8,1.2``."""
+    # imported here: the families are dataclasses, and the commands that
+    # take no model need neither
+    import dataclasses
+
     from lobfit import dist
 
     shorthands = _shorthands()
@@ -175,11 +178,16 @@ def _read_file(path) -> bytes:
 
 
 def _session_runs(paths) -> list:
-    """The input's sessions in stream order, each as spans
-    ``(path, start, stop)`` of the input files."""
+    """The input's sessions, each as spans ``(path, start, stop)`` of
+    the input files, the longest first.  Each worker of ``_map_on_cpus``
+    takes every n-th session, so that order keeps their shares of the
+    bytes about even."""
     blobs = [_read_file(path) for path in paths]
-    return [[(paths[i], start, stop) for i, start, stop in run]
+    runs = [[(paths[i], start, stop) for i, start, stop in run]
             for run in feed.session_runs(blobs)]
+    runs.sort(key=lambda spans: sum(stop - start for _, start, stop in spans),
+              reverse=True)
+    return runs
 
 
 def _read_span(path, start: int, stop: int) -> bytes:
@@ -207,7 +215,7 @@ def cmd_rates(args) -> None:
     store = rates.TallyStore(granularities)
     # each session starts on an empty book, so the sessions are tallied
     # apart; every session keeps its own sums, so the merged store is the
-    # same for any number of workers
+    # same for any number of workers and any order of the sessions
     tally_run = functools.partial(
         _tally_run, granularities=granularities, tick_size=args.tick_size,
         reference=reference, sides=sides)
@@ -274,23 +282,93 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+class WorkerDied(RuntimeError):
+    """A worker process ended without sending its results."""
+
+
+def _run_worker(fn, items: list, write_end: int, inherited: list) -> None:
+    """The body of a forked worker: send ``fn`` over ``items``, or the
+    first exception it raised, pickled to ``write_end``, then exit.
+    Never returns, so nothing of the parent's stack runs here."""
+    status = 1
+    try:
+        import pickle  # loaded already, by the parent
+
+        # the read ends, this worker's own among them: with them closed, a
+        # write fails, rather than blocks, once the parent is gone
+        for fd in inherited:
+            os.close(fd)
+        try:
+            reply = (True, [fn(item) for item in items])
+        except Exception as exc:
+            reply = (False, exc)
+        with open(write_end, "wb") as out:
+            pickle.dump(reply, out)
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def _map_on_cpus(fn, items: list) -> list:
     """``fn`` over ``items`` in forked workers, one per usable CPU.
 
-    Results come back in the order of ``items`` for any number of
-    workers.  A worker that dies raises BrokenProcessPool here instead
-    of hanging.
+    Worker ``k`` of ``n`` runs ``items[k::n]`` and sends its results
+    back through its own pipe.  Results come back in the order of
+    ``items`` for any number of workers.  A worker's exception is raised
+    here again, with its class and message.  A worker that dies or sends
+    nothing raises WorkerDied, naming its exit status, instead of
+    hanging.  Every worker is reaped before this returns or raises; if
+    this process fails itself, the workers still running are killed.
     """
-    # imported here: only the commands that start a pool pay for it
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    # imported here: only the commands that fork workers need them
+    import pickle
+    import signal
 
     if not items:
         return []
     workers = min(_usable_cpus(), len(items))
-    with ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(fn, items))
+    pids, pipes = [], []
+    try:
+        for k in range(workers):
+            read_end, write_end = os.pipe()
+            pipes.append(read_end)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_worker(fn, items[k::workers], write_end, pipes)
+            finally:
+                # the parent's copy: the read end sees EOF once the
+                # worker's copy is closed
+                os.close(write_end)
+            pids.append(pid)
+        replies = []
+        for k, read_end in enumerate(pipes):
+            with open(read_end, "rb") as fh:
+                pipes[k] = None
+                replies.append(fh.read())
+        statuses = []
+        for k, pid in enumerate(pids):
+            statuses.append(os.waitpid(pid, 0)[1])
+            pids[k] = None
+    finally:
+        for fd in pipes:
+            if fd is not None:
+                os.close(fd)
+        for pid in pids:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    results = [None] * len(items)
+    for k, (reply, status) in enumerate(zip(replies, statuses)):
+        if status or not reply:
+            raise WorkerDied(
+                f"worker {k + 1} of {workers} ended with exit status "
+                f"{os.waitstatus_to_exitcode(status)} and sent no result")
+        ok, value = pickle.loads(reply)
+        if not ok:
+            raise value
+        results[k::workers] = value
+    return results
 
 
 def cmd_fit(args) -> None:

@@ -28,10 +28,12 @@ so float sums do not depend on when the views were read.
 goes from wire bytes to cube increments and builds no object per
 message.  It and the generator in ``synth`` write into a session's cube
 (``TallyStore.session_cube``) at the row bases of one pair of tables,
-``ARRIVAL_ROWS`` and ``CANCEL_ROWS``.  ``accumulate_event`` tallies one
-``BookEvent``.  No command runs it: it is reference code that, with
-``feed.iter_frames``, ``feed.iter_stream`` and ``OrderBook.apply``,
-makes up the object-level API both fast paths are tested against.
+``ARRIVAL_ROWS`` and ``CANCEL_ROWS``.
+
+``accumulate_event``, which tallies one ``BookEvent``, lives in
+``lobfit.book`` with the rest of the object-level reference model that
+both fast paths are tested against, and that no command runs.  The
+name still resolves here: reading it loads ``lobfit.book``.
 """
 
 from __future__ import annotations
@@ -39,12 +41,10 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import operator
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from lobfit import feed
-from lobfit.book import BookEvent, EventKind, TickReference
 from lobfit.errors import (DuplicateOrderId, EmptyBucket, FormatError,
                            OverCancel, SpecError, UnknownOrderId)
 from lobfit.feed import MessageKind, Side
@@ -58,6 +58,7 @@ __all__ = [
     "NS_PER_HOUR",
     "MORNING_HOURS",
     "AFTERNOON_HOURS",
+    "TickReference",
     "Granularity",
     "BucketKey",
     "ArrivalTally",
@@ -65,7 +66,6 @@ __all__ = [
     "TallyStore",
     "date_to_session_id",
     "session_id_to_date",
-    "accumulate_event",
     "tally_stream",
     "arrival_density",
     "cancellation_ratio",
@@ -75,6 +75,10 @@ __all__ = [
     "read_rates_csv",
     "read_cancels_csv",
 ]
+
+# the object-level tally, which lives in lobfit.book (see the module
+# docstring); __getattr__ forwards these names there
+_MOVED = ("accumulate_event",)
 
 ARRIVAL_TICKS = 15
 CANCEL_TICKS = 10
@@ -114,6 +118,14 @@ ARRIVAL_ROWS = _row_bases(ARRIVAL_TICKS)
 CANCEL_ROWS = _row_bases(CANCEL_TICKS)
 
 
+class TickReference(Enum):
+    """The price a tick distance is measured from: the best price on
+    the order's own side, or on the opposite side."""
+
+    SAME_SIDE = "same"
+    OPPOSITE_SIDE = "opposite"
+
+
 class Granularity(Enum):
     DAILY = "daily"
     WEEKLY = "weekly"
@@ -139,9 +151,11 @@ def session_id_to_date(session_id: int) -> dt.date:
             f"session id {session_id} does not encode a date") from None
 
 
-@dataclass(frozen=True, slots=True)
-class BucketKey:
-    """One tally bucket: granularity, calendar index, book side."""
+class BucketKey(NamedTuple):
+    """One tally bucket: granularity, calendar index, book side.
+
+    The ``index`` field shadows ``tuple.index``.
+    """
 
     granularity: Granularity
     index: tuple
@@ -198,21 +212,46 @@ def _bucket_index(session_date: dt.date, g: Granularity, slot: int) -> tuple:
     return (iso[0], iso[1], slot)
 
 
-@dataclass(slots=True)
 class ArrivalTally:
     """Arriving quantity per tick, 1-based ticks stored at index tick-1."""
 
-    quantity: list[int] = field(
-        default_factory=lambda: [0] * ARRIVAL_TICKS)
+    __slots__ = ("quantity",)
+
+    def __init__(self, quantity: list[int] | None = None):
+        self.quantity = [0] * ARRIVAL_TICKS if quantity is None else quantity
+
+    def __eq__(self, other):
+        if type(other) is not ArrivalTally:
+            return NotImplemented
+        return self.quantity == other.quantity
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"ArrivalTally(quantity={self.quantity!r})"
 
 
-@dataclass(slots=True)
 class CancelTally:
     """Per-tick sum of cancellation ratios and the contributing count."""
 
-    ratio_sum: list[float] = field(
-        default_factory=lambda: [0.0] * CANCEL_TICKS)
-    count: list[int] = field(default_factory=lambda: [0] * CANCEL_TICKS)
+    __slots__ = ("ratio_sum", "count")
+
+    def __init__(self, ratio_sum: list[float] | None = None,
+                 count: list[int] | None = None):
+        self.ratio_sum = ([0.0] * CANCEL_TICKS if ratio_sum is None
+                          else ratio_sum)
+        self.count = [0] * CANCEL_TICKS if count is None else count
+
+    def __eq__(self, other):
+        if type(other) is not CancelTally:
+            return NotImplemented
+        return (self.ratio_sum, self.count) == (other.ratio_sum, other.count)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"CancelTally(ratio_sum={self.ratio_sum!r}, "
+                f"count={self.count!r})")
 
 
 _ROWS = len(Side) * HOUR_SLOTS
@@ -378,42 +417,6 @@ class TallyStore:
                 f"out_of_hours={self.out_of_hours})")
 
 
-def accumulate_event(store: TallyStore, event: BookEvent,
-                     session_date: dt.date) -> bool:
-    """Tally one event under each of the store's granularities.
-
-    Events outside trading hours are skipped and counted (the stream
-    may open with book seeding before 10:00).  Arrivals beyond tick 15
-    and cancels beyond tick 10 are not binned; they bump the matching
-    dropped counter once per granularity of the store.  Executions are
-    not tallied.  Returns True if the event was tallied or dropped.
-    """
-    kind = event.kind
-    if kind is EventKind.EXECUTION:
-        return False
-    hour = event.timestamp_ns // NS_PER_HOUR
-    slot = _HOUR_SLOT[hour] if 0 <= hour < 24 else 0
-    if not slot:
-        store.out_of_hours += 1
-        return False
-    cube = store.session_cube(session_date)
-    row = event.side * HOUR_SLOTS + slot - 1
-    tick = event.tick
-    if kind is EventKind.LIMIT_ARRIVAL:
-        if tick > ARRIVAL_TICKS:
-            store.dropped_arrivals += len(store.granularities)
-        else:
-            cube.quantity[row * ARRIVAL_TICKS + tick - 1] += event.quantity
-    elif kind is EventKind.CANCEL:
-        if tick > CANCEL_TICKS:
-            store.dropped_cancels += len(store.granularities)
-        else:
-            i = row * CANCEL_TICKS + tick - 1
-            cube.ratio_sum[i] += event.quantity / event.level_quantity_before
-            cube.count[i] += 1
-    return True
-
-
 def tally_stream(store: TallyStore, blobs: Iterable[bytes],
                  tick_size: int = 1,
                  reference: TickReference = TickReference.SAME_SIDE,
@@ -422,9 +425,9 @@ def tally_stream(store: TallyStore, blobs: Iterable[bytes],
 
     ``blobs`` are the stream's buffers in order, each holding whole
     frames.  Per frame this runs ``feed.frame_at``, the checks of
-    ``feed.iter_stream``, the rules of ``OrderBook.apply`` on one book
-    per session and the counting of ``accumulate_event``, all inline on
-    plain dicts and tuples, so it tallies what
+    ``book.iter_stream``, the rules of ``book.OrderBook.apply`` on one
+    book per session and the counting of ``book.accumulate_event``, all
+    inline on plain dicts and tuples, so it tallies what
     ``iter_frames -> iter_stream -> OrderBook.apply -> accumulate_event``
     tallies and raises what that chain raises, at the same message.
     Returns the number of messages applied.
@@ -716,3 +719,10 @@ def read_cancels_csv(path) -> list[dict]:
     """
     return _read_tally_csv(path, CANCEL_TICKS,
                            {"count": (int, 0), "mean_ratio": (float, None)})
+
+
+def __getattr__(name):
+    if name in _MOVED:
+        from lobfit import book
+        return getattr(book, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

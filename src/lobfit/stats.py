@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from lobfit.errors import (
     AllZero,
@@ -200,8 +200,7 @@ def nps(errors: dict[str, float]) -> dict[str, float]:
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class TestResult:
+class TestResult(NamedTuple):
     statistic: float
     df: float
     p_value: float

@@ -372,3 +372,21 @@ def test_replay_is_deterministic():
     out_a = [ev for m in messages for ev in first.apply(m)]
     out_b = [ev for m in messages for ev in second.apply(m)]
     assert out_a == out_b
+
+
+@pytest.mark.parametrize("module, names", [
+    ("feed", ("MarketMessage", "LobfFrame", "encode_message",
+              "decode_message", "encode_frame", "decode_frame",
+              "iter_frames", "iter_stream", "build_frames", "read_lobf")),
+    ("rates", ("accumulate_event",)),
+])
+def test_the_old_names_resolve_to_this_module(module, names):
+    # the object-level API moved here from feed and rates; the old names
+    # stay, and no second copy exists
+    from lobfit import book, feed, rates
+
+    old = {"feed": feed, "rates": rates}[module]
+    for name in names:
+        assert getattr(old, name) is getattr(book, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        old.no_such_name

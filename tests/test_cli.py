@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -387,9 +388,9 @@ def _python(code, *args, timeout=None):
 
 class TestImportBoundary:
     def test_fit_path_imports_neither_numpy_nor_a_compiled_kernel(self):
-        # numpy costs every non-synth command its import time, and
-        # multiprocessing every command but fit and rates, which import
-        # it themselves
+        # numpy costs every non-synth command its import time; no
+        # command loads multiprocessing, since the worker map forks
+        # without it
         probe = ("import sys; import lobfit.cli; "
                  "from lobfit import dist, kernels, rates, stats; "
                  "print(*sorted(name for name, m in sys.modules.items() "
@@ -409,6 +410,125 @@ class TestImportBoundary:
         proc = _python(probe)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == []
+
+    # what a command that does not use it must not load: the process
+    # pool modules, the dataclass machinery and the inspect module it
+    # imports, and the object-level reference model
+    _POOL = ("multiprocessing", "concurrent.futures")
+    _REPLAY_UNUSED = _POOL + ("dataclasses", "inspect", "lobfit.book")
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        """``lobfit rates`` on a two-file stream; its output directory."""
+        directory = tmp_path_factory.mktemp("boundary")
+        paths = _two_file_stream(str(directory))
+        out = directory / "out"
+        loaded = self._loaded("rates", *paths, "--granularity",
+                              "weekly,monthly", "--out", str(out))
+        return out, loaded
+
+    @staticmethod
+    def _loaded(*argv):
+        """Run one command in a fresh interpreter; the modules loaded
+        when it has finished."""
+        code = ("import sys; from lobfit import cli\n"
+                "code = cli.main(sys.argv[1:])\n"
+                "print(*sorted(sys.modules))\n"
+                "sys.exit(code)")
+        proc = _python(code, *argv, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    @staticmethod
+    def _among(loaded, packages):
+        return sorted(name for name in loaded if any(
+            name == package or name.startswith(package + ".")
+            for package in packages))
+
+    def test_rates_loads_no_pool_dataclasses_or_object_api(self, run):
+        _, loaded = run
+        assert "lobfit.rates" in loaded
+        assert self._among(loaded, self._REPLAY_UNUSED) == []
+
+    def test_cancel_test_loads_no_pool_dataclasses_or_object_api(self, run):
+        out, _ = run
+        loaded = self._loaded("cancel-test", str(out / "cancels.csv"),
+                              "--out", str(out))
+        assert "lobfit.stats" in loaded
+        assert self._among(loaded, self._REPLAY_UNUSED) == []
+
+    def test_fit_loads_no_pool_or_object_api(self, run):
+        out, _ = run
+        loaded = self._loaded("fit", str(out / "rates.csv"), "--families",
+                              "geo,exp", "--out", str(out))
+        assert "lobfit.dist" in loaded
+        assert self._among(loaded, self._POOL + ("lobfit.book",)) == []
+
+
+def _no_child_left():
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestMapOnCpus:
+    @pytest.fixture(params=[1, 2, 4])
+    def cpus(self, request, monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: request.param)
+        return request.param
+
+    @pytest.mark.parametrize("n_items", [0, 1, 3, 9])
+    def test_results_in_item_order_one_process_per_worker(self, cpus,
+                                                          n_items):
+        items = [f"item{i}" for i in range(n_items)]
+        out = cli._map_on_cpus(lambda item: (item.upper(), os.getpid()),
+                               items)
+        assert [value for value, _ in out] == [i.upper() for i in items]
+        workers = {pid for _, pid in out}
+        assert len(workers) == min(cpus, n_items)
+        assert os.getpid() not in workers
+        assert _no_child_left()
+
+    @pytest.mark.parametrize("error", [LobfitError, RuntimeError])
+    def test_a_worker_exception_is_raised_with_its_class_and_message(
+            self, cpus, error):
+        def fn(item):
+            if item == 5:
+                raise error(f"item {item} is bad")
+            return item
+
+        with pytest.raises(error) as info:
+            cli._map_on_cpus(fn, list(range(9)))
+        assert type(info.value) is error
+        assert str(info.value) == "item 5 is bad"
+        assert _no_child_left()
+
+    def test_a_dead_worker_raises_an_internal_error(self, cpus):
+        def fn(item):
+            if item == 2:
+                os._exit(9)
+            return item
+
+        with pytest.raises(cli.WorkerDied, match="exit status 9") as info:
+            cli._map_on_cpus(fn, list(range(9)))
+        assert not isinstance(info.value, (LobfitError, OSError, ValueError))
+        assert _no_child_left()
+
+    def test_a_failing_parent_kills_its_workers(self, cpus, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise OSError("no reading today")
+
+        # each worker would run for a minute; the parent fails at once,
+        # when it opens the first pipe
+        monkeypatch.setattr(cli, "open", refuse, raising=False)
+        start = time.monotonic()
+        with pytest.raises(OSError, match="no reading today"):
+            cli._map_on_cpus(lambda item: time.sleep(60), [None] * cpus)
+        assert time.monotonic() - start < 30
+        assert _no_child_left()
 
 
 class TestFitPool:
@@ -482,7 +602,8 @@ class TestFitPool:
         proc = _python(code, "fit", str(source), "--out",
                        str(tmp_path / "out"), timeout=60)
         assert proc.returncode == 2, proc.stderr
-        assert "internal error: BrokenProcessPool" in proc.stderr
+        assert "internal error: WorkerDied('worker 1 of " in proc.stderr
+        assert "ended with exit status 9 and sent no result" in proc.stderr
         assert not (tmp_path / "out").exists()
 
 
@@ -614,7 +735,8 @@ class TestRatesPool:
         proc = _python(code, "rates", *streams, "--out",
                        str(tmp_path / "out"), timeout=60)
         assert proc.returncode == 2, proc.stderr
-        assert "internal error: BrokenProcessPool" in proc.stderr
+        assert "internal error: WorkerDied('worker 1 of " in proc.stderr
+        assert "ended with exit status 9 and sent no result" in proc.stderr
         assert not (tmp_path / "out").exists()
 
 

@@ -7,8 +7,9 @@ code that the commands run:
 
 * ``synth.generate``: the whole generator, with its own tally and
   encoding, from the spec to the stream bytes (``lobfit synth``);
-* ``feed.encode_session``: the framing ``synth`` uses, over the
-  stream's messages packed one session at a time;
+* ``feed.session_framer``: the framing ``synth`` uses, over the
+  stream's messages packed one session at a time, flushed after each
+  message as ``synth`` flushes after each arrival;
 * ``feed.frame_at``: decode the stream bytes into ``(kind, body)``
   pairs, frame by frame, the decoder ``rates.tally_stream`` runs;
 * ``feed.session_runs``: split the stream bytes into one run of frames
@@ -67,9 +68,15 @@ def encode(frames):
         book.encode_frame(frame)
 
 
-def encode_sessions(packed):
+def frame_sessions(packed):
+    frames = []
     for session_id, messages in packed:
-        feed.encode_session(session_id, messages)
+        flush = feed.session_framer(session_id, frames.append)
+        pending = []
+        for message in messages:
+            pending.append(message)
+            flush(pending)
+        flush(pending, last=True)
 
 
 def decode_pairs(blob):
@@ -162,7 +169,7 @@ def main():
     stages = [
         ("synth.generate", lambda: synth.generate(spec), n_msgs, "msg/s"),
         ("feed.encode_frame", lambda: encode(frames), n_msgs, "msg/s"),
-        ("feed.encode_session", lambda: encode_sessions(packed), n_msgs,
+        ("feed.session_framer", lambda: frame_sessions(packed), n_msgs,
          "msg/s"),
         ("feed.frame_at", lambda: decode_pairs(blob), n_msgs, "msg/s"),
         ("feed.iter_frames", lambda: decode(blob), n_msgs, "msg/s"),

@@ -164,10 +164,20 @@ def cmd_synth(args) -> None:
         tick_size=args.tick_size,
         initial_mid=args.mid,
     )
-    blob, truth = synth.generate(spec)
+    # the stream goes to disk frame by frame under a temporary name, and
+    # takes its own name only once whole: a run that fails leaves no
+    # shorter stream that would still replay as valid
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "stream.lobf"), "wb") as fh:
-        fh.write(blob)
+    stream = os.path.join(args.out, "stream.lobf")
+    partial = stream + ".tmp"
+    try:
+        with open(partial, "wb") as fh:
+            _, truth = synth.generate(spec, fh.write)
+        os.replace(partial, stream)
+    except BaseException:
+        if os.path.exists(partial):
+            os.remove(partial)
+        raise
     synth.write_ground_truth(os.path.join(args.out, "ground_truth.json"),
                              truth)
 

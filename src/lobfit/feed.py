@@ -52,11 +52,14 @@ The encoder has one packer per kind, which writes a whole message
 (length byte, kind byte and body) from the body fields.  A writer that
 proves its ranges once, as ``synth`` does on its spec against
 ``MAX_PRICE`` and ``MAX_ORDER_ID``, calls the packers ``pack_add``,
-``pack_cancel`` and ``pack_delete`` directly and frames one session's
-packed messages with ``encode_session``.  These trust their caller: a
-field too wide for its slot raises ``struct.error``, and a zero price
-or quantity, a side code other than 0 or 1, or an out-of-order
-timestamp is written as given.
+``pack_cancel`` and ``pack_delete`` directly.  ``session_framer``
+frames one session's packed messages as they come: each frame reaches
+the writer as soon as it holds its 1000 messages, and the session's
+last, short frame when the session ends, so a writer holds one frame,
+not the stream.  ``encode_session`` is that framer flushed once, for a
+session held whole.  These trust their caller: a field too wide for its
+slot raises ``struct.error``, and a zero price or quantity, a side code
+other than 0 or 1, or an out-of-order timestamp is written as given.
 
 The object-level codec over the same decoder and packers, the
 ``MarketMessage`` and ``LobfFrame`` objects and ``encode_message``,
@@ -72,7 +75,7 @@ from __future__ import annotations
 import struct
 from enum import IntEnum
 from functools import partial
-from typing import Sequence
+from typing import Callable, Sequence
 
 from lobfit.errors import (
     BadMagic,
@@ -91,6 +94,7 @@ __all__ = [
     "pack_add",
     "pack_cancel",
     "pack_delete",
+    "session_framer",
     "encode_session",
     "MAX_PRICE",
     "MAX_ORDER_ID",
@@ -108,7 +112,7 @@ MAGIC = b"LOBF"
 
 _HEADER = struct.Struct(">4sIQH")
 
-# messages per frame written by encode_session and book.build_frames
+# messages per frame written by session_framer and book.build_frames
 _FRAME_MESSAGES = 1000
 
 
@@ -260,17 +264,50 @@ def frame_at(data, offset: int) -> tuple[int, int, list, int]:
     return session_id, sequence, messages, end
 
 
+def session_framer(session_id: int,
+                   write: Callable[[bytes], object]) -> Callable[..., None]:
+    """Frame one session's packed messages as they come, for ``write``.
+
+    Returns ``flush(packed, last=False)``.  A call frames the whole
+    frames at the head of the list ``packed``, hands them to ``write``
+    in one call and deletes them from ``packed``; with ``last`` it
+    frames the rest as well, as the session's last, short frame.
+    Frames are cut every ``_FRAME_MESSAGES`` messages from the session's
+    first, and each frame's sequence number is the session index of its
+    first message, so any flush points give the bytes of
+    ``encode_session``.  The messages and ``session_id`` are trusted, as
+    the packers trust their fields.
+    """
+    sequence = 0
+
+    def flush(packed: list, last: bool = False) -> None:
+        nonlocal sequence
+        size = len(packed)
+        if not last:
+            size -= size % _FRAME_MESSAGES
+        if not size:
+            return
+        parts = []
+        for start in range(0, size, _FRAME_MESSAGES):
+            chunk = packed[start:start + _FRAME_MESSAGES]
+            parts.append(_HEADER.pack(MAGIC, session_id, sequence + start,
+                                      len(chunk)))
+            parts.extend(chunk)
+        del packed[:size]
+        sequence += size
+        write(b"".join(parts))
+
+    return flush
+
+
 def encode_session(session_id: int, packed: Sequence[bytes]) -> bytes:
     """Frame one session's packed messages, chunked as
     ``book.build_frames`` chunks them by default: each frame's sequence
-    number is the index of its first message.  The messages and
-    ``session_id`` are trusted, as the packers trust their fields.
+    number is the index of its first message.  This is
+    ``session_framer`` flushed once, at the session's end.
     """
     parts = []
-    for start in range(0, len(packed), _FRAME_MESSAGES):
-        chunk = packed[start:start + _FRAME_MESSAGES]
-        parts.append(_HEADER.pack(MAGIC, session_id, start, len(chunk)))
-        parts.extend(chunk)
+    session_framer(session_id, parts.append)(list(packed), last=True)
     return b"".join(parts)
 
 

@@ -38,13 +38,19 @@ dates when reading a stream back.
 
 The generator writes wire bytes: each message is packed by
 ``feed.pack_add``, ``feed.pack_cancel`` or ``feed.pack_delete`` as it
-is drawn, and ``feed.encode_session`` frames a session's messages.  No
-``MarketMessage`` is built, so its per-message checks do not run; the
-spec's bounds are the range checks instead.  ``SynthSpec`` proves once
-that every price lies in ``initial_mid -/+ 15 * tick_size``, which is
-positive and fits a u32, and that the order ids, counted from 1, fit a
-u64.  Quantities lie in 1..200, sides are 0 or 1 and arrivals fall
-within trading hours by construction, so each has a cube row.
+is drawn, and ``feed.session_framer`` frames a session's messages.
+After each arrival the whole frames the session holds go on to the
+writer, and the session's last, short frame goes when it ends, so
+frames reach the writer as they fill.  Given a writer, ``generate``
+holds one session's draws plus one frame, whatever the number of days.
+No ``MarketMessage`` is built, so its per-message checks do not run;
+the spec's bounds are the range checks instead.  ``SynthSpec`` proves
+once that every price lies in ``initial_mid -/+ 15 * tick_size``,
+which is positive and fits a u32, that the order ids, counted from 1,
+fit a u64, and that both models' tick curves can be drawn, so no
+stream is started that cannot be finished.  Quantities lie in 1..200,
+sides are 0 or 1 and arrivals fall within trading hours by
+construction, so each has a cube row.
 """
 
 from __future__ import annotations
@@ -55,11 +61,12 @@ import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
 from lobfit import dist, feed, rates
-from lobfit.errors import SpecError
+from lobfit.errors import DomainError, SpecError
 from lobfit.feed import (MAX_ORDER_ID, MAX_PRICE, Side, pack_add,
                          pack_cancel, pack_delete)
 
@@ -142,6 +149,12 @@ class SynthSpec:
                             ("sell_model", self.sell_model)):
             if not isinstance(model, families):
                 raise SpecError(f"{name} is not a model family: {model!r}")
+            # a stream is written as it is drawn, so a curve that cannot
+            # be drawn is refused here, before any of it
+            try:
+                dist.tick_curve(model)
+            except DomainError as exc:
+                raise SpecError(f"{name}: {exc}") from None
         if not 0 <= self.seed < 2 ** 64:
             raise SpecError(f"seed must fit in 64 bits, got {self.seed}")
 
@@ -197,24 +210,36 @@ def _cumulative(curve) -> list[float]:
     return out
 
 
-def generate(spec: SynthSpec) -> tuple[bytes, GroundTruth]:
-    """Emit the full byte stream and the tallies of what went into it."""
+def generate(spec: SynthSpec,
+             write: Callable[[bytes], object] | None = None,
+             ) -> tuple[bytes, GroundTruth]:
+    """Emit the byte stream and the tallies of what went into it.
+
+    With ``write``, each frame goes to ``write`` as soon as it holds its
+    1000 messages, and each session's last, short frame when the session
+    ends; nothing of the stream is kept, and the returned bytes are
+    ``b""``.  Without it, the frames are joined and returned.
+    """
     rng = np.random.default_rng(spec.seed)
     store = rates.TallyStore()
     cumulative = (_cumulative(dist.tick_curve(spec.buy_model)),
                   _cumulative(dist.tick_curve(spec.sell_model)))
     order_ids = itertools.count(1)
-    chunks = []
+    chunks = None
+    if write is None:
+        chunks = []
+        write = chunks.append
     for session_date in default_calendar(spec.days, spec.start):
-        packed = _generate_session(spec, session_date, rng, cumulative,
-                                   order_ids, store)
-        chunks.append(feed.encode_session(
-            rates.date_to_session_id(session_date), packed))
-    return b"".join(chunks), GroundTruth(spec=spec, store=store)
+        flush = feed.session_framer(rates.date_to_session_id(session_date),
+                                    write)
+        _generate_session(spec, session_date, rng, cumulative, order_ids,
+                          store, flush)
+    blob = b"" if chunks is None else b"".join(chunks)
+    return blob, GroundTruth(spec=spec, store=store)
 
 
 def _generate_session(spec, session_date, rng, cumulative, order_ids,
-                      store) -> list[bytes]:
+                      store, flush) -> None:
     tick = spec.tick_size
     packed = []
     emit = packed.append
@@ -255,6 +280,8 @@ def _generate_session(spec, session_date, rng, cumulative, order_ids,
 
     for offset, s, u, quantity in zip(offsets, sides, tick_draws,
                                       quantities):
+        # the whole frames the last arrival filled go on to the writer
+        flush(packed)
         ts = _timestamp(offset)
         hour = ts // _NS_PER_HOUR
         # u < 1.0, the last edge, so the index is at most len - 1
@@ -289,7 +316,7 @@ def _generate_session(spec, session_date, rng, cumulative, order_ids,
             order[2] -= amount
             if not order[2]:
                 del live[oid]
-    return packed
+    flush(packed, last=True)
 
 
 # --- serialization ---

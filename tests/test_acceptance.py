@@ -42,9 +42,11 @@ def forty_day_run(tmp_path_factory):
         sell_model=dist.DiscreteWeibull(0.75, 1.4),
         cancel_probability=0.08,
         cancel_style=synth.CancelStyle.UNIFORM_FRACTION)
-    blob, truth = synth.generate(spec)
+    # written frame by frame, as lobfit synth writes it
     stream = out / "stream.lobf"
-    stream.write_bytes(blob)
+    with open(stream, "wb") as fh:
+        _, truth = synth.generate(spec, fh.write)
+    blob = stream.read_bytes()
     synth.write_ground_truth(out / "ground_truth.json", truth)
     assert cli.main(["rates", str(stream), "--out", str(out)]) == 0
     assert cli.main(["fit", str(out / "rates.csv"),

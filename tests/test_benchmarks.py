@@ -45,10 +45,22 @@ def test_bench_replay_prints_one_row_per_stage():
                         "--orders-per-day", "300")
     (rows,) = tables(stdout)
     assert [row.split()[0] for row in rows] == [
-        "synth.generate", "feed.encode_frame", "feed.encode_session",
+        "synth.generate", "feed.encode_frame", "feed.session_framer",
         "feed.frame_at", "feed.iter_frames",
         "feed.session_runs", "feed.iter_stream", "OrderBook.apply",
         "rates.accumulate_event", "rates.tally_stream"]
+
+
+def test_bench_memory_prints_one_row_per_command():
+    stdout = run_script("bench_memory.py", "--days", "2",
+                        "--orders-per-day", "200")
+    (rows,) = tables(stdout)
+    assert [row.split()[:2] for row in rows] == [
+        ["synth", "1"], ["synth", "2"], ["rates", "2"],
+        ["cancel-test", "2"], ["fit", "2"]]
+    for row in rows:
+        own, workers = map(float, row.split()[2:4])
+        assert own > 0 and workers >= 0
 
 
 def test_bench_kernels_prints_one_row_per_stage():

@@ -956,12 +956,65 @@ class TestExitCodes:
             assert f"{path}{where}" in err and what in err
             assert "internal error" not in err
 
-    def test_internal_failure_exits_two(self, tmp_path, monkeypatch):
-        def boom(spec):
+    def test_internal_failure_exits_two(self, tmp_path, monkeypatch, capsys):
+        def boom(spec, write):
             raise RuntimeError("wires crossed")
 
         monkeypatch.setattr(synth, "generate", boom)
         assert cli.main(["synth", "--out", str(tmp_path)]) == 2
+        assert "wires crossed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, model, named", [
+        ("--buy-model", "pow:inf,1", "buy_model: curve mass vanished for "
+                                     "PowerLaw(scale=inf"),
+        ("--sell-model", "exp:inf", "sell_model: curve mass vanished for "
+                                    "Exponential(rate=inf)"),
+        ("--buy-model", "bb:1e308,1e308", "buy_model: beta-binomial mass "
+                                          "overflows at alpha=1e+308")],
+        ids=["pow", "exp", "bb"])
+    def test_synth_model_without_a_curve_writes_nothing(
+            self, tmp_path, capsys, flag, model, named):
+        out = tmp_path / "out"
+        assert cli.main(["synth", "--days", "1", flag, model,
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "internal error" not in err
+        assert not out.exists()
+
+    @staticmethod
+    def fail_second_session(monkeypatch, out, error):
+        """Make the generator raise ``error`` as its second session
+        starts, once the first is on its way to disk."""
+        generate_session = synth._generate_session
+        sessions = []
+
+        def fail_on_second(*args):
+            sessions.append(None)
+            if len(sessions) == 2:
+                assert (out / "stream.lobf.tmp").stat().st_size > 0
+                raise error
+            return generate_session(*args)
+
+        monkeypatch.setattr(synth, "_generate_session", fail_on_second)
+        return sessions
+
+    def test_synth_failing_midway_leaves_no_stream(self, tmp_path,
+                                                   monkeypatch, capsys):
+        out = tmp_path / "out"
+        sessions = self.fail_second_session(monkeypatch, out,
+                                            RuntimeError("power cut"))
+        assert cli.main(["synth", "--days", "3", "--out", str(out)]) == 2
+        assert "power cut" in capsys.readouterr().err
+        assert len(sessions) == 2
+        assert list(out.iterdir()) == []
+
+    def test_synth_interrupted_midway_leaves_no_stream(self, tmp_path,
+                                                       monkeypatch):
+        out = tmp_path / "out"
+        self.fail_second_session(monkeypatch, out, KeyboardInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["synth", "--days", "3", "--out", str(out)])
+        assert list(out.iterdir()) == []
 
 
 class TestMultiFileInput:

@@ -366,6 +366,38 @@ def test_encode_session_frames_as_build_frames(count):
     assert feed.encode_session(42, packed) == expected
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 3200),
+       cuts=st.lists(st.integers(0, 3200), max_size=12),
+       session_id=st.integers(0, 2**32 - 1))
+def test_session_framer_at_any_flush_points_frames_as_encode_session(
+        seed, count, cuts, session_id):
+    rng = random.Random(seed)
+    msgs = [random_message(rng) for _ in range(count)]
+    packed = [feed.encode_message(m) for m in msgs]
+    writes = []
+    flush = feed.session_framer(session_id, writes.append)
+    pending = []
+    cuts = set(cuts)
+    for i, message in enumerate(packed):
+        pending.append(message)
+        if i in cuts:
+            flush(pending)
+            # only the tail short of a whole frame stays behind
+            assert len(pending) < 1000
+    flush(pending, last=True)
+    assert pending == []
+    for chunk in writes:
+        offset = 0
+        while offset < len(chunk):
+            *_, offset = feed.frame_at(chunk, offset)
+        assert offset == len(chunk)
+    expected = b"".join(map(feed.encode_frame,
+                            feed.build_frames(session_id, msgs)))
+    assert b"".join(writes) == feed.encode_session(session_id,
+                                                   packed) == expected
+
+
 def test_iter_frames_walks_concatenation():
     rng = random.Random(7)
     frames = [LobfFrame(1, i * 3, tuple(random_message(rng) for _ in range(3)))

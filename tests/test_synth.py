@@ -3,7 +3,7 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lobfit import dist, feed, rates, stats, synth
@@ -244,6 +244,12 @@ def test_golden_bytes(name, tmp_path):
     synth.write_ground_truth(truth, gt)
     assert hashlib.sha256(blob).hexdigest() == stream_digest
     assert hashlib.sha256(truth.read_bytes()).hexdigest() == truth_digest
+    # the writer path, which lobfit synth runs, writes the same bytes
+    chunks = []
+    streamed, streamed_gt = synth.generate(spec, chunks.append)
+    assert streamed == b""
+    assert hashlib.sha256(b"".join(chunks)).hexdigest() == stream_digest
+    assert streamed_gt.store == gt.store
 
 
 def test_ground_truth_does_not_come_from_the_book(tmp_path, monkeypatch):
@@ -294,6 +300,47 @@ def test_truth_is_what_both_replays_tally(seed, days, orders, tick_size,
     blob, gt = synth.generate(spec)
     assert gt.store == replay(blob, tick_size)
     assert gt.store == object_replay(blob, tick_size)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**64 - 1), days=st.integers(1, 3),
+       orders=st.integers(1, 600), tick_size=st.integers(1, 5),
+       probability=st.one_of(st.sampled_from([0.0, 1.0]),
+                             st.floats(0.0, 1.0)),
+       style=st.sampled_from(synth.CancelStyle))
+@example(seed=1, days=2, orders=600, tick_size=1, probability=1.0,
+         style=synth.CancelStyle.UNIFORM_FRACTION)  # 4 frames a session
+def test_writer_gets_whole_frames_as_they_fill(seed, days, orders, tick_size,
+                                               probability, style):
+    spec = synth.SynthSpec(seed=seed, days=days, orders_per_day=orders,
+                           buy_model=dist.DiscreteWeibull(0.8, 1.2),
+                           sell_model=dist.Geometric(0.35),
+                           cancel_probability=probability,
+                           cancel_style=style, tick_size=tick_size)
+    chunks = []
+    streamed, streamed_gt = synth.generate(spec, chunks.append)
+    assert streamed == b""
+    counts = {}
+    for chunk in chunks:
+        offset = frames = 0
+        while offset < len(chunk):
+            session_id, sequence, messages, offset = feed.frame_at(chunk,
+                                                                   offset)
+            sizes = counts.setdefault(session_id, [])
+            assert sequence == 1000 * len(sizes)
+            sizes.append(len(messages))
+            frames += 1
+        assert offset == len(chunk)
+        # fewer than 1000 messages wait before an arrival, which adds at
+        # most 1 + orders < 1000 more, so a frame goes out once it fills
+        assert frames <= 2
+    assert len(counts) == days
+    for sizes in counts.values():
+        assert all(size == 1000 for size in sizes[:-1])
+        assert 1 <= sizes[-1] <= 1000
+    blob, gt = synth.generate(spec)
+    assert b"".join(chunks) == blob
+    assert streamed_gt.store == gt.store
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -13,9 +13,11 @@ code that the commands run:
 * ``feed.frame_at``: decode the stream bytes into ``(kind, body)``
   pairs, frame by frame, the decoder ``rates.tally_stream`` runs;
 * ``feed.session_runs``: split the stream bytes into one run of frames
-  per session, reading only frame headers and message lengths.  This
-  is the serial share of ``lobfit rates``, which then tallies the runs
-  on one worker process per CPU;
+  per session, reading only frame headers and message lengths, and
+  return the runs with the fault the split stopped at (none on this
+  stream, which the row checks).  This is the serial share of
+  ``lobfit rates``, which then tallies each run once, on one worker
+  process per CPU;
 * ``rates.tally_stream``: the whole replay from the stream bytes into a
   fresh ``TallyStore``, decode, book and tally in one loop, as
   ``lobfit rates`` runs it on each session.
@@ -88,6 +90,12 @@ def decode_pairs(blob):
 def decode(blob):
     for _ in book.iter_frames(blob):
         pass
+
+
+def split(blob):
+    _, fault = feed.session_runs([blob])
+    if fault is not None:
+        raise fault
 
 
 def stream_check(frames):
@@ -173,8 +181,7 @@ def main():
          "msg/s"),
         ("feed.frame_at", lambda: decode_pairs(blob), n_msgs, "msg/s"),
         ("feed.iter_frames", lambda: decode(blob), n_msgs, "msg/s"),
-        ("feed.session_runs", lambda: feed.session_runs([blob]), n_msgs,
-         "msg/s"),
+        ("feed.session_runs", lambda: split(blob), n_msgs, "msg/s"),
         ("feed.iter_stream", lambda: stream_check(frames), n_msgs, "msg/s"),
         ("OrderBook.apply", lambda: replay_book(messages), n_msgs, "msg/s"),
         ("rates.accumulate_event", lambda: tally(events), len(events),

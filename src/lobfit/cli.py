@@ -9,9 +9,10 @@ Four subcommands chain the package into the full workflow:
     lobfit rates run/stream.lobf --out run/
         replay the stream through the book and write run/rates.csv and
         run/cancels.csv, one row per (bucket, side, tick); each session
-        starts on an empty book, so sessions are replayed in parallel,
-        one worker process per CPU this process may run on, and the
-        outputs are byte-identical for any number of CPUs
+        starts on an empty book, so each is replayed once, in parallel,
+        one worker process per CPU this process may run on; the outputs
+        are byte-identical for any number of CPUs, and a bad stream
+        fails with the error a replay in stream order meets first
 
     lobfit fit run/rates.csv --out run/
         fit every selected family to every instance and write
@@ -182,39 +183,39 @@ def cmd_synth(args) -> None:
                              truth)
 
 
-def _read_file(path) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
-def _session_runs(paths) -> list:
-    """The input's sessions, each as spans ``(path, start, stop)`` of
-    the input files, the longest first.  Each worker of ``_map_on_cpus``
-    takes every n-th session, so that order keeps their shares of the
-    bytes about even."""
-    blobs = [_read_file(path) for path in paths]
-    runs = [[(paths[i], start, stop) for i, start, stop in run]
-            for run in feed.session_runs(blobs)]
-    runs.sort(key=lambda spans: sum(stop - start for _, start, stop in spans),
-              reverse=True)
-    return runs
-
-
-def _read_span(path, start: int, stop: int) -> bytes:
+def _read(path, start: int = 0, stop: int | None = None) -> bytes:
+    """The bytes of ``path`` from ``start`` to ``stop`` (None: its end)."""
     with open(path, "rb") as fh:
         fh.seek(start)
-        return fh.read(stop - start)
+        return fh.read(-1 if stop is None else stop - start)
 
 
-def _tally_run(spans, granularities, tick_size, reference, sides):
-    """Tally one session, given as spans of stream files, in its own store.
+def _session_runs(paths) -> tuple[list, Exception | None]:
+    """The input's sessions, each as its stream position and its spans
+    ``(path, start, stop)`` of the input files, the longest first, and
+    the split's fault or None.  Each worker of ``_map_on_cpus`` takes
+    every n-th session, so that order keeps their shares of the bytes
+    about even."""
+    runs, fault = feed.session_runs(map(_read, paths))
+    runs = [(position, [(paths[i], start, stop) for i, start, stop in run])
+            for position, run in enumerate(runs)]
+    runs.sort(key=lambda run: sum(stop - start for _, start, stop in run[1]),
+              reverse=True)
+    return runs, fault
 
-    Returns the store and the number of messages applied.
-    """
+
+def _tally_run(run, granularities, tick_size, reference, sides):
+    """Tally one session, given as its stream position and its spans,
+    in its own store.  Returns the position with the store and the
+    messages applied, or with the input error the replay raised."""
+    position, spans = run
     store = rates.TallyStore(granularities)
-    blobs = (_read_span(path, start, stop) for path, start, stop in spans)
-    return store, rates.tally_stream(store, blobs, tick_size, reference,
-                                     sides)
+    blobs = (_read(*span) for span in spans)
+    try:
+        return position, (store, rates.tally_stream(
+            store, blobs, tick_size, reference, sides))
+    except (LobfitError, OSError, ValueError) as exc:
+        return position, exc
 
 
 def cmd_rates(args) -> None:
@@ -223,24 +224,23 @@ def cmd_rates(args) -> None:
              else (Side[args.side.upper()],))
     reference = TickReference(args.reference)
     store = rates.TallyStore(granularities)
-    # each session starts on an empty book, so the sessions are tallied
-    # apart; every session keeps its own sums, so the merged store is the
-    # same for any number of workers and any order of the sessions
+    # each session starts on an empty book and keeps its own sums, so the
+    # sessions are tallied apart and merged in any order; every run lies
+    # before the split's fault, and sessions do not interleave, so stream
+    # order is the order a replay meets their errors
     tally_run = functools.partial(
         _tally_run, granularities=granularities, tick_size=args.tick_size,
         reference=reference, sides=sides)
+    runs, fault = _session_runs(args.inputs)
     seen = 0
-    try:
-        for part, applied in _map_on_cpus(tally_run,
-                                          _session_runs(args.inputs)):
-            store.merge(part)
-            seen += applied
-    except (LobfitError, OSError, ValueError):
-        # a bad input: the serial replay meets the first fault in stream
-        # order, and its error is the one to report
-        store = rates.TallyStore(granularities)
-        seen = rates.tally_stream(store, map(_read_file, args.inputs),
-                                  args.tick_size, reference, sides)
+    for _, result in sorted(_map_on_cpus(tally_run, runs),
+                            key=lambda done: done[0]):
+        if isinstance(result, Exception):
+            raise result
+        store.merge(result[0])
+        seen += result[1]
+    if fault is not None:
+        raise fault
     if seen == 0:
         raise LobfitError("input contains no messages")
     os.makedirs(args.out, exist_ok=True)

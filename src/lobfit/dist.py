@@ -302,7 +302,7 @@ def tick_curve(family, ticks: int = TICKS) -> list[float]:
     if not isinstance(family, _FAMILIES):
         raise TypeError(f"not a model family: {family!r}")
     raw = family.masses(ticks)
-    total = sum(raw)
+    total = stats.ordered_sum(raw)
     if not (math.isfinite(total) and total > 0.0):
         raise DomainError(f"curve mass vanished for {family!r}")
     return [v / total for v in raw]
@@ -354,7 +354,8 @@ def _below_entropy(objective: float, weights) -> bool:
     margin leaves exact curves, which land within rounding of H(w),
     unflagged.
     """
-    entropy = -sum(w * math.log(w) for w in weights if w > 0.0)
+    entropy = -stats.ordered_sum(w * math.log(w) for w in weights
+                                 if w > 0.0)
     return objective < entropy * (1.0 - 1e-9)
 
 

@@ -38,6 +38,8 @@ Within one session timestamps are non-decreasing and frame sequence
 numbers are contiguous; ``rates.tally_stream`` enforces both.
 Sessions are independent, and ``session_runs`` finds where each one's
 frames lie without decoding a message, so they can be decoded apart.
+It stops at the first fault it meets and returns that fault with the
+runs before it, so errors can still be reported in stream order.
 
 One message decoder serves every reader.  It reads the length and
 kind bytes in place, unpacks the body straight from the buffer, and
@@ -72,10 +74,11 @@ no command runs.  Those names still resolve here: reading one loads
 
 from __future__ import annotations
 
+import itertools
 import struct
 from enum import IntEnum
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from lobfit.errors import (
     BadMagic,
@@ -311,49 +314,90 @@ def encode_session(session_id: int, packed: Sequence[bytes]) -> bytes:
     return b"".join(parts)
 
 
-def session_runs(blobs: Sequence[bytes]) -> list[list[tuple[int, int, int]]]:
+def _frame_end(data, offset: int) -> tuple[int, int]:
+    """The session id and the end of the frame at ``data[offset]``,
+    from its header and its messages' length bytes alone."""
+    session_id, _, count = _header_at(data, offset)
+    offset += _HEADER.size
+    try:
+        for _ in range(count):
+            offset += data[offset] + 1
+    except IndexError:
+        raise TruncatedFrame(
+            "frame ends before declared message count") from None
+    if offset > len(data):
+        raise TruncatedFrame("last message runs past the buffer")
+    return session_id, offset
+
+
+def _fault_at(data, offset: int, fault: FormatError) -> FormatError:
+    """The error a replay in stream order meets at the frame at
+    ``data[offset]``: ``frame_at``'s, or ``fault`` if the frame decodes."""
+    try:
+        frame_at(data, offset)
+    except FormatError as exc:
+        return exc
+    return fault
+
+
+def session_runs(blobs: Iterable) -> tuple[list, Exception | None]:
     """Split a stream held in several buffers into one run per session.
 
-    ``blobs`` are the stream's files in order.  Only frame headers and
-    message length bytes are read.  A run lists the spans
-    ``(blob index, start, stop)`` of one session's frames, one span per
-    buffer the session has frames in; runs come in stream order, and
+    ``blobs`` are the stream's files in order, as buffers, taken one at
+    a time.  Only frame headers and message length bytes are read.  A
+    run lists the spans ``(blob index, start, stop)`` of one session's
+    frames, one span per buffer the session has frames in, and
     decoding a run's spans with ``book.iter_frames`` yields the
-    session's frames.  A header cut short, a frame whose messages run
-    past the end of its buffer and a bad magic raise as they do in
-    ``book.iter_frames``; a session id that recurs after another
-    session raises as it does in ``book.iter_stream``.
+    session's frames.
+
+    Returns the runs in stream order and the fault the split stopped
+    at, or None; nothing is raised.  The fault at a frame is the error
+    ``frame_at`` raises there, or, if the frame decodes, that of a
+    session id that recurs after another session, as
+    ``book.iter_stream`` raises it.  A header cut short, a frame whose
+    messages run past the end of its buffer, a bad magic and a
+    recurring session are such faults.  A buffer that cannot be read,
+    whose iterator raises ``OSError`` or ``ValueError``, is a fault at
+    its start.  The runs hold every frame before the fault, the
+    interrupted session's as one last run.  A frame the split passes
+    may still fail to decode, but it lies before the fault, so a replay
+    of the runs in stream order and then the fault meets the errors a
+    replay of the stream meets, in the same order.
     """
     runs: list[list[tuple[int, int, int]]] = []
     current: int | None = None
     seen: set[int] = set()
-    for index, data in enumerate(blobs):
+    buffers = iter(blobs)
+    for index in itertools.count():
+        try:
+            data = next(buffers)
+        except StopIteration:
+            return runs, None
+        except (OSError, ValueError) as exc:
+            return runs, exc
         size = len(data)
         offset = start = 0
         while offset < size:
-            session_id, _, count = _header_at(data, offset)
-            if session_id != current:
-                if session_id in seen:
+            try:
+                session_id, end = _frame_end(data, offset)
+                if session_id != current and session_id in seen:
                     raise FormatError(
                         f"session {session_id} split across the stream")
+            except FormatError as exc:
+                if offset > start:
+                    runs[-1].append((index, start, offset))
+                return runs, _fault_at(data, offset, exc)
+            if session_id != current:
                 seen.add(session_id)
                 current = session_id
                 if offset > start:
                     runs[-1].append((index, start, offset))
                 start = offset
                 runs.append([])
-            offset += _HEADER.size
-            try:
-                for _ in range(count):
-                    offset += data[offset] + 1
-            except IndexError:
-                raise TruncatedFrame(
-                    "frame ends before declared message count") from None
-            if offset > size:
-                raise TruncatedFrame("last message runs past the buffer")
+            offset = end
         if offset > start:
             runs[-1].append((index, start, offset))
-    return runs
+        del data  # one buffer held at a time
 
 
 def __getattr__(name):

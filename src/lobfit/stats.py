@@ -8,6 +8,11 @@ follow the modified Lentz scheme; the series/fraction split points are
 the usual ones (x < (a+1)/(a+b+2) for the beta, x < s+1 for the
 gamma).  Target relative accuracy is 1e-13, comfortably inside the
 1e-10 the test suite asserts.
+
+Float sums go through ``ordered_sum``, which adds left to right with
+one rounding per term.  From Python 3.12 the built-in ``sum`` of floats
+is compensated and rounds differently, so the written scores and
+statistics would depend on the interpreter.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ __all__ = [
     "reg_inc_gamma_lower",
     "student_t_sf2",
     "chi_square_sf",
+    "ordered_sum",
     "l1_error",
     "nps",
     "welch_t_test",
@@ -165,6 +171,15 @@ def chi_square_sf(x: float, df: float) -> float:
     return 1.0 - reg_inc_gamma_lower(0.5 * df, 0.5 * x)
 
 
+def ordered_sum(values) -> float:
+    """The float sum of ``values`` added left to right, as the built-in
+    ``sum`` adds floats before Python 3.12."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 # --- model comparison metrics ---
 
 def l1_error(observed, fitted) -> float:
@@ -172,7 +187,7 @@ def l1_error(observed, fitted) -> float:
     if len(observed) != len(fitted):
         raise VectorLengthMismatch(
             f"{len(observed)} vs {len(fitted)} entries")
-    return sum(abs(a - b) for a, b in zip(observed, fitted))
+    return ordered_sum(abs(a - b) for a, b in zip(observed, fitted))
 
 
 def nps(errors: dict[str, float]) -> dict[str, float]:
@@ -209,8 +224,8 @@ class TestResult(NamedTuple):
 
 def _mean_var(sample) -> tuple[float, float]:
     n = len(sample)
-    mean = sum(sample) / n
-    var = sum((v - mean) ** 2 for v in sample) / (n - 1)
+    mean = ordered_sum(sample) / n
+    var = ordered_sum((v - mean) ** 2 for v in sample) / (n - 1)
     return mean, var
 
 
@@ -282,6 +297,6 @@ def chi_square_uniformity(ratios) -> TestResult:
     if total == 0:
         raise AllZero("all ratios rounded to zero counts")
     expected = total / 10.0
-    statistic = sum((o - expected) ** 2 for o in observed) / expected
+    statistic = ordered_sum((o - expected) ** 2 for o in observed) / expected
     df = 9.0
     return TestResult(statistic, df, chi_square_sf(statistic, df))

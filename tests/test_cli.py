@@ -807,6 +807,56 @@ class TestRatesFailsAsSerial:
                 assert not os.path.exists(out)
 
 
+def _rates_error(paths, out):
+    """Exit code and stderr of ``lobfit rates`` over ``paths``, run in
+    this process."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["rates", *map(str, paths), "--out", str(out)])
+    return code, err.getvalue()
+
+
+class TestRatesReplaysOnce:
+    def test_the_parent_never_replays(self, tmp_path, monkeypatch):
+        paths = _two_file_stream(str(tmp_path))
+        # a frame of the last session twice: a sequence error there
+        frames = list(feed.read_lobf(paths[1]))
+        frames.insert(len(frames) - 1, frames[-2])
+        with open(paths[1], "wb") as fh:
+            fh.write(b"".join(map(feed.encode_frame, frames)))
+        want = _serial_rates(paths, [], tmp_path / "serial")
+        assert "frame sequence" in want
+        parent = os.getpid()
+        tally_stream = rates.tally_stream
+
+        def in_workers_only(*args, **kwargs):
+            if os.getpid() == parent:
+                raise RuntimeError("a session replayed in the parent")
+            return tally_stream(*args, **kwargs)
+
+        monkeypatch.setattr(rates, "tally_stream", in_workers_only)
+        out = tmp_path / "out"
+        assert _rates_error(paths, out) == (1, f"error: {want}\n")
+        assert not out.exists()
+
+    def test_an_unreadable_input_fails_in_stream_order(self, tmp_path):
+        good = _two_file_stream(str(tmp_path))[0]
+        bad = tmp_path / "bad.lobf"
+        # a delete of an order that never rested
+        bad.write_bytes(b"".join(map(feed.encode_frame, feed.build_frames(
+            20170801, [feed.MarketMessage.delete(36_000 * 10**9, 7)]))))
+        missing = tmp_path / "missing.lobf"
+        out = tmp_path / "out"
+        want = _serial_rates([bad, missing], [], tmp_path / "serial")
+        assert want == "order 7"
+        assert _rates_error([bad, missing], out) == (1, f"error: {want}\n")
+        with pytest.raises(OSError) as unreadable:
+            open(missing, "rb")
+        assert _rates_error([good, missing], out) == (
+            1, f"error: {unreadable.value}\n")
+        assert not out.exists()
+
+
 class TestCancelTestEdgeCases:
     def test_bucket_missing_a_tick_is_skipped_with_warning(self, tmp_path,
                                                            capsys):

@@ -475,7 +475,8 @@ def test_session_runs_follow_a_session_across_files():
     encoded = [feed.encode_frame(f) for f in frames]
     # the first file ends after the second frame of session 2
     first, second = b"".join(encoded[:4]), b"".join(encoded[4:])
-    runs = feed.session_runs([first, second])
+    runs, fault = feed.session_runs([first, second])
+    assert fault is None
     cut = len(b"".join(encoded[:2]))
     assert runs == [[(0, 0, cut)],
                     [(0, cut, len(first)),
@@ -496,7 +497,8 @@ def test_session_runs_cover_the_stream_in_order(sizes, max_per_frame, cuts):
     bounds = sorted({0, len(encoded)} | {c % (len(encoded) + 1)
                                          for c in cuts})
     blobs = [b"".join(encoded[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    runs = feed.session_runs(blobs)
+    runs, fault = feed.session_runs(blobs)
+    assert fault is None
     decoded = _decoded_runs(blobs, runs)
     assert [f for run in decoded for f in run] == frames
     assert [{f.session_id for f in run} for run in decoded] == [
@@ -508,15 +510,126 @@ def test_session_runs_reject_what_the_decoder_rejects():
     rng = random.Random(10)
     frames = _sessions_stream(rng, [3, 3], max_per_frame=2)
     data = b"".join(feed.encode_frame(f) for f in frames)
-    assert feed.session_runs([b"", b""]) == []
+    assert feed.session_runs([b"", b""]) == ([], None)
     for cut in range(1, len(data)):
         if any(cut == len(b"".join(feed.encode_frame(f)
                                    for f in frames[:k]))
                for k in range(len(frames))):
             continue
-        with pytest.raises(TruncatedFrame):
-            feed.session_runs([data[:cut], data[cut:]])
-    with pytest.raises(BadMagic):
-        feed.session_runs([b"LOBX" + data[4:]])
-    with pytest.raises(FormatError, match="session 1 split across"):
-        feed.session_runs([data, feed.encode_frame(frames[0])])
+        _, fault = feed.session_runs([data[:cut], data[cut:]])
+        assert isinstance(fault, TruncatedFrame)
+    _, fault = feed.session_runs([b"LOBX" + data[4:]])
+    assert isinstance(fault, BadMagic)
+    _, fault = feed.session_runs([data, feed.encode_frame(frames[0])])
+    assert isinstance(fault, FormatError)
+    assert str(fault) == "session 1 split across the stream"
+
+
+def _first_fault(blobs):
+    """The first error of decoding each frame with ``frame_at`` and then
+    checking that its session does not recur, over the buffers in order:
+    what a replay of the stream raises before any of its later checks."""
+    seen, current = set(), None
+    for data in blobs:
+        offset = 0
+        while offset < len(data):
+            try:
+                session_id, _, _, offset = feed.frame_at(data, offset)
+            except FormatError as exc:
+                return exc
+            if session_id != current and session_id in seen:
+                return FormatError(
+                    f"session {session_id} split across the stream")
+            seen.add(session_id)
+            current = session_id
+    return None
+
+
+def test_session_runs_stop_at_the_fault_a_replay_meets():
+    rng = random.Random(11)
+    frames = _sessions_stream(rng, [3, 5], max_per_frame=2)
+    encoded = [feed.encode_frame(f) for f in frames]
+    # the last message of session 2's second frame is cut short: the
+    # replay's decoder names the bytes missing, not the split's walk
+    whole = b"".join(encoded[:3])
+    data = whole + encoded[3][:-3]
+    runs, fault = feed.session_runs([data])
+    assert isinstance(fault, TruncatedFrame)
+    assert str(fault) == str(_first_fault([data]))
+    assert str(fault).startswith("message needs ")
+    # the interrupted session's whole frames are its last run
+    assert runs == [[(0, 0, len(encoded[0]) + len(encoded[1]))],
+                    [(0, len(encoded[0]) + len(encoded[1]), len(whole))]]
+    assert _decoded_runs([data], runs) == [frames[:2], frames[2:3]]
+
+
+def test_a_recurring_session_is_the_decoders_fault_first():
+    rng = random.Random(12)
+    frames = _sessions_stream(rng, [2, 2], max_per_frame=2)
+    first, second = (feed.encode_frame(f) for f in frames)
+    # session 1 again, with a kind byte no message has
+    broken = bytearray(first)
+    broken[feed._HEADER.size + 1] = 0x00
+    runs, fault = feed.session_runs([first + second, bytes(broken)])
+    assert isinstance(fault, UnknownMessageKind)
+    assert runs == [[(0, 0, len(first))],
+                    [(0, len(first), len(first) + len(second))]]
+    runs, fault = feed.session_runs([first + second, first])
+    assert str(fault) == "session 1 split across the stream"
+    assert len(runs) == 2
+
+
+def test_an_unreadable_input_is_a_fault_at_its_start():
+    rng = random.Random(13)
+    frames = _sessions_stream(rng, [3, 3], max_per_frame=2)
+    encoded = [feed.encode_frame(f) for f in frames]
+    missing = FileNotFoundError(2, "No such file or directory")
+    read = []
+
+    def inputs():
+        read.append(1)
+        yield b"".join(encoded[:3])
+        read.append(2)
+        raise missing
+
+    runs, fault = feed.session_runs(inputs())
+    assert fault is missing
+    assert read == [1, 2]
+    assert _decoded_runs([b"".join(encoded[:3])], runs) == [
+        frames[:2], frames[2:3]]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=4),
+       st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 255)),
+                max_size=3),
+       st.integers(0, 10 ** 6), st.integers(0, 10 ** 6), st.booleans())
+def test_session_runs_report_the_first_fault_and_the_frames_before_it(
+        sizes, flips, cut, end, recur):
+    rng = random.Random(len(sizes))
+    frames = _sessions_stream(rng, sizes, max_per_frame=2)
+    if recur and frames:
+        frames.append(frames[0])
+    data = bytearray(b"".join(feed.encode_frame(f) for f in frames))
+    for at, value in flips:
+        if data:
+            data[at % len(data)] = value
+    data = bytes(data[:len(data) - end % (len(data) + 1)])
+    cut %= len(data) + 1
+    blobs = [data[:cut], data[cut:]]
+    runs, fault = feed.session_runs(blobs)
+    spans = [span for run in runs for span in run]
+    assert spans == sorted(spans)
+    # the split reads no message, so a frame it passes may still fail to
+    # decode; a replay of the runs in order meets that error first, and
+    # else the split's fault, which is the stream's first fault
+    got = next((error for i, start, stop in spans
+                if (error := _first_fault([blobs[i][start:stop]]))), fault)
+    want = _first_fault(blobs)
+    assert type(got) is type(want)
+    assert str(got) == str(want)
+    if want is None:
+        decoded = _decoded_runs(blobs, runs)
+        assert [f for run in decoded for f in run] == list(
+            feed.iter_frames(data))
+        assert all(len({f.session_id for f in run}) == 1 for run in decoded)

@@ -114,6 +114,15 @@ def test_l1_error_bounds():
     assert stats.l1_error(disjoint_a, disjoint_b) == pytest.approx(2.0)
 
 
+def test_float_sums_round_as_on_every_interpreter():
+    # added left to right, one rounding per term; the compensated
+    # built-in sum of Python 3.12 and later gives 0.6
+    assert stats.l1_error([0.1, 0.2, 0.3], [0.0] * 3) == 0.6000000000000001
+    assert stats.ordered_sum([0.1, 0.2, 0.3]) == (0.1 + 0.2) + 0.3
+    assert stats.ordered_sum([1e100, 1.0, -1e100]) == 0.0
+    assert stats.ordered_sum([]) == 0
+
+
 def test_nps_scores():
     scores = stats.nps({"geo": 0.2, "dw": 0.1, "bb": 0.4})
     assert scores == {"geo": 2.0, "dw": 1.0, "bb": 4.0}

@@ -17,29 +17,29 @@ Objectives never raise on arithmetic: overflow, underflow into a
 division and NaN all come back as +inf, which the simplex treats as
 an infeasible point.
 
-Each evaluation does only the work that depends on (z0, z1).  What
-depends on the tick index alone is built once per window length and
-cached: the float ticks, and for the beta-binomial each x = tick - 1
-with its log binomial coefficient ln C(nb, x), nb = n - 1.  Per
-evaluation the beta-binomial takes ln Gamma(x + alpha) and
-ln Gamma(x + beta) in one pass each; ln Gamma(alpha) and
-ln Gamma(beta) are their x = 0 entries, and ln Gamma(nb - x + beta)
-is the second pass read backwards.  The result is the same float, bit
-for bit, as evaluating every term per tick: each term comes from the
-same expression on the same operands (nb - x is an exact
-integer-valued float, and 0.0 + alpha == alpha), terms are summed in
-the same left-to-right order, and the overflow shortcuts below fire
-only where the per-tick form returned +inf as well.
+Each evaluation is one pass over the ticks and does only the work
+that depends on (z0, z1).  What depends on the tick index alone is
+built once per window length and cached: the float ticks, and for the
+beta-binomial each x = tick - 1 with nb - x and its log binomial
+coefficient ln C(nb, x), nb = n - 1.  The result is the same float,
+bit for bit, as evaluating every term per tick through overflow-guarding
+wrappers: each term comes from the same expression on the same
+operands (``t ** e`` calls the C ``pow`` that ``math.pow`` does, and
+ln Gamma(0.0 + alpha) is ln Gamma(alpha)), terms are summed in the same
+left-to-right order, a power that overflows becomes +inf at that tick
+alone, and the overflow shortcuts below fire only where the per-tick
+form returned +inf as well.  Untruncated, the beta-binomial skips the
+ln Gamma terms of zero-weight ticks, which the per-tick form computed
+and then dropped.
 """
 
 from __future__ import annotations
 
 import functools
-import math
+from math import exp, inf as _INF, isfinite, lgamma, log, log1p
 
 BACKEND = "python"  # name of this kernel, for run records
 
-_INF = math.inf
 _EXP_CAP = 709.0  # exp() overflow threshold
 
 KIND_DW = 0
@@ -52,26 +52,6 @@ _TOL = 1e-8
 _MAX_ITER = 10000
 
 
-def _exp(v: float) -> float:
-    if v > _EXP_CAP:
-        return _INF
-    return math.exp(v)
-
-
-def _pow(base: float, exponent: float) -> float:
-    try:
-        return math.pow(base, exponent)
-    except OverflowError:
-        return _INF
-
-
-def _lgamma(v: float) -> float:
-    try:
-        return math.lgamma(v)
-    except OverflowError:
-        return _INF
-
-
 @functools.cache
 def _ticks(n: int) -> tuple[float, ...]:
     """The ticks 1..n as floats."""
@@ -79,103 +59,113 @@ def _ticks(n: int) -> tuple[float, ...]:
 
 
 @functools.cache
-def _bb_terms(n: int) -> tuple[float, tuple, tuple]:
-    """nb = n - 1, then x = 0..nb and ln C(nb, x), as floats."""
+def _bb_terms(n: int) -> tuple[float, tuple]:
+    """nb = n - 1, then (ln C(nb, x), x, nb - x) for x = 0..nb, as floats."""
     nb = float(n - 1)
-    lgn1 = _lgamma(nb + 1.0)
-    xs = tuple(float(x) for x in range(n))
-    return nb, xs, tuple(lgn1 - _lgamma(x + 1.0) - _lgamma(nb - x + 1.0)
-                         for x in xs)
-
-
-def _powers(ticks, exponent: float) -> list[float]:
-    """tick**exponent for each tick, +inf where it overflows."""
-    try:
-        return [math.pow(t, exponent) for t in ticks]
-    except OverflowError:
-        return [_pow(t, exponent) for t in ticks]
+    lgn1 = lgamma(nb + 1.0)
+    return nb, tuple(
+        (lgn1 - lgamma(x + 1.0) - lgamma(nb - x + 1.0), x, nb - x)
+        for x in map(float, range(n)))
 
 
 def _dw_nll(truncated: bool, w, ticks, z0: float, z1: float) -> float:
     # q = sigmoid(z0); ln q written via log1p for accuracy near q = 1
-    lq = -math.log1p(_exp(-z0))
-    beta = _exp(z1)
-    if not lq < 0.0 or lq == -_INF or not math.isfinite(beta):
+    lq = -log1p(_INF if -z0 > _EXP_CAP else exp(-z0))
+    beta = _INF if z1 > _EXP_CAP else exp(z1)
+    if not lq < 0.0 or lq == -_INF or not isfinite(beta):
         return _INF
+    # tick**beta >= 1 and ln q < 0, so exp() below gets an exponent
+    # <= 0 (never NaN) and neither overflows nor reaches the cap
     nll = 0.0
-    mass = 0.0
     prev = 1.0  # survival q^((i-1)^beta) at i = 1
-    for power, wi in zip(_powers(ticks, beta), w):
-        # tick**beta >= 1 and ln q < 0, so the exponent is <= 0 (never
-        # NaN): exp() neither overflows nor reaches the _exp cap
-        cur = math.exp(power * lq)
-        p = prev - cur
-        prev = cur
-        if truncated:
-            mass += p
-        if wi != 0.0:
-            if not p > 0.0:
-                return _INF
-            nll -= wi * math.log(p)
     if truncated:
+        mass = 0.0
+        sumw = 0.0
+        for t, wi in zip(ticks, w):
+            try:
+                power = t ** beta
+            except OverflowError:
+                power = _INF
+            cur = exp(power * lq)
+            p = prev - cur
+            prev = cur
+            mass += p
+            sumw += wi
+            if wi != 0.0:
+                if not p > 0.0:
+                    return _INF
+                nll -= wi * log(p)
         if not mass > 0.0:
             return _INF
-        sumw = 0.0
-        for wi in w:
-            sumw += wi
-        nll += math.log(mass) * sumw
+        nll += log(mass) * sumw
+    else:
+        for t, wi in zip(ticks, w):
+            try:
+                power = t ** beta
+            except OverflowError:
+                power = _INF
+            cur = exp(power * lq)
+            p = prev - cur
+            prev = cur
+            if wi != 0.0:
+                if not p > 0.0:
+                    return _INF
+                nll -= wi * log(p)
     if nll != nll:
         return _INF
     return nll
 
 
 def _bb_nll(truncated: bool, w, terms, z0: float, z1: float) -> float:
-    alpha = _exp(z0)
-    beta = _exp(z1)
-    if not (math.isfinite(alpha) and math.isfinite(beta)):
+    alpha = _INF if z0 > _EXP_CAP else exp(z0)
+    beta = _INF if z1 > _EXP_CAP else exp(z1)
+    if not (isfinite(alpha) and isfinite(beta)):
         return _INF
     if alpha <= 0.0 or beta <= 0.0:
         return _INF
-    nb, xs, lchoose = terms
+    nb, rows = terms
     try:
-        la = [math.lgamma(x + alpha) for x in xs]
-        lb = [math.lgamma(x + beta) for x in xs]
+        lbab = lgamma(alpha) + lgamma(beta) - lgamma(alpha + beta)
+        lgden = lgamma(nb + alpha + beta)
     except OverflowError:
-        # only alpha or beta >= ~2.5e305 gets here; then ln Gamma of
-        # alpha + beta or of nb + alpha + beta overflows too, and lbab
-        # or lgden below would not be finite
+        # alpha or beta >= ~2.5e305; every x + alpha and nb - x + beta
+        # below is at most nb + alpha + beta, so the loops never overflow
         return _INF
-    lbab = la[0] + lb[0] - _lgamma(alpha + beta)
-    lgden = _lgamma(nb + alpha + beta)
-    if not (math.isfinite(lbab) and math.isfinite(lgden)):
+    if not (isfinite(lbab) and isfinite(lgden)):
         return _INF
     nll = 0.0
-    mass = 0.0
-    # lb read backwards is ln Gamma(nb - x + beta)
-    for lc, lgx, lgr, wi in zip(lchoose, la, reversed(lb), w):
-        lp = lc + lgx + lgr - lgden - lbab
-        if truncated:
-            mass += _exp(lp)
-        if wi != 0.0:
-            nll -= wi * lp
     if truncated:
+        mass = 0.0
+        sumw = 0.0
+        for (lc, x, r), wi in zip(rows, w):
+            lp = lc + lgamma(x + alpha) + lgamma(r + beta) - lgden - lbab
+            mass += _INF if lp > _EXP_CAP else exp(lp)
+            sumw += wi
+            if wi != 0.0:
+                nll -= wi * lp
         if not mass > 0.0:
             return _INF
-        sumw = 0.0
-        for wi in w:
-            sumw += wi
-        nll += math.log(mass) * sumw
+        nll += log(mass) * sumw
+    else:
+        for (lc, x, r), wi in zip(rows, w):
+            if wi != 0.0:
+                nll -= wi * (lc + lgamma(x + alpha) + lgamma(r + beta)
+                             - lgden - lbab)
     if nll != nll:
         return _INF
     return nll
 
 
 def _pow_sse(w, ticks, z0: float, z1: float) -> float:
-    k = _exp(z0)
-    if not math.isfinite(k):
+    k = _INF if z0 > _EXP_CAP else exp(z0)
+    if not isfinite(k):
         return _INF
     sse = 0.0
-    for denom, wi in zip(_powers(ticks, z1), w):
+    for t, wi in zip(ticks, w):
+        try:
+            denom = t ** z1
+        except OverflowError:
+            denom = _INF
         if denom == 0.0:  # tick**exponent underflowed
             return _INF
         diff = wi - k / denom

@@ -657,15 +657,18 @@ def _parse_side(text: str) -> Side:
     return side
 
 
-def _read_tally_csv(path, ticks: int, columns: dict) -> list[dict]:
+def _read_tally_csv(path, ticks: int, columns: dict,
+                    complete: bool) -> list[dict]:
     """Rows of a tally CSV grouped per (bucket, side), in file order.
 
     ``columns`` maps each value column to (parse, empty): an instance
     holds ``ticks`` values per column, ``empty`` where no row gave one.
-    A malformed file raises ValueError naming the path and line.
+    ``complete`` requires a row for every tick of every instance.  A
+    malformed file, a repeated (bucket, side, tick) row or, when
+    ``complete``, a missing one raises ValueError naming the path.
     """
     names = ["bucket_key", "side", "tick", *columns]
-    instances: dict[tuple[str, str], dict] = {}
+    instances: dict[tuple[str, Side], tuple[dict, set]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -683,33 +686,47 @@ def _read_tally_csv(path, ticks: int, columns: dict) -> list[dict]:
                     raise ValueError(f"expected {len(header)} fields, "
                                      f"got {len(fields)}")
                 label, side, tick, *values = (fields[i] for i in positions)
-                inst = instances.get((label, side))
-                if inst is None:
+                side = _parse_side(side)
+                entry = instances.get((label, side))
+                if entry is None:
                     granularity, _ = parse_bucket_label(label)
                     inst = {"bucket_key": label,
                             "granularity": granularity,
-                            "side": _parse_side(side)}
+                            "side": side}
                     for name, (_, empty) in columns.items():
                         inst[name] = [empty] * ticks
-                    instances[(label, side)] = inst
+                    entry = instances[(label, side)] = (inst, set())
+                inst, seen = entry
                 tick = int(tick)
                 if not 1 <= tick <= ticks:
                     raise ValueError(f"tick {tick} outside 1..{ticks}")
+                if tick in seen:
+                    raise ValueError(f"repeated tick {tick} for {label} "
+                                     f"{side.name.lower()}")
+                seen.add(tick)
                 for (name, (parse, _)), text in zip(columns.items(), values):
                     inst[name][tick - 1] = parse(text)
         except (ValueError, csv.Error) as exc:
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-    return list(instances.values())
+    if complete:
+        for (label, side), (_, seen) in instances.items():
+            if len(seen) < ticks:
+                lacking = ", ".join(str(tick) for tick in range(1, ticks + 1)
+                                    if tick not in seen)
+                raise ValueError(f"{path}: {label} {side.name.lower()} "
+                                 f"has no row for tick(s) {lacking}")
+    return [inst for inst, _ in instances.values()]
 
 
 def read_rates_csv(path) -> list[dict]:
     """Rows grouped per instance, in file order.
 
     Each entry: {"bucket_key", "granularity", "side", "quantity": [15],
-    "density": [15]}.
+    "density": [15]}.  Every instance needs one row per tick 1..15.
     """
     return _read_tally_csv(path, ARRIVAL_TICKS,
-                           {"quantity": (int, 0), "density": (float, 0.0)})
+                           {"quantity": (int, 0), "density": (float, 0.0)},
+                           complete=True)
 
 
 def read_cancels_csv(path) -> list[dict]:
@@ -718,7 +735,8 @@ def read_cancels_csv(path) -> list[dict]:
     Ticks absent from the file stay at count 0 / ratio None.
     """
     return _read_tally_csv(path, CANCEL_TICKS,
-                           {"count": (int, 0), "mean_ratio": (float, None)})
+                           {"count": (int, 0), "mean_ratio": (float, None)},
+                           complete=False)
 
 
 def __getattr__(name):

@@ -982,23 +982,41 @@ class TestExitCodes:
             rows = [line.split(",") for line in
                     (pipeline / name).read_text().splitlines()]
             path = tmp_path / f"{tag}_{name}"
-            path.write_text("".join(",".join(edit(i, row)) + "\n"
-                                    for i, row in enumerate(rows)))
+            path.write_text("".join(",".join(row) + "\n"
+                                    for row in edit(rows)))
             return path
 
-        side_up = edited("rates.csv", "side_up", lambda i, row: (
-            row[:1] + ["up"] + row[2:] if i == 1 else row))
+        def per_row(edit):
+            return lambda rows: [edit(i, row) for i, row in enumerate(rows)]
+
+        side_up = edited("rates.csv", "side_up", per_row(lambda i, row: (
+            row[:1] + ["up"] + row[2:] if i == 1 else row)))
         no_quantity = edited("rates.csv", "no_quantity",
-                             lambda i, row: row[:3] + row[4:])
-        short_row = edited("cancels.csv", "short_row", lambda i, row: (
-            row[:-1] if i == 1 else row))
-        huge_field = edited("cancels.csv", "huge_field", lambda i, row: (
-            ["x" * 200_000] + row[1:] if i == 2 else row))
+                             per_row(lambda i, row: row[:3] + row[4:]))
+        short_row = edited("cancels.csv", "short_row", per_row(
+            lambda i, row: row[:-1] if i == 1 else row))
+        huge_field = edited("cancels.csv", "huge_field", per_row(
+            lambda i, row: ["x" * 200_000] + row[1:] if i == 2 else row))
+        # in rates.csv rows[3] is the first instance's tick 3, and
+        # rows[:8] keeps its ticks 1..7 only
+        repeated_rates = edited("rates.csv", "repeated",
+                                lambda rows: rows[:5] + rows[3:])
+        repeated_cancels = edited("cancels.csv", "repeated",
+                                  lambda rows: rows[:5] + rows[3:])
+        cut_rates = edited("rates.csv", "cut", lambda rows: rows[:8])
+        first = (pipeline / "rates.csv").read_text().splitlines()[1]
+        bucket, side = first.split(",")[:2]
         for command, path, where, what in (
                 ("fit", side_up, ":2:", "bad side 'up'"),
                 ("fit", no_quantity, ":1:", "missing column(s) quantity"),
                 ("cancel-test", short_row, ":2:", "expected 5 fields"),
-                ("cancel-test", huge_field, ":3:", "field limit")):
+                ("cancel-test", huge_field, ":3:", "field limit"),
+                ("fit", repeated_rates, ":6:",
+                 f"repeated tick 3 for {bucket} {side}"),
+                ("cancel-test", repeated_cancels, ":6:", "repeated tick "),
+                ("fit", cut_rates, ": ",
+                 f"{bucket} {side} has no row for tick(s) 8, 9, 10, 11, "
+                 "12, 13, 14, 15")):
             capsys.readouterr()
             assert cli.main([command, str(path),
                              "--out", str(tmp_path / "out")]) == 1

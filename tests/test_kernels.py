@@ -145,7 +145,7 @@ class TestInterface:
 # --- per-tick oracle ---
 # The kernels before the tick-only terms were hoisted out of the
 # evaluation, kept verbatim: every term is evaluated per tick through
-# the overflow-guarding wrappers.  The hoisted kernels must return the
+# the overflow-guarding wrappers.  The one-pass kernels must return the
 # same floats bit for bit.
 
 _INF = math.inf
@@ -280,12 +280,21 @@ class TestOracleEquality:
            st.sampled_from([2, 15, 40]).flatmap(
                lambda n: st.lists(_WEIGHT, min_size=n, max_size=n)),
            st.floats(-800.0, 800.0), st.floats(-800.0, 800.0))
-    # alpha or beta past ~2.5e305 overflows ln Gamma in the x pass
+    # alpha or beta past ~2.5e305 overflows ln Gamma(alpha) or (beta)
     @example(KIND_BB, False, [1.0] * 15, 705.0, 0.0)
     @example(KIND_BB, True, [1.0] * 15, 0.0, 706.5)
-    # tick**beta and tick**exponent overflow: the per-tick fallback
+    # tick**beta and tick**exponent overflow: +inf at that tick alone
     @example(KIND_DW, True, [1.0] * 15, -0.5, 7.0)
     @example(KIND_POW, False, [1.0] * 15, 0.0, 300.0)
+    # beta ~ 403: 5.0**beta is 9.7e281 and 6.0**beta overflows; the
+    # zero weights keep the untruncated pass going past tick 3, where
+    # the survival has reached 0.0
+    @example(KIND_DW, False, [1.0] * 2 + [0.0] * 13, -0.5, 6.0)
+    # zero-weight ticks skip ln Gamma untruncated, not truncated
+    @example(KIND_BB, False, [0.0] * 6 + [0.3, 0.0, 0.7] + [0.0] * 6,
+             0.4, -0.7)
+    @example(KIND_BB, True, [0.0] * 6 + [0.3, 0.0, 0.7] + [0.0] * 6,
+             0.4, -0.7)
     # tick**exponent underflows to 0.0
     @example(KIND_POW, False, [1.0] * 15, 0.0, -300.0)
     def test_objective_matches_per_tick_oracle(self, kind, truncated, w,
@@ -295,26 +304,35 @@ class TestOracleEquality:
 
     def test_minimize_matches_per_tick_oracle(self, monkeypatch):
         starts = [(-1.5, -0.5), (0.5, 0.5), (2.0, 1.0)]
+        calls = {"_dw_nll": 0, "_bb_nll": 0, "_pow_sse": 0}
+
+        def dw(truncated, w, ticks, z0, z1):
+            calls["_dw_nll"] += 1
+            return _dw_nll(truncated, w, len(w), z0, z1)
+
+        def bb(truncated, w, terms, z0, z1):
+            calls["_bb_nll"] += 1
+            return _bb_nll(truncated, w, len(w), z0, z1)
+
+        def pw(w, ticks, z0, z1):
+            calls["_pow_sse"] += 1
+            return _pow_sse(w, len(w), z0, z1)
+
         runs = {}
         for use_oracle in (False, True):
             if use_oracle:
-                monkeypatch.setattr(
-                    kernels, "_dw_nll",
-                    lambda truncated, w, ticks, z0, z1: _dw_nll(
-                        truncated, w, len(w), z0, z1))
-                monkeypatch.setattr(
-                    kernels, "_bb_nll",
-                    lambda truncated, w, terms, z0, z1: _bb_nll(
-                        truncated, w, len(w), z0, z1))
-                monkeypatch.setattr(
-                    kernels, "_pow_sse",
-                    lambda w, ticks, z0, z1: _pow_sse(w, len(w), z0, z1))
+                monkeypatch.setattr(kernels, "_dw_nll", dw)
+                monkeypatch.setattr(kernels, "_bb_nll", bb)
+                monkeypatch.setattr(kernels, "_pow_sse", pw)
             runs[use_oracle] = [
                 minimize(kind, truncated, w, z0, z1)
                 for w in densities()
                 for kind in (KIND_DW, KIND_BB, KIND_POW)
                 for truncated in (False, True)
                 for z0, z1 in starts]
+        # the kernels still look these names up: the second run really
+        # went through the oracle, not the code under test again
+        assert all(calls.values()), calls
         for got, want in zip(runs[False], runs[True]):
             assert all(map(same_bits, got[:3], want[:3]))
             assert got[3:] == want[3:]

@@ -489,6 +489,50 @@ def test_cancels_csv_round_trip(tmp_path):
                 assert got == pytest.approx(want, rel=1e-15)
 
 
+def one_instance_csv(path, header, rows):
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(f"daily:2017-08-01,buy,{row}\n")
+    return path
+
+
+RATES_HEADER = "bucket_key,side,tick,quantity,density"
+CANCELS_HEADER = "bucket_key,side,tick,count,mean_ratio"
+
+
+@pytest.mark.parametrize("header, reader, last", [
+    (RATES_HEADER, rates.read_rates_csv, 15),
+    (CANCELS_HEADER, rates.read_cancels_csv, 10)], ids=["rates", "cancels"])
+def test_tally_csv_rejects_a_repeated_row(tmp_path, header, reader, last):
+    rows = [f"{tick},2,0.5" for tick in range(1, last + 1)]
+    rows.insert(3, "3,999,0.5")
+    path = one_instance_csv(tmp_path / "tally.csv", header, rows)
+    with pytest.raises(ValueError) as info:
+        reader(path)
+    assert str(info.value) == (f"{path}:5: repeated tick 3 for "
+                               "daily:2017-08-01 buy")
+
+
+def test_tally_csv_sides_are_case_blind_when_rows_repeat(tmp_path):
+    path = tmp_path / "cancels.csv"
+    path.write_text(CANCELS_HEADER + "\n"
+                    "weekly:2017-W31,buy,2,4,0.5\n"
+                    "weekly:2017-W31,BUY,2,4,0.5\n")
+    with pytest.raises(ValueError, match=":3: repeated tick 2 for "
+                                         "weekly:2017-W31 buy"):
+        rates.read_cancels_csv(path)
+
+
+def test_rates_csv_needs_every_tick(tmp_path):
+    rows = [f"{tick},2,0.0625" for tick in range(1, 8)]
+    path = one_instance_csv(tmp_path / "rates.csv", RATES_HEADER, rows)
+    with pytest.raises(ValueError) as info:
+        rates.read_rates_csv(path)
+    assert str(info.value) == (f"{path}: daily:2017-08-01 buy has no row "
+                               "for tick(s) 8, 9, 10, 11, 12, 13, 14, 15")
+
+
 def test_rates_csv_rows_are_sorted(tmp_path):
     store = TallyStore([Granularity.DAILY, Granularity.WEEKLY])
     for day in (dt.date(2017, 8, 3), dt.date(2017, 8, 1)):

@@ -33,7 +33,7 @@ still resolve to ``lobfit.book``, so rows compare across versions.
   the decoded frames;
 * ``OrderBook.apply``: every message through one book per session;
 * ``rates.accumulate_event``: every book event into a fresh
-  ``TallyStore`` with all four granularities, one event at a time.
+  ``TallyStore``, one event at a time.
 
 Tally reports events/s and every other stage messages/s.  Each time is
 the best over ``--repeats`` rounds, and every round runs each stage

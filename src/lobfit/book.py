@@ -477,13 +477,13 @@ class OrderBook:
 
 def accumulate_event(store: TallyStore, event: BookEvent,
                      session_date: dt.date) -> bool:
-    """Tally one event under each of the store's granularities.
+    """Tally one event into its session's cube in ``store``.
 
     Events outside trading hours are skipped and counted (the stream
     may open with book seeding before 10:00).  Arrivals beyond tick 15
-    and cancels beyond tick 10 are not binned; they bump the matching
-    dropped counter once per granularity of the store.  Executions are
-    not tallied.  Returns True if the event was tallied or dropped.
+    and cancels beyond tick 10 are not binned; each bumps the matching
+    dropped counter once.  Executions are not tallied.  Returns True if
+    the event was tallied or dropped.
     """
     kind = event.kind
     if kind is EventKind.EXECUTION:
@@ -498,12 +498,12 @@ def accumulate_event(store: TallyStore, event: BookEvent,
     tick = event.tick
     if kind is EventKind.LIMIT_ARRIVAL:
         if tick > ARRIVAL_TICKS:
-            store.dropped_arrivals += len(store.granularities)
+            store.dropped_arrivals += 1
         else:
             cube.quantity[row * ARRIVAL_TICKS + tick - 1] += event.quantity
     elif kind is EventKind.CANCEL:
         if tick > CANCEL_TICKS:
-            store.dropped_cancels += len(store.granularities)
+            store.dropped_cancels += 1
         else:
             i = row * CANCEL_TICKS + tick - 1
             cube.ratio_sum[i] += event.quantity / event.level_quantity_before

@@ -117,8 +117,6 @@ def parse_granularities(text: str) -> list[Granularity]:
         except ValueError:
             raise ValueError(f"unknown granularity {name!r}") from None
         out.append(g)
-    if not out:
-        raise ValueError("at least one granularity is required")
     return out
 
 
@@ -204,16 +202,16 @@ def _session_runs(paths) -> tuple[list, Exception | None]:
     return runs, fault
 
 
-def _tally_run(run, granularities, tick_size, reference, sides):
+def _tally_run(run, tick_size, reference):
     """Tally one session, given as its stream position and its spans,
     in its own store.  Returns the position with the store and the
     messages applied, or with the input error the replay raised."""
     position, spans = run
-    store = rates.TallyStore(granularities)
+    store = rates.TallyStore()
     blobs = (_read(*span) for span in spans)
     try:
         return position, (store, rates.tally_stream(
-            store, blobs, tick_size, reference, sides))
+            store, blobs, tick_size, reference))
     except (LobfitError, OSError, ValueError) as exc:
         return position, exc
 
@@ -223,14 +221,13 @@ def cmd_rates(args) -> None:
     sides = (tuple(Side) if args.side == "both"
              else (Side[args.side.upper()],))
     reference = TickReference(args.reference)
-    store = rates.TallyStore(granularities)
+    store = rates.TallyStore()
     # each session starts on an empty book and keeps its own sums, so the
     # sessions are tallied apart and merged in any order; every run lies
     # before the split's fault, and sessions do not interleave, so stream
     # order is the order a replay meets their errors
-    tally_run = functools.partial(
-        _tally_run, granularities=granularities, tick_size=args.tick_size,
-        reference=reference, sides=sides)
+    tally_run = functools.partial(_tally_run, tick_size=args.tick_size,
+                                  reference=reference)
     runs, fault = _session_runs(args.inputs)
     seen = 0
     for _, result in sorted(_map_on_cpus(tally_run, runs),
@@ -243,9 +240,17 @@ def cmd_rates(args) -> None:
         raise fault
     if seen == 0:
         raise LobfitError("input contains no messages")
+
+    def selected(tallies: dict) -> dict:
+        # the store holds every bucket; the flags pick those written
+        return {key: tally for key, tally in tallies.items()
+                if key.granularity in granularities and key.side in sides}
+
     os.makedirs(args.out, exist_ok=True)
-    rates.write_rates_csv(store, os.path.join(args.out, "rates.csv"))
-    rates.write_cancels_csv(store, os.path.join(args.out, "cancels.csv"))
+    rates.write_rates_csv(selected(store.arrivals),
+                          os.path.join(args.out, "rates.csv"))
+    rates.write_cancels_csv(selected(store.cancels),
+                            os.path.join(args.out, "cancels.csv"))
 
 
 def _fit_instance(inst: dict, families, truncated: bool) -> dict:

@@ -15,14 +15,15 @@ Arrivals accumulate quantity per tick over a 1..15 window, cancels
 accumulate the ratio quantity/level_quantity_before per tick over 1..10.
 Events beyond the windows are dropped and counted, never binned.
 
-The granularity set is fixed per TallyStore.  Each tallied event is
-one increment in the cube of its session date: flat lists indexed
-[side][hour slot][tick] that hold arrival quantity, cancel ratio sum
-and cancel count.  Each of the store's granularities is a sum over
-those cubes, so the BucketKey -> tally dicts ``TallyStore.arrivals``
-and ``TallyStore.cancels`` are derived views.  They are rolled up from
-all cubes on the first read after new events, sessions in date order,
-so float sums do not depend on when the views were read.
+Each tallied event is one increment in the cube of its session date:
+flat lists indexed [side][hour slot][tick] that hold arrival quantity,
+cancel ratio sum and cancel count.  Every bucket of every granularity
+and side is a sum over those cubes, so the BucketKey -> tally dicts
+``TallyStore.arrivals`` and ``TallyStore.cancels`` are derived views.
+They are rolled up from all cubes on the first read after new events,
+sessions in date order, so float sums do not depend on when the views
+were read.  A store records every bucket; ``lobfit rates`` picks the
+granularities and sides it writes from the views.
 
 ``tally_stream`` is the hot loop, the replay ``lobfit rates`` runs: it
 goes from wire bytes to cube increments and builds no object per
@@ -42,7 +43,7 @@ import csv
 import datetime as dt
 import operator
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from lobfit import feed
 from lobfit.errors import (DuplicateOrderId, EmptyBucket, FormatError,
@@ -134,7 +135,6 @@ class Granularity(Enum):
 
 
 _GRANULARITY_RANK = {g: i for i, g in enumerate(Granularity)}
-_ALL_GRANULARITIES = tuple(Granularity)
 
 
 def date_to_session_id(day: dt.date) -> int:
@@ -181,22 +181,34 @@ class BucketKey(NamedTuple):
 
 
 def parse_bucket_label(label: str) -> tuple[Granularity, tuple]:
-    """Inverse of BucketKey.label, without the side."""
+    """Inverse of BucketKey.label, without the side.
+
+    Only the label BucketKey.label writes parses, and only for a bucket
+    that exists: a week its ISO year has, a month 1..12, an hour slot
+    1..HOUR_SLOTS.  So each bucket has one spelling.
+    """
     try:
         head, body = label.split(":", 1)
         g = Granularity(head)
         if g is Granularity.DAILY:
             d = dt.date.fromisoformat(body)
-            return g, (d.year, d.month, d.day)
-        if g is Granularity.WEEKLY:
-            year, week = body.split("-W")
-            return g, (int(year), int(week))
-        if g is Granularity.MONTHLY:
+            index = (d.year, d.month, d.day)
+        elif g is Granularity.MONTHLY:
             year, month = body.split("-")
-            return g, (int(year), int(month))
-        rest, slot = body.split(":h")
-        year, week = rest.split("-W")
-        return g, (int(year), int(week), int(slot))
+            index = (int(year), int(month))
+            dt.date(*index, 1)  # raises for a month that does not exist
+        else:
+            iso_week, _, slot = body.partition(":h")
+            year, week = iso_week.split("-W")
+            index = (int(year), int(week))
+            dt.date.fromisocalendar(*index, 1)  # and for such a week
+            if g is Granularity.HOURLY:
+                index += (int(slot),)
+                if not 1 <= index[2] <= HOUR_SLOTS:
+                    raise ValueError(f"no hour slot {index[2]}")
+        if BucketKey(g, index, Side.BUY).label != label:
+            raise ValueError("not the canonical spelling")
+        return g, index
     except (ValueError, KeyError) as exc:
         raise ValueError(f"bad bucket label {label!r}") from exc
 
@@ -212,46 +224,20 @@ def _bucket_index(session_date: dt.date, g: Granularity, slot: int) -> tuple:
     return (iso[0], iso[1], slot)
 
 
-class ArrivalTally:
+class ArrivalTally(NamedTuple):
     """Arriving quantity per tick, 1-based ticks stored at index tick-1."""
 
-    __slots__ = ("quantity",)
-
-    def __init__(self, quantity: list[int] | None = None):
-        self.quantity = [0] * ARRIVAL_TICKS if quantity is None else quantity
-
-    def __eq__(self, other):
-        if type(other) is not ArrivalTally:
-            return NotImplemented
-        return self.quantity == other.quantity
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"ArrivalTally(quantity={self.quantity!r})"
+    quantity: list[int]
 
 
-class CancelTally:
-    """Per-tick sum of cancellation ratios and the contributing count."""
+class CancelTally(NamedTuple):
+    """Per-tick sum of cancellation ratios and the contributing count.
 
-    __slots__ = ("ratio_sum", "count")
+    The ``count`` field shadows ``tuple.count``.
+    """
 
-    def __init__(self, ratio_sum: list[float] | None = None,
-                 count: list[int] | None = None):
-        self.ratio_sum = ([0.0] * CANCEL_TICKS if ratio_sum is None
-                          else ratio_sum)
-        self.count = [0] * CANCEL_TICKS if count is None else count
-
-    def __eq__(self, other):
-        if type(other) is not CancelTally:
-            return NotImplemented
-        return (self.ratio_sum, self.count) == (other.ratio_sum, other.count)
-
-    __hash__ = None
-
-    def __repr__(self):
-        return (f"CancelTally(ratio_sum={self.ratio_sum!r}, "
-                f"count={self.count!r})")
+    ratio_sum: list[float]
+    count: list[int]
 
 
 _ROWS = len(Side) * HOUR_SLOTS
@@ -272,11 +258,8 @@ class _SessionCube:
         self.ratio_sum = [0.0] * (_ROWS * CANCEL_TICKS)
         self.count = [0] * (_ROWS * CANCEL_TICKS)
 
-    def roll_into(self, granularities: tuple, arrivals: dict,
-                  cancels: dict) -> None:
+    def roll_into(self, arrivals: dict, cancels: dict) -> None:
         """Add this session's tallies to every bucket it belongs to."""
-        hourly = Granularity.HOURLY in granularities
-        coarse = [g for g in granularities if g is not Granularity.HOURLY]
         for side in Side:
             quantity = [0] * ARRIVAL_TICKS
             ratio_sum = [0.0] * CANCEL_TICKS
@@ -287,14 +270,14 @@ class _SessionCube:
                 q = self.quantity[lo:hi]
                 lo, hi = row * CANCEL_TICKS, (row + 1) * CANCEL_TICKS
                 s, c = self.ratio_sum[lo:hi], self.count[lo:hi]
-                if hourly:
-                    key = BucketKey(Granularity.HOURLY, _bucket_index(
-                        self.day, Granularity.HOURLY, slot), side)
-                    _add_tallies(arrivals, cancels, key, q, s, c)
+                key = BucketKey(Granularity.HOURLY, _bucket_index(
+                    self.day, Granularity.HOURLY, slot), side)
+                _add_tallies(arrivals, cancels, key, q, s, c)
                 quantity = _plus(quantity, q)
                 ratio_sum = _plus(ratio_sum, s)
                 count = _plus(count, c)
-            for g in coarse:
+            for g in (Granularity.DAILY, Granularity.WEEKLY,
+                      Granularity.MONTHLY):
                 key = BucketKey(g, _bucket_index(self.day, g, 0), side)
                 _add_tallies(arrivals, cancels, key, quantity, ratio_sum,
                              count)
@@ -308,38 +291,33 @@ def _add_tallies(arrivals, cancels, key, quantity, ratio_sum, count) -> None:
     """Fold one bucket's share in; buckets that saw nothing stay absent."""
     if any(quantity):
         tally = arrivals.get(key)
-        if tally is None:
-            arrivals[key] = ArrivalTally(list(quantity))
-        else:
-            tally.quantity = _plus(tally.quantity, quantity)
+        if tally is not None:
+            quantity = _plus(tally.quantity, quantity)
+        arrivals[key] = ArrivalTally(list(quantity))
     if any(count):
         tally = cancels.get(key)
-        if tally is None:
-            cancels[key] = CancelTally(list(ratio_sum), list(count))
-        else:
-            tally.ratio_sum = _plus(tally.ratio_sum, ratio_sum)
-            tally.count = _plus(tally.count, count)
+        if tally is not None:
+            ratio_sum = _plus(tally.ratio_sum, ratio_sum)
+            count = _plus(tally.count, count)
+        cancels[key] = CancelTally(list(ratio_sum), list(count))
 
 
 class TallyStore:
     """Session cubes, the counters of skipped events, and derived views.
 
-    ``granularities`` is the store's granularity set, without repeats
-    and in Granularity order; every event is tallied under each of
-    them.  ``arrivals`` and ``cancels`` map BucketKey to ArrivalTally
-    and CancelTally.  They are recomputed from the cubes, so treat them
-    as read-only.  Two stores are equal when their views and counters
-    are.
+    ``arrivals`` and ``cancels`` map the BucketKey of every bucket, of
+    every granularity and side, that saw an event to ArrivalTally and
+    CancelTally.  They are recomputed from the cubes, so treat them as
+    read-only.  Each counter counts an event once: ``dropped_arrivals``
+    and ``dropped_cancels`` those beyond the tick windows,
+    ``out_of_hours`` those outside trading hours.  Two stores are equal
+    when their views and counters are.
     """
 
-    __slots__ = ("granularities", "dropped_arrivals", "dropped_cancels",
-                 "out_of_hours", "_cubes", "_views")
+    __slots__ = ("dropped_arrivals", "dropped_cancels", "out_of_hours",
+                 "_cubes", "_views")
 
-    def __init__(self,
-                 granularities: Iterable[Granularity] = _ALL_GRANULARITIES):
-        self.granularities = tuple(sorted(
-            {Granularity(g) for g in granularities},
-            key=_GRANULARITY_RANK.get))
+    def __init__(self):
         self.dropped_arrivals = 0
         self.dropped_cancels = 0
         self.out_of_hours = 0
@@ -363,8 +341,7 @@ class TallyStore:
         if self._views is None:
             arrivals, cancels = {}, {}
             for day in sorted(self._cubes):
-                self._cubes[day].roll_into(self.granularities, arrivals,
-                                           cancels)
+                self._cubes[day].roll_into(arrivals, cancels)
             self._views = (arrivals, cancels)
         return self._views
 
@@ -379,15 +356,11 @@ class TallyStore:
     def merge(self, other: "TallyStore") -> None:
         """Add the sessions and counters of ``other`` to this store.
 
-        Both stores must tally the same granularities, and no session
-        date may be in both.  Each session keeps its own sums, so
-        tallying sessions in separate stores and merging them gives the
-        views that tallying them all into one store gives.  The sessions
-        are shared with ``other``, not copied.
+        No session date may be in both.  Each session keeps its own
+        sums, so tallying sessions in separate stores and merging them
+        gives the views that tallying them all into one store gives.
+        The sessions are shared with ``other``, not copied.
         """
-        if other.granularities != self.granularities:
-            raise ValueError("merged stores must tally the same "
-                             "granularities")
         common = self._cubes.keys() & other._cubes.keys()
         if common:
             raise ValueError(f"session {min(common)} is in both stores")
@@ -419,9 +392,8 @@ class TallyStore:
 
 def tally_stream(store: TallyStore, blobs: Iterable[bytes],
                  tick_size: int = 1,
-                 reference: TickReference = TickReference.SAME_SIDE,
-                 sides: tuple[Side, ...] = (Side.BUY, Side.SELL)) -> int:
-    """Replay a stream from its wire bytes; tally events on ``sides``.
+                 reference: TickReference = TickReference.SAME_SIDE) -> int:
+    """Replay a stream from its wire bytes and tally its events.
 
     ``blobs`` are the stream's buffers in order, each holding whole
     frames.  Per frame this runs ``feed.frame_at``, the checks of
@@ -435,13 +407,6 @@ def tally_stream(store: TallyStore, blobs: Iterable[bytes],
     if isinstance(blobs, (bytes, bytearray, memoryview)):
         raise TypeError("tally_stream takes the stream's buffers, "
                         "not one buffer")
-    # the cube's row bases per side and hour, None for a side that is
-    # not tallied
-    arrival_rows = [ARRIVAL_ROWS[side] if side in sides else None
-                    for side in Side]
-    cancel_rows = [CANCEL_ROWS[side] if side in sides else None
-                   for side in Side]
-    per_drop = len(store.granularities)
     frame_at = feed.frame_at
     add, delete, execute, replace = (MessageKind.ADD, MessageKind.DELETE,
                                      MessageKind.EXECUTE, MessageKind.REPLACE)
@@ -545,20 +510,18 @@ def tally_stream(store: TallyStore, blobs: Iterable[bytes],
                             if body[2] in orders:
                                 raise DuplicateOrderId(
                                     f"order {body[2]} already resting")
-                        rows = cancel_rows[side]
-                        if rows is not None:
-                            base = rows[hour] if hour < 24 else None
-                            if base is None:
-                                out_of_hours += 1
+                        base = CANCEL_ROWS[side][hour] if hour < 24 else None
+                        if base is None:
+                            out_of_hours += 1
+                        else:
+                            if cube is None:
+                                cube = store.session_cube(day)
+                            if tick > CANCEL_TICKS:
+                                dropped_cancels += 1
                             else:
-                                if cube is None:
-                                    cube = store.session_cube(day)
-                                if tick > CANCEL_TICKS:
-                                    dropped_cancels += per_drop
-                                else:
-                                    cube.ratio_sum[base + tick] += (
-                                        quantity / before)
-                                    cube.count[base + tick] += 1
+                                cube.ratio_sum[base + tick] += (
+                                    quantity / before)
+                                cube.count[base + tick] += 1
                         if kind is not replace:
                             continue
                         order_id, price, quantity = body[2], body[3], body[4]
@@ -582,18 +545,16 @@ def tally_stream(store: TallyStore, blobs: Iterable[bytes],
                         tick = 1
                     ladder[price] = ladder.get(price, 0) + quantity
                     orders[order_id] = (side, price, quantity)
-                    rows = arrival_rows[side]
-                    if rows is not None:
-                        base = rows[hour] if hour < 24 else None
-                        if base is None:
-                            out_of_hours += 1
+                    base = ARRIVAL_ROWS[side][hour] if hour < 24 else None
+                    if base is None:
+                        out_of_hours += 1
+                    else:
+                        if cube is None:
+                            cube = store.session_cube(day)
+                        if tick > ARRIVAL_TICKS:
+                            dropped_arrivals += 1
                         else:
-                            if cube is None:
-                                cube = store.session_cube(day)
-                            if tick > ARRIVAL_TICKS:
-                                dropped_arrivals += per_drop
-                            else:
-                                cube.quantity[base + tick] += quantity
+                            cube.quantity[base + tick] += quantity
                 applied += len(messages)
     finally:
         store.out_of_hours += out_of_hours
@@ -618,32 +579,36 @@ def cancellation_ratio(tally: CancelTally) -> list[float | None]:
 
 # --- CSV staging ---
 
-def write_rates_csv(store: TallyStore, path) -> None:
-    """One row per (bucket, side, tick) with quantity and density."""
+def write_rates_csv(arrivals: Mapping[BucketKey, ArrivalTally],
+                    path) -> None:
+    """One row per (bucket, side, tick) of ``arrivals``, in BucketKey
+    order, with quantity and density."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bucket_key", "side", "tick", "quantity", "density"])
-        for key in sorted(store.arrivals, key=BucketKey.sort_key):
-            density = arrival_density(store.arrivals[key])
+        for key in sorted(arrivals, key=BucketKey.sort_key):
+            density = arrival_density(arrivals[key])
             label = key.label
             side = key.side.name.lower()
             for tick in range(1, ARRIVAL_TICKS + 1):
                 writer.writerow([label, side, tick,
-                                 store.arrivals[key].quantity[tick - 1],
+                                 arrivals[key].quantity[tick - 1],
                                  repr(density[tick - 1])])
 
 
-def write_cancels_csv(store: TallyStore, path) -> None:
-    """One row per observed (bucket, side, tick); unseen ticks are absent."""
+def write_cancels_csv(cancels: Mapping[BucketKey, CancelTally],
+                      path) -> None:
+    """One row per observed (bucket, side, tick) of ``cancels``, in
+    BucketKey order; unseen ticks are absent."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bucket_key", "side", "tick", "count", "mean_ratio"])
-        for key in sorted(store.cancels, key=BucketKey.sort_key):
-            ratios = cancellation_ratio(store.cancels[key])
+        for key in sorted(cancels, key=BucketKey.sort_key):
+            ratios = cancellation_ratio(cancels[key])
             label = key.label
             side = key.side.name.lower()
             for tick in range(1, CANCEL_TICKS + 1):
-                count = store.cancels[key].count[tick - 1]
+                count = cancels[key].count[tick - 1]
                 if count == 0:
                     continue
                 writer.writerow([label, side, tick, count,

@@ -1,8 +1,11 @@
 """Smoke runs of the stage benchmarks in ``benchmarks/`` on tiny inputs.
 
 Each script runs in a fresh interpreter, as its docstring says to run
-it, and must exit 0 and print one table row per stage.
+it, and must exit 0 and print one table row per stage.  The pipeline
+benchmark's tracer, ``perfbench/tracer.py``, patches ``lobfit`` entry
+points by name; it runs here too, so a renamed entry point shows.
 """
+import json
 import os
 import pathlib
 import subprocess
@@ -11,14 +14,15 @@ import sys
 import lobfit
 from lobfit import dist
 
-BENCHMARKS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+BENCHMARKS = ROOT / "benchmarks"
 
 
-def run_script(name, *args):
+def run_script(name, *args, directory=BENCHMARKS):
     src = os.path.dirname(os.path.dirname(lobfit.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, str(BENCHMARKS / name), *args],
+    result = subprocess.run([sys.executable, str(directory / name), *args],
                             env=env, capture_output=True, text=True,
                             timeout=120)
     assert result.returncode == 0, result.stderr
@@ -72,3 +76,19 @@ def test_bench_kernels_prints_one_row_per_stage():
         "weibull", "weibull, truncated", "beta-binomial",
         "beta-binomial, truncated", "power law"]
     assert [row.split()[0] for row in per_family] == list(dist.FAMILY_TAGS)
+
+
+def test_perfbench_tracer_runs_synth_and_rates(tmp_path):
+    def traced(*argv):
+        trace = tmp_path / f"{argv[0]}.json"
+        run_script("tracer.py", str(trace), "--", *argv,
+                   directory=ROOT / "perfbench")
+        return json.loads(trace.read_text())["ops"]
+
+    out = tmp_path / "run"
+    ops = traced("synth", "--days", "1", "--orders-per-day", "200",
+                 "--out", str(out))
+    assert ops["cli.main"][0] == 1
+    assert ops["synth.generate"][0] == 1
+    ops = traced("rates", str(out / "stream.lobf"), "--out", str(out))
+    assert ops["rates.csv_write"][0] == 2

@@ -174,6 +174,32 @@ class TestSelectionFlags:
         assert lines
         assert all(line.startswith("daily:") for line in lines)
 
+    @pytest.mark.parametrize("flags, granularities, sides", [
+        (["--side", "buy"], None, {"buy"}),
+        (["--side", "sell"], None, {"sell"}),
+        (["--granularity", "weekly"], {"weekly"}, None),
+        (["--granularity", "daily,hourly", "--side", "sell"],
+         {"daily", "hourly"}, {"sell"})])
+    def test_flags_write_the_matching_rows_of_the_unfiltered_run(
+            self, pipeline, tmp_path, flags, granularities, sides):
+        assert cli.main(["rates", str(pipeline / "stream.lobf"), *flags,
+                         "--out", str(tmp_path)]) == 0
+        for name in ("rates.csv", "cancels.csv"):
+            header, *rows = (pipeline / name).read_text().splitlines()
+            want = [header] + [
+                row for row in rows
+                if (granularities is None
+                    or row.partition(":")[0] in granularities)
+                and (sides is None or row.split(",")[1] in sides)]
+            assert len(rows) > len(want) > 1
+            assert (tmp_path / name).read_text().splitlines() == want
+
+    def test_empty_granularity_list_exits_one(self, pipeline, tmp_path,
+                                              capsys):
+        assert cli.main(["rates", str(pipeline / "stream.lobf"),
+                         "--granularity", "", "--out", str(tmp_path)]) == 1
+        assert "error: unknown granularity ''" in capsys.readouterr().err
+
     def test_opposite_reference_runs(self, pipeline, tmp_path):
         assert cli.main(["rates", str(pipeline / "stream.lobf"),
                          "--reference", "opposite",
@@ -637,11 +663,14 @@ def _two_file_stream(directory, days=3, orders_per_day=200, seed=5,
 def _serial_rates(paths, flags, out):
     """What a replay in one process writes, through the object-level API
     (``read_lobf -> iter_stream -> OrderBook.apply -> accumulate_event``)
-    rather than ``rates.tally_stream``, over the files in order.  Returns
-    the error text instead when it raises."""
+    rather than ``rates.tally_stream``, over the files in order.  It
+    tallies only the events of the selected sides, and writes only the
+    buckets of the selected granularities.  Returns the error text
+    instead when it raises."""
     args = cli.build_parser().parse_args(
         ["rates", *map(str, paths), *flags, "--out", str(out)])
-    store = rates.TallyStore(cli.parse_granularities(args.granularity))
+    granularities = cli.parse_granularities(args.granularity)
+    store = rates.TallyStore()
     sides = (tuple(feed.Side) if args.side == "both"
              else (feed.Side[args.side.upper()],))
     frames = (frame for path in args.inputs for frame in feed.read_lobf(path))
@@ -661,8 +690,12 @@ def _serial_rates(paths, flags, out):
     except (LobfitError, ValueError) as exc:
         return str(exc)
     os.makedirs(out, exist_ok=True)
-    rates.write_rates_csv(store, os.path.join(out, "rates.csv"))
-    rates.write_cancels_csv(store, os.path.join(out, "cancels.csv"))
+    for name, tallies, write in (
+            ("rates.csv", store.arrivals, rates.write_rates_csv),
+            ("cancels.csv", store.cancels, rates.write_cancels_csv)):
+        write({key: tally for key, tally in tallies.items()
+               if key.granularity in granularities},
+              os.path.join(out, name))
     return None
 
 
@@ -1006,6 +1039,13 @@ class TestExitCodes:
         cut_rates = edited("rates.csv", "cut", lambda rows: rows[:8])
         first = (pipeline / "rates.csv").read_text().splitlines()[1]
         bucket, side = first.split(",")[:2]
+        # the first instance once more, right after it (from line 17),
+        # under another spelling of its daily label: daily:20170801
+        respelled = edited("rates.csv", "respelled", lambda rows: (
+            rows[:16] + [[row[0].replace("-", "")] + row[1:]
+                         for row in rows[1:16]] + rows[16:]))
+        no_such_month = edited("cancels.csv", "no_such_month", per_row(
+            lambda i, row: ["monthly:2017-13"] + row[1:] if i == 1 else row))
         for command, path, where, what in (
                 ("fit", side_up, ":2:", "bad side 'up'"),
                 ("fit", no_quantity, ":1:", "missing column(s) quantity"),
@@ -1016,7 +1056,11 @@ class TestExitCodes:
                 ("cancel-test", repeated_cancels, ":6:", "repeated tick "),
                 ("fit", cut_rates, ": ",
                  f"{bucket} {side} has no row for tick(s) 8, 9, 10, 11, "
-                 "12, 13, 14, 15")):
+                 "12, 13, 14, 15"),
+                ("fit", respelled, ":17:",
+                 f"bad bucket label {bucket.replace('-', '')!r}"),
+                ("cancel-test", no_such_month, ":2:",
+                 "bad bucket label 'monthly:2017-13'")):
             capsys.readouterr()
             assert cli.main([command, str(path),
                              "--out", str(tmp_path / "out")]) == 1

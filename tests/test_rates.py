@@ -45,10 +45,11 @@ DAILY_KEY = BucketKey(Granularity.DAILY, (2017, 8, 1), Side.BUY)
 
 
 def tallied_keys(granularities, ts, day, side=Side.BUY):
-    """The buckets one arrival at ``ts`` on ``day`` lands in."""
-    store = TallyStore(granularities)
+    """The buckets of ``granularities`` one arrival at ``ts`` on ``day``
+    lands in."""
+    store = TallyStore()
     assert accumulate_event(store, arrival(1, 10, ts=ts, side=side), day)
-    return list(store.arrivals)
+    return [key for key in store.arrivals if key.granularity in granularities]
 
 
 # --- trading hours and slots ---
@@ -72,7 +73,7 @@ def test_slot_of_each_trading_hour():
         assert tallied_keys(hourly, ts, DAY) == [
             BucketKey(Granularity.HOURLY, (2017, 31, slot), Side.BUY)]
     for ts in (ns(13), ns(13, 30), ns(18)):
-        store = TallyStore(hourly)
+        store = TallyStore()
         assert not accumulate_event(store, arrival(1, 10, ts=ts), DAY)
         assert store.out_of_hours == 1 and store.arrivals == {}
 
@@ -100,7 +101,7 @@ def test_iso_week_spans_year_end():
 
 def test_assign_bucket_outside_hours():
     # a lunch-break event is given no bucket of any granularity
-    store = TallyStore(tuple(Granularity))
+    store = TallyStore()
     assert not accumulate_event(store, arrival(1, 10, ts=ns(13, 15)), DAY)
     assert not accumulate_event(store, cancel(1, 5, 50, ts=ns(13, 15)), DAY)
     assert store.out_of_hours == 2
@@ -112,12 +113,34 @@ def test_bucket_labels_round_trip():
     assert {key.granularity for key in keys} == set(Granularity)
     for key in keys:
         assert parse_bucket_label(key.label) == (key.granularity, key.index)
+    # the edges: 2015 has an ISO week 53, a session has seven hour slots
+    for label, index in (("weekly:2015-W53", (2015, 53)),
+                         ("hourly:2015-W53:h7", (2015, 53, 7)),
+                         ("monthly:2017-12", (2017, 12))):
+        assert parse_bucket_label(label)[1] == index
+
+
+@pytest.mark.parametrize("label", [
+    # other spellings of a bucket that exists
+    "weekly:2017-W1", "weekly:+2017-W01", "weekly: 2017-W01",
+    "weekly:2_017-W01", "monthly:2017-1", "daily:20170801",
+    "hourly:2017-W31:h03", "weekly:2017-W31:h3",
+    # buckets that do not exist
+    "weekly:2017-W53", "weekly:2017-W60", "weekly:2017-W00",
+    "monthly:2017-13", "monthly:2017-00", "monthly:0000-01",
+    "daily:2017-02-29", "hourly:2017-W31:h0", "hourly:2017-W31:h9",
+    "hourly:2017-W31", "yearly:2017"])
+def test_parse_bucket_label_refuses_other_spellings_and_absent_buckets(
+        label):
+    with pytest.raises(ValueError) as info:
+        parse_bucket_label(label)
+    assert str(info.value) == f"bad bucket label {label!r}"
 
 
 # --- accumulation ---
 
 def test_accumulate_arrival_adds_quantity():
-    store = TallyStore([Granularity.DAILY])
+    store = TallyStore()
     for ev in (arrival(3, 40), arrival(3, 10), arrival(1, 5)):
         assert accumulate_event(store, ev, DAY)
     assert store.arrivals[DAILY_KEY].quantity[2] == 50
@@ -125,7 +148,8 @@ def test_accumulate_arrival_adds_quantity():
 
 
 def test_accumulate_drops_beyond_windows():
-    store = TallyStore([Granularity.DAILY])
+    # one drop per event, however many buckets it would have landed in
+    store = TallyStore()
     accumulate_event(store, arrival(16, 40), DAY)
     accumulate_event(store, cancel(11, 10, 100), DAY)
     assert store.arrivals == {}
@@ -136,28 +160,10 @@ def test_accumulate_drops_beyond_windows():
     accumulate_event(store, cancel(10, 10, 100), DAY)
     assert store.arrivals[DAILY_KEY].quantity[14] == 40
     assert store.cancels[DAILY_KEY].count[9] == 1
-    # one drop per granularity of the store
-    store = TallyStore()
-    accumulate_event(store, arrival(16, 40), DAY)
-    accumulate_event(store, cancel(11, 10, 100), DAY)
-    assert store.dropped_arrivals == len(Granularity)
-    assert store.dropped_cancels == len(Granularity)
-    # a repeated granularity is tallied and dropped once, in any container
-    daily, weekly = Granularity.DAILY, Granularity.WEEKLY
-    stores = [TallyStore(gs) for gs in ([weekly, daily, weekly],
-                                        (daily, weekly, daily),
-                                        {weekly, daily})]
-    for store in stores:
-        assert store.granularities == (daily, weekly)
-        for ev in (arrival(2, 40), arrival(16, 40), cancel(11, 10, 100)):
-            accumulate_event(store, ev, DAY)
-        assert store.arrivals[DAILY_KEY].quantity[1] == 40
-        assert store.dropped_arrivals == store.dropped_cancels == 2
-    assert stores[0] == stores[1] == stores[2]
 
 
 def test_accumulate_cancel_ratio():
-    store = TallyStore([Granularity.DAILY])
+    store = TallyStore()
     for ev in (cancel(2, 30, 120), cancel(2, 60, 120)):
         accumulate_event(store, ev, DAY)
     tally = store.cancels[DAILY_KEY]
@@ -194,7 +200,7 @@ def test_accumulate_event_skips_out_of_hours():
 
 
 def test_density_normalizes():
-    tally = ArrivalTally()
+    tally = ArrivalTally([0] * rates.ARRIVAL_TICKS)
     tally.quantity[0] = 50
     tally.quantity[1] = 30
     tally.quantity[2] = 20
@@ -202,7 +208,7 @@ def test_density_normalizes():
     assert density[:3] == [0.5, 0.3, 0.2]
     assert abs(sum(density) - 1.0) < 1e-12
     with pytest.raises(EmptyBucket):
-        arrival_density(ArrivalTally())
+        arrival_density(ArrivalTally([0] * rates.ARRIVAL_TICKS))
 
 
 # --- partition properties ---
@@ -291,9 +297,6 @@ def test_weekly_sums_to_monthly_when_weeks_nest():
 # months) and across the 2017/2018 year end (2017-W52 -> 2018-W01)
 CUBE_DAYS = (weekdays(dt.date(2017, 8, 28), 6)
              + weekdays(dt.date(2017, 12, 27), 6))
-ALL = tuple(Granularity)
-GRANULARITY_SETS = (ALL, (Granularity.DAILY,),
-                    (Granularity.HOURLY, Granularity.WEEKLY))
 
 
 @st.composite
@@ -311,7 +314,7 @@ def cube_event(draw):
     return draw(st.sampled_from(CUBE_DAYS)), ev
 
 
-def reference_tally(events, granularities):
+def reference_tally(events):
     """Each event folded into each of its buckets, one key at a time."""
     arrivals, ratio_sums, counts = {}, {}, {}
     dropped = {EventKind.LIMIT_ARRIVAL: 0, EventKind.CANCEL: 0}
@@ -330,11 +333,10 @@ def reference_tally(events, granularities):
                  Granularity.WEEKLY: (year, week),
                  Granularity.MONTHLY: (day.year, day.month),
                  Granularity.HOURLY: (year, week, slot)}
-        window = 15 if ev.kind is EventKind.LIMIT_ARRIVAL else 10
-        for g in granularities:
-            if ev.tick > window:
-                dropped[ev.kind] += 1
-                continue
+        if ev.tick > (15 if ev.kind is EventKind.LIMIT_ARRIVAL else 10):
+            dropped[ev.kind] += 1
+            continue
+        for g in Granularity:
             key = BucketKey(g, index[g], ev.side)
             if ev.kind is EventKind.LIMIT_ARRIVAL:
                 arrivals.setdefault(key, [0] * 15)[ev.tick - 1] += ev.quantity
@@ -347,13 +349,13 @@ def reference_tally(events, granularities):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(GRANULARITY_SETS), st.lists(cube_event(), max_size=80))
-def test_store_matches_brute_force_tally(granularities, events):
-    store = TallyStore(granularities)
+@given(st.lists(cube_event(), max_size=80))
+def test_store_matches_brute_force_tally(events):
+    store = TallyStore()
     for day, ev in events:
         accumulate_event(store, ev, day)
     (arrivals, ratio_sums, counts, dropped_arrivals, dropped_cancels,
-     out_of_hours) = reference_tally(events, granularities)
+     out_of_hours) = reference_tally(events)
     assert {k: t.quantity for k, t in store.arrivals.items()} == arrivals
     assert {k: t.count for k, t in store.cancels.items()} == counts
     for key, sums in ratio_sums.items():
@@ -440,14 +442,12 @@ def test_merging_stores_of_single_sessions_matches_one_store(events, rnd):
     assert merged == single
 
 
-def test_merge_rejects_a_shared_session_or_other_granularities():
+def test_merge_rejects_a_shared_session():
     store, same_day = TallyStore(), TallyStore()
     for target in (store, same_day):
         accumulate_event(target, arrival(1, 10), DAY)
     with pytest.raises(ValueError, match="in both stores"):
         store.merge(same_day)
-    with pytest.raises(ValueError, match="same granularities"):
-        store.merge(TallyStore([Granularity.DAILY]))
 
 
 # --- csv staging ---
@@ -458,7 +458,7 @@ def test_rates_csv_round_trip(tmp_path):
     for day, ev in random_events(24, days):
         accumulate_event(store, ev, day)
     path = tmp_path / "rates.csv"
-    rates.write_rates_csv(store, path)
+    rates.write_rates_csv(store.arrivals, path)
     instances = rates.read_rates_csv(path)
     assert len(instances) == len(store.arrivals)
     by_key = {(i["bucket_key"], i["side"]): i for i in instances}
@@ -475,7 +475,7 @@ def test_cancels_csv_round_trip(tmp_path):
     for day, ev in random_events(25, days):
         accumulate_event(store, ev, day)
     path = tmp_path / "cancels.csv"
-    rates.write_cancels_csv(store, path)
+    rates.write_cancels_csv(store.cancels, path)
     instances = rates.read_cancels_csv(path)
     by_key = {(i["bucket_key"], i["side"]): i for i in instances}
     for key, tally in store.cancels.items():
@@ -534,12 +534,14 @@ def test_rates_csv_needs_every_tick(tmp_path):
 
 
 def test_rates_csv_rows_are_sorted(tmp_path):
-    store = TallyStore([Granularity.DAILY, Granularity.WEEKLY])
+    store = TallyStore()
     for day in (dt.date(2017, 8, 3), dt.date(2017, 8, 1)):
         for side in (Side.SELL, Side.BUY):
             accumulate_event(store, arrival(2, 10, side=side), day)
     path = tmp_path / "rates.csv"
-    rates.write_rates_csv(store, path)
+    rates.write_rates_csv({key: tally for key, tally in store.arrivals.items()
+                           if key.granularity in (Granularity.DAILY,
+                                                  Granularity.WEEKLY)}, path)
     rows = list(csv.DictReader(path.open()))
     keys = [(r["bucket_key"], r["side"], int(r["tick"])) for r in rows]
     assert keys == sorted(
@@ -552,14 +554,14 @@ def test_byte_identical_rewrite(tmp_path):
     for day, ev in random_events(26, days):
         accumulate_event(store, ev, day)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    rates.write_rates_csv(store, a)
-    rates.write_rates_csv(store, b)
+    rates.write_rates_csv(store.arrivals, a)
+    rates.write_rates_csv(store.arrivals, b)
     assert a.read_bytes() == b.read_bytes()
 
 
 # --- tally_stream against the object-level replay ---
 
-def object_tally(store, blobs, tick_size, reference, sides):
+def object_tally(store, blobs, tick_size, reference):
     """The replay through the object-level API, one call per layer."""
     books = {}
     applied = 0
@@ -570,8 +572,7 @@ def object_tally(store, blobs, tick_size, reference, sides):
                                  rates.session_id_to_date(session_id))
         book, day = books[session_id]
         for event in book.apply(msg):
-            if event.side in sides:
-                accumulate_event(store, event, day)
+            accumulate_event(store, event, day)
         applied += 1
     return applied
 
@@ -684,12 +685,11 @@ def flow_stream(draw):
     return blobs
 
 
-def replay_outcome(tally, blobs, granularities, tick_size, reference,
-                   sides):
+def replay_outcome(tally, blobs, tick_size, reference):
     """What a replay returns or raises, and the store it leaves."""
-    store = TallyStore(granularities)
+    store = TallyStore()
     try:
-        result = tally(store, blobs, tick_size, reference, sides)
+        result = tally(store, blobs, tick_size, reference)
     except (LobfitError, ValueError) as exc:
         result = (type(exc), str(exc))
     return result, store
@@ -697,15 +697,10 @@ def replay_outcome(tally, blobs, granularities, tick_size, reference,
 
 @settings(max_examples=200, deadline=None)
 @given(flow_stream(), st.sampled_from((1, 3)),
-       st.sampled_from(TickReference),
-       st.sampled_from(((Side.BUY, Side.SELL), (Side.BUY,), (Side.SELL,))),
-       st.sampled_from(GRANULARITY_SETS))
-def test_tally_stream_matches_the_object_replay(blobs, tick_size, reference,
-                                                sides, granularities):
-    want = replay_outcome(object_tally, blobs, granularities, tick_size,
-                          reference, sides)
-    got = replay_outcome(rates.tally_stream, blobs, granularities,
-                         tick_size, reference, sides)
+       st.sampled_from(TickReference))
+def test_tally_stream_matches_the_object_replay(blobs, tick_size, reference):
+    want = replay_outcome(object_tally, blobs, tick_size, reference)
+    got = replay_outcome(rates.tally_stream, blobs, tick_size, reference)
     assert got[0] == want[0]
     # the same tallies and counters, also up to the message that failed
     assert got[1] == want[1]

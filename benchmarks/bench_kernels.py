@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
 """Benchmark the fitting kernels in lobfit.kernels.
 
-Each workload runs a fixed call sequence through the two entry points
-(``objective`` and ``minimize``) and reports its best wall time.  The
-histograms are multinomial draws from known curves, matching what the
-fitting layer feeds the kernels in production.  A second table gives
-the cost of one ``objective`` call per kind, timed on a 5 x 5 grid of
-points around each histogram's optimum, which is where fits spend
+Each workload runs a fixed call sequence and reports its best wall
+time.  The histograms are multinomial draws from known curves, matching
+what the fitting layer feeds the kernels in production.  The objective
+sweeps and the second table time what a search runs: the objective
+bound once per histogram with ``bind`` and then called.  The second
+table gives the cost of one such call per kind, timed on a 5 x 5 grid
+of points around each histogram's optimum, which is where fits spend
 their evaluations.  A third table gives instances/s per family through
 ``dist.fit_family`` in this one process, the unit a ``lobfit fit``
-worker runs.  The multi-start fits use ``dist``'s own start grids and
-loop.  For end-to-end and per-layer numbers of the whole pipeline use
-``perfbench/run.py``.
+worker runs, and the objective evaluations per ``fit_family`` call,
+counted by wrapping ``kernels.bind``.  The multi-start fits use
+``dist``'s own start grids and loop.  For end-to-end and per-layer
+numbers of the whole pipeline use ``perfbench/run.py``.
 
 Run:
 
@@ -43,9 +45,10 @@ def multi_start_fit(kind, truncated, weights, starts):
 
 
 def objective_sweep(kind, weights, grid):
+    fn = kernels.bind(kind, False, weights)
     total = 0.0
     for z0, z1 in grid:
-        v = kernels.objective(kind, False, weights, z0, z1)
+        v = fn(z0, z1)
         if math.isfinite(v):
             total += v
     return total
@@ -62,19 +65,44 @@ def starts_for(kind, weights):
 
 
 def grid_around_optimum(kind, truncated, weights):
+    """The bound objective with each point of a grid around its optimum."""
     z0, z1, *_ = multi_start_fit(kind, truncated, weights,
                                  starts_for(kind, weights))
-    return [(weights, z0 + a, z1 + b) for a in _OFFSETS for b in _OFFSETS]
+    fn = kernels.bind(kind, truncated, weights)
+    return [(fn, z0 + a, z1 + b) for a in _OFFSETS for b in _OFFSETS]
 
 
-def objective_calls(kind, truncated, points):
-    for weights, z0, z1 in points:
-        kernels.objective(kind, truncated, weights, z0, z1)
+def objective_calls(points):
+    for fn, z0, z1 in points:
+        fn(z0, z1)
 
 
 def fit_all(tag, densities):
     for density in densities:
         dist.fit_family(density, tag)
+
+
+def evaluations_per_fit(tag, densities):
+    """Objective evaluations per ``dist.fit_family`` call."""
+    count = 0
+    bind = kernels.bind
+
+    def counting_bind(*args):
+        fn = bind(*args)
+
+        def counted(z0, z1):
+            nonlocal count
+            count += 1
+            return fn(z0, z1)
+
+        return counted
+
+    kernels.bind = counting_bind
+    try:
+        fit_all(tag, densities)
+    finally:
+        kernels.bind = bind
+    return count / len(densities)
 
 
 def main():
@@ -141,8 +169,7 @@ def main():
     for name, kind, truncated, hists in per_call:
         points = [p for w in hists
                   for p in grid_around_optimum(kind, truncated, w)]
-        calls.append((name, functools.partial(objective_calls, kind,
-                                              truncated, points),
+        calls.append((name, functools.partial(objective_calls, points),
                        len(points)))
     # a few ms per job, so these get many more rounds than the fits
     times = best_times([job for _, job, _ in calls],
@@ -154,14 +181,16 @@ def main():
     corpus = dw_hists + bb_hists
     print()
     header = (f"{f'dist.fit_family, {len(corpus)} instances':<{name_width}}"
-              f"  {'instances/s':>12}")
+              f"  {'instances/s':>12}  {'evals/fit':>10}")
     print(header)
     print("-" * len(header))
     fits = [(tag, functools.partial(fit_all, tag, corpus))
             for tag in dist.FAMILY_TAGS]
     times = best_times([job for _, job in fits], args.repeats)
     for (tag, _), elapsed in zip(fits, times):
-        print(f"{tag:<{name_width}}  {len(corpus) / elapsed:>12.1f}")
+        evals = evaluations_per_fit(tag, corpus)
+        print(f"{tag:<{name_width}}  {len(corpus) / elapsed:>12.1f}"
+              f"  {evals:>10.1f}")
 
 
 if __name__ == "__main__":

@@ -371,15 +371,18 @@ def _sigmoid(z: float) -> float:
 
 
 def _run_starts(kind: int, truncated: bool, weights, starts):
+    # one bind per family fit; a start whose probe is finite begins its
+    # search with the probe as the first vertex, not evaluated again
+    fn = kernels.bind(kind, truncated, weights)
     best = None
     used = 0
     for z0, z1 in starts:
-        if not math.isfinite(kernels.objective(kind, truncated, weights,
-                                               z0, z1)):
+        f0 = fn(z0, z1)
+        if not math.isfinite(f0):
             continue
         used += 1
         x, y, f, iters, ok = kernels.minimize(kind, truncated, weights,
-                                              z0, z1)
+                                              z0, z1, fn, f0)
         if math.isfinite(f) and (best is None or f < best[2]):
             best = (x, y, f, iters, ok)
     if best is None:

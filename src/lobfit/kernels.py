@@ -17,20 +17,29 @@ Objectives never raise on arithmetic: overflow, underflow into a
 division and NaN all come back as +inf, which the simplex treats as
 an infeasible point.
 
-Each evaluation is one pass over the ticks and does only the work
+Each evaluation is one pass over per-tick rows and does only the work
 that depends on (z0, z1).  What depends on the tick index alone is
 built once per window length and cached: the float ticks, and for the
 beta-binomial each x = tick - 1 with nb - x and its log binomial
-coefficient ln C(nb, x), nb = n - 1.  The result is the same float,
-bit for bit, as evaluating every term per tick through overflow-guarding
-wrappers: each term comes from the same expression on the same
-operands (``t ** e`` calls the C ``pow`` that ``math.pow`` does, and
+coefficient ln C(nb, x), nb = n - 1.  ``bind`` joins those with the
+weights once, into rows (tick, w) for the Weibull and the power law
+and (ln C(nb, x), x, nb - x, w) for the beta-binomial, so an
+evaluation is one ``for`` over a tuple.  Untruncated, the
+beta-binomial keeps only its nonzero-weight rows: it skips the
+ln Gamma terms of zero-weight ticks, which the per-tick form computed
+and then dropped.  The result is the same float, bit for bit, as
+evaluating every term per tick through overflow-guarding wrappers:
+each term comes from the same expression on the same operands
+(``t ** e`` calls the C ``pow`` that ``math.pow`` does, and
 ln Gamma(0.0 + alpha) is ln Gamma(alpha)), terms are summed in the same
 left-to-right order, a power that overflows becomes +inf at that tick
 alone, and the overflow shortcuts below fire only where the per-tick
-form returned +inf as well.  Untruncated, the beta-binomial skips the
-ln Gamma terms of zero-weight ticks, which the per-tick form computed
-and then dropped.
+form returned +inf as well.
+
+A multi-start fit binds its objective once, probes each start with the
+bound function, and hands both the function and the probe's value to
+``minimize``, which takes them as its first vertex instead of binding
+and evaluating the start again.
 """
 
 from __future__ import annotations
@@ -68,7 +77,7 @@ def _bb_terms(n: int) -> tuple[float, tuple]:
         for x in map(float, range(n)))
 
 
-def _dw_nll(truncated: bool, w, ticks, z0: float, z1: float) -> float:
+def _dw_nll(truncated: bool, rows, z0: float, z1: float) -> float:
     # q = sigmoid(z0); ln q written via log1p for accuracy near q = 1
     lq = -log1p(_INF if -z0 > _EXP_CAP else exp(-z0))
     beta = _INF if z1 > _EXP_CAP else exp(z1)
@@ -81,7 +90,7 @@ def _dw_nll(truncated: bool, w, ticks, z0: float, z1: float) -> float:
     if truncated:
         mass = 0.0
         sumw = 0.0
-        for t, wi in zip(ticks, w):
+        for t, wi in rows:
             try:
                 power = t ** beta
             except OverflowError:
@@ -99,7 +108,7 @@ def _dw_nll(truncated: bool, w, ticks, z0: float, z1: float) -> float:
             return _INF
         nll += log(mass) * sumw
     else:
-        for t, wi in zip(ticks, w):
+        for t, wi in rows:
             try:
                 power = t ** beta
             except OverflowError:
@@ -116,14 +125,13 @@ def _dw_nll(truncated: bool, w, ticks, z0: float, z1: float) -> float:
     return nll
 
 
-def _bb_nll(truncated: bool, w, terms, z0: float, z1: float) -> float:
+def _bb_nll(truncated: bool, nb: float, rows, z0: float, z1: float) -> float:
     alpha = _INF if z0 > _EXP_CAP else exp(z0)
     beta = _INF if z1 > _EXP_CAP else exp(z1)
     if not (isfinite(alpha) and isfinite(beta)):
         return _INF
     if alpha <= 0.0 or beta <= 0.0:
         return _INF
-    nb, rows = terms
     try:
         lbab = lgamma(alpha) + lgamma(beta) - lgamma(alpha + beta)
         lgden = lgamma(nb + alpha + beta)
@@ -137,7 +145,7 @@ def _bb_nll(truncated: bool, w, terms, z0: float, z1: float) -> float:
     if truncated:
         mass = 0.0
         sumw = 0.0
-        for (lc, x, r), wi in zip(rows, w):
+        for lc, x, r, wi in rows:
             lp = lc + lgamma(x + alpha) + lgamma(r + beta) - lgden - lbab
             mass += _INF if lp > _EXP_CAP else exp(lp)
             sumw += wi
@@ -147,21 +155,20 @@ def _bb_nll(truncated: bool, w, terms, z0: float, z1: float) -> float:
             return _INF
         nll += log(mass) * sumw
     else:
-        for (lc, x, r), wi in zip(rows, w):
-            if wi != 0.0:
-                nll -= wi * (lc + lgamma(x + alpha) + lgamma(r + beta)
-                             - lgden - lbab)
+        for lc, x, r, wi in rows:
+            nll -= wi * (lc + lgamma(x + alpha) + lgamma(r + beta)
+                         - lgden - lbab)
     if nll != nll:
         return _INF
     return nll
 
 
-def _pow_sse(w, ticks, z0: float, z1: float) -> float:
+def _pow_sse(rows, z0: float, z1: float) -> float:
     k = _INF if z0 > _EXP_CAP else exp(z0)
     if not isfinite(k):
         return _INF
     sse = 0.0
-    for t, wi in zip(ticks, w):
+    for t, wi in rows:
         try:
             denom = t ** z1
         except OverflowError:
@@ -175,38 +182,59 @@ def _pow_sse(w, ticks, z0: float, z1: float) -> float:
     return sse
 
 
-def _bind(kind: int, truncated: bool, w):
-    """The objective of ``kind`` on weights ``w`` as a function of (z0, z1)."""
+def bind(kind: int, truncated: bool, w):
+    """The objective of ``kind`` on weights ``w`` as a function of (z0, z1).
+
+    The per-tick rows, each holding its weight, are built here once, so
+    a fit evaluates the returned function many times at no cost per
+    call for the weights.  Untruncated, the beta-binomial's rows are
+    its nonzero-weight ticks alone.
+    """
     n = len(w)
     if kind == KIND_DW:
-        return functools.partial(_dw_nll, truncated, w, _ticks(n))
+        return functools.partial(_dw_nll, truncated,
+                                 tuple(zip(_ticks(n), w)))
     if kind == KIND_BB:
-        return functools.partial(_bb_nll, truncated, w, _bb_terms(n))
+        nb, terms = _bb_terms(n)
+        rows = tuple(row + (wi,) for row, wi in zip(terms, w)
+                     if truncated or wi != 0.0)
+        return functools.partial(_bb_nll, truncated, nb, rows)
     if kind == KIND_POW:
-        return functools.partial(_pow_sse, w, _ticks(n))
+        return functools.partial(_pow_sse, tuple(zip(_ticks(n), w)))
     raise ValueError(f"unknown objective kind {kind}")
 
 
 def objective(kind: int, truncated: bool, w, z0: float, z1: float) -> float:
-    """Evaluate one objective; non-finite regions come back as +inf."""
-    return _bind(kind, truncated, w)(z0, z1)
+    """Evaluate one objective; non-finite regions come back as +inf.
+
+    Binds on every call: code that evaluates the same weights many
+    times binds once with ``bind`` instead.
+    """
+    return bind(kind, truncated, w)(z0, z1)
 
 
-def minimize(kind: int, truncated: bool, w, z0: float,
-             z1: float) -> tuple[float, float, float, int, bool]:
+def minimize(kind: int, truncated: bool, w, z0: float, z1: float,
+             fn=None, f0=None) -> tuple[float, float, float, int, bool]:
     """Nelder-Mead descent from (z0, z1); returns (z0*, z1*, f*, iters, ok).
 
     Standard reflect/expand/contract/shrink coefficients (1, 2, 0.5,
     0.5), from a simplex of side ``_STEP``.  Converged means the simplex
     diameter in the transformed coordinates fell below ``_TOL`` within
     ``_MAX_ITER`` iterations.
+
+    ``fn`` is the objective as ``bind(kind, truncated, w)`` returns it
+    and ``f0`` its value at (z0, z1); a caller that already holds them
+    passes them in, and the search neither binds nor evaluates the
+    start again.  Left out, both are computed here.
     """
-    fn = _bind(kind, truncated, w)
+    if fn is None:
+        fn = bind(kind, truncated, w)
+    if f0 is None:
+        f0 = fn(z0, z1)
 
     x0, y0 = z0, z1
     x1, y1 = z0 + _STEP, z1
     x2, y2 = z0, z1 + _STEP
-    f0 = fn(x0, y0)
     f1 = fn(x1, y1)
     f2 = fn(x2, y2)
 

@@ -92,3 +92,27 @@ def test_perfbench_tracer_runs_synth_and_rates(tmp_path):
     assert ops["synth.generate"][0] == 1
     ops = traced("rates", str(out / "stream.lobf"), "--out", str(out))
     assert ops["rates.csv_write"][0] == 2
+
+
+def test_perfbench_tracer_runs_fit(tmp_path):
+    # the tracer's minimize hook reads the first positional argument as
+    # the objective kind; the fit workers run it, and an exception there
+    # fails the command
+    source = tmp_path / "rates.csv"
+    with open(source, "w") as fh:
+        fh.write("bucket_key,side,tick,quantity,density\n")
+        for day, quantities in (
+                (1, [90 - 6 * i for i in range(15)]),
+                (2, [10 + 8 * i - i * i // 2 for i in range(15)])):
+            for tick, q in enumerate(quantities, start=1):
+                fh.write(f"daily:2017-08-0{day},buy,{tick},{q},"
+                         f"{q / sum(quantities)!r}\n")
+    trace = tmp_path / "fit.json"
+    run_script("tracer.py", str(trace), "--", "fit", str(source),
+               "--out", str(tmp_path / "run"), directory=ROOT / "perfbench")
+    ops = json.loads(trace.read_text())["ops"]
+    assert ops["cli.main"][0] == 1
+    instances = json.loads((tmp_path / "run" / "fits.json").read_text())[
+        "instances"]
+    assert [set(inst["fits"]) for inst in instances] == [
+        set(dist.FAMILY_TAGS)] * 2

@@ -18,9 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lobfit
-from lobfit import cli, dist, feed, rates, synth
+from lobfit import cli, dist, feed, kernels, rates, synth
 from lobfit.book import OrderBook, TickReference
-from lobfit.errors import LobfitError
+from lobfit.errors import LobfitError, NonConvergence
 
 
 @pytest.fixture(scope="module")
@@ -401,6 +401,105 @@ class TestFitAnyDensity:
                 dist.FAMILY_TAGS)
             for fit in inst["fits"].values():
                 assert all(math.isfinite(v) for v in fit["params"].values())
+
+
+def _starts(kind, weights):
+    """The start grid ``dist``'s fit of ``kind`` searches from."""
+    if kind == kernels.KIND_DW:
+        return [(dist._logit(q), math.log(b))
+                for q in dist._Q_STARTS for b in dist._BETA_STARTS]
+    if kind == kernels.KIND_BB:
+        return [(math.log(a), math.log(b))
+                for a in dist._AB_STARTS for b in dist._AB_STARTS]
+    return [(math.log(max(weights[0], 1e-6)), a)
+            for a in dist._POW_EXPONENT_STARTS]
+
+
+def _unbound_run_starts(kind, truncated, weights, starts):
+    """Each start probed through ``objective``, then searched unbound."""
+    best = None
+    used = 0
+    for z0, z1 in starts:
+        if not math.isfinite(kernels.objective(kind, truncated, weights,
+                                               z0, z1)):
+            continue
+        used += 1
+        x, y, f, iters, ok = kernels.minimize(kind, truncated, weights,
+                                              z0, z1)
+        if math.isfinite(f) and (best is None or f < best[2]):
+            best = (x, y, f, iters, ok)
+    return best, used
+
+
+class TestProbeReuse:
+    # _run_starts binds once and starts each search from its probe; the
+    # floats, counts and flags must be those of probing and searching
+    # every start unbound
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.sampled_from([kernels.KIND_DW, kernels.KIND_BB,
+                            kernels.KIND_POW]), st.booleans(), _DENSITY)
+    def test_bound_starts_match_the_unbound_loop(self, kind, truncated,
+                                                 weights):
+        starts = _starts(kind, weights)
+        want, want_used = _unbound_run_starts(kind, truncated, weights,
+                                              starts)
+        if want is None:
+            with pytest.raises(NonConvergence):
+                dist._run_starts(kind, truncated, weights, starts)
+            return
+        got, used = dist._run_starts(kind, truncated, weights, starts)
+        assert used == want_used
+        assert [v.hex() for v in got[:3]] == [v.hex() for v in want[:3]]
+        assert got[3:] == want[3:]
+
+
+# per-tick quantities of eight daily instances: 2017-08-01..04 on the
+# buy and then the sell side; the third has interior and trailing
+# zero-count ticks, the fourth is a two-tick spike
+_GOLDEN_QUANTITIES = (
+    (812, 590, 431, 318, 240, 177, 131, 99, 72, 55, 41, 30, 22, 17, 12),
+    (40, 95, 160, 210, 240, 236, 210, 172, 130, 92, 60, 35, 18, 8, 3),
+    (300, 0, 140, 95, 0, 0, 41, 20, 12, 0, 5, 0, 0, 0, 0),
+    (0, 0, 0, 550, 450, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    (120, 131, 98, 110, 125, 90, 104, 117, 99, 108, 95, 112, 101, 93, 97),
+    (1000, 354, 192, 125, 89, 68, 54, 44, 37, 32, 27, 24, 21, 19, 17),
+    (400, 240, 144, 86, 52, 31, 19, 11, 7, 4, 2, 1, 1, 0, 1),
+    (3, 5, 9, 14, 20, 28, 37, 48, 60, 73, 88, 104, 121, 139, 160),
+)
+
+# sha256 of fits.json, nps_summary.csv and welch_tests.csv, recorded
+# before the objectives carried their weights in the per-tick rows; any
+# change to an evaluated point, a float or the search moves them
+GOLDEN_FIT_DIGESTS = {
+    False: (
+        "2b9603f5bc3524ecf9d2d4d0858d5dccbbb230969b3e2ce87ec493432d17f43c",
+        "138b0e01d572b5208c1017e422c8478368184cf10959ba336668da48c8a87574",
+        "7d4b45c5651720cb3cd9d0d3c3d66c1b022399f03a459f5534d69172b525ec28"),
+    True: (
+        "58c704fba5091774b16f27392fc5322545549e024beee382722a617f03cb9343",
+        "56f672fc00134ad6074180032728d400abf18b0c2af3bc786861cf518dc5faad",
+        "17e225ada17e3ae1ad3786cf1a624aaa7fd1368b50b9fc75eb96352c4f598b47"),
+}
+
+
+@pytest.mark.parametrize("truncated", [False, True])
+def test_fit_golden_bytes(truncated, tmp_path):
+    source = tmp_path / "rates.csv"
+    with open(source, "w") as fh:
+        fh.write("bucket_key,side,tick,quantity,density\n")
+        for i, quantities in enumerate(_GOLDEN_QUANTITIES):
+            key = f"daily:2017-08-{i % 4 + 1:02d}"
+            side = ("buy", "sell")[i // 4]
+            total = sum(quantities)
+            for tick, q in enumerate(quantities, start=1):
+                fh.write(f"{key},{side},{tick},{q},{q / total!r}\n")
+    flags = ["--truncated-likelihood"] if truncated else []
+    assert cli.main(["fit", str(source), "--out", str(tmp_path)]
+                    + flags) == 0
+    digests = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("fits.json", "nps_summary.csv", "welch_tests.csv"))
+    assert digests == GOLDEN_FIT_DIGESTS[truncated]
 
 
 def _python(code, *args, timeout=None):

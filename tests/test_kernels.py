@@ -306,18 +306,30 @@ class TestOracleEquality:
         starts = [(-1.5, -0.5), (0.5, 0.5), (2.0, 1.0)]
         calls = {"_dw_nll": 0, "_bb_nll": 0, "_pow_sse": 0}
 
-        def dw(truncated, w, ticks, z0, z1):
+        # the stubs take the bound rows and evaluate the oracle on the
+        # weights in them; untruncated, the beta-binomial's rows hold its
+        # nonzero weights alone, so the zero-weight ticks come back from
+        # the rows' x
+        def dw(truncated, rows, z0, z1):
             calls["_dw_nll"] += 1
+            w = [wi for _, wi in rows]
             return _dw_nll(truncated, w, len(w), z0, z1)
 
-        def bb(truncated, w, terms, z0, z1):
+        def bb(truncated, nb, rows, z0, z1):
             calls["_bb_nll"] += 1
+            w = [0.0] * (int(nb) + 1)
+            for _, x, _, wi in rows:
+                w[int(x)] = wi
             return _bb_nll(truncated, w, len(w), z0, z1)
 
-        def pw(w, ticks, z0, z1):
+        def pw(rows, z0, z1):
             calls["_pow_sse"] += 1
+            w = [wi for _, wi in rows]
             return _pow_sse(w, len(w), z0, z1)
 
+        # interior and trailing zero weights: rows the untruncated
+        # beta-binomial leaves out
+        sparse = [0.3, 0.0, 0.25, 0.2, 0.0, 0.15, 0.1] + [0.0] * (T - 7)
         runs = {}
         for use_oracle in (False, True):
             if use_oracle:
@@ -326,7 +338,7 @@ class TestOracleEquality:
                 monkeypatch.setattr(kernels, "_pow_sse", pw)
             runs[use_oracle] = [
                 minimize(kind, truncated, w, z0, z1)
-                for w in densities()
+                for w in densities() + [sparse]
                 for kind in (KIND_DW, KIND_BB, KIND_POW)
                 for truncated in (False, True)
                 for z0, z1 in starts]

@@ -1,13 +1,16 @@
 """Model comparison metrics and the statistical tests behind them.
 
 Log-gamma is the standard library's ``math.lgamma``, the routine the
-fit kernels use.  The regularized incomplete beta and gamma are
+fit kernels use.  The regularized incomplete beta behind Welch's test is
 implemented here rather than imported, so the test p-values have no
-numerical dependency outside the standard library.  Continued fractions
-follow the modified Lentz scheme; the series/fraction split points are
-the usual ones (x < (a+1)/(a+b+2) for the beta, x < s+1 for the
-gamma).  Target relative accuracy is 1e-13, comfortably inside the
-1e-10 the test suite asserts.
+numerical dependency outside the standard library: a continued fraction
+in the modified Lentz scheme, split at x < (a+1)/(a+b+2).  The
+chi-square tail at integer degrees of freedom is a finite sum in closed
+form.  Measured against mpmath, the chi-square tail holds to about
+1e-13 relative down to 1e-290.  The two-tailed Student-t tail at df up
+to 200 holds to 1e-11 relative wherever t*t >= 5e-8 df; below that the
+float df / (df + t*t) loses t, and the error grows as about
+6e-16 / sqrt(t*t / df).
 
 Float sums go through ``ordered_sum``, which adds left to right with
 one rounding per term.  From Python 3.12 the built-in ``sum`` of floats
@@ -34,7 +37,6 @@ __all__ = [
     "TestResult",
     "ln_beta",
     "reg_inc_beta",
-    "reg_inc_gamma_lower",
     "student_t_sf2",
     "chi_square_sf",
     "ordered_sum",
@@ -107,51 +109,6 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
 
 
-def reg_inc_gamma_lower(s: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(s, x) for s > 0, x >= 0."""
-    if not s > 0.0:
-        raise DomainError(f"reg_inc_gamma_lower requires s > 0, got {s}")
-    if x < 0.0:
-        raise DomainError(f"reg_inc_gamma_lower requires x >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    front = math.exp(-x + s * math.log(x) - math.lgamma(s))
-    if x < s + 1.0:
-        # series for the lower function
-        term = 1.0 / s
-        total = term
-        denom = s
-        for _ in range(_MAX_ITER):
-            denom += 1.0
-            term *= x / denom
-            total += term
-            if abs(term) < abs(total) * _EPS:
-                return min(front * total, 1.0)
-        raise DomainError(f"incomplete gamma series stalled at s={s} x={x}")
-    # continued fraction for the upper function Q, then complement
-    c = 1e300
-    d = x + 1.0 - s
-    if abs(d) < 1e-300:
-        d = 1e-300
-    d = 1.0 / d
-    h = d
-    for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - s)
-        bn = x + 1.0 - s + 2.0 * i
-        d = bn + an * d
-        if abs(d) < 1e-300:
-            d = 1e-300
-        c = bn + an / c
-        if abs(c) < 1e-300:
-            c = 1e-300
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return max(1.0 - front * h, 0.0)
-    raise DomainError(f"incomplete gamma fraction stalled at s={s} x={x}")
-
-
 def student_t_sf2(t: float, df: float) -> float:
     """Two-tailed Student-t survival probability P(|T| >= |t|)."""
     if not df > 0.0:
@@ -165,10 +122,30 @@ def student_t_sf2(t: float, df: float) -> float:
 
 
 def chi_square_sf(x: float, df: float) -> float:
-    """Upper-tail chi-square probability P(X >= x)."""
-    if x < 0.0:
-        raise DomainError(f"chi_square_sf requires x >= 0, got {x}")
-    return 1.0 - reg_inc_gamma_lower(0.5 * df, 0.5 * x)
+    """Upper-tail chi-square probability P(X >= x) for an integer df >= 1.
+
+    With h = x/2 the tail is a finite sum (Abramowitz & Stegun 1964,
+    26.4.4 and 26.4.5): sum_{j < df/2} e^-h h^j / j! for even df, and
+    erfc(sqrt h) + sum_{j < (df-1)/2} e^-h h^(j+1/2) / Gamma(j + 3/2)
+    for odd df.  Each term is taken as exp of its logarithm, so no term
+    underflows before the tail itself does, and the terms are added
+    left to right.  A non-integer df, a df below 1, and a negative or
+    non-finite x raise DomainError.
+    """
+    if not (df >= 1.0 and float(df).is_integer()):
+        raise DomainError(
+            f"chi_square_sf requires an integer df >= 1, got {df}")
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"chi_square_sf requires finite x >= 0, got {x}")
+    h = 0.5 * x
+    if h == 0.0:
+        return 1.0
+    ln_h = math.log(h)
+    half = 0.5 * (int(df) % 2)
+    total = math.erfc(math.sqrt(h)) if half else 0.0
+    for j in range(int(df) // 2):
+        total += math.exp((j + half) * ln_h - h - math.lgamma(j + half + 1.0))
+    return total
 
 
 def ordered_sum(values) -> float:

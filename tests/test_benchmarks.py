@@ -86,12 +86,25 @@ def test_perfbench_tracer_runs_synth_and_rates(tmp_path):
         return json.loads(trace.read_text())["ops"]
 
     out = tmp_path / "run"
-    ops = traced("synth", "--days", "1", "--orders-per-day", "200",
+    ops = traced("synth", "--days", "1", "--orders-per-day", "600",
                  "--out", str(out))
     assert ops["cli.main"][0] == 1
     assert ops["synth.generate"][0] == 1
     ops = traced("rates", str(out / "stream.lobf"), "--out", str(out))
     assert ops["rates.csv_write"][0] == 2
+    # a weekly or monthly bucket with cancels at all ten ticks reaches
+    # the test; this stream has at least one
+    ticks = {}
+    for row in (out / "cancels.csv").read_text().splitlines()[1:]:
+        bucket, side, tick = row.split(",")[:3]
+        if bucket.startswith(("weekly:", "monthly:")):
+            ticks.setdefault((bucket, side), set()).add(int(tick))
+    tested = sum(1 for seen in ticks.values() if len(seen) == 10)
+    assert tested >= 1
+    ops = traced("cancel-test", str(out / "cancels.csv"), "--out", str(out))
+    assert ops["cli.main"][0] == 1
+    assert ops["rates.csv_read"][0] == 1
+    assert ops["stats.chi_square_uniformity"][0] == tested
 
 
 def test_perfbench_tracer_runs_fit(tmp_path):

@@ -16,6 +16,7 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import gammainc, mp, mpf
 
 import lobfit
 from lobfit import cli, dist, feed, kernels, rates, synth
@@ -1026,6 +1027,27 @@ class TestCancelTestEdgeCases:
         assert [line.split(",")[:2] for line in lines[1:]] == [
             ["weekly:2017-W31", "buy"], ["weekly:2017-W32", "buy"],
             ["weekly:2017-W32", "sell"]]
+
+    def test_a_declining_profile_reports_its_tail(self, tmp_path):
+        # the tail of a chi-square statistic of 191.56 on 9 degrees of
+        # freedom is 1.94e-36; a tail taken as 1 - P reads 0.0 there
+        source = tmp_path / "cancels.csv"
+        ratios = [0.5, 0.3, 0.2, 0.1, 0.05, 0.05, 0.02, 0.01, 0.01, 0.01]
+        with open(source, "w") as fh:
+            fh.write("bucket_key,side,tick,count,mean_ratio\n")
+            for tick, ratio in enumerate(ratios, start=1):
+                fh.write(f"weekly:2017-W31,buy,{tick},4,{ratio}\n")
+        assert cli.main(["cancel-test", str(source),
+                         "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "chi_square.csv").read_text().splitlines()
+        assert len(lines) == 2
+        bucket, side, statistic, p_value = lines[1].split(",")
+        assert (bucket, side) == ("weekly:2017-W31", "buy")
+        assert float(statistic) == pytest.approx(191.56, rel=1e-12)
+        with mp.workdps(60):
+            want = gammainc(mpf(4.5), mpf(statistic) / 2, regularized=True)
+            assert abs(float(p_value) - want) <= mpf("1e-12") * want
+        assert float(p_value) == pytest.approx(1.94127e-36, rel=1e-5)
 
     def test_daily_buckets_are_not_tested(self, tmp_path):
         source = tmp_path / "cancels.csv"

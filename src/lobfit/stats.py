@@ -7,10 +7,14 @@ numerical dependency outside the standard library: a continued fraction
 in the modified Lentz scheme, split at x < (a+1)/(a+b+2).  The
 chi-square tail at integer degrees of freedom is a finite sum in closed
 form.  Measured against mpmath, the chi-square tail holds to about
-1e-13 relative down to 1e-290.  The two-tailed Student-t tail at df up
-to 200 holds to 1e-11 relative wherever t*t >= 5e-8 df; below that the
-float df / (df + t*t) loses t, and the error grows as about
-6e-16 / sqrt(t*t / df).
+1e-13 relative down to 1e-290, and the two-tailed Student-t tail at df
+from 1 to 200 to about 2e-12 relative for every finite t, down to
+1e-290: it takes the incomplete beta at df / (df + t*t) or its
+complement at t*t / (df + t*t), whichever needs no subtraction.
+
+Welch's test takes each sample's mean and variance from ``statistics``,
+exact rational sums rounded once, so a constant sample has variance
+exactly 0 whatever its value.
 
 Float sums go through ``ordered_sum``, which adds left to right with
 one rounding per term.  From Python 3.12 the built-in ``sum`` of floats
@@ -117,8 +121,20 @@ def student_t_sf2(t: float, df: float) -> float:
         return 0.0
     if t == 0.0:
         return 1.0
-    x = df / (df + t * t)
-    return reg_inc_beta(0.5 * df, 0.5, x)
+    a = 0.5 * df
+    tt = t * t
+    if tt > 1e17 * df:
+        # x = df / (df + t*t) is below 1e-17, where the continued
+        # fraction and (1 - x)^0.5 round to 1; ln x is taken without
+        # forming x, which for df < 2 leaves the float range first
+        ln_x = math.log(df) - 2.0 * math.log(abs(t)) - math.log1p(df / t / t)
+        return math.exp(a * ln_x - ln_beta(a, 0.5)) / a
+    x = df / (df + tt)
+    # each side of reg_inc_beta's own split at b = 1/2 gets the argument
+    # it takes without a subtraction: 1 - x would lose a small t*t
+    if x < (a + 1.0) / (a + 2.5):
+        return reg_inc_beta(a, 0.5, x)
+    return 1.0 - reg_inc_beta(0.5, a, tt / (df + tt))
 
 
 def chi_square_sf(x: float, df: float) -> float:
@@ -199,13 +215,6 @@ class TestResult(NamedTuple):
     degenerate: bool = False
 
 
-def _mean_var(sample) -> tuple[float, float]:
-    n = len(sample)
-    mean = ordered_sum(sample) / n
-    var = ordered_sum((v - mean) ** 2 for v in sample) / (n - 1)
-    return mean, var
-
-
 def welch_t_test(a, b, tails: str = "two") -> TestResult:
     """Welch's unequal-variance t-test on two samples.
 
@@ -213,10 +222,11 @@ def welch_t_test(a, b, tails: str = "two") -> TestResult:
     probability in the direction of the observed statistic.  When both
     samples are constant with equal means the comparison is vacuous:
     the result is t=0, p=1, flagged degenerate.  Constant samples with
-    different means leave t undefined and raise ZeroVariance; a
-    non-finite value in either sample raises DomainError, and so do
-    finite samples whose moments or degrees of freedom leave the float
-    range.
+    different means leave t undefined and raise ZeroVariance.  The
+    moments are exact rationals rounded once, so every constant sample
+    has variance exactly 0, whatever its value.  A non-finite value
+    in either sample raises DomainError, and so do finite samples whose
+    moments, t or degrees of freedom leave the float range.
     """
     if tails not in ("one", "two"):
         raise ValueError(f"tails must be 'one' or 'two', got {tails!r}")
@@ -225,9 +235,11 @@ def welch_t_test(a, b, tails: str = "two") -> TestResult:
     for name, sample in (("first", a), ("second", b)):
         if not all(math.isfinite(v) for v in sample):
             raise DomainError(f"{name} sample holds a non-finite value")
+    import statistics
+
     try:
-        mean_a, var_a = _mean_var(a)
-        mean_b, var_b = _mean_var(b)
+        mean_a, var_a = statistics.mean(a), statistics.variance(a)
+        mean_b, var_b = statistics.mean(b), statistics.variance(b)
         if var_a == 0.0 and var_b == 0.0:
             if mean_a == mean_b:
                 df = float(len(a) + len(b) - 2)
@@ -242,7 +254,7 @@ def welch_t_test(a, b, tails: str = "two") -> TestResult:
         raise DomainError("welch t-test arithmetic overflows") from None
     except ZeroDivisionError:
         raise DomainError("welch degrees of freedom underflow") from None
-    if not math.isfinite(df):  # an infinite variance makes inf / inf
+    if not (math.isfinite(t) and math.isfinite(df)):
         raise DomainError("welch t-test arithmetic overflows")
     p = student_t_sf2(t, df)
     if tails == "one":

@@ -468,18 +468,20 @@ _GOLDEN_QUANTITIES = (
     (3, 5, 9, 14, 20, 28, 37, 48, 60, 73, 88, 104, 121, 139, 160),
 )
 
-# sha256 of fits.json, nps_summary.csv and welch_tests.csv, recorded
-# before the objectives carried their weights in the per-tick rows; any
-# change to an evaluated point, a float or the search moves them
+# sha256 of fits.json, nps_summary.csv and welch_tests.csv; the first
+# two recorded before the objectives carried their weights in the
+# per-tick rows, the last since Welch's test takes exact moments and the
+# Student-t tail keeps a small |t|; any change to an evaluated point, a
+# float or the search moves them
 GOLDEN_FIT_DIGESTS = {
     False: (
         "2b9603f5bc3524ecf9d2d4d0858d5dccbbb230969b3e2ce87ec493432d17f43c",
         "138b0e01d572b5208c1017e422c8478368184cf10959ba336668da48c8a87574",
-        "7d4b45c5651720cb3cd9d0d3c3d66c1b022399f03a459f5534d69172b525ec28"),
+        "e96e8134a95997a16098fff1f9f3bbcc3626f133bcce56158a5646d2af8767f1"),
     True: (
         "58c704fba5091774b16f27392fc5322545549e024beee382722a617f03cb9343",
         "56f672fc00134ad6074180032728d400abf18b0c2af3bc786861cf518dc5faad",
-        "17e225ada17e3ae1ad3786cf1a624aaa7fd1368b50b9fc75eb96352c4f598b47"),
+        "383edaa164cdfeec4bd9a56ae17d52583d95af2c0380efb082e1a81d77a57534"),
 }
 
 
@@ -501,6 +503,32 @@ def test_fit_golden_bytes(truncated, tmp_path):
         hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in ("fits.json", "nps_summary.csv", "welch_tests.csv"))
     assert digests == GOLDEN_FIT_DIGESTS[truncated]
+
+
+# sha256 of rates.csv, cancels.csv and chi_square.csv from a fixed
+# synth stream; any change to the generator, the book, the tally, a
+# float sum or the chi-square tail moves them
+GOLDEN_REPLAY_DIGESTS = (
+    "1433d5d6de6d7521cecb761f1db0776fb3b7f1acf67c26cd38df1184b0054d7d",
+    "abb0398a50213e87cac5dfd26c45b47ec75a2545697af2e13647ea1f31f36afe",
+    "247a6bc4cc32ca6d4907c277ae81cc46e43c60cff5d6172e5f08f23f37085c71")
+
+
+def test_replay_golden_bytes(tmp_path):
+    out = ["--out", str(tmp_path)]
+    assert cli.main(["synth", "--seed", "4", "--days", "2",
+                     "--orders-per-day", "600",
+                     "--cancel-probability", "0.15",
+                     "--cancel-style", "fraction"] + out) == 0
+    assert cli.main(["rates", str(tmp_path / "stream.lobf")] + out) == 0
+    assert cli.main(["cancel-test", str(tmp_path / "cancels.csv")]
+                    + out) == 0
+    # the weekly and monthly buy buckets have cancels at all ten ticks
+    assert len((tmp_path / "chi_square.csv").read_text().splitlines()) == 3
+    digests = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("rates.csv", "cancels.csv", "chi_square.csv"))
+    assert digests == GOLDEN_REPLAY_DIGESTS
 
 
 def _python(code, *args, timeout=None):
@@ -539,9 +567,11 @@ class TestImportBoundary:
 
     # what a command that does not use it must not load: the process
     # pool modules, the dataclass machinery and the inspect module it
-    # imports, and the object-level reference model
+    # imports, the object-level reference model, and the exact
+    # arithmetic behind fit's moments
     _POOL = ("multiprocessing", "concurrent.futures")
-    _REPLAY_UNUSED = _POOL + ("dataclasses", "inspect", "lobfit.book")
+    _REPLAY_UNUSED = _POOL + ("dataclasses", "inspect", "lobfit.book",
+                              "statistics", "fractions", "decimal")
 
     @pytest.fixture(scope="class")
     def run(self, tmp_path_factory):

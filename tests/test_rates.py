@@ -542,7 +542,8 @@ def test_rates_csv_rows_are_sorted(tmp_path):
     rates.write_rates_csv({key: tally for key, tally in store.arrivals.items()
                            if key.granularity in (Granularity.DAILY,
                                                   Granularity.WEEKLY)}, path)
-    rows = list(csv.DictReader(path.open()))
+    with path.open() as fh:
+        rows = list(csv.DictReader(fh))
     keys = [(r["bucket_key"], r["side"], int(r["tick"])) for r in rows]
     assert keys == sorted(
         keys, key=lambda k: (k[0].startswith("weekly"), k[0], k[1], k[2]))

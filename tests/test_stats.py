@@ -100,23 +100,25 @@ def _student_t_relative_error(t, df):
 
 
 @settings(max_examples=300, deadline=None)
-@given(df=st.floats(1.0, 200.0), t=st.floats(-60.0, 60.0))
+@given(df=st.floats(1.0, 200.0),
+       t=st.one_of(st.floats(-60.0, 60.0),
+                   st.floats(allow_nan=False, allow_infinity=False)))
 @example(df=141.0, t=0.003)
 @example(df=1.0, t=60.0)
 @example(df=200.0, t=60.0)
 @example(df=36.0, t=6e-4)
+@example(df=36.0, t=6.1e-5)
+@example(df=1.0, t=1e200)
+@example(df=1.5, t=1e150)
 def test_student_t_sf2_matches_the_incomplete_beta(df, t):
-    # below t*t = 5e-8 df the float df / (df + t*t) keeps too little of
-    # t*t; test_student_t_sf2_loses_a_tiny_t pins that loss
-    assume(t * t >= 5e-8 * df)
     ref, err = _student_t_relative_error(t, df)
     if ref > mpf("1e-290"):
         assert err <= 1e-11, (df, t, err)
 
 
-@pytest.mark.xfail(strict=True, reason="df / (df + t*t) rounds away most "
-                   "of t*t, so the p-value is off by ~1e-8 relative")
-def test_student_t_sf2_loses_a_tiny_t():
+def test_student_t_sf2_keeps_a_tiny_t():
+    # df / (df + t*t) rounds away most of t*t here; the complementary
+    # argument t*t / (df + t*t) keeps it
     assert _student_t_relative_error(1e-7, 36.0)[1] <= 1e-11
 
 
@@ -236,8 +238,41 @@ def test_welch_degenerate_and_errors():
         stats.welch_t_test([math.nan, 2.0], [1.0, 3.0])
     with pytest.raises(DomainError, match="overflows"):
         stats.welch_t_test([1.1e307, 1.0, 2.0], [1.0, 2.0, 3.0])
+    with pytest.raises(DomainError, match="overflows"):
+        stats.welch_t_test([sys.float_info.max] * 3, [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         stats.welch_t_test([1.0, 2.0], [3.0, 4.0], tails="both")
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=_finite, d=_finite, n=st.integers(2, 6), m=st.integers(2, 6))
+@example(c=0.1, d=0.2, n=3, m=3)
+@example(c=0.1, d=0.1, n=3, m=3)
+@example(c=6.9e16, d=0.0, n=5, m=2)
+@example(c=sys.float_info.max, d=sys.float_info.max, n=2, m=2)
+def test_welch_constant_samples(c, d, n, m):
+    # a constant sample has variance exactly 0, whatever its value
+    if c == d:
+        r = stats.welch_t_test([c] * n, [d] * m)
+        assert r.degenerate and r.statistic == 0.0 and r.p_value == 1.0
+    else:
+        with pytest.raises(ZeroVariance):
+            stats.welch_t_test([c] * n, [d] * m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.lists(_finite, min_size=2, max_size=8),
+       b=st.lists(_finite, min_size=2, max_size=8))
+def test_welch_any_finite_samples(a, b):
+    try:
+        r = stats.welch_t_test(a, b)
+    except (DomainError, ZeroVariance, InsufficientData):
+        return
+    assert math.isfinite(r.statistic) and math.isfinite(r.df)
+    assert 0.0 <= r.p_value <= 1.0
 
 
 # --- chi-square uniformity ---

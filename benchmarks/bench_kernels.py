@@ -15,10 +15,17 @@ counted by wrapping ``kernels.bind``.  The multi-start fits use
 ``dist``'s own start grids and loop.  For end-to-end and per-layer
 numbers of the whole pipeline use ``perfbench/run.py``.
 
+``--append PATH`` appends one record of the run to the JSON list in
+PATH, in ``bench_replay.py``'s format: each row's unit is ms per
+workload, us per objective call or instances/s per family, with the
+median and quartiles over the repeats, and a family row also holds its
+evaluations per fit.
+
 Run:
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --repeats 5
+    python3 benchmarks/bench_kernels.py --append BENCH_stages.json
 """
 import argparse
 import functools
@@ -26,7 +33,7 @@ import math
 
 import numpy as np
 
-from bench_replay import best_times
+from bench_replay import append_record, round_times, stage_row
 from lobfit import dist, kernels
 
 # the start grids of DiscreteWeibull.fit and BetaBinomial.fit in dist;
@@ -111,6 +118,9 @@ def main():
                         help="take the best of this many timings")
     parser.add_argument("--instances", type=int, default=20,
                         help="histograms per batch workload")
+    parser.add_argument("--append", metavar="PATH",
+                        help="append this run's record to the JSON list "
+                             "in PATH")
     args = parser.parse_args()
 
     rng = np.random.default_rng(90210)
@@ -157,9 +167,11 @@ def main():
     header = f"{'workload':<{name_width}}  {'time':>10}"
     print(header)
     print("-" * len(header))
-    times = best_times([job for _, job in workloads], args.repeats)
-    for (name, _), elapsed in zip(workloads, times):
-        print(f"{name:<{name_width}}  {elapsed * 1e3:>8.1f}ms")
+    rows = []
+    times = round_times([job for _, job in workloads], args.repeats)
+    for (name, _), samples in zip(workloads, times):
+        print(f"{name:<{name_width}}  {min(samples) * 1e3:>8.1f}ms")
+        rows.append(stage_row(name, "ms", [t * 1e3 for t in samples]))
 
     print()
     header = f"{'objective call':<{name_width}}  {'time':>10}"
@@ -172,10 +184,12 @@ def main():
         calls.append((name, functools.partial(objective_calls, points),
                        len(points)))
     # a few ms per job, so these get many more rounds than the fits
-    times = best_times([job for _, job, _ in calls],
-                       _CALL_ROUNDS * args.repeats)
-    for (name, _, count), elapsed in zip(calls, times):
-        print(f"{name:<{name_width}}  {elapsed / count * 1e6:>8.2f}us")
+    times = round_times([job for _, job, _ in calls],
+                        _CALL_ROUNDS * args.repeats)
+    for (name, _, count), samples in zip(calls, times):
+        print(f"{name:<{name_width}}  {min(samples) / count * 1e6:>8.2f}us")
+        rows.append(stage_row(f"objective call, {name}", "us",
+                              [t / count * 1e6 for t in samples]))
 
     # what one lobfit fit worker does per instance and family
     corpus = dw_hists + bb_hists
@@ -186,11 +200,17 @@ def main():
     print("-" * len(header))
     fits = [(tag, functools.partial(fit_all, tag, corpus))
             for tag in dist.FAMILY_TAGS]
-    times = best_times([job for _, job in fits], args.repeats)
-    for (tag, _), elapsed in zip(fits, times):
+    times = round_times([job for _, job in fits], args.repeats)
+    for (tag, _), samples in zip(fits, times):
         evals = evaluations_per_fit(tag, corpus)
-        print(f"{tag:<{name_width}}  {len(corpus) / elapsed:>12.1f}"
+        print(f"{tag:<{name_width}}  {len(corpus) / min(samples):>12.1f}"
               f"  {evals:>10.1f}")
+        row = stage_row(f"dist.fit_family, {tag}", "instances/s",
+                        [len(corpus) / t for t in samples])
+        rows.append(dict(row, evals_per_fit=evals))
+
+    if args.append:
+        append_record(args.append, "bench_kernels", args, rows)
 
 
 if __name__ == "__main__":

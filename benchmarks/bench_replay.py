@@ -41,28 +41,86 @@ once, so a slow spell of a shared host costs one repeat of each stage
 rather than every repeat of one.  For end-to-end and per-layer numbers
 of the whole pipeline use ``perfbench/run.py``.
 
+``--append PATH`` also appends one record of the run to the JSON list
+in PATH (created if missing): the commit of the ``lobfit`` source
+measured, with ``-dirty`` if its files differ from that commit, the
+arguments, and for each stage its unit and the median and quartiles of
+its rate over the repeats.  The object-level reference rows stay out
+of the record.  ``bench_kernels.py`` writes the same record.
+
 Run:
 
     python3 benchmarks/bench_replay.py
     python3 benchmarks/bench_replay.py --repeats 9 --days 2
+    python3 benchmarks/bench_replay.py --append BENCH_stages.json
 """
 import argparse
 import datetime as dt
-import math
+import json
+import os
+import statistics
+import subprocess
 import time
 
+import lobfit
 from lobfit import book, dist, feed, rates, synth
 
+# rows that time the object-level API no command runs
+REFERENCE_STAGES = frozenset({
+    "feed.encode_frame", "feed.iter_frames", "feed.iter_stream",
+    "OrderBook.apply", "rates.accumulate_event"})
 
-def best_times(jobs, repeats):
-    """Best wall time of each job over ``repeats`` round-robin rounds."""
-    best = [math.inf] * len(jobs)
+
+def round_times(jobs, repeats):
+    """Wall times of each job over ``repeats`` round-robin rounds."""
+    times = [[] for _ in jobs]
     for _ in range(repeats):
-        for i, job in enumerate(jobs):
+        for job, samples in zip(jobs, times):
             t0 = time.perf_counter()
             job()
-            best[i] = min(best[i], time.perf_counter() - t0)
-    return best
+            samples.append(time.perf_counter() - t0)
+    return times
+
+
+def stage_row(stage, unit, values):
+    """A record row: the median and quartiles of one stage's values."""
+    if len(values) > 1:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    else:
+        q1 = q3 = values[0]
+    return {"stage": stage, "unit": unit, "repeats": len(values),
+            "median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def source_commit():
+    """HEAD of the repository holding ``lobfit``, "-dirty" if it differs."""
+    src = os.path.dirname(os.path.abspath(lobfit.__file__))
+    try:
+        head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=src,
+                              capture_output=True, text=True, timeout=10)
+        diff = subprocess.run(["git", "diff", "--quiet", "HEAD", "--", "."],
+                              cwd=src, capture_output=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    commit = head.stdout.strip()
+    if head.returncode != 0 or not commit:
+        return "unknown"
+    return commit + ("-dirty" if diff.returncode == 1 else "")
+
+
+def append_record(path, bench, args, rows):
+    """Append one run's record to the JSON list in ``path``."""
+    try:
+        with open(path) as fh:
+            records = json.load(fh)
+    except FileNotFoundError:
+        records = []
+    settings = {k: v for k, v in vars(args).items() if k != "append"}
+    records.append({"commit": source_commit(), "bench": bench,
+                    "args": settings, "stages": rows})
+    with open(path, "w") as fh:
+        json.dump(records, fh, indent=1)
+        fh.write("\n")
 
 
 def encode(frames):
@@ -127,6 +185,9 @@ def parse_args():
                         help="trading days in the stream")
     parser.add_argument("--orders-per-day", type=int, default=3500)
     parser.add_argument("--seed", type=int, default=20170801)
+    parser.add_argument("--append", metavar="PATH",
+                        help="append this run's record to the JSON list "
+                             "in PATH")
     return parser.parse_args()
 
 
@@ -142,16 +203,24 @@ def stream_spec(args):
 
 
 def print_table(stages, repeats):
-    """Time ``(name, job, items, unit)`` stages and print their rates."""
+    """Time ``(name, job, items, unit)`` stages and print their rates.
+
+    Returns the record rows of the stages that commands run.
+    """
     name_width = max(len(name) for name, *_ in stages)
     header = (f"{'stage':<{name_width}}  {'items':>8}  {'time':>9}  "
               f"{'rate':>16}")
     print(header)
     print("-" * len(header))
-    times = best_times([job for _, job, _, _ in stages], repeats)
-    for (name, _, items, unit), elapsed in zip(stages, times):
+    times = round_times([job for _, job, _, _ in stages], repeats)
+    rows = []
+    for (name, _, items, unit), samples in zip(stages, times):
+        elapsed = min(samples)
         print(f"{name:<{name_width}}  {items:>8,}  {elapsed * 1e3:>7.1f}ms  "
               f"{items / elapsed:>10,.0f} {unit}")
+        if name not in REFERENCE_STAGES:
+            rows.append(stage_row(name, unit, [items / t for t in samples]))
+    return rows
 
 
 def main():
@@ -193,7 +262,9 @@ def main():
     print(f"stream: {args.days} day(s) x {args.orders_per_day} orders, "
           f"seed {args.seed}: {len(blob):,} bytes, {len(frames)} frames, "
           f"{n_msgs:,} messages, {len(events):,} events")
-    print_table(stages, args.repeats)
+    rows = print_table(stages, args.repeats)
+    if args.append:
+        append_record(args.append, "bench_replay", args, rows)
 
 
 if __name__ == "__main__":

@@ -36,6 +36,17 @@ left-to-right order, a power that overflows becomes +inf at that tick
 alone, and the overflow shortcuts below fire only where the per-tick
 form returned +inf as well.
 
+Untruncated, the Weibull pass tests nothing per tick: it takes
+ln(prev - cur) of every cell, zero weights included, and falls back to
+the checked per-tick pass (a power that overflows is +inf at that tick;
+a cell without mass gives +inf only under a nonzero weight) as soon as
+``t ** beta`` overflows or a cell's mass is not positive, which is
+where the two could differ.  Both give the same float, bit for bit.
+
+The simplex keeps its three vertices sorted best first.  A reflect,
+expand or contract step replaces only the worst vertex, so only that
+one is re-inserted; the full sort runs at the start and after a shrink.
+
 A multi-start fit binds its objective once, probes each start with the
 bound function, and hands both the function and the probe's value to
 ``minimize``, which takes them as its first vertex instead of binding
@@ -108,20 +119,41 @@ def _dw_nll(truncated: bool, rows, z0: float, z1: float) -> float:
             return _INF
         nll += log(mass) * sumw
     else:
-        for t, wi in rows:
-            try:
-                power = t ** beta
-            except OverflowError:
-                power = _INF
-            cur = exp(power * lq)
-            p = prev - cur
-            prev = cur
-            if wi != 0.0:
-                if not p > 0.0:
-                    return _INF
-                nll -= wi * log(p)
+        # while every power is finite and every cell has mass, no tick
+        # needs a test: a zero weight subtracts a signed zero, which
+        # leaves the sum (never -0.0) as it is.  Otherwise t ** beta
+        # raises OverflowError or log ValueError, and the checked pass
+        # gives the value
+        try:
+            for t, wi in rows:
+                cur = exp(t ** beta * lq)
+                nll -= wi * log(prev - cur)
+                prev = cur
+        except (OverflowError, ValueError):
+            nll = _dw_nll_checked(rows, lq, beta)
     if nll != nll:
         return _INF
+    return nll
+
+
+def _dw_nll_checked(rows, lq: float, beta: float) -> float:
+    # the untruncated Weibull pass tick by tick: a power that overflows
+    # is +inf at that tick alone, and a cell without mass ends the pass
+    # at +inf only where its weight is nonzero
+    nll = 0.0
+    prev = 1.0
+    for t, wi in rows:
+        try:
+            power = t ** beta
+        except OverflowError:
+            power = _INF
+        cur = exp(power * lq)
+        p = prev - cur
+        prev = cur
+        if wi != 0.0:
+            if not p > 0.0:
+                return _INF
+            nll -= wi * log(p)
     return nll
 
 
@@ -222,6 +254,15 @@ def minimize(kind: int, truncated: bool, w, z0: float, z1: float,
     diameter in the transformed coordinates fell below ``_TOL`` within
     ``_MAX_ITER`` iterations.
 
+    At the top of each iteration the vertices v0, v1, v2 are in stable
+    order of objective value, best first, as a three-element insertion
+    sort leaves them.  A reflect, expand or contract step replaces v2
+    alone and leaves v0, v1 in order, so v2 is re-inserted; a shrink
+    replaces v1 and v2, and orders v1 against v0 before v2 is
+    re-inserted.  The convergence test takes the edges v1 - v0 and
+    v2 - v0 one coordinate at a time and stops at the first that is not
+    below ``_TOL``.
+
     ``fn`` is the objective as ``bind(kind, truncated, w)`` returns it
     and ``f0`` its value at (z0, z1); a caller that already holds them
     passes them in, and the search neither binds nor evaluates the
@@ -237,28 +278,22 @@ def minimize(kind: int, truncated: bool, w, z0: float, z1: float,
     x2, y2 = z0, z1 + _STEP
     f1 = fn(x1, y1)
     f2 = fn(x2, y2)
+    if f1 < f0:
+        x0, y0, f0, x1, y1, f1 = x1, y1, f1, x0, y0, f0
 
     iterations = 0
     converged = False
     while True:
-        # stable 3-element insertion sort: best first
-        if f1 < f0:
-            x0, y0, f0, x1, y1, f1 = x1, y1, f1, x0, y0, f0
+        # v0, v1 are in order; insert v2, the vertex the last step
+        # replaced (a shrink has put its new v1 in order with v0)
         if f2 < f1:
             x1, y1, f1, x2, y2, f2 = x2, y2, f2, x1, y1, f1
             if f1 < f0:
                 x0, y0, f0, x1, y1, f1 = x1, y1, f1, x0, y0, f0
-        diam = abs(x1 - x0)
-        d = abs(y1 - y0)
-        if d > diam:
-            diam = d
-        d = abs(x2 - x0)
-        if d > diam:
-            diam = d
-        d = abs(y2 - y0)
-        if d > diam:
-            diam = d
-        if diam < _TOL:
+        # diameter below _TOL, edge by edge: a NaN first edge fails the
+        # test and a NaN later one passes it, as in a running maximum
+        if (abs(x1 - x0) < _TOL and not abs(y1 - y0) >= _TOL
+                and not abs(x2 - x0) >= _TOL and not abs(y2 - y0) >= _TOL):
             converged = True
             break
         if iterations >= _MAX_ITER:
@@ -285,22 +320,19 @@ def minimize(kind: int, truncated: bool, w, z0: float, z1: float,
                 ox = cx + 0.5 * (rx - cx)
                 oy = cy + 0.5 * (ry - cy)
                 fo = fn(ox, oy)
-                if fo <= fr:
-                    x2, y2, f2 = ox, oy, fo
-                else:
-                    x1, y1 = x0 + 0.5 * (x1 - x0), y0 + 0.5 * (y1 - y0)
-                    x2, y2 = x0 + 0.5 * (x2 - x0), y0 + 0.5 * (y2 - y0)
-                    f1 = fn(x1, y1)
-                    f2 = fn(x2, y2)
+                accept = fo <= fr
             else:
-                ix = cx + 0.5 * (x2 - cx)
-                iy = cy + 0.5 * (y2 - cy)
-                fi = fn(ix, iy)
-                if fi < f2:
-                    x2, y2, f2 = ix, iy, fi
-                else:
-                    x1, y1 = x0 + 0.5 * (x1 - x0), y0 + 0.5 * (y1 - y0)
-                    x2, y2 = x0 + 0.5 * (x2 - x0), y0 + 0.5 * (y2 - y0)
-                    f1 = fn(x1, y1)
-                    f2 = fn(x2, y2)
+                ox = cx + 0.5 * (x2 - cx)
+                oy = cy + 0.5 * (y2 - cy)
+                fo = fn(ox, oy)
+                accept = fo < f2
+            if accept:
+                x2, y2, f2 = ox, oy, fo
+            else:
+                x1, y1 = x0 + 0.5 * (x1 - x0), y0 + 0.5 * (y1 - y0)
+                x2, y2 = x0 + 0.5 * (x2 - x0), y0 + 0.5 * (y2 - y0)
+                f1 = fn(x1, y1)
+                f2 = fn(x2, y2)
+                if f1 < f0:
+                    x0, y0, f0, x1, y1, f1 = x1, y1, f1, x0, y0, f0
     return x0, y0, f0, iterations, converged

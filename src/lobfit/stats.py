@@ -12,9 +12,9 @@ from 1 to 200 to about 2e-12 relative for every finite t, down to
 1e-290: it takes the incomplete beta at df / (df + t*t) or its
 complement at t*t / (df + t*t), whichever needs no subtraction.
 
-Welch's test takes each sample's mean and variance from ``statistics``,
-exact rational sums rounded once, so a constant sample has variance
-exactly 0 whatever its value.
+Welch's test calls a sample constant when its values are all equal,
+not when its variance rounds to 0, and takes each sample's mean and
+variance from ``statistics``: exact rational sums rounded once.
 
 Float sums go through ``ordered_sum``, which adds left to right with
 one rounding per term.  From Python 3.12 the built-in ``sum`` of floats
@@ -222,32 +222,43 @@ def welch_t_test(a, b, tails: str = "two") -> TestResult:
     probability in the direction of the observed statistic.  When both
     samples are constant with equal means the comparison is vacuous:
     the result is t=0, p=1, flagged degenerate.  Constant samples with
-    different means leave t undefined and raise ZeroVariance.  The
-    moments are exact rationals rounded once, so every constant sample
-    has variance exactly 0, whatever its value.  A non-finite value
-    in either sample raises DomainError, and so do finite samples whose
-    moments, t or degrees of freedom leave the float range.
+    different means leave t undefined and raise ZeroVariance.  Constant
+    means every value equal, whatever the variance rounds to.
+    A non-finite value in either sample, or an int past the float
+    range, raises DomainError naming the sample, and so do finite
+    samples whose moments, t or degrees of freedom leave the float
+    range, or whose standard error underflows to 0.
     """
     if tails not in ("one", "two"):
         raise ValueError(f"tails must be 'one' or 'two', got {tails!r}")
     if len(a) < 2 or len(b) < 2:
         raise InsufficientData("each sample needs at least two values")
     for name, sample in (("first", a), ("second", b)):
-        if not all(math.isfinite(v) for v in sample):
+        try:
+            finite = all(math.isfinite(v) for v in sample)
+        except OverflowError:
+            raise DomainError(
+                f"{name} sample holds a value outside the float range"
+            ) from None
+        if not finite:
             raise DomainError(f"{name} sample holds a non-finite value")
+    if min(a) == max(a) and min(b) == max(b):
+        if a[0] == b[0]:
+            df = float(len(a) + len(b) - 2)
+            return TestResult(0.0, df, 1.0, degenerate=True)
+        raise ZeroVariance("both samples constant with different means")
     import statistics
 
     try:
         mean_a, var_a = statistics.mean(a), statistics.variance(a)
         mean_b, var_b = statistics.mean(b), statistics.variance(b)
-        if var_a == 0.0 and var_b == 0.0:
-            if mean_a == mean_b:
-                df = float(len(a) + len(b) - 2)
-                return TestResult(0.0, df, 1.0, degenerate=True)
-            raise ZeroVariance("both samples constant with different means")
         sa = var_a / len(a)
         sb = var_b / len(b)
-        t = (mean_a - mean_b) / math.sqrt(sa + sb)
+        se = math.sqrt(sa + sb)
+        if se == 0.0:
+            # variances of a subnormal spread round to 0
+            raise DomainError("welch standard error underflows")
+        t = (mean_a - mean_b) / se
         df = (sa + sb) ** 2 / (sa * sa / (len(a) - 1)
                                + sb * sb / (len(b) - 1))
     except OverflowError:

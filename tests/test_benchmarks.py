@@ -1,7 +1,9 @@
 """Smoke runs of the stage benchmarks in ``benchmarks/`` on tiny inputs.
 
 Each script runs in a fresh interpreter, as its docstring says to run
-it, and must exit 0 and print one table row per stage.  The pipeline
+it, and must exit 0 and print one table row per stage.  The stage
+benchmarks append their record to a file that already holds one, and
+must keep it.  The pipeline
 benchmark's tracer, ``perfbench/tracer.py``, patches ``lobfit`` entry
 points by name; it runs here too, so a renamed entry point shows.
 """
@@ -44,15 +46,36 @@ def tables(stdout):
     return out
 
 
-def test_bench_replay_prints_one_row_per_stage():
-    stdout = run_script("bench_replay.py", "--repeats", "1",
-                        "--orders-per-day", "300")
+def appended_record(path):
+    """The record a run appended after the one ``path`` held before it."""
+    earlier, record = json.loads(path.read_text())
+    assert earlier == {"bench": "earlier"}
+    assert record["commit"]
+    for row in record["stages"]:
+        assert row["q1"] <= row["median"] <= row["q3"]
+        assert row["repeats"] >= 1
+    return record
+
+
+def test_bench_replay_prints_one_row_per_stage(tmp_path):
+    record = tmp_path / "stages.json"
+    record.write_text('[{"bench": "earlier"}]')
+    stdout = run_script("bench_replay.py", "--repeats", "2",
+                        "--orders-per-day", "300", "--append", str(record))
     (rows,) = tables(stdout)
     assert [row.split()[0] for row in rows] == [
         "synth.generate", "feed.encode_frame", "feed.session_framer",
         "feed.frame_at", "feed.iter_frames",
         "feed.session_runs", "feed.iter_stream", "OrderBook.apply",
         "rates.accumulate_event", "rates.tally_stream"]
+    # the object-level reference rows stay out of the record
+    appended = appended_record(record)
+    assert appended["bench"] == "bench_replay"
+    assert appended["args"]["orders_per_day"] == 300
+    assert [(row["stage"], row["unit"]) for row in appended["stages"]] == [
+        ("synth.generate", "msg/s"), ("feed.session_framer", "msg/s"),
+        ("feed.frame_at", "msg/s"), ("feed.session_runs", "msg/s"),
+        ("rates.tally_stream", "msg/s")]
 
 
 def test_bench_memory_prints_one_row_per_command():
@@ -67,15 +90,24 @@ def test_bench_memory_prints_one_row_per_command():
         assert own > 0 and workers >= 0
 
 
-def test_bench_kernels_prints_one_row_per_stage():
+def test_bench_kernels_prints_one_row_per_stage(tmp_path):
+    record = tmp_path / "stages.json"
+    record.write_text('[{"bench": "earlier"}]')
     stdout = run_script("bench_kernels.py", "--repeats", "1",
-                        "--instances", "2")
+                        "--instances", "2", "--append", str(record))
     workloads, per_call, per_family = tables(stdout)
     assert len(workloads) == 6
     assert [row.rsplit(None, 1)[0] for row in per_call] == [
         "weibull", "weibull, truncated", "beta-binomial",
         "beta-binomial, truncated", "power law"]
     assert [row.split()[0] for row in per_family] == list(dist.FAMILY_TAGS)
+    appended = appended_record(record)
+    assert appended["bench"] == "bench_kernels"
+    units = [row["unit"] for row in appended["stages"]]
+    assert units == ["ms"] * 6 + ["us"] * 5 + ["instances/s"] * 5
+    # the evaluations per fit are the printed ones
+    assert [f"{row['evals_per_fit']:.1f}" for row in appended["stages"][11:]
+            ] == [row.split()[-1] for row in per_family]
 
 
 def test_perfbench_tracer_runs_synth_and_rates(tmp_path):

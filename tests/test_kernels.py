@@ -348,3 +348,141 @@ class TestOracleEquality:
         for got, want in zip(runs[False], runs[True]):
             assert all(map(same_bits, got[:3], want[:3]))
             assert got[3:] == want[3:]
+
+
+# --- simplex oracle ---
+# The search as it was with a full three-vertex sort and a running
+# maximum for the diameter on every iteration, kept verbatim.
+# ``minimize`` must take the same steps and return the same floats.
+
+def _minimize_reference(fn, z0, z1):
+    f0 = fn(z0, z1)
+    x0, y0 = z0, z1
+    x1, y1 = z0 + kernels._STEP, z1
+    x2, y2 = z0, z1 + kernels._STEP
+    f1 = fn(x1, y1)
+    f2 = fn(x2, y2)
+
+    iterations = 0
+    converged = False
+    while True:
+        # stable 3-element insertion sort: best first
+        if f1 < f0:
+            x0, y0, f0, x1, y1, f1 = x1, y1, f1, x0, y0, f0
+        if f2 < f1:
+            x1, y1, f1, x2, y2, f2 = x2, y2, f2, x1, y1, f1
+            if f1 < f0:
+                x0, y0, f0, x1, y1, f1 = x1, y1, f1, x0, y0, f0
+        diam = abs(x1 - x0)
+        d = abs(y1 - y0)
+        if d > diam:
+            diam = d
+        d = abs(x2 - x0)
+        if d > diam:
+            diam = d
+        d = abs(y2 - y0)
+        if d > diam:
+            diam = d
+        if diam < kernels._TOL:
+            converged = True
+            break
+        if iterations >= kernels._MAX_ITER:
+            break
+        iterations += 1
+
+        cx = 0.5 * (x0 + x1)
+        cy = 0.5 * (y0 + y1)
+        rx = cx + (cx - x2)
+        ry = cy + (cy - y2)
+        fr = fn(rx, ry)
+        if fr < f0:
+            ex = cx + 2.0 * (cx - x2)
+            ey = cy + 2.0 * (cy - y2)
+            fe = fn(ex, ey)
+            if fe < fr:
+                x2, y2, f2 = ex, ey, fe
+            else:
+                x2, y2, f2 = rx, ry, fr
+        elif fr < f1:
+            x2, y2, f2 = rx, ry, fr
+        else:
+            if fr < f2:
+                ox = cx + 0.5 * (rx - cx)
+                oy = cy + 0.5 * (ry - cy)
+                fo = fn(ox, oy)
+                if fo <= fr:
+                    x2, y2, f2 = ox, oy, fo
+                else:
+                    x1, y1 = x0 + 0.5 * (x1 - x0), y0 + 0.5 * (y1 - y0)
+                    x2, y2 = x0 + 0.5 * (x2 - x0), y0 + 0.5 * (y2 - y0)
+                    f1 = fn(x1, y1)
+                    f2 = fn(x2, y2)
+            else:
+                ix = cx + 0.5 * (x2 - cx)
+                iy = cy + 0.5 * (y2 - cy)
+                fi = fn(ix, iy)
+                if fi < f2:
+                    x2, y2, f2 = ix, iy, fi
+                else:
+                    x1, y1 = x0 + 0.5 * (x1 - x0), y0 + 0.5 * (y1 - y0)
+                    x2, y2 = x0 + 0.5 * (x2 - x0), y0 + 0.5 * (y2 - y0)
+                    f1 = fn(x1, y1)
+                    f2 = fn(x2, y2)
+    return x0, y0, f0, iterations, converged
+
+
+def same_search(got, want):
+    return all(map(same_bits, got[:3], want[:3])) and got[3:] == want[3:]
+
+
+class TestSimplexOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([KIND_DW, KIND_BB, KIND_POW]), st.booleans(),
+           st.sampled_from([2, 15, 40]).flatmap(
+               lambda n: st.lists(_WEIGHT, min_size=n, max_size=n)),
+           st.floats(-6.0, 6.0), st.floats(-4.0, 4.0))
+    def test_minimize_matches_reference(self, kind, truncated, w, z0, z1):
+        fn = kernels.bind(kind, truncated, w)
+        assert same_search(minimize(kind, truncated, w, z0, z1),
+                           _minimize_reference(fn, z0, z1))
+
+    @pytest.mark.parametrize("fn", [
+        kernels.bind(KIND_DW, False, [1.0 / T] * T),
+        # unbounded below: the expansions run the vertices out to inf
+        # and then NaN
+        lambda z0, z1: -z0 - 3.0 * z1,
+        # every vertex ties: the order is the insertion order
+        lambda z0, z1: 1.0,
+        # NaN compares false against everything
+        lambda z0, z1: math.nan if z0 > 0.4 else (z0 - 0.3) ** 2 + z1 * z1,
+        lambda z0, z1: math.inf if z1 < -0.1 else abs(z0) + (z1 - 2.0) ** 2,
+    ])
+    # a NaN coordinate makes a NaN edge: first in the convergence test,
+    # which then fails, or later, which the test passes over
+    @pytest.mark.parametrize("z0, z1", [
+        (0.0, 0.0), (math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0)])
+    def test_minimize_matches_reference_on_odd_objectives(self, fn, z0, z1):
+        got = minimize(KIND_DW, False, [1.0] * T, z0, z1, fn=fn,
+                       f0=fn(z0, z1))
+        assert same_search(got, _minimize_reference(fn, z0, z1))
+
+
+class TestUntruncatedWeibull:
+    # the untruncated Weibull pass tests nothing per tick and hands a
+    # power that overflows or a cell without mass to the checked pass;
+    # either way it returns the per-tick oracle's float
+    @settings(max_examples=500, deadline=None)
+    @given(st.sampled_from([2, 15, 40]).flatmap(
+               lambda n: st.lists(_WEIGHT, min_size=n, max_size=n)),
+           st.floats(-8.0, 40.0), st.floats(-3.0, 8.0))
+    # ticks from 3 on have no mass, under zero weights: finite
+    @example([1.0] * 2 + [0.0] * 13, -0.5, 3.0)
+    # beta ~ 1100: 2.0 ** beta overflows before any cell runs out of mass
+    @example([1.0] * 2 + [0.0] * 13, -0.5, 7.0)
+    # beta ~ 298: no mass from tick 3, then 15.0 ** beta overflows
+    @example([1.0] * 2 + [0.0] * 13, -0.5, 5.7)
+    # a nonzero weight on a cell without mass: +inf
+    @example([1.0] * 15, -0.5, 3.0)
+    def test_matches_checked_per_tick_pass(self, w, z0, z1):
+        got = kernels.bind(KIND_DW, False, w)(z0, z1)
+        assert same_bits(got, _dw_nll(False, w, len(w), z0, z1))

@@ -244,6 +244,22 @@ def test_welch_degenerate_and_errors():
         stats.welch_t_test([1.0, 2.0], [3.0, 4.0], tails="both")
 
 
+def test_welch_int_past_the_float_range_names_its_sample():
+    with pytest.raises(DomainError, match="first sample"):
+        stats.welch_t_test([10**400, 1], [1.0, 2.0])
+    with pytest.raises(DomainError, match="second sample"):
+        stats.welch_t_test([1.0, 2.0], [1, -10**400])
+
+
+def test_welch_subnormal_spread_is_not_constant():
+    # the variances round to 0, but neither sample is constant
+    with pytest.raises(DomainError, match="standard error underflows"):
+        stats.welch_t_test([5e-324, 0.0], [1e-323, 0.0])
+    # here the standard error holds and only df's denominator underflows
+    with pytest.raises(DomainError, match="degrees of freedom underflow"):
+        stats.welch_t_test([1e-160, 0.0, 2e-160], [3e-160, 0.0, 1e-160])
+
+
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 
 

@@ -11,9 +11,11 @@ of points around each histogram's optimum, which is where fits spend
 their evaluations.  A third table gives instances/s per family through
 ``dist.fit_family`` in this one process, the unit a ``lobfit fit``
 worker runs, and the objective evaluations per ``fit_family`` call,
-counted by wrapping ``kernels.bind``.  The multi-start fits use
-``dist``'s own start grids and loop.  For end-to-end and per-layer
-numbers of the whole pipeline use ``perfbench/run.py``.
+counted by wrapping ``kernels.bind``.  The multi-start fits run
+``dist``'s own start grids and driver, ``dist._search``; the Weibull
+fit is untruncated, as ``lobfit fit`` runs it by default.  For
+end-to-end and per-layer numbers of the whole pipeline use
+``perfbench/run.py``.
 
 ``--append PATH`` appends one record of the run to the JSON list in
 PATH, in ``bench_replay.py``'s format: each row's unit is ms per
@@ -36,19 +38,14 @@ import numpy as np
 from bench_replay import append_record, round_times, stage_row
 from lobfit import dist, kernels
 
-# the start grids of DiscreteWeibull.fit and BetaBinomial.fit in dist;
-# the power law's are per density
-_DW_STARTS = [(dist._logit(q), math.log(b))
-              for q in dist._Q_STARTS for b in dist._BETA_STARTS]
-_BB_STARTS = [(math.log(a), math.log(b))
-              for a in dist._AB_STARTS for b in dist._AB_STARTS]
 _OFFSETS = (-0.5, -0.25, 0.0, 0.25, 0.5)
 _CALL_ROUNDS = 20
 
 
 def multi_start_fit(kind, truncated, weights, starts):
-    """The winning (z0*, z1*, f*, iters, ok) of dist's multi-start loop."""
-    return dist._run_starts(kind, truncated, weights, starts)[0]
+    """dist's multi-start search; the fit's family is the winning (z0, z1)."""
+    return dist._search(kind, truncated, weights, starts,
+                        lambda z0, z1: (z0, z1), lambda fitted, f: False)
 
 
 def objective_sweep(kind, weights, grid):
@@ -63,18 +60,16 @@ def objective_sweep(kind, weights, grid):
 
 def starts_for(kind, weights):
     if kind == kernels.KIND_DW:
-        return _DW_STARTS
+        return dist._DW_STARTS
     if kind == kernels.KIND_BB:
-        return _BB_STARTS
-    # as dist.PowerLaw.fit: the scale starts at the first-tick mass
-    k0 = math.log(max(weights[0], 1e-6))
-    return [(k0, a) for a in dist._POW_EXPONENT_STARTS]
+        return dist._BB_STARTS
+    return dist._pow_starts(weights)
 
 
 def grid_around_optimum(kind, truncated, weights):
     """The bound objective with each point of a grid around its optimum."""
-    z0, z1, *_ = multi_start_fit(kind, truncated, weights,
-                                 starts_for(kind, weights))
+    z0, z1 = multi_start_fit(kind, truncated, weights,
+                             starts_for(kind, weights)).family
     fn = kernels.bind(kind, truncated, weights)
     return [(fn, z0 + a, z1 + b) for a in _OFFSETS for b in _OFFSETS]
 
@@ -140,19 +135,22 @@ def main():
          lambda: objective_sweep(kernels.KIND_DW, dw_hists[0], sweep_grid)),
         ("objective sweep, beta-binomial (325 points)",
          lambda: objective_sweep(kernels.KIND_BB, bb_hists[0], sweep_grid)),
-        (f"weibull fit, 25 starts x {args.instances} histograms",
-         lambda: [multi_start_fit(kernels.KIND_DW, True, w, _DW_STARTS)
+        (f"weibull fit, untruncated, 25 starts x {args.instances} "
+         f"histograms",
+         lambda: [multi_start_fit(kernels.KIND_DW, False, w,
+                                  dist._DW_STARTS)
                   for w in dw_hists]),
         (f"beta-binomial fit, 25 starts x {args.instances} histograms",
-         lambda: [multi_start_fit(kernels.KIND_BB, False, w, _BB_STARTS)
+         lambda: [multi_start_fit(kernels.KIND_BB, False, w,
+                                  dist._BB_STARTS)
                   for w in bb_hists]),
         (f"beta-binomial fit, truncated, 25 starts x {args.instances} "
          f"histograms",
-         lambda: [multi_start_fit(kernels.KIND_BB, True, w, _BB_STARTS)
+         lambda: [multi_start_fit(kernels.KIND_BB, True, w, dist._BB_STARTS)
                   for w in bb_hists]),
         (f"power-law fit, 5 starts x {args.instances} densities",
          lambda: [multi_start_fit(kernels.KIND_POW, False, w,
-                                  starts_for(kernels.KIND_POW, w))
+                                  dist._pow_starts(w))
                   for w in pow_densities]),
     ]
     per_call = [

@@ -26,9 +26,11 @@ beyond it.
 
 The geometric and exponential estimators are closed-form inversions of
 the weighted mean tick.  The two-parameter likelihoods and the power
-law go through a derivative-free simplex search in transformed
-coordinates (see lobfit.kernels) from a log-spaced grid of starts; the
-best final value wins.
+law go through ``_search``, a derivative-free simplex search in
+transformed coordinates (see lobfit.kernels) from each of a grid of
+starts; the best final value wins.  The grids live here, built once
+in those search coordinates: ``_DW_STARTS`` and ``_BB_STARTS``, and
+the power law's exponents, paired per density with a ln-scale start.
 """
 
 from __future__ import annotations
@@ -56,10 +58,13 @@ __all__ = [
 # the families are fitted on the tallied arrival window
 TICKS = rates.ARRIVAL_TICKS
 
-# multi-start grids in natural parameters; q is even in log-odds
-_Q_STARTS = (0.1, 0.3, 0.5, 0.7, 0.9)
-_BETA_STARTS = (0.25, 0.5, 1.0, 2.0, 4.0)
-_AB_STARTS = (0.1, 0.5, 2.5, 12.5, 62.5)
+# multi-start grids in search coordinates; q is even in log-odds
+_DW_STARTS = tuple((math.log(q / (1.0 - q)), math.log(b))
+                   for q in (0.1, 0.3, 0.5, 0.7, 0.9)
+                   for b in (0.25, 0.5, 1.0, 2.0, 4.0))
+_BB_STARTS = tuple((math.log(a), math.log(b))
+                   for a in (0.1, 0.5, 2.5, 12.5, 62.5)
+                   for b in (0.1, 0.5, 2.5, 12.5, 62.5))
 _POW_EXPONENT_STARTS = (0.0, 0.5, 1.0, 1.5, 2.5)
 
 
@@ -68,10 +73,10 @@ class FitResult:
     """Outcome of one family fit on one observed density."""
 
     family: object
-    objective: float
-    converged: bool
-    starts_used: int
-    iterations: int
+    objective: float = math.nan
+    converged: bool = True
+    starts_used: int = 1
+    iterations: int = 0
     boundary: bool = False
 
 
@@ -106,9 +111,7 @@ class Geometric:
         result carries boundary=True instead of raising.
         """
         m = _mean_tick(weights)
-        return FitResult(Geometric(p=min(1.0 / m, 1.0)), objective=math.nan,
-                         converged=True, starts_used=1, iterations=0,
-                         boundary=(m == 1.0))
+        return FitResult(Geometric(p=min(1.0 / m, 1.0)), boundary=(m == 1.0))
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,15 +151,10 @@ class DiscreteWeibull:
         q -> 0, beta -> inf, where the NLL is rounding noise) carries
         boundary=True.
         """
-        _require_spread(weights)
-        starts = [(_logit(q), math.log(b))
-                  for q in _Q_STARTS for b in _BETA_STARTS]
-        (x, y, f, iters, ok), used = _run_starts(kernels.KIND_DW, truncated,
-                                                 weights, starts)
-        return FitResult(DiscreteWeibull(q=_sigmoid(x), beta=math.exp(y)),
-                         objective=f, converged=ok, starts_used=used,
-                         iterations=iters,
-                         boundary=_below_entropy(f, weights))
+        return _search(kernels.KIND_DW, truncated, weights, _DW_STARTS,
+                       lambda x, y: DiscreteWeibull(q=_sigmoid(x),
+                                                    beta=math.exp(y)),
+                       lambda fitted, f: _below_entropy(f, weights))
 
 
 @dataclass(frozen=True, slots=True)
@@ -210,16 +208,11 @@ class BetaBinomial:
         towards the binomial limit, where the NLL is rounding noise)
         carries boundary=True.
         """
-        _require_spread(weights)
-        starts = [(math.log(a), math.log(b))
-                  for a in _AB_STARTS for b in _AB_STARTS]
-        (x, y, f, iters, ok), used = _run_starts(kernels.KIND_BB, truncated,
-                                                 weights, starts)
-        return FitResult(BetaBinomial(alpha=math.exp(x), beta=math.exp(y),
-                                      trials=len(weights) - 1),
-                         objective=f, converged=ok, starts_used=used,
-                         iterations=iters,
-                         boundary=_below_entropy(f, weights))
+        return _search(kernels.KIND_BB, truncated, weights, _BB_STARTS,
+                       lambda x, y: BetaBinomial(alpha=math.exp(x),
+                                                 beta=math.exp(y),
+                                                 trials=len(weights) - 1),
+                       lambda fitted, f: _below_entropy(f, weights))
 
 
 @dataclass(frozen=True, slots=True)
@@ -242,9 +235,7 @@ class Exponential:
     @staticmethod
     def fit(weights, truncated: bool) -> FitResult:
         """rate = 1/m for the weighted mean tick m."""
-        return FitResult(Exponential(rate=1.0 / _mean_tick(weights)),
-                         objective=math.nan, converged=True, starts_used=1,
-                         iterations=0)
+        return FitResult(Exponential(rate=1.0 / _mean_tick(weights)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -278,15 +269,10 @@ class PowerLaw:
         A scale that underflowed below the smallest normal float (the
         search in ln scale ran off) carries boundary=True.
         """
-        _require_spread(weights)
-        k0 = max(weights[0], 1e-6)
-        starts = [(math.log(k0), a) for a in _POW_EXPONENT_STARTS]
-        (x, y, f, iters, ok), used = _run_starts(kernels.KIND_POW, False,
-                                                 weights, starts)
-        scale = math.exp(x)
-        return FitResult(PowerLaw(scale=scale, exponent=y), objective=f,
-                         converged=ok, starts_used=used, iterations=iters,
-                         boundary=scale < sys.float_info.min)
+        return _search(kernels.KIND_POW, False, weights,
+                       _pow_starts(weights),
+                       lambda x, y: PowerLaw(scale=math.exp(x), exponent=y),
+                       lambda fitted, f: fitted.scale < sys.float_info.min)
 
 
 FAMILY_TAGS = {cls.tag: cls for cls in (Geometric, DiscreteWeibull,
@@ -339,12 +325,6 @@ def _mean_tick(weights) -> float:
     return m
 
 
-def _require_spread(weights) -> None:
-    if sum(1 for w in weights if w > 0.0) < 2:
-        raise DegenerateData(
-            "all mass on a single tick cannot identify two parameters")
-
-
 def _below_entropy(objective: float, weights) -> bool:
     """True when a weighted NLL undercuts the weights' entropy H(w).
 
@@ -359,10 +339,6 @@ def _below_entropy(objective: float, weights) -> bool:
     return objective < entropy * (1.0 - 1e-9)
 
 
-def _logit(q: float) -> float:
-    return math.log(q / (1.0 - q))
-
-
 def _sigmoid(z: float) -> float:
     if z >= 0.0:
         return 1.0 / (1.0 + math.exp(-z))
@@ -370,7 +346,19 @@ def _sigmoid(z: float) -> float:
     return e / (1.0 + e)
 
 
-def _run_starts(kind: int, truncated: bool, weights, starts):
+def _pow_starts(weights) -> list[tuple[float, float]]:
+    # the ln scale starts at the first-tick mass
+    k0 = math.log(max(weights[0], 1e-6))
+    return [(k0, a) for a in _POW_EXPONENT_STARTS]
+
+
+def _search(kind: int, truncated: bool, weights, starts, family,
+            at_boundary) -> FitResult:
+    """The best search of ``kind`` from ``starts``, mapped to its family
+    by ``family(z0, z1)`` and flagged by ``at_boundary(fitted, f)``."""
+    if sum(1 for w in weights if w > 0.0) < 2:
+        raise DegenerateData(
+            "all mass on a single tick cannot identify two parameters")
     # one bind per family fit; a start whose probe is finite begins its
     # search with the probe as the first vertex, not evaluated again
     fn = kernels.bind(kind, truncated, weights)
@@ -387,4 +375,7 @@ def _run_starts(kind: int, truncated: bool, weights, starts):
             best = (x, y, f, iters, ok)
     if best is None:
         raise NonConvergence("no start produced a finite objective")
-    return best, used
+    x, y, f, iters, ok = best
+    fitted = family(x, y)
+    return FitResult(fitted, objective=f, converged=ok, starts_used=used,
+                     iterations=iters, boundary=at_boundary(fitted, f))

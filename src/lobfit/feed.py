@@ -58,8 +58,7 @@ proves its ranges once, as ``synth`` does on its spec against
 frames one session's packed messages as they come: each frame reaches
 the writer as soon as it holds its 1000 messages, and the session's
 last, short frame when the session ends, so a writer holds one frame,
-not the stream.  ``encode_session`` is that framer flushed once, for a
-session held whole.  These trust their caller: a field too wide for its
+not the stream.  These trust their caller: a field too wide for its
 slot raises ``struct.error``, and a zero price or quantity, a side code
 other than 0 or 1, or an out-of-order timestamp is written as given.
 
@@ -78,7 +77,7 @@ import itertools
 import struct
 from enum import IntEnum
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from lobfit.errors import (
     BadMagic,
@@ -98,7 +97,6 @@ __all__ = [
     "pack_cancel",
     "pack_delete",
     "session_framer",
-    "encode_session",
     "MAX_PRICE",
     "MAX_ORDER_ID",
     "frame_at",
@@ -277,8 +275,8 @@ def session_framer(session_id: int,
     frames the rest as well, as the session's last, short frame.
     Frames are cut every ``_FRAME_MESSAGES`` messages from the session's
     first, and each frame's sequence number is the session index of its
-    first message, so any flush points give the bytes of
-    ``encode_session``.  The messages and ``session_id`` are trusted, as
+    first message, so any flush points give the same bytes: the frames
+    ``book.build_frames`` cuts by default, encoded in order.  The messages and ``session_id`` are trusted, as
     the packers trust their fields.
     """
     sequence = 0
@@ -301,17 +299,6 @@ def session_framer(session_id: int,
         write(b"".join(parts))
 
     return flush
-
-
-def encode_session(session_id: int, packed: Sequence[bytes]) -> bytes:
-    """Frame one session's packed messages, chunked as
-    ``book.build_frames`` chunks them by default: each frame's sequence
-    number is the index of its first message.  This is
-    ``session_framer`` flushed once, at the session's end.
-    """
-    parts = []
-    session_framer(session_id, parts.append)(list(packed), last=True)
-    return b"".join(parts)
 
 
 def _frame_end(data, offset: int) -> tuple[int, int]:

@@ -38,8 +38,7 @@ form returned +inf as well.
 
 Untruncated, the Weibull pass tests nothing per tick: it takes
 ln(prev - cur) of every cell, zero weights included, and falls back to
-the checked per-tick pass (a power that overflows is +inf at that tick;
-a cell without mass gives +inf only under a nonzero weight) as soon as
+the one checked per-tick pass, the truncated objective's, as soon as
 ``t ** beta`` overflows or a cell's mass is not positive, which is
 where the two could differ.  Both give the same float, bit for bit.
 
@@ -96,52 +95,30 @@ def _dw_nll(truncated: bool, rows, z0: float, z1: float) -> float:
         return _INF
     # tick**beta >= 1 and ln q < 0, so exp() below gets an exponent
     # <= 0 (never NaN) and neither overflows nor reaches the cap
-    nll = 0.0
-    prev = 1.0  # survival q^((i-1)^beta) at i = 1
-    if truncated:
-        mass = 0.0
-        sumw = 0.0
-        for t, wi in rows:
-            try:
-                power = t ** beta
-            except OverflowError:
-                power = _INF
-            cur = exp(power * lq)
-            p = prev - cur
-            prev = cur
-            mass += p
-            sumw += wi
-            if wi != 0.0:
-                if not p > 0.0:
-                    return _INF
-                nll -= wi * log(p)
-        if not mass > 0.0:
-            return _INF
-        nll += log(mass) * sumw
-    else:
+    if not truncated:
         # while every power is finite and every cell has mass, no tick
         # needs a test: a zero weight subtracts a signed zero, which
         # leaves the sum (never -0.0) as it is.  Otherwise t ** beta
         # raises OverflowError or log ValueError, and the checked pass
-        # gives the value
+        # below gives the value
+        nll = 0.0
+        prev = 1.0  # survival q^((i-1)^beta) at i = 1
         try:
             for t, wi in rows:
                 cur = exp(t ** beta * lq)
                 nll -= wi * log(prev - cur)
                 prev = cur
         except (OverflowError, ValueError):
-            nll = _dw_nll_checked(rows, lq, beta)
-    if nll != nll:
-        return _INF
-    return nll
-
-
-def _dw_nll_checked(rows, lq: float, beta: float) -> float:
-    # the untruncated Weibull pass tick by tick: a power that overflows
-    # is +inf at that tick alone, and a cell without mass ends the pass
-    # at +inf only where its weight is nonzero
+            pass
+        else:
+            return _INF if nll != nll else nll
+    # the checked pass: a power that overflows is +inf at that tick
+    # alone, and a cell without mass ends the pass at +inf only where
+    # its weight is nonzero
     nll = 0.0
     prev = 1.0
+    mass = 0.0
+    sumw = 0.0
     for t, wi in rows:
         try:
             power = t ** beta
@@ -150,10 +127,18 @@ def _dw_nll_checked(rows, lq: float, beta: float) -> float:
         cur = exp(power * lq)
         p = prev - cur
         prev = cur
+        mass += p
+        sumw += wi
         if wi != 0.0:
             if not p > 0.0:
                 return _INF
             nll -= wi * log(p)
+    if truncated:
+        if not mass > 0.0:
+            return _INF
+        nll += log(mass) * sumw
+    if nll != nll:
+        return _INF
     return nll
 
 

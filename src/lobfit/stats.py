@@ -226,8 +226,9 @@ def welch_t_test(a, b, tails: str = "two") -> TestResult:
     means every value equal, whatever the variance rounds to.
     A non-finite value in either sample, or an int past the float
     range, raises DomainError naming the sample, and so do finite
-    samples whose moments, t or degrees of freedom leave the float
-    range, or whose standard error underflows to 0.
+    samples whose moments or t leave the float range, or whose standard
+    error underflows to 0.  The degrees of freedom do not depend on
+    scale; they are formed from sa, sb scaled by a power of two.
     """
     if tails not in ("one", "two"):
         raise ValueError(f"tails must be 'one' or 'two', got {tails!r}")
@@ -259,14 +260,13 @@ def welch_t_test(a, b, tails: str = "two") -> TestResult:
             # variances of a subnormal spread round to 0
             raise DomainError("welch standard error underflows")
         t = (mean_a - mean_b) / se
-        df = (sa + sb) ** 2 / (sa * sa / (len(a) - 1)
-                               + sb * sb / (len(b) - 1))
     except OverflowError:
         raise DomainError("welch t-test arithmetic overflows") from None
-    except ZeroDivisionError:
-        raise DomainError("welch degrees of freedom underflow") from None
-    if not (math.isfinite(t) and math.isfinite(df)):
+    if not math.isfinite(t):
         raise DomainError("welch t-test arithmetic overflows")
+    _, e = math.frexp(max(sa, sb))
+    sa, sb = math.ldexp(sa, -e), math.ldexp(sb, -e)
+    df = (sa + sb) ** 2 / (sa * sa / (len(a) - 1) + sb * sb / (len(b) - 1))
     p = student_t_sf2(t, df)
     if tails == "one":
         p *= 0.5

@@ -21,7 +21,7 @@ from mpmath import gammainc, mp, mpf
 import lobfit
 from lobfit import cli, dist, feed, kernels, rates, synth
 from lobfit.book import OrderBook, TickReference
-from lobfit.errors import LobfitError, NonConvergence
+from lobfit.errors import DegenerateData, LobfitError, NonConvergence
 
 
 @pytest.fixture(scope="module")
@@ -304,10 +304,10 @@ class TestExactCurveInstance:
         assert "daily_buy dw_vs_pow: welch t-test arithmetic overflows" in err
 
 
-    def test_huge_finite_scores_skip_the_welch_test(self, tmp_path, capsys):
+    def test_huge_finite_scores_get_a_welch_test(self, tmp_path, capsys):
         # 1e-100 on tick 2 scores the beta-binomial ~1.3e86 and the
-        # Weibull ~5.6e83: finite, but their variances overflow the Welch
-        # degrees of freedom
+        # Weibull ~5.6e83: finite, and their squared variances overflow,
+        # but the Welch degrees of freedom do not depend on scale
         rng = random.Random(3)
         spread = []
         for _ in range(2):
@@ -319,10 +319,14 @@ class TestExactCurveInstance:
         for name in ("fits.json", "nps_summary.csv", "welch_tests.csv"):
             assert (tmp_path / name).exists(), name
         welch = (tmp_path / "welch_tests.csv").read_text().splitlines()
-        assert welch[1:] == []
-        err = capsys.readouterr().err
-        assert "daily_buy dw_vs_bb: welch t-test arithmetic overflows" in err
-        assert "daily_buy dw_vs_pow: welch t-test arithmetic overflows" in err
+        assert [row.split(",")[:2] for row in welch[1:]] == [
+            ["daily_buy", "dw_vs_bb"], ["daily_buy", "dw_vs_pow"]]
+        for row in welch[1:]:
+            t, df, p = map(float, row.split(",")[2:5])
+            # one huge Weibull score among three: t ~ 1 in size and df ~ 2
+            assert 0.99 < abs(t) <= 1.0 and 2.0 <= df < 2.01
+            assert 0.0 < p < 1.0
+        assert "welch" not in capsys.readouterr().err
 
 
 class TestFitFailureIsolation:
@@ -407,16 +411,13 @@ class TestFitAnyDensity:
 def _starts(kind, weights):
     """The start grid ``dist``'s fit of ``kind`` searches from."""
     if kind == kernels.KIND_DW:
-        return [(dist._logit(q), math.log(b))
-                for q in dist._Q_STARTS for b in dist._BETA_STARTS]
+        return dist._DW_STARTS
     if kind == kernels.KIND_BB:
-        return [(math.log(a), math.log(b))
-                for a in dist._AB_STARTS for b in dist._AB_STARTS]
-    return [(math.log(max(weights[0], 1e-6)), a)
-            for a in dist._POW_EXPONENT_STARTS]
+        return dist._BB_STARTS
+    return dist._pow_starts(weights)
 
 
-def _unbound_run_starts(kind, truncated, weights, starts):
+def _unbound_search(kind, truncated, weights, starts):
     """Each start probed through ``objective``, then searched unbound."""
     best = None
     used = 0
@@ -433,7 +434,7 @@ def _unbound_run_starts(kind, truncated, weights, starts):
 
 
 class TestProbeReuse:
-    # _run_starts binds once and starts each search from its probe; the
+    # dist._search binds once and starts each search from its probe; the
     # floats, counts and flags must be those of probing and searching
     # every start unbound
     @settings(max_examples=30, deadline=None, derandomize=True)
@@ -442,16 +443,28 @@ class TestProbeReuse:
     def test_bound_starts_match_the_unbound_loop(self, kind, truncated,
                                                  weights):
         starts = _starts(kind, weights)
-        want, want_used = _unbound_run_starts(kind, truncated, weights,
+
+        def search():
+            # the fitted "family" is the winning (z0, z1) itself
+            return dist._search(kind, truncated, weights, starts,
+                                lambda z0, z1: (z0, z1),
+                                lambda fitted, f: False)
+
+        if sum(1 for w in weights if w > 0.0) < 2:
+            with pytest.raises(DegenerateData):
+                search()
+            return
+        want, want_used = _unbound_search(kind, truncated, weights,
                                               starts)
         if want is None:
             with pytest.raises(NonConvergence):
-                dist._run_starts(kind, truncated, weights, starts)
+                search()
             return
-        got, used = dist._run_starts(kind, truncated, weights, starts)
-        assert used == want_used
-        assert [v.hex() for v in got[:3]] == [v.hex() for v in want[:3]]
-        assert got[3:] == want[3:]
+        got = search()
+        assert got.starts_used == want_used
+        assert ([v.hex() for v in (*got.family, got.objective)]
+                == [v.hex() for v in want[:3]])
+        assert (got.iterations, got.converged) == want[3:]
 
 
 # per-tick quantities of eight daily instances: 2017-08-01..04 on the

@@ -358,19 +358,21 @@ def test_build_frames_chunks_with_contiguous_sequences():
 
 
 @pytest.mark.parametrize("count", [0, 1, 999, 1000, 2500, 70_000])
-def test_encode_session_frames_as_build_frames(count):
+def test_session_framer_flushed_once_frames_as_build_frames(count):
     rng = random.Random(count)
     msgs = [random_message(rng) for _ in range(count)]
     expected = b"".join(map(feed.encode_frame, feed.build_frames(42, msgs)))
-    packed = [feed.encode_message(m) for m in msgs]
-    assert feed.encode_session(42, packed) == expected
+    writes = []
+    feed.session_framer(42, writes.append)(
+        [feed.encode_message(m) for m in msgs], last=True)
+    assert b"".join(writes) == expected
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 3200),
        cuts=st.lists(st.integers(0, 3200), max_size=12),
        session_id=st.integers(0, 2**32 - 1))
-def test_session_framer_at_any_flush_points_frames_as_encode_session(
+def test_session_framer_at_any_flush_points_frames_as_build_frames(
         seed, count, cuts, session_id):
     rng = random.Random(seed)
     msgs = [random_message(rng) for _ in range(count)]
@@ -394,8 +396,7 @@ def test_session_framer_at_any_flush_points_frames_as_encode_session(
         assert offset == len(chunk)
     expected = b"".join(map(feed.encode_frame,
                             feed.build_frames(session_id, msgs)))
-    assert b"".join(writes) == feed.encode_session(session_id,
-                                                   packed) == expected
+    assert b"".join(writes) == expected
 
 
 def test_iter_frames_walks_concatenation():

@@ -290,6 +290,12 @@ class TestOracleEquality:
     # zero weights keep the untruncated pass going past tick 3, where
     # the survival has reached 0.0
     @example(KIND_DW, False, [1.0] * 2 + [0.0] * 13, -0.5, 6.0)
+    # the same edges truncated, through the one checked Weibull pass:
+    # no mass from tick 3 under zero weights, then past the overflow,
+    # and a nonzero weight on a cell without mass
+    @example(KIND_DW, True, [1.0] * 2 + [0.0] * 13, -0.5, 3.0)
+    @example(KIND_DW, True, [1.0] * 2 + [0.0] * 13, -0.5, 6.0)
+    @example(KIND_DW, True, [1.0] * 15, -0.5, 3.0)
     # zero-weight ticks skip ln Gamma untruncated, not truncated
     @example(KIND_BB, False, [0.0] * 6 + [0.3, 0.0, 0.7] + [0.0] * 6,
              0.4, -0.7)

@@ -255,9 +255,22 @@ def test_welch_subnormal_spread_is_not_constant():
     # the variances round to 0, but neither sample is constant
     with pytest.raises(DomainError, match="standard error underflows"):
         stats.welch_t_test([5e-324, 0.0], [1e-323, 0.0])
-    # here the standard error holds and only df's denominator underflows
-    with pytest.raises(DomainError, match="degrees of freedom underflow"):
-        stats.welch_t_test([1e-160, 0.0, 2e-160], [3e-160, 0.0, 1e-160])
+
+
+def test_welch_df_does_not_depend_on_scale():
+    # at 2**-300 the squared standard errors in df's denominator
+    # underflow to 0; t and df are still those of the unscaled samples,
+    # bit for bit
+    a, b = [1.0, 0.0, 2.0], [3.0, 0.0, 1.0]
+    want = stats.welch_t_test(a, b)
+    scale = 2.0 ** -300
+    got = stats.welch_t_test([v * scale for v in a], [v * scale for v in b])
+    assert got == want
+    # the standard error holds here, though its variances are subnormal
+    # and keep few digits
+    r = stats.welch_t_test([1e-160, 0.0, 2e-160], [3e-160, 0.0, 1e-160])
+    assert r.statistic == pytest.approx(want.statistic, rel=1e-4)
+    assert r.df == pytest.approx(want.df, rel=1e-3)
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)

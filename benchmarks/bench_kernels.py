@@ -12,10 +12,11 @@ their evaluations.  A third table gives instances/s per family through
 ``dist.fit_family`` in this one process, the unit a ``lobfit fit``
 worker runs, and the objective evaluations per ``fit_family`` call,
 counted by wrapping ``kernels.bind``.  The multi-start fits run
-``dist``'s own start grids and driver, ``dist._search``; the Weibull
-fit is untruncated, as ``lobfit fit`` runs it by default.  For
-end-to-end and per-layer numbers of the whole pipeline use
-``perfbench/run.py``.
+``dist``'s own start grids and driver, ``dist._search``.  The Weibull
+is fitted and called both untruncated, as ``lobfit fit`` runs it by
+default, and truncated; the beta-binomial's truncated objective is its
+untruncated one, so it has one row of each.  For end-to-end and
+per-layer numbers of the whole pipeline use ``perfbench/run.py``.
 
 ``--append PATH`` appends one record of the run to the JSON list in
 PATH, in ``bench_replay.py``'s format: each row's unit is ms per
@@ -144,10 +145,10 @@ def main():
          lambda: [multi_start_fit(kernels.KIND_BB, False, w,
                                   dist._BB_STARTS)
                   for w in bb_hists]),
-        (f"beta-binomial fit, truncated, 25 starts x {args.instances} "
+        (f"weibull fit, truncated, 25 starts x {args.instances} "
          f"histograms",
-         lambda: [multi_start_fit(kernels.KIND_BB, True, w, dist._BB_STARTS)
-                  for w in bb_hists]),
+         lambda: [multi_start_fit(kernels.KIND_DW, True, w, dist._DW_STARTS)
+                  for w in dw_hists]),
         (f"power-law fit, 5 starts x {args.instances} densities",
          lambda: [multi_start_fit(kernels.KIND_POW, False, w,
                                   dist._pow_starts(w))
@@ -157,7 +158,6 @@ def main():
         ("weibull", kernels.KIND_DW, False, dw_hists),
         ("weibull, truncated", kernels.KIND_DW, True, dw_hists),
         ("beta-binomial", kernels.KIND_BB, False, bb_hists),
-        ("beta-binomial, truncated", kernels.KIND_BB, True, bb_hists),
         ("power law", kernels.KIND_POW, False, pow_densities),
     ]
 

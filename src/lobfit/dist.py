@@ -18,11 +18,13 @@ truncated)``, its natural estimator on a normalized density.
 
 ``tick_curve`` renormalizes a family's masses over the tick window,
 which is how curves are compared against observed densities, and
-``fit_family`` fits a family by tag.  Likelihood fits maximize the
-weighted log-likelihood of the raw (untruncated) pmf by default; pass
-truncated=True to condition the likelihood on the window instead,
-which matters only when the generating parameters put visible mass
-beyond it.
+``fit_family`` fits a family by tag.  The discrete Weibull's and the
+beta-binomial's masses are the cells their likelihoods weight, from
+lobfit.kernels.  Likelihood fits maximize the weighted log-likelihood
+of the raw (untruncated) pmf by default; pass truncated=True to
+condition the likelihood on the window instead, which matters only
+when the generating parameters put visible mass beyond it, and never
+for the beta-binomial, whose support is the window.
 
 The geometric and exponential estimators are closed-form inversions of
 the weighted mean tick.  The two-parameter likelihoods and the power
@@ -132,16 +134,7 @@ class DiscreteWeibull:
         return {"q": self.q, "beta": self.beta}
 
     def masses(self, ticks: int) -> list[float]:
-        # survival q^(x^beta) for x = 0..ticks; past the float range
-        # x^beta is infinite and the survival is 0.0
-        survival = []
-        for x in range(ticks + 1):
-            try:
-                survival.append(math.pow(self.q, math.pow(float(x),
-                                                          self.beta)))
-            except OverflowError:
-                survival.append(0.0)
-        return [survival[i] - survival[i + 1] for i in range(ticks)]
+        return kernels.dw_masses(math.log(self.q), self.beta, ticks)
 
     @staticmethod
     def fit(weights, truncated: bool) -> FitResult:
@@ -184,18 +177,12 @@ class BetaBinomial:
                 f"beta-binomial with {n} trials does not span "
                 f"a {ticks}-tick window")
         try:
-            ln_gamma_n = math.lgamma(n + 1.0)
-            ln_beta_ab = stats.ln_beta(self.alpha, self.beta)
-            return [math.exp(ln_gamma_n - math.lgamma(x + 1.0)
-                             - math.lgamma(n - x + 1.0)
-                             + stats.ln_beta(x + self.alpha,
-                                             n - x + self.beta)
-                             - ln_beta_ab)
-                    for x in range(ticks)]
+            return [math.exp(lp) for lp in
+                    kernels.bb_log_masses(self.alpha, self.beta, ticks)]
         except OverflowError:
-            # at saturated fits (alpha, beta ~ 1e16) the ln_beta
-            # difference is rounding noise, large enough to overflow
-            # exp(); past ~2.5e305 lgamma itself overflows
+            # at saturated fits (alpha, beta ~ 1e16) the log mass is
+            # rounding noise, large enough to overflow exp(); past
+            # ~2.5e305 lgamma itself overflows
             raise DomainError(
                 f"beta-binomial mass overflows at alpha={self.alpha}, "
                 f"beta={self.beta}") from None

@@ -9,9 +9,11 @@ Objective kinds (parameter transforms keep the search unconstrained):
 * 2  power-law sum of squared residuals against the weights;
      z0 = ln(k), z1 = alpha (untransformed)
 
-``truncated`` renormalizes the likelihood mass over the tick window
-before taking logs (a no-op for the power law, and numerically almost
-one for the beta-binomial whose support already is the window).
+``truncated`` conditions the likelihood on the tick window: the Weibull
+adds sum(w) ln(1 - q^(n^beta)) in closed form, while the beta-binomial,
+whose support is the window, and the power law have nothing to add.
+``dw_masses`` and ``bb_log_masses`` give the curves the very cells the
+objectives weight.
 
 Objectives never raise on arithmetic: overflow, underflow into a
 division and NaN all come back as +inf, which the simplex treats as
@@ -22,25 +24,24 @@ that depends on (z0, z1).  What depends on the tick index alone is
 built once per window length and cached: the float ticks, and for the
 beta-binomial each x = tick - 1 with nb - x and its log binomial
 coefficient ln C(nb, x), nb = n - 1.  ``bind`` joins those with the
-weights once, into rows (tick, w) for the Weibull and the power law
-and (ln C(nb, x), x, nb - x, w) for the beta-binomial, so an
-evaluation is one ``for`` over a tuple.  Untruncated, the
-beta-binomial keeps only its nonzero-weight rows: it skips the
-ln Gamma terms of zero-weight ticks, which the per-tick form computed
-and then dropped.  The result is the same float, bit for bit, as
-evaluating every term per tick through overflow-guarding wrappers:
-each term comes from the same expression on the same operands
-(``t ** e`` calls the C ``pow`` that ``math.pow`` does, and
-ln Gamma(0.0 + alpha) is ln Gamma(alpha)), terms are summed in the same
-left-to-right order, a power that overflows becomes +inf at that tick
-alone, and the overflow shortcuts below fire only where the per-tick
-form returned +inf as well.
+weights once, into rows (tick, w) for the Weibull and the power law and
+(ln C(nb, x), x, nb - x, w) for the beta-binomial, so an evaluation is
+one ``for`` over a tuple.  The beta-binomial keeps only its
+nonzero-weight rows: it skips the ln Gamma terms of zero-weight ticks,
+which the per-tick form computed and then dropped.  The result is the
+same float, bit for bit, as evaluating every term per tick through
+overflow-guarding wrappers: each term comes from the same expression on
+the same operands (``t ** e`` calls the C ``pow`` that ``math.pow``
+does, and ln Gamma(0.0 + alpha) is ln Gamma(alpha)), terms are summed
+in the same left-to-right order, a power that overflows becomes +inf at
+that tick alone, and the overflow shortcuts below fire only where the
+per-tick form returned +inf as well.
 
-Untruncated, the Weibull pass tests nothing per tick: it takes
-ln(prev - cur) of every cell, zero weights included, and falls back to
-the one checked per-tick pass, the truncated objective's, as soon as
-``t ** beta`` overflows or a cell's mass is not positive, which is
-where the two could differ.  Both give the same float, bit for bit.
+The Weibull pass tests nothing per tick: it takes ln(prev - cur) of
+every cell, zero weights included, and falls back to a checked pass
+over ``dw_masses`` as soon as ``t ** beta`` overflows or a cell's mass
+is not positive, which is where the two could differ.  Both give the
+same float, bit for bit.
 
 The simplex keeps its three vertices sorted best first.  A reflect,
 expand or contract step replaces only the worst vertex, so only that
@@ -55,11 +56,12 @@ and evaluating the start again.
 from __future__ import annotations
 
 import functools
-from math import exp, inf as _INF, isfinite, lgamma, log, log1p
+from math import exp, expm1, fsum, inf as _INF, isfinite, lgamma, log, log1p
 
 BACKEND = "python"  # name of this kernel, for run records
 
 _EXP_CAP = 709.0  # exp() overflow threshold
+_LN_HALF = log(0.5)
 
 KIND_DW = 0
 KIND_BB = 1
@@ -87,62 +89,73 @@ def _bb_terms(n: int) -> tuple[float, tuple]:
         for x in map(float, range(n)))
 
 
-def _dw_nll(truncated: bool, rows, z0: float, z1: float) -> float:
+def dw_masses(lq: float, beta: float, n: int) -> list[float]:
+    """The discrete Weibull's masses on ticks 1..n at ln q = ``lq``:
+    the drops in survival q^(t^beta), where a power that overflows is
+    +inf and its survival 0.0."""
+    out = []
+    prev = 1.0  # survival q^((t-1)^beta) at t = 1
+    for t in _ticks(n):
+        try:
+            power = t ** beta
+        except OverflowError:
+            power = _INF
+        cur = exp(power * lq)
+        out.append(prev - cur)
+        prev = cur
+    return out
+
+
+def _dw_nll(sumw, rows, z0: float, z1: float) -> float:
     # q = sigmoid(z0); ln q written via log1p for accuracy near q = 1
     lq = -log1p(_INF if -z0 > _EXP_CAP else exp(-z0))
     beta = _INF if z1 > _EXP_CAP else exp(z1)
     if not lq < 0.0 or lq == -_INF or not isfinite(beta):
         return _INF
     # tick**beta >= 1 and ln q < 0, so exp() below gets an exponent
-    # <= 0 (never NaN) and neither overflows nor reaches the cap
-    if not truncated:
-        # while every power is finite and every cell has mass, no tick
-        # needs a test: a zero weight subtracts a signed zero, which
-        # leaves the sum (never -0.0) as it is.  Otherwise t ** beta
-        # raises OverflowError or log ValueError, and the checked pass
-        # below gives the value
-        nll = 0.0
-        prev = 1.0  # survival q^((i-1)^beta) at i = 1
-        try:
-            for t, wi in rows:
-                cur = exp(t ** beta * lq)
-                nll -= wi * log(prev - cur)
-                prev = cur
-        except (OverflowError, ValueError):
-            pass
-        else:
-            return _INF if nll != nll else nll
-    # the checked pass: a power that overflows is +inf at that tick
-    # alone, and a cell without mass ends the pass at +inf only where
-    # its weight is nonzero
+    # <= 0 (never NaN) and neither overflows nor reaches the cap.  While
+    # every power is finite and every cell has mass, a zero weight
+    # subtracts a signed zero, which leaves the sum (never -0.0) as it
+    # is; otherwise the checked pass gives +inf only where a cell
+    # without mass has a nonzero weight
     nll = 0.0
-    prev = 1.0
-    mass = 0.0
-    sumw = 0.0
-    for t, wi in rows:
+    prev = 1.0  # survival q^((i-1)^beta) at i = 1
+    try:
+        for t, wi in rows:
+            cur = exp(t ** beta * lq)
+            nll -= wi * log(prev - cur)
+            prev = cur
+    except (OverflowError, ValueError):
+        nll = 0.0
+        for p, (_, wi) in zip(dw_masses(lq, beta, len(rows)), rows):
+            if wi != 0.0:
+                if not p > 0.0:
+                    return _INF
+                nll -= wi * log(p)
+    if sumw is not None:
+        # ln of the window's mass 1 - e^x, x = n^beta ln q < 0, taken
+        # as log1p(-e^x) where e^x < 1/2 to keep the digits near 1
         try:
-            power = t ** beta
+            x = rows[-1][0] ** beta * lq
         except OverflowError:
-            power = _INF
-        cur = exp(power * lq)
-        p = prev - cur
-        prev = cur
-        mass += p
-        sumw += wi
-        if wi != 0.0:
-            if not p > 0.0:
-                return _INF
-            nll -= wi * log(p)
-    if truncated:
-        if not mass > 0.0:
-            return _INF
-        nll += log(mass) * sumw
+            x = -_INF
+        nll += (log1p(-exp(x)) if x < _LN_HALF else log(-expm1(x))) * sumw
     if nll != nll:
         return _INF
     return nll
 
 
-def _bb_nll(truncated: bool, nb: float, rows, z0: float, z1: float) -> float:
+def bb_log_masses(alpha: float, beta: float, n: int) -> list[float]:
+    """The beta-binomial's log masses on ticks 1..n (x = tick - 1, n - 1
+    trials); raises OverflowError past alpha or beta ~2.5e305."""
+    nb, terms = _bb_terms(n)
+    lbab = lgamma(alpha) + lgamma(beta) - lgamma(alpha + beta)
+    lgden = lgamma(nb + alpha + beta)
+    return [lc + lgamma(x + alpha) + lgamma(r + beta) - lgden - lbab
+            for lc, x, r in terms]
+
+
+def _bb_nll(nb: float, rows, z0: float, z1: float) -> float:
     alpha = _INF if z0 > _EXP_CAP else exp(z0)
     beta = _INF if z1 > _EXP_CAP else exp(z1)
     if not (isfinite(alpha) and isfinite(beta)):
@@ -154,27 +167,14 @@ def _bb_nll(truncated: bool, nb: float, rows, z0: float, z1: float) -> float:
         lgden = lgamma(nb + alpha + beta)
     except OverflowError:
         # alpha or beta >= ~2.5e305; every x + alpha and nb - x + beta
-        # below is at most nb + alpha + beta, so the loops never overflow
+        # below is at most nb + alpha + beta, so the loop never overflows
         return _INF
     if not (isfinite(lbab) and isfinite(lgden)):
         return _INF
     nll = 0.0
-    if truncated:
-        mass = 0.0
-        sumw = 0.0
-        for lc, x, r, wi in rows:
-            lp = lc + lgamma(x + alpha) + lgamma(r + beta) - lgden - lbab
-            mass += _INF if lp > _EXP_CAP else exp(lp)
-            sumw += wi
-            if wi != 0.0:
-                nll -= wi * lp
-        if not mass > 0.0:
-            return _INF
-        nll += log(mass) * sumw
-    else:
-        for lc, x, r, wi in rows:
-            nll -= wi * (lc + lgamma(x + alpha) + lgamma(r + beta)
-                         - lgden - lbab)
+    for lc, x, r, wi in rows:
+        nll -= wi * (lc + lgamma(x + alpha) + lgamma(r + beta)
+                     - lgden - lbab)
     if nll != nll:
         return _INF
     return nll
@@ -204,18 +204,19 @@ def bind(kind: int, truncated: bool, w):
 
     The per-tick rows, each holding its weight, are built here once, so
     a fit evaluates the returned function many times at no cost per
-    call for the weights.  Untruncated, the beta-binomial's rows are
-    its nonzero-weight ticks alone.
+    call for the weights.  The beta-binomial's rows are its
+    nonzero-weight ticks alone.  Truncated, the Weibull also binds the
+    sum of the weights, which scales its window term.
     """
     n = len(w)
     if kind == KIND_DW:
-        return functools.partial(_dw_nll, truncated,
+        return functools.partial(_dw_nll,
+                                 fsum(w) if truncated else None,
                                  tuple(zip(_ticks(n), w)))
     if kind == KIND_BB:
         nb, terms = _bb_terms(n)
-        rows = tuple(row + (wi,) for row, wi in zip(terms, w)
-                     if truncated or wi != 0.0)
-        return functools.partial(_bb_nll, truncated, nb, rows)
+        rows = tuple(row + (wi,) for row, wi in zip(terms, w) if wi != 0.0)
+        return functools.partial(_bb_nll, nb, rows)
     if kind == KIND_POW:
         return functools.partial(_pow_sse, tuple(zip(_ticks(n), w)))
     raise ValueError(f"unknown objective kind {kind}")

@@ -227,8 +227,9 @@ def welch_t_test(a, b, tails: str = "two") -> TestResult:
     A non-finite value in either sample, or an int past the float
     range, raises DomainError naming the sample, and so do finite
     samples whose moments or t leave the float range, or whose standard
-    error underflows to 0.  The degrees of freedom do not depend on
-    scale; they are formed from sa, sb scaled by a power of two.
+    error underflows to 0.  Neither t nor df depends on scale: samples
+    below 1/2 in magnitude are scaled up by a power of two before their
+    moments are taken, and df is formed from sa, sb scaled by another.
     """
     if tails not in ("one", "two"):
         raise ValueError(f"tails must be 'one' or 'two', got {tails!r}")
@@ -250,6 +251,12 @@ def welch_t_test(a, b, tails: str = "two") -> TestResult:
         raise ZeroVariance("both samples constant with different means")
     import statistics
 
+    # scaling tiny samples up exactly keeps their variances out of the
+    # subnormal range, where they would lose digits
+    _, e = math.frexp(max(map(abs, (*a, *b))))
+    if e < 0:
+        a = [math.ldexp(v, -e) for v in a]
+        b = [math.ldexp(v, -e) for v in b]
     try:
         mean_a, var_a = statistics.mean(a), statistics.variance(a)
         mean_b, var_b = statistics.mean(b), statistics.variance(b)

@@ -97,16 +97,22 @@ def test_bench_kernels_prints_one_row_per_stage(tmp_path):
                         "--instances", "2", "--append", str(record))
     workloads, per_call, per_family = tables(stdout)
     assert len(workloads) == 6
+    assert [row.split("  ")[0] for row in workloads] == [
+        "objective sweep, weibull (325 points)",
+        "objective sweep, beta-binomial (325 points)",
+        "weibull fit, untruncated, 25 starts x 2 histograms",
+        "beta-binomial fit, 25 starts x 2 histograms",
+        "weibull fit, truncated, 25 starts x 2 histograms",
+        "power-law fit, 5 starts x 2 densities"]
     assert [row.rsplit(None, 1)[0] for row in per_call] == [
-        "weibull", "weibull, truncated", "beta-binomial",
-        "beta-binomial, truncated", "power law"]
+        "weibull", "weibull, truncated", "beta-binomial", "power law"]
     assert [row.split()[0] for row in per_family] == list(dist.FAMILY_TAGS)
     appended = appended_record(record)
     assert appended["bench"] == "bench_kernels"
     units = [row["unit"] for row in appended["stages"]]
-    assert units == ["ms"] * 6 + ["us"] * 5 + ["instances/s"] * 5
+    assert units == ["ms"] * 6 + ["us"] * 4 + ["instances/s"] * 5
     # the evaluations per fit are the printed ones
-    assert [f"{row['evals_per_fit']:.1f}" for row in appended["stages"][11:]
+    assert [f"{row['evals_per_fit']:.1f}" for row in appended["stages"][10:]
             ] == [row.split()[-1] for row in per_family]
 
 

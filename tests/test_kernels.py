@@ -1,8 +1,9 @@
 import math
 import random
+import sys
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -32,16 +33,19 @@ def z_points():
 
 
 def dw_nll_reference(w, z0, z1, truncated):
-    q = 1.0 / (1.0 + math.exp(-z0))
-    beta = math.exp(z1)
-    masses = dist.DiscreteWeibull(q, beta).masses(T)
-    if any(m <= 0.0 for m in masses):
-        # an underflowed cell poisons the whole evaluation
-        return math.inf
-    ll = sum(wi * math.log(m) for wi, m in zip(w, masses))
-    if truncated:
-        ll -= math.log(sum(masses)) * sum(w)
-    return -ll
+    # in 40-digit arithmetic, independent of the kernel's cells
+    with mp.workdps(40):
+        q = 1 / (1 + mp.exp(-z0))
+        beta = mp.exp(z1)
+        masses = [q ** ((i - 1) ** beta) - q ** (i ** beta)
+                  for i in range(1, len(w) + 1)]
+        if any(m < sys.float_info.min for m in masses):
+            # a cell that underflows in floats poisons the evaluation
+            return math.inf
+        ll = sum(wi * mp.log(m) for wi, m in zip(w, masses))
+        if truncated:
+            ll -= mp.log(sum(masses)) * sum(w)
+        return float(-ll)
 
 
 def bb_nll_reference(w, z0, z1, truncated):
@@ -144,9 +148,11 @@ class TestInterface:
 
 # --- per-tick oracle ---
 # The kernels before the tick-only terms were hoisted out of the
-# evaluation, kept verbatim: every term is evaluated per tick through
-# the overflow-guarding wrappers.  The one-pass kernels must return the
-# same floats bit for bit.
+# evaluation: every term is evaluated per tick through the
+# overflow-guarding wrappers.  Truncated, the Weibull takes the log of
+# the window's mass in closed form, ln(1 - q^(n^beta)), and the
+# beta-binomial, whose support is the window, is its untruncated self.
+# The one-pass kernels must return the same floats bit for bit.
 
 _INF = math.inf
 _EXP_CAP = 709.0
@@ -179,33 +185,30 @@ def _dw_nll(truncated, w, n, z0, z1):
     if not lq < 0.0 or lq == -_INF or not math.isfinite(beta):
         return _INF
     nll = 0.0
-    mass = 0.0
     prev = 1.0  # survival q^((i-1)^beta) at i = 1
     for i in range(1, n + 1):
         e = _pow(float(i), beta) * lq
         cur = _exp(e) if e <= 0.0 else _INF
         p = prev - cur
         prev = cur
-        if truncated:
-            mass += p
         wi = w[i - 1]
         if wi != 0.0:
             if not p > 0.0:
                 return _INF
             nll -= wi * math.log(p)
     if truncated:
-        if not mass > 0.0:
-            return _INF
-        sumw = 0.0
-        for i in range(n):
-            sumw += w[i]
-        nll += math.log(mass) * sumw
+        x = _pow(float(n), beta) * lq
+        if x < math.log(0.5):
+            lmass = math.log1p(-math.exp(x))
+        else:
+            lmass = math.log(-math.expm1(x))
+        nll += lmass * math.fsum(w)
     if nll != nll:
         return _INF
     return nll
 
 
-def _bb_nll(truncated, w, n, z0, z1):
+def _bb_nll(w, n, z0, z1):
     alpha = _exp(z0)
     beta = _exp(z1)
     if not (math.isfinite(alpha) and math.isfinite(beta)):
@@ -219,23 +222,13 @@ def _bb_nll(truncated, w, n, z0, z1):
     if not (math.isfinite(lbab) and math.isfinite(lgden)):
         return _INF
     nll = 0.0
-    mass = 0.0
     for i in range(1, n + 1):
         x = float(i - 1)
         lp = (lgn1 - _lgamma(x + 1.0) - _lgamma(nb - x + 1.0)
               + _lgamma(x + alpha) + _lgamma(nb - x + beta) - lgden - lbab)
-        if truncated:
-            mass += _exp(lp)
         wi = w[i - 1]
         if wi != 0.0:
             nll -= wi * lp
-    if truncated:
-        if not mass > 0.0:
-            return _INF
-        sumw = 0.0
-        for i in range(n):
-            sumw += w[i]
-        nll += math.log(mass) * sumw
     if nll != nll:
         return _INF
     return nll
@@ -261,7 +254,7 @@ def oracle(kind, truncated, w, z0, z1):
     if kind == KIND_DW:
         return _dw_nll(truncated, w, len(w), z0, z1)
     if kind == KIND_BB:
-        return _bb_nll(truncated, w, len(w), z0, z1)
+        return _bb_nll(w, len(w), z0, z1)
     return _pow_sse(w, len(w), z0, z1)
 
 
@@ -290,13 +283,13 @@ class TestOracleEquality:
     # zero weights keep the untruncated pass going past tick 3, where
     # the survival has reached 0.0
     @example(KIND_DW, False, [1.0] * 2 + [0.0] * 13, -0.5, 6.0)
-    # the same edges truncated, through the one checked Weibull pass:
-    # no mass from tick 3 under zero weights, then past the overflow,
-    # and a nonzero weight on a cell without mass
+    # the same edges truncated, through the checked pass and the window
+    # term: no mass from tick 3 under zero weights, then past the
+    # overflow, and a nonzero weight on a cell without mass
     @example(KIND_DW, True, [1.0] * 2 + [0.0] * 13, -0.5, 3.0)
     @example(KIND_DW, True, [1.0] * 2 + [0.0] * 13, -0.5, 6.0)
     @example(KIND_DW, True, [1.0] * 15, -0.5, 3.0)
-    # zero-weight ticks skip ln Gamma untruncated, not truncated
+    # zero-weight ticks skip ln Gamma, in both modes
     @example(KIND_BB, False, [0.0] * 6 + [0.3, 0.0, 0.7] + [0.0] * 6,
              0.4, -0.7)
     @example(KIND_BB, True, [0.0] * 6 + [0.3, 0.0, 0.7] + [0.0] * 6,
@@ -313,28 +306,29 @@ class TestOracleEquality:
         calls = {"_dw_nll": 0, "_bb_nll": 0, "_pow_sse": 0}
 
         # the stubs take the bound rows and evaluate the oracle on the
-        # weights in them; untruncated, the beta-binomial's rows hold its
+        # weights in them; the Weibull is truncated where it binds the
+        # sum of its weights, and the beta-binomial's rows hold its
         # nonzero weights alone, so the zero-weight ticks come back from
         # the rows' x
-        def dw(truncated, rows, z0, z1):
+        def dw(sumw, rows, z0, z1):
             calls["_dw_nll"] += 1
             w = [wi for _, wi in rows]
-            return _dw_nll(truncated, w, len(w), z0, z1)
+            return _dw_nll(sumw is not None, w, len(w), z0, z1)
 
-        def bb(truncated, nb, rows, z0, z1):
+        def bb(nb, rows, z0, z1):
             calls["_bb_nll"] += 1
             w = [0.0] * (int(nb) + 1)
             for _, x, _, wi in rows:
                 w[int(x)] = wi
-            return _bb_nll(truncated, w, len(w), z0, z1)
+            return _bb_nll(w, len(w), z0, z1)
 
         def pw(rows, z0, z1):
             calls["_pow_sse"] += 1
             w = [wi for _, wi in rows]
             return _pow_sse(w, len(w), z0, z1)
 
-        # interior and trailing zero weights: rows the untruncated
-        # beta-binomial leaves out
+        # interior and trailing zero weights: rows the beta-binomial
+        # leaves out
         sparse = [0.3, 0.0, 0.25, 0.2, 0.0, 0.15, 0.1] + [0.0] * (T - 7)
         runs = {}
         for use_oracle in (False, True):
@@ -492,3 +486,66 @@ class TestUntruncatedWeibull:
     def test_matches_checked_per_tick_pass(self, w, z0, z1):
         got = kernels.bind(KIND_DW, False, w)(z0, z1)
         assert same_bits(got, _dw_nll(False, w, len(w), z0, z1))
+
+
+class TestOneLikelihood:
+    # the curves read the objective's own cells: with all weight on one
+    # tick, the untruncated objective is -ln of that tick's cell (0.0 -
+    # keeps the objective's +0.0 where the cell is 1)
+    @settings(max_examples=1000, deadline=None)
+    @given(st.sampled_from([KIND_DW, KIND_BB]),
+           st.sampled_from([2, 15, 40]).flatmap(
+               lambda n: st.tuples(st.just(n), st.integers(0, n - 1))),
+           st.floats(-40.0, 40.0), st.floats(-8.0, 8.0))
+    def test_one_hot_objective_is_minus_ln_of_the_curve_cell(self, kind, nk,
+                                                              z0, z1):
+        n, k = nk
+        w = [0.0] * n
+        w[k] = 1.0
+        if kind == KIND_DW:
+            # the kernel's (ln q, beta) at (z0, z1)
+            lq = -math.log1p(math.exp(-z0))
+            p = kernels.dw_masses(lq, math.exp(z1), n)[k]
+            want = 0.0 - math.log(p) if p > 0.0 else math.inf
+        else:
+            lp = kernels.bb_log_masses(math.exp(z0), math.exp(z1), n)[k]
+            want = 0.0 - lp
+        assert same_bits(objective(kind, False, w, z0, z1), want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([2, 15, 40]).flatmap(
+               lambda n: st.lists(_WEIGHT, min_size=n, max_size=n)),
+           st.floats(-800.0, 800.0), st.floats(-800.0, 800.0))
+    def test_truncated_beta_binomial_is_the_untruncated_objective(self, w,
+                                                                  z0, z1):
+        assert same_bits(objective(KIND_BB, True, w, z0, z1),
+                         objective(KIND_BB, False, w, z0, z1))
+
+    def test_truncated_beta_binomial_fit_is_the_untruncated_fit(self):
+        sparse = [0.3, 0.0, 0.25, 0.2, 0.0, 0.15, 0.1] + [0.0] * (T - 7)
+        for w in densities() + [sparse]:
+            got = dist.fit_family(w, "beta_binomial", truncated=True)
+            want = dist.fit_family(w, "beta_binomial")
+            assert got == want
+            assert same_bits(got.objective, want.objective)
+
+    # the window term stays accurate where q -> 1, where a sum of the
+    # cells lost digits: on a near-flat density at z0 = 25, 2.8e-8
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([2, 15, 40]).flatmap(
+               lambda n: st.lists(st.floats(0.0, 1e3), min_size=n,
+                                  max_size=n)),
+           st.floats(-10.0, 25.0), st.floats(-4.0, 3.0))
+    @example([1.0 / T] * T, 25.0, 0.0)
+    @example([1.0 / T] * T, 20.0, 0.5)
+    def test_truncated_weibull_adds_the_window_term(self, w, z0, z1):
+        plain = objective(KIND_DW, False, w, z0, z1)
+        assume(math.isfinite(plain))
+        cond = objective(KIND_DW, True, w, z0, z1)
+        with mp.workdps(50):
+            q = 1 / (1 + mp.exp(-z0))
+            beta = mp.exp(z1)
+            want = float(mp.fsum(w) * mp.log(1 - q ** (len(w) ** beta)))
+        # cond - plain is exact to within an ulp of cond
+        assert abs((cond - plain) - want) <= (1e-13 * abs(want)
+                                              + math.ulp(cond))

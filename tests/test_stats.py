@@ -252,9 +252,14 @@ def test_welch_int_past_the_float_range_names_its_sample():
 
 
 def test_welch_subnormal_spread_is_not_constant():
-    # the variances round to 0, but neither sample is constant
+    # neither sample is constant, though their spread is subnormal: they
+    # are tested as the samples scaled up by a power of two
+    got = stats.welch_t_test([5e-324, 0.0], [1e-323, 0.0])
+    assert got == stats.welch_t_test([1.0, 0.0], [2.0, 0.0])
+    # beside a constant sample at unit scale, nothing is scaled, and the
+    # subnormal spread's variance rounds to 0
     with pytest.raises(DomainError, match="standard error underflows"):
-        stats.welch_t_test([5e-324, 0.0], [1e-323, 0.0])
+        stats.welch_t_test([5e-324, 0.0], [1.0, 1.0])
 
 
 def test_welch_df_does_not_depend_on_scale():
@@ -266,11 +271,11 @@ def test_welch_df_does_not_depend_on_scale():
     scale = 2.0 ** -300
     got = stats.welch_t_test([v * scale for v in a], [v * scale for v in b])
     assert got == want
-    # the standard error holds here, though its variances are subnormal
-    # and keep few digits
+    # at 1e-160 the variances would be subnormal; the samples are scaled
+    # up first, so t and df keep their digits
     r = stats.welch_t_test([1e-160, 0.0, 2e-160], [3e-160, 0.0, 1e-160])
-    assert r.statistic == pytest.approx(want.statistic, rel=1e-4)
-    assert r.df == pytest.approx(want.df, rel=1e-3)
+    assert r.statistic == pytest.approx(want.statistic, rel=1e-14)
+    assert r.df == pytest.approx(want.df, rel=1e-14)
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)

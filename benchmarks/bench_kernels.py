@@ -3,7 +3,9 @@
 
 Each workload runs a fixed call sequence and reports its best wall
 time.  The histograms are multinomial draws from known curves, matching
-what the fitting layer feeds the kernels in production.  The objective
+what the fitting layer feeds the kernels in production.  The script
+computes those curves itself, with numpy, as ``perfbench/workloads.py``
+does, so a change to ``dist`` or ``kernels`` cannot move the corpus.  The objective
 sweeps and the second table time what a search runs: the objective
 bound once per histogram with ``bind`` and then called.  The second
 table gives the cost of one such call per kind, timed on a 5 x 5 grid
@@ -41,6 +43,28 @@ from lobfit import dist, kernels
 
 _OFFSETS = (-0.5, -0.25, 0.0, 0.25, 0.5)
 _CALL_ROUNDS = 20
+
+
+def weibull_curve(q, beta):
+    """The discrete Weibull's mass on ticks 1..TICKS, renormalized."""
+    x = np.arange(1, dist.TICKS + 1, dtype=float)
+    raw = q ** ((x - 1.0) ** beta) - q ** (x ** beta)
+    return raw / raw.sum()
+
+
+def beta_binomial_curve(alpha, beta):
+    """The beta-binomial's mass on ticks 1..TICKS over TICKS - 1 trials."""
+    n = dist.TICKS - 1
+
+    def lbeta(a, b):
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+    raw = np.array([math.exp(math.lgamma(n + 1) - math.lgamma(k + 1)
+                             - math.lgamma(n - k + 1)
+                             + lbeta(k + alpha, n - k + beta)
+                             - lbeta(alpha, beta))
+                    for k in range(n + 1)])
+    return raw / raw.sum()
 
 
 def multi_start_fit(kind, truncated, weights, starts):
@@ -120,8 +144,8 @@ def main():
     args = parser.parse_args()
 
     rng = np.random.default_rng(90210)
-    dw_curve = dist.tick_curve(dist.DiscreteWeibull(0.8, 1.2))
-    bb_curve = dist.tick_curve(dist.BetaBinomial(2.0, 6.0))
+    dw_curve = weibull_curve(0.8, 1.2)
+    bb_curve = beta_binomial_curve(2.0, 6.0)
     dw_hists = [tuple(map(float, rng.multinomial(30_000, dw_curve)))
                 for _ in range(args.instances)]
     bb_hists = [tuple(map(float, rng.multinomial(30_000, bb_curve)))

@@ -8,8 +8,8 @@ code that the commands run:
 * ``synth.generate``: the whole generator, with its own tally and
   encoding, from the spec to the stream bytes (``lobfit synth``);
 * ``feed.session_framer``: the framing ``synth`` uses, over the
-  stream's messages packed one session at a time, flushed after each
-  message as ``synth`` flushes after each arrival;
+  stream's messages packed one session at a time, flushed once a
+  frame's messages are packed, as ``synth`` flushes;
 * ``feed.frame_at``: decode the stream bytes into ``(kind, body)``
   pairs, frame by frame, the decoder ``rates.tally_stream`` runs;
 * ``feed.session_runs``: split the stream bytes into one run of frames
@@ -135,7 +135,8 @@ def frame_sessions(packed):
         pending = []
         for message in messages:
             pending.append(message)
-            flush(pending)
+            if len(pending) >= feed._FRAME_MESSAGES:
+                flush(pending)
         flush(pending, last=True)
 
 
@@ -153,7 +154,7 @@ def decode(blob):
 def split(blob):
     _, fault = feed.session_runs([blob])
     if fault is not None:
-        raise fault
+        raise fault[2]
 
 
 def stream_check(frames):

@@ -47,8 +47,9 @@ import sys
 # imported by the commands that use them, and no command imports the
 # object-level reference model in lobfit.book
 from lobfit import feed, rates
-from lobfit.errors import (AllZero, DomainError, InsufficientData,
-                           LobfitError, MissingTicks, ZeroVariance)
+from lobfit.errors import (AllZero, DomainError, FormatError,
+                           InsufficientData, LobfitError, MissingTicks,
+                           SpecError, ZeroVariance)
 from lobfit.feed import Side
 from lobfit.rates import Granularity, TickReference
 
@@ -66,10 +67,8 @@ def _shorthands() -> dict[str, str]:
 
 def parse_model(text: str):
     """Build a model family from shorthand syntax like ``dw:0.8,1.2``."""
-    # imported here: the families are dataclasses, and the commands that
-    # take no model need neither
-    import dataclasses
-
+    # imported here: only the commands that take a model need the
+    # families
     from lobfit import dist
 
     shorthands = _shorthands()
@@ -85,8 +84,7 @@ def parse_model(text: str):
         raise ValueError(f"bad model parameters in {text!r}") from None
     family = dist.FAMILY_TAGS[tag]
     # the shorthand gives the fields without a default, in order
-    arity = sum(1 for f in dataclasses.fields(family)
-                if f.default is dataclasses.MISSING)
+    arity = family.arity()
     if len(values) != arity:
         raise ValueError(
             f"{head} takes {arity} parameter(s), "
@@ -193,8 +191,14 @@ def _session_runs(paths) -> tuple[list, Exception | None]:
     ``(path, start, stop)`` of the input files, the longest first, and
     the split's fault or None.  Each worker of ``_map_on_cpus`` takes
     every n-th session, so that order keeps their shares of the bytes
-    about even."""
+    about even.  A format error names its file and the byte offset of
+    its frame there."""
     runs, fault = feed.session_runs(map(_read, paths))
+    if fault is not None:
+        index, offset, fault = fault
+        if isinstance(fault, FormatError):
+            fault = type(fault)(
+                f"{paths[index]}: frame at byte {offset}: {fault}")
     runs = [(position, [(paths[i], start, stop) for i, start, stop in run])
             for position, run in enumerate(runs)]
     runs.sort(key=lambda run: sum(stop - start for _, start, stop in run[1]),
@@ -202,17 +206,40 @@ def _session_runs(paths) -> tuple[list, Exception | None]:
     return runs, fault
 
 
+def _session_label(path, start: int) -> str:
+    """The date of the session whose frame starts at ``start`` in
+    ``path``, or its id if that encodes no date."""
+    # a frame header holds its session id in bytes 4 to 8
+    session_id = int.from_bytes(_read(path, start + 4, start + 8), "big")
+    try:
+        return rates.session_id_to_date(session_id).isoformat()
+    except SpecError:
+        return str(session_id)
+
+
 def _tally_run(run, tick_size, reference):
     """Tally one session, given as its stream position and its spans,
     in its own store.  Returns the position with the store and the
-    messages applied, or with the input error the replay raised."""
+    messages applied, or with the input error the replay raised.  A
+    lobfit error comes back as a new error of its class whose message
+    also names the file of the span replayed and the session."""
     position, spans = run
     store = rates.TallyStore()
-    blobs = (_read(*span) for span in spans)
+    replayed = []  # the path of each span, as the replay takes it
+
+    def blobs():
+        for path, start, stop in spans:
+            replayed.append(path)
+            yield _read(path, start, stop)
+
     try:
         return position, (store, rates.tally_stream(
-            store, blobs, tick_size, reference))
-    except (LobfitError, OSError, ValueError) as exc:
+            store, blobs(), tick_size, reference))
+    except LobfitError as exc:
+        session = _session_label(*spans[0][:2])
+        return position, type(exc)(f"{replayed[-1]}: session {session}: "
+                                   f"{exc}")
+    except (OSError, ValueError) as exc:
         return position, exc
 
 

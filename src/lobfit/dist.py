@@ -16,6 +16,12 @@ unnormalized masses on ticks 1..ticks) and a static ``fit(weights,
 truncated)``, its natural estimator on a normalized density.
 ``FAMILY_TAGS`` maps each tag to its class.
 
+The families, ``FitResult`` and the generator's spec are records:
+plain ``__slots__`` classes on ``Record``, which gives them their
+constructor, equality, hash, repr, immutability and ``params()``, and
+``arity()``, the number of parameters a family's shorthand takes.  No
+code is generated for them at import.
+
 ``tick_curve`` renormalizes a family's masses over the tick window,
 which is how curves are compared against observed densities, and
 ``fit_family`` fits a family by tag.  The discrete Weibull's and the
@@ -39,13 +45,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from lobfit import kernels, rates, stats
 from lobfit.errors import DegenerateData, DomainError, NonConvergence
 
 __all__ = [
     "TICKS",
+    "Record",
     "Geometric",
     "DiscreteWeibull",
     "BetaBinomial",
@@ -70,36 +76,108 @@ _BB_STARTS = tuple((math.log(a), math.log(b))
 _POW_EXPONENT_STARTS = (0.0, 0.5, 1.0, 1.5, 2.5)
 
 
-@dataclass(frozen=True, slots=True)
-class FitResult:
-    """Outcome of one family fit on one observed density."""
+class Record:
+    """An immutable record of named fields.
 
-    family: object
-    objective: float = math.nan
-    converged: bool = True
-    starts_used: int = 1
-    iterations: int = 0
-    boundary: bool = False
+    A subclass names its fields in ``__slots__`` and gives the defaults
+    of its last fields in ``_defaults``, as a function gives its own,
+    and is built from the fields by position or by name.  ``_check``
+    runs once the fields are set and raises if they make no valid
+    record.  Two records are equal when they are of the same class and
+    their fields are equal; a record hashes by its fields, prints as
+    ``Name(field=value, ...)`` and refuses assignment.  ``params()``
+    maps each field's name to its value.
+    """
+
+    __slots__ = ()
+    _defaults: tuple = ()
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        fields = cls.__slots__
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__}() takes at most {len(fields)} "
+                            f"arguments, got {len(args)}")
+        first_default = len(fields) - len(cls._defaults)
+        for k, name in enumerate(fields):
+            if k < len(args):
+                if name in kwargs:
+                    raise TypeError(f"{cls.__name__}() got two values for "
+                                    f"{name!r}")
+                value = args[k]
+            elif name in kwargs:
+                value = kwargs.pop(name)
+            elif k >= first_default:
+                value = cls._defaults[k - first_default]
+            else:
+                raise TypeError(f"{cls.__name__}() is missing {name!r}")
+            object.__setattr__(self, name, value)
+        if kwargs:
+            raise TypeError(f"{cls.__name__}() has no field "
+                            f"{next(iter(kwargs))!r}")
+        self._check()
+
+    @classmethod
+    def arity(cls) -> int:
+        """The number of fields without a default."""
+        return len(cls.__slots__) - len(cls._defaults)
+
+    def _check(self) -> None:
+        """Raise if the fields make no valid record."""
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def params(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in self.params().items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
 
-@dataclass(frozen=True, slots=True)
-class Geometric:
+class FitResult(Record):
+    """Outcome of one family fit on one observed density: ``family``,
+    ``objective``, ``converged``, ``starts_used``, ``iterations`` and
+    ``boundary``."""
+
+    __slots__ = ("family", "objective", "converged", "starts_used",
+                 "iterations", "boundary")
+    _defaults = (math.nan, True, 1, 0, False)
+
+
+class Geometric(Record):
     """P(X = x) = p (1-p)^(x-1) on x = 1, 2, ...
 
     p = 1 is the degenerate all-mass-at-tick-1 boundary, reachable from
     closed-form fits of such data; fits flag it.
     """
 
-    p: float
+    __slots__ = ("p",)
     tag = "geometric"
     shorthand = "geo"
 
-    def __post_init__(self):
+    def _check(self):
         if not 0.0 < self.p <= 1.0:
             raise DomainError(f"geometric needs 0 < p <= 1, got {self.p}")
-
-    def params(self) -> dict[str, float]:
-        return {"p": self.p}
 
     def masses(self, ticks: int) -> list[float]:
         return [math.pow(1.0 - self.p, x - 1) * self.p
@@ -116,22 +194,17 @@ class Geometric:
         return FitResult(Geometric(p=min(1.0 / m, 1.0)), boundary=(m == 1.0))
 
 
-@dataclass(frozen=True, slots=True)
-class DiscreteWeibull:
-    q: float
-    beta: float
+class DiscreteWeibull(Record):
+    __slots__ = ("q", "beta")
     tag = "discrete_weibull"
     shorthand = "dw"
 
-    def __post_init__(self):
+    def _check(self):
         if not 0.0 < self.q < 1.0:
             raise DomainError(f"discrete Weibull needs 0 < q < 1, got {self.q}")
         if not self.beta > 0.0:
             raise DomainError(
                 f"discrete Weibull needs beta > 0, got {self.beta}")
-
-    def params(self) -> dict[str, float]:
-        return {"q": self.q, "beta": self.beta}
 
     def masses(self, ticks: int) -> list[float]:
         return kernels.dw_masses(math.log(self.q), self.beta, ticks)
@@ -150,25 +223,19 @@ class DiscreteWeibull:
                        lambda fitted, f: _below_entropy(f, weights))
 
 
-@dataclass(frozen=True, slots=True)
-class BetaBinomial:
-    alpha: float
-    beta: float
-    trials: int = TICKS - 1
+class BetaBinomial(Record):
+    __slots__ = ("alpha", "beta", "trials")
+    _defaults = (TICKS - 1,)
     tag = "beta_binomial"
     shorthand = "bb"
 
-    def __post_init__(self):
+    def _check(self):
         if not (self.alpha > 0.0 and self.beta > 0.0):
             raise DomainError(
                 f"beta-binomial needs alpha, beta > 0, got "
                 f"{self.alpha}, {self.beta}")
         if self.trials < 1:
             raise DomainError(f"beta-binomial needs trials >= 1")
-
-    def params(self) -> dict[str, float]:
-        return {"alpha": self.alpha, "beta": self.beta,
-                "trials": self.trials}
 
     def masses(self, ticks: int) -> list[float]:
         n = self.trials
@@ -202,18 +269,14 @@ class BetaBinomial:
                        lambda fitted, f: _below_entropy(f, weights))
 
 
-@dataclass(frozen=True, slots=True)
-class Exponential:
-    rate: float
+class Exponential(Record):
+    __slots__ = ("rate",)
     tag = "exponential"
     shorthand = "exp"
 
-    def __post_init__(self):
+    def _check(self):
         if not self.rate > 0.0:
             raise DomainError(f"exponential needs rate > 0, got {self.rate}")
-
-    def params(self) -> dict[str, float]:
-        return {"rate": self.rate}
 
     def masses(self, ticks: int) -> list[float]:
         return [math.exp(-self.rate * (i - 1)) - math.exp(-self.rate * i)
@@ -225,19 +288,14 @@ class Exponential:
         return FitResult(Exponential(rate=1.0 / _mean_tick(weights)))
 
 
-@dataclass(frozen=True, slots=True)
-class PowerLaw:
-    scale: float
-    exponent: float
+class PowerLaw(Record):
+    __slots__ = ("scale", "exponent")
     tag = "power_law"
     shorthand = "pow"
 
-    def __post_init__(self):
+    def _check(self):
         if not self.scale > 0.0:
             raise DomainError(f"power law needs scale > 0, got {self.scale}")
-
-    def params(self) -> dict[str, float]:
-        return {"scale": self.scale, "exponent": self.exponent}
 
     def masses(self, ticks: int) -> list[float]:
         try:

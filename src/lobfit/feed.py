@@ -38,8 +38,9 @@ Within one session timestamps are non-decreasing and frame sequence
 numbers are contiguous; ``rates.tally_stream`` enforces both.
 Sessions are independent, and ``session_runs`` finds where each one's
 frames lie without decoding a message, so they can be decoded apart.
-It stops at the first fault it meets and returns that fault with the
-runs before it, so errors can still be reported in stream order.
+It stops at the first fault it meets and returns that fault, with the
+buffer and the offset it lies at, and the runs before it, so errors
+can still be reported in stream order and say where they are.
 
 One message decoder serves every reader.  It reads the length and
 kind bytes in place, unpacks the body straight from the buffer, and
@@ -327,7 +328,7 @@ def _fault_at(data, offset: int, fault: FormatError) -> FormatError:
     return fault
 
 
-def session_runs(blobs: Iterable) -> tuple[list, Exception | None]:
+def session_runs(blobs: Iterable) -> tuple[list, tuple | None]:
     """Split a stream held in several buffers into one run per session.
 
     ``blobs`` are the stream's files in order, as buffers, taken one at
@@ -338,14 +339,15 @@ def session_runs(blobs: Iterable) -> tuple[list, Exception | None]:
     session's frames.
 
     Returns the runs in stream order and the fault the split stopped
-    at, or None; nothing is raised.  The fault at a frame is the error
-    ``frame_at`` raises there, or, if the frame decodes, that of a
-    session id that recurs after another session, as
-    ``book.iter_stream`` raises it.  A header cut short, a frame whose
-    messages run past the end of its buffer, a bad magic and a
-    recurring session are such faults.  A buffer that cannot be read,
-    whose iterator raises ``OSError`` or ``ValueError``, is a fault at
-    its start.  The runs hold every frame before the fault, the
+    at, or None; nothing is raised.  A fault is the triple ``(blob
+    index, offset, error)``: where the faulty frame starts, and its
+    error.  The error at a frame is the one ``frame_at`` raises there,
+    or, if the frame decodes, that of a session id that recurs after
+    another session, as ``book.iter_stream`` raises it.  A header cut
+    short, a frame whose messages run past the end of its buffer, a
+    bad magic and a recurring session are such faults.  A buffer that
+    cannot be read, whose iterator raises ``OSError`` or
+    ``ValueError``, is a fault at its offset 0.  The runs hold every frame before the fault, the
     interrupted session's as one last run.  A frame the split passes
     may still fail to decode, but it lies before the fault, so a replay
     of the runs in stream order and then the fault meets the errors a
@@ -361,7 +363,7 @@ def session_runs(blobs: Iterable) -> tuple[list, Exception | None]:
         except StopIteration:
             return runs, None
         except (OSError, ValueError) as exc:
-            return runs, exc
+            return runs, (index, 0, exc)
         size = len(data)
         offset = start = 0
         while offset < size:
@@ -373,7 +375,7 @@ def session_runs(blobs: Iterable) -> tuple[list, Exception | None]:
             except FormatError as exc:
                 if offset > start:
                     runs[-1].append((index, start, offset))
-                return runs, _fault_at(data, offset, exc)
+                return runs, (index, offset, _fault_at(data, offset, exc))
             if session_id != current:
                 seen.add(session_id)
                 current = session_id

@@ -21,7 +21,11 @@ After every arrival, each cancelable resting order (a non-ladder order
 within the first 10 ticks) is canceled independently with the
 configured probability, either in full or by a uniform fraction of its
 remainder: cancels follow what rests (Cont, Stoikov & Talreja 2010).
-Cancels carry the timestamp of the arrival that triggered them.
+Cancels carry the timestamp of the arrival that triggered them.  The
+cancel step has one loop per style: a fraction cancel takes
+``int(share * remaining) or 1`` and drops the order once it is spent,
+and a full cancel pops the order.  Both make the same numpy draws, in
+the same order.
 
 Invariant: within a session, from the first ladder pair on,
 ``best_bid`` and ``best_ask`` stay at ``initial_mid - tick_size`` and
@@ -39,10 +43,11 @@ dates when reading a stream back.
 The generator writes wire bytes: each message is packed by
 ``feed.pack_add``, ``feed.pack_cancel`` or ``feed.pack_delete`` as it
 is drawn, and ``feed.session_framer`` frames a session's messages.
-After each arrival the whole frames the session holds go on to the
-writer, and the session's last, short frame goes when it ends, so
-frames reach the writer as they fill.  Given a writer, ``generate``
-holds one session's draws plus one frame, whatever the number of days.
+Once an arrival and its cancels have filled a frame's 1000 messages,
+the whole frames go on to the writer, and the session's last, short
+frame goes when it ends, so frames reach the writer as they fill.
+Given a writer, ``generate`` holds one session's draws plus one frame,
+whatever the number of days.
 No ``MarketMessage`` is built, so its per-message checks do not run;
 the spec's bounds are the range checks instead.  ``SynthSpec`` proves
 once that every price lies in ``initial_mid -/+ 15 * tick_size``,
@@ -51,6 +56,9 @@ fit a u64, and that both models' tick curves can be drawn, so no
 stream is started that cannot be finished.  Quantities lie in 1..200,
 sides are 0 or 1 and arrivals fall within trading hours by
 construction, so each has a cube row.
+
+``SynthSpec`` and ``GroundTruth`` are ``dist.Record`` classes, built
+and compared as the model families are.
 """
 
 from __future__ import annotations
@@ -59,7 +67,6 @@ import bisect
 import datetime as dt
 import itertools
 import json
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -67,8 +74,8 @@ import numpy as np
 
 from lobfit import dist, feed, rates
 from lobfit.errors import DomainError, SpecError
-from lobfit.feed import (MAX_ORDER_ID, MAX_PRICE, Side, pack_add,
-                         pack_cancel, pack_delete)
+from lobfit.feed import (_FRAME_MESSAGES, MAX_ORDER_ID, MAX_PRICE, Side,
+                         pack_add, pack_cancel, pack_delete)
 
 __all__ = [
     "CancelStyle",
@@ -85,7 +92,9 @@ _NS_PER_HOUR = rates.NS_PER_HOUR
 _MORNING_OPEN = rates.MORNING_HOURS[0] * _NS_PER_HOUR
 _MORNING_SPAN = (rates.MORNING_HOURS[1]
                  - rates.MORNING_HOURS[0]) * _NS_PER_HOUR
-_AFTERNOON_OPEN = rates.AFTERNOON_HOURS[0] * _NS_PER_HOUR
+# an offset past the morning span lands this far into the day
+_AFTERNOON_SHIFT = (rates.AFTERNOON_HOURS[0] * _NS_PER_HOUR
+                    - _MORNING_SPAN)
 _SESSION_SPAN = rates.HOUR_SLOTS * _NS_PER_HOUR
 _LADDER_TIME = 9 * _NS_PER_HOUR + 30 * 60 * 1_000_000_000
 
@@ -102,20 +111,19 @@ class CancelStyle(Enum):
     UNIFORM_FRACTION = "uniform_fraction"
 
 
-@dataclass(frozen=True, slots=True)
-class SynthSpec:
-    seed: int
-    buy_model: object
-    sell_model: object
-    days: int = 40
-    orders_per_day: int = 2000
-    cancel_probability: float = 0.08
-    cancel_style: CancelStyle = CancelStyle.FULL
-    tick_size: int = 1
-    initial_mid: int = 10_000
-    start: dt.date = dt.date(2017, 8, 1)
+class SynthSpec(dist.Record):
+    """What to generate: ``seed``, ``buy_model``, ``sell_model``, and
+    ``days``, ``orders_per_day``, ``cancel_probability``,
+    ``cancel_style``, ``tick_size``, ``initial_mid`` and ``start``,
+    which have defaults."""
 
-    def __post_init__(self):
+    __slots__ = ("seed", "buy_model", "sell_model", "days",
+                 "orders_per_day", "cancel_probability", "cancel_style",
+                 "tick_size", "initial_mid", "start")
+    _defaults = (40, 2000, 0.08, CancelStyle.FULL, 1, 10_000,
+                 dt.date(2017, 8, 1))
+
+    def _check(self):
         if self.days < 1:
             raise SpecError(f"days must be >= 1, got {self.days}")
         if self.orders_per_day < 1:
@@ -159,12 +167,11 @@ class SynthSpec:
             raise SpecError(f"seed must fit in 64 bits, got {self.seed}")
 
 
-@dataclass(slots=True)
-class GroundTruth:
-    """The generator's own record of what it emitted."""
+class GroundTruth(dist.Record):
+    """The generator's own record of what it emitted: its ``spec`` and
+    the ``store`` of its tallies."""
 
-    spec: SynthSpec
-    store: rates.TallyStore
+    __slots__ = ("spec", "store")
 
 
 def _last_weekday(days: int, start: dt.date) -> int:
@@ -192,12 +199,6 @@ def default_calendar(days: int,
     days_on = map(dt.date.fromordinal,
                   range(start.toordinal(), _last_weekday(days, start) + 1))
     return [day for day in days_on if day.weekday() < 5]
-
-
-def _timestamp(offset_ns: int) -> int:
-    if offset_ns < _MORNING_SPAN:
-        return _MORNING_OPEN + offset_ns
-    return _AFTERNOON_OPEN + (offset_ns - _MORNING_SPAN)
 
 
 def _cumulative(curve) -> list[float]:
@@ -281,8 +282,10 @@ def _generate_session(spec, session_date, rng, cumulative, order_ids,
     for offset, s, u, quantity in zip(offsets, sides, tick_draws,
                                       quantities):
         # the whole frames the last arrival filled go on to the writer
-        flush(packed)
-        ts = _timestamp(offset)
+        if len(packed) >= _FRAME_MESSAGES:
+            flush(packed)
+        ts = (_MORNING_OPEN + offset if offset < _MORNING_SPAN
+              else _AFTERNOON_SHIFT + offset)
         hour = ts // _NS_PER_HOUR
         # u < 1.0, the last edge, so the index is at most len - 1
         distance = bisect.bisect_right(cumulative[s], u) + 1
@@ -301,21 +304,35 @@ def _generate_session(spec, session_date, rng, cumulative, order_ids,
         candidates = list(live)
         chosen = sorted(choice(len(candidates), size=hits,
                                replace=False).tolist())
-        # PCG64 gives the same doubles in one call as in `hits` calls
-        shares = uniform(hits).tolist() if fraction else [1.0] * hits
-        for idx, share in zip(chosen, shares):
-            oid = candidates[idx]
-            side, level, remaining = order = live[oid]
-            amount = max(1, int(share * remaining))
-            emit(pack_cancel(ts, oid, amount) if fraction
-                 else pack_delete(ts, oid))
-            i = cancel_rows[side][hour] + level
-            ratio_sum[i] += amount / resting[side][level - 1]
-            count[i] += 1
-            resting[side][level - 1] -= amount
-            order[2] -= amount
-            if not order[2]:
-                del live[oid]
+        bases = (cancel_rows[0][hour], cancel_rows[1][hour])
+        if fraction:
+            # PCG64 gives the same doubles in one call as in `hits` calls
+            for idx, share in zip(chosen, uniform(hits).tolist()):
+                oid = candidates[idx]
+                order = live[oid]
+                side, level, remaining = order
+                amount = int(share * remaining) or 1
+                emit(pack_cancel(ts, oid, amount))
+                row = resting[side]
+                i = bases[side] + level
+                ratio_sum[i] += amount / row[level - 1]
+                count[i] += 1
+                row[level - 1] -= amount
+                remaining -= amount
+                if remaining:
+                    order[2] = remaining
+                else:
+                    del live[oid]
+        else:
+            for idx in chosen:
+                oid = candidates[idx]
+                side, level, amount = live.pop(oid)
+                emit(pack_delete(ts, oid))
+                row = resting[side]
+                i = bases[side] + level
+                ratio_sum[i] += amount / row[level - 1]
+                count[i] += 1
+                row[level - 1] -= amount
     flush(packed, last=True)
 
 

@@ -21,7 +21,8 @@ from mpmath import gammainc, mp, mpf
 import lobfit
 from lobfit import cli, dist, feed, kernels, rates, synth
 from lobfit.book import OrderBook, TickReference
-from lobfit.errors import DegenerateData, LobfitError, NonConvergence
+from lobfit.errors import (DegenerateData, LobfitError, NonConvergence,
+                           TruncatedFrame, UnknownOrderId)
 
 
 @pytest.fixture(scope="module")
@@ -632,6 +633,22 @@ class TestImportBoundary:
         assert "lobfit.dist" in loaded
         assert self._among(loaded, self._POOL + ("lobfit.book",)) == []
 
+    # the model records are plain classes, built with no generated code
+    def test_fit_loads_no_dataclass_machinery(self, run):
+        out, _ = run
+        loaded = self._loaded("fit", str(out / "rates.csv"), "--families",
+                              "dw,bb", "--out", str(out / "records"))
+        assert "lobfit.dist" in loaded
+        assert self._among(loaded, ("dataclasses", "inspect")) == []
+
+    def test_synth_loads_no_dataclass_machinery(self, tmp_path):
+        # numpy imports inspect itself, so only dataclasses is checked
+        loaded = self._loaded("synth", "--days", "1", "--orders-per-day",
+                              "50", "--cancel-style", "fraction",
+                              "--out", str(tmp_path))
+        assert "lobfit.synth" in loaded
+        assert self._among(loaded, ("dataclasses",)) == []
+
 
 def _no_child_left():
     """True when this process has no child, running or unreaped."""
@@ -802,23 +819,31 @@ def _two_file_stream(directory, days=3, orders_per_day=200, seed=5,
     return paths
 
 
-def _serial_rates(paths, flags, out):
+def _serial_rates(paths, flags, out, where=None):
     """What a replay in one process writes, through the object-level API
     (``read_lobf -> iter_stream -> OrderBook.apply -> accumulate_event``)
     rather than ``rates.tally_stream``, over the files in order.  It
     tallies only the events of the selected sides, and writes only the
     buckets of the selected granularities.  Returns the error text
-    instead when it raises."""
+    instead when it raises; a lobfit error also appends the path of the
+    file being read to the list ``where``, if given."""
     args = cli.build_parser().parse_args(
         ["rates", *map(str, paths), *flags, "--out", str(out)])
     granularities = cli.parse_granularities(args.granularity)
     store = rates.TallyStore()
     sides = (tuple(feed.Side) if args.side == "both"
              else (feed.Side[args.side.upper()],))
-    frames = (frame for path in args.inputs for frame in feed.read_lobf(path))
+    reading = []
+
+    def frames():
+        # frames are decoded, and their messages applied, one at a time
+        for path in args.inputs:
+            reading.append(path)
+            yield from feed.read_lobf(path)
+
     books = {}
     try:
-        for session_id, msg in feed.iter_stream(frames):
+        for session_id, msg in feed.iter_stream(frames()):
             if session_id not in books:
                 books[session_id] = (
                     OrderBook(args.tick_size, TickReference(args.reference)),
@@ -830,6 +855,8 @@ def _serial_rates(paths, flags, out):
         if not books:
             return "input contains no messages"
     except (LobfitError, ValueError) as exc:
+        if where is not None and isinstance(exc, LobfitError):
+            where.append(reading[-1])
         return str(exc)
     os.makedirs(out, exist_ok=True)
     for name, tallies, write in (
@@ -963,8 +990,9 @@ class TestRatesFailsAsSerial:
                 paths.append(os.path.join(directory, f"part{i}.lobf"))
                 with open(paths[-1], "wb") as fh:
                     fh.write(data)
+            where = []
             want = _serial_rates(paths, flags,
-                                 os.path.join(directory, "serial"))
+                                 os.path.join(directory, "serial"), where)
             out = os.path.join(directory, "out")
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
@@ -976,6 +1004,13 @@ class TestRatesFailsAsSerial:
                             open(os.path.join(directory, "serial", name),
                                  "rb") as serial:
                         assert got.read() == serial.read()
+            elif where:
+                # a fault in the bytes names the file it lies in, then
+                # its frame or its session (TestRatesErrorsNameTheFile)
+                assert code == 1
+                assert err.getvalue().startswith(f"error: {where[0]}: ")
+                assert err.getvalue().endswith(f": {want}\n")
+                assert not os.path.exists(out)
             else:
                 assert code == 1
                 assert err.getvalue() == f"error: {want}\n"
@@ -1011,7 +1046,8 @@ class TestRatesReplaysOnce:
 
         monkeypatch.setattr(rates, "tally_stream", in_workers_only)
         out = tmp_path / "out"
-        assert _rates_error(paths, out) == (1, f"error: {want}\n")
+        assert _rates_error(paths, out) == (
+            1, f"error: {paths[1]}: session 2017-08-03: {want}\n")
         assert not out.exists()
 
     def test_an_unreadable_input_fails_in_stream_order(self, tmp_path):
@@ -1024,12 +1060,61 @@ class TestRatesReplaysOnce:
         out = tmp_path / "out"
         want = _serial_rates([bad, missing], [], tmp_path / "serial")
         assert want == "order 7"
-        assert _rates_error([bad, missing], out) == (1, f"error: {want}\n")
+        assert _rates_error([bad, missing], out) == (
+            1, f"error: {bad}: session 2017-08-01: {want}\n")
         with pytest.raises(OSError) as unreadable:
             open(missing, "rb")
         assert _rates_error([good, missing], out) == (
             1, f"error: {unreadable.value}\n")
         assert not out.exists()
+
+
+class TestRatesErrorsNameTheFile:
+    """A bad two-file stream fails with its error's class, naming the
+    file the fault lies in and its frame or its session."""
+
+    def test_a_cut_stream_names_the_file_and_the_frame(self, tmp_path):
+        paths = _two_file_stream(str(tmp_path))
+        with open(paths[0], "rb") as fh:
+            data = fh.read()
+        offset = last = 0
+        while offset < len(data):
+            last = offset
+            *_, offset = feed.frame_at(data, offset)
+        # the first file's last message loses its last 13 bytes
+        data = data[:-13]
+        with open(paths[0], "wb") as fh:
+            fh.write(data)
+        with pytest.raises(TruncatedFrame) as cut:
+            feed.frame_at(data, last)
+        assert str(cut.value).startswith("message needs ")
+        _, fault = cli._session_runs(paths)
+        assert type(fault) is TruncatedFrame
+        assert _rates_error(paths, tmp_path / "out") == (
+            1, f"error: {paths[0]}: frame at byte {last}: {cut.value}\n")
+
+    def test_a_flipped_bit_names_the_file_and_the_session(self, tmp_path):
+        paths = _two_file_stream(str(tmp_path))
+        with open(paths[1], "rb") as fh:
+            data = bytearray(fh.read())
+        # the first Cancel of the second file, which goes on with the
+        # session the first file began; its order id is bytes 10 to 18
+        offset = feed._HEADER.size
+        while data[offset + 1] != feed.MessageKind.CANCEL:
+            offset += data[offset] + 1
+        order_id = int.from_bytes(data[offset + 10:offset + 18], "big")
+        data[offset + 13] ^= 1  # bit 32 of the order id
+        with open(paths[1], "wb") as fh:
+            fh.write(data)
+        runs, fault = cli._session_runs(paths)
+        assert fault is None
+        run = next(run for run in runs if run[0] == 1)
+        assert [path for path, *_ in run[1]] == paths
+        _, error = cli._tally_run(run, 1, TickReference.SAME_SIDE)
+        assert type(error) is UnknownOrderId
+        assert _rates_error(paths, tmp_path / "out") == (
+            1, f"error: {paths[1]}: session 2017-08-02: "
+               f"order {order_id + 2 ** 32}\n")
 
 
 class TestCancelTestEdgeCases:

@@ -1,4 +1,5 @@
 import math
+import pickle
 import sys
 
 import pytest
@@ -86,6 +87,29 @@ class TestFamilies:
         for fam in originals:
             rebuilt = dist.FAMILY_TAGS[fam.tag](**fam.params())
             assert rebuilt == fam
+
+    def test_records_are_immutable_values(self):
+        bb = dist.BetaBinomial(2.0, 6.0)
+        assert bb == dist.BetaBinomial(alpha=2.0, beta=6.0, trials=T - 1)
+        assert hash(bb) == hash(dist.BetaBinomial(2.0, 6.0))
+        assert bb != dist.BetaBinomial(2.0, 6.0, 13)
+        # equal fields of another record type are not equal
+        assert dist.Geometric(0.5) != dist.Exponential(0.5)
+        assert repr(bb) == "BetaBinomial(alpha=2.0, beta=6.0, trials=14)"
+        assert pickle.loads(pickle.dumps(bb)) == bb
+        with pytest.raises(AttributeError):
+            bb.alpha = 3.0
+        with pytest.raises(AttributeError):
+            del bb.alpha
+        fit = dist.FitResult(bb, objective=1.5)
+        assert (fit.converged, fit.starts_used, fit.boundary) == (
+            True, 1, False)
+        for args, kwargs in (((), {}), ((0.5, 0.5), {}),
+                             ((0.5,), {"p": 0.5}), ((0.5,), {"q": 0.5})):
+            with pytest.raises(TypeError):
+                dist.Geometric(*args, **kwargs)
+        assert [cls.arity() for cls in dist.FAMILY_TAGS.values()] == [
+            1, 2, 2, 1, 2]
 
     def test_unknown_tag_rejected(self):
         assert dist.FAMILY_TAGS.get("gaussian") is None

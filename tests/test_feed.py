@@ -511,19 +511,25 @@ def test_session_runs_reject_what_the_decoder_rejects():
     rng = random.Random(10)
     frames = _sessions_stream(rng, [3, 3], max_per_frame=2)
     data = b"".join(feed.encode_frame(f) for f in frames)
+    starts = [len(b"".join(feed.encode_frame(f) for f in frames[:k]))
+              for k in range(len(frames))]
     assert feed.session_runs([b"", b""]) == ([], None)
     for cut in range(1, len(data)):
-        if any(cut == len(b"".join(feed.encode_frame(f)
-                                   for f in frames[:k]))
-               for k in range(len(frames))):
+        if cut in starts:
             continue
-        _, fault = feed.session_runs([data[:cut], data[cut:]])
-        assert isinstance(fault, TruncatedFrame)
-    _, fault = feed.session_runs([b"LOBX" + data[4:]])
-    assert isinstance(fault, BadMagic)
-    _, fault = feed.session_runs([data, feed.encode_frame(frames[0])])
-    assert isinstance(fault, FormatError)
-    assert str(fault) == "session 1 split across the stream"
+        _, (index, offset, error) = feed.session_runs([data[:cut],
+                                                       data[cut:]])
+        assert isinstance(error, TruncatedFrame)
+        # the fault lies at the start of the frame the cut runs through
+        assert (index, offset) == (0, max(s for s in starts if s < cut))
+    _, (index, offset, error) = feed.session_runs([b"LOBX" + data[4:]])
+    assert isinstance(error, BadMagic)
+    assert (index, offset) == (0, 0)
+    _, (index, offset, error) = feed.session_runs(
+        [data, feed.encode_frame(frames[0])])
+    assert isinstance(error, FormatError)
+    assert str(error) == "session 1 split across the stream"
+    assert (index, offset) == (1, 0)
 
 
 def _first_fault(blobs):
@@ -554,10 +560,11 @@ def test_session_runs_stop_at_the_fault_a_replay_meets():
     # replay's decoder names the bytes missing, not the split's walk
     whole = b"".join(encoded[:3])
     data = whole + encoded[3][:-3]
-    runs, fault = feed.session_runs([data])
+    runs, (index, offset, fault) = feed.session_runs([data])
     assert isinstance(fault, TruncatedFrame)
     assert str(fault) == str(_first_fault([data]))
     assert str(fault).startswith("message needs ")
+    assert (index, offset) == (0, len(whole))
     # the interrupted session's whole frames are its last run
     assert runs == [[(0, 0, len(encoded[0]) + len(encoded[1]))],
                     [(0, len(encoded[0]) + len(encoded[1]), len(whole))]]
@@ -571,12 +578,16 @@ def test_a_recurring_session_is_the_decoders_fault_first():
     # session 1 again, with a kind byte no message has
     broken = bytearray(first)
     broken[feed._HEADER.size + 1] = 0x00
-    runs, fault = feed.session_runs([first + second, bytes(broken)])
+    runs, (index, offset, fault) = feed.session_runs([first + second,
+                                                      bytes(broken)])
     assert isinstance(fault, UnknownMessageKind)
+    assert (index, offset) == (1, 0)
     assert runs == [[(0, 0, len(first))],
                     [(0, len(first), len(first) + len(second))]]
-    runs, fault = feed.session_runs([first + second, first])
+    runs, (index, offset, fault) = feed.session_runs([first + second,
+                                                      first])
     assert str(fault) == "session 1 split across the stream"
+    assert (index, offset) == (1, 0)
     assert len(runs) == 2
 
 
@@ -594,7 +605,8 @@ def test_an_unreadable_input_is_a_fault_at_its_start():
         raise missing
 
     runs, fault = feed.session_runs(inputs())
-    assert fault is missing
+    assert fault == (1, 0, missing)
+    assert fault[2] is missing
     assert read == [1, 2]
     assert _decoded_runs([b"".join(encoded[:3])], runs) == [
         frames[:2], frames[2:3]]
@@ -621,6 +633,11 @@ def test_session_runs_report_the_first_fault_and_the_frames_before_it(
     runs, fault = feed.session_runs(blobs)
     spans = [span for run in runs for span in run]
     assert spans == sorted(spans)
+    if fault is not None:
+        # the fault lies after every span, at a frame of its buffer
+        index, offset, fault = fault
+        assert all((i, stop) <= (index, offset) for i, _, stop in spans)
+        assert 0 <= offset < len(blobs[index]) or offset == 0
     # the split reads no message, so a frame it passes may still fail to
     # decode; a replay of the runs in order meets that error first, and
     # else the split's fault, which is the stream's first fault

@@ -54,9 +54,10 @@ from lobfit.errors import (DuplicateOrderId, FormatError, LengthMismatch,
                            OverCancel, UnknownMessageKind, UnknownOrderId,
                            ZeroPrice, ZeroQuantity)
 from lobfit.feed import (_FRAME_MESSAGES, _HEADER, _PACK, MAGIC, MessageKind,
-                         Side, _messages_at, frame_at)
+                         _messages_at, frame_at)
 from lobfit.rates import (_HOUR_SLOT, ARRIVAL_TICKS, CANCEL_TICKS,
-                          HOUR_SLOTS, NS_PER_HOUR, TallyStore, TickReference)
+                          HOUR_SLOTS, NS_PER_HOUR, Side, TallyStore,
+                          TickReference)
 
 __all__ = [
     "TickReference",

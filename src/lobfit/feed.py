@@ -70,6 +70,13 @@ The object-level codec over the same decoder and packers, the
 lives in ``lobfit.book`` with the rest of the reference model, which
 no command runs.  Those names still resolve here: reading one loads
 ``lobfit.book``.
+
+``Side``, the order side of an Add's side byte, lives in
+``lobfit.rates``, which tallies by side; ``feed.Side`` still resolves,
+and reading it loads ``lobfit.rates``.  This module imports no other
+lobfit module but ``errors``, and only ``lobfit synth`` and ``lobfit
+rates`` load it, so ``fit`` and ``cancel-test`` never compile it (with
+no bytecode cache, a command compiles every module it imports).
 """
 
 from __future__ import annotations
@@ -92,7 +99,6 @@ from lobfit.errors import (
 
 __all__ = [
     "MAGIC",
-    "Side",
     "MessageKind",
     "pack_add",
     "pack_cancel",
@@ -116,11 +122,6 @@ _HEADER = struct.Struct(">4sIQH")
 
 # messages per frame written by session_framer and book.build_frames
 _FRAME_MESSAGES = 1000
-
-
-class Side(IntEnum):
-    BUY = 0
-    SELL = 1
 
 
 class MessageKind(IntEnum):
@@ -277,8 +278,9 @@ def session_framer(session_id: int,
     Frames are cut every ``_FRAME_MESSAGES`` messages from the session's
     first, and each frame's sequence number is the session index of its
     first message, so any flush points give the same bytes: the frames
-    ``book.build_frames`` cuts by default, encoded in order.  The messages and ``session_id`` are trusted, as
-    the packers trust their fields.
+    ``book.build_frames`` cuts by default, encoded in order.  The
+    messages and ``session_id`` are trusted, as the packers trust their
+    fields.
     """
     sequence = 0
 
@@ -347,11 +349,12 @@ def session_runs(blobs: Iterable) -> tuple[list, tuple | None]:
     short, a frame whose messages run past the end of its buffer, a
     bad magic and a recurring session are such faults.  A buffer that
     cannot be read, whose iterator raises ``OSError`` or
-    ``ValueError``, is a fault at its offset 0.  The runs hold every frame before the fault, the
-    interrupted session's as one last run.  A frame the split passes
-    may still fail to decode, but it lies before the fault, so a replay
-    of the runs in stream order and then the fault meets the errors a
-    replay of the stream meets, in the same order.
+    ``ValueError``, is a fault at its offset 0.  The runs hold every
+    frame before the fault, the interrupted session's as one last run.
+    A frame the split passes may still fail to decode, but it lies
+    before the fault, so a replay of the runs in stream order and then
+    the fault meets the errors a replay of the stream meets, in the same
+    order.
     """
     runs: list[list[tuple[int, int, int]]] = []
     current: int | None = None
@@ -390,6 +393,9 @@ def session_runs(blobs: Iterable) -> tuple[list, tuple | None]:
 
 
 def __getattr__(name):
+    if name == "Side":
+        from lobfit import rates
+        return rates.Side
     if name in _MOVED:
         from lobfit import book
         return getattr(book, name)

@@ -35,6 +35,10 @@ message.  It and the generator in ``synth`` write into a session's cube
 ``lobfit.book`` with the rest of the object-level reference model that
 both fast paths are tested against, and that no command runs.  The
 name still resolves here: reading it loads ``lobfit.book``.
+
+``Side`` is defined here, and ``feed.Side`` resolves to it.  This module
+imports ``feed`` only inside ``tally_stream``, so ``lobfit fit`` and
+``lobfit cancel-test``, which read tally CSVs, never load the codec.
 """
 
 from __future__ import annotations
@@ -42,13 +46,12 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import operator
-from enum import Enum
+from enum import Enum, IntEnum
+from functools import partial
 from typing import Iterable, Mapping, NamedTuple
 
-from lobfit import feed
 from lobfit.errors import (DuplicateOrderId, EmptyBucket, FormatError,
                            OverCancel, SpecError, UnknownOrderId)
-from lobfit.feed import MessageKind, Side
 
 __all__ = [
     "ARRIVAL_TICKS",
@@ -59,6 +62,7 @@ __all__ = [
     "NS_PER_HOUR",
     "MORNING_HOURS",
     "AFTERNOON_HOURS",
+    "Side",
     "TickReference",
     "Granularity",
     "BucketKey",
@@ -83,6 +87,14 @@ _MOVED = ("accumulate_event",)
 
 ARRIVAL_TICKS = 15
 CANCEL_TICKS = 10
+
+
+class Side(IntEnum):
+    """An order's side; its value is the side byte of an Add message."""
+
+    BUY = 0
+    SELL = 1
+
 
 NS_PER_HOUR = 3_600_000_000_000
 # trading hours, as half-open hour-of-day ranges
@@ -407,6 +419,10 @@ def tally_stream(store: TallyStore, blobs: Iterable[bytes],
     if isinstance(blobs, (bytes, bytearray, memoryview)):
         raise TypeError("tally_stream takes the stream's buffers, "
                         "not one buffer")
+    # imported here: only the replay decodes frames
+    from lobfit import feed
+    from lobfit.feed import MessageKind
+
     frame_at = feed.frame_at
     add, delete, execute, replace = (MessageKind.ADD, MessageKind.DELETE,
                                      MessageKind.EXECUTE, MessageKind.REPLACE)
@@ -622,6 +638,18 @@ def _parse_side(text: str) -> Side:
     return side
 
 
+def _whole(name: str, text: str, least: int = 0) -> int:
+    """``text`` as a whole number of at least ``least``, in ASCII digits
+    alone: no sign, space, underscore or other script's digit, none of
+    which the writers emit."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"bad {name} {text!r}; expected digits 0-9")
+    value = int(text)
+    if value < least:
+        raise ValueError(f"bad {name} {value}; expected at least {least}")
+    return value
+
+
 def _read_tally_csv(path, ticks: int, columns: dict,
                     complete: bool) -> list[dict]:
     """Rows of a tally CSV grouped per (bucket, side), in file order.
@@ -662,7 +690,7 @@ def _read_tally_csv(path, ticks: int, columns: dict,
                         inst[name] = [empty] * ticks
                     entry = instances[(label, side)] = (inst, set())
                 inst, seen = entry
-                tick = int(tick)
+                tick = _whole("tick", tick)
                 if not 1 <= tick <= ticks:
                     raise ValueError(f"tick {tick} outside 1..{ticks}")
                 if tick in seen:
@@ -688,19 +716,24 @@ def read_rates_csv(path) -> list[dict]:
 
     Each entry: {"bucket_key", "granularity", "side", "quantity": [15],
     "density": [15]}.  Every instance needs one row per tick 1..15.
+    Ticks and quantities are whole numbers in ASCII digits.
     """
     return _read_tally_csv(path, ARRIVAL_TICKS,
-                           {"quantity": (int, 0), "density": (float, 0.0)},
+                           {"quantity": (partial(_whole, "quantity"), 0),
+                            "density": (float, 0.0)},
                            complete=True)
 
 
 def read_cancels_csv(path) -> list[dict]:
     """Rows grouped per (bucket, side): count and mean_ratio per tick.
 
-    Ticks absent from the file stay at count 0 / ratio None.
+    Ticks absent from the file stay at count 0 / ratio None.  A row's
+    count is a whole number in ASCII digits, 1 or more, since
+    ``write_cancels_csv`` writes only ticks with cancels.
     """
     return _read_tally_csv(path, CANCEL_TICKS,
-                           {"count": (int, 0), "mean_ratio": (float, None)},
+                           {"count": (partial(_whole, "count", least=1), 0),
+                            "mean_ratio": (float, None)},
                            complete=False)
 
 

@@ -74,8 +74,9 @@ import numpy as np
 
 from lobfit import dist, feed, rates
 from lobfit.errors import DomainError, SpecError
-from lobfit.feed import (_FRAME_MESSAGES, MAX_ORDER_ID, MAX_PRICE, Side,
-                         pack_add, pack_cancel, pack_delete)
+from lobfit.feed import (_FRAME_MESSAGES, MAX_ORDER_ID, MAX_PRICE, pack_add,
+                         pack_cancel, pack_delete)
+from lobfit.rates import Side
 
 __all__ = [
     "CancelStyle",

@@ -6,29 +6,50 @@ benchmarks append their record to a file that already holds one, and
 must keep it.  The pipeline
 benchmark's tracer, ``perfbench/tracer.py``, patches ``lobfit`` entry
 points by name; it runs here too, so a renamed entry point shows.
+So do its other ways into ``lobfit``: ``perfbench/make_streams.py``,
+which calls ``cli.parse_model``, and ``perfbench/run.py``'s command
+launcher and setup probe, which call ``cli.main`` and print
+``kernels.BACKEND``.
 """
+import ast
 import json
 import os
 import pathlib
+import runpy
 import subprocess
 import sys
 
 import lobfit
-from lobfit import dist
+from lobfit import dist, kernels
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCHMARKS = ROOT / "benchmarks"
 
 
-def run_script(name, *args, directory=BENCHMARKS):
+def run_python(*args):
+    """Run a fresh interpreter that imports this lobfit; its stdout."""
     src = os.path.dirname(os.path.dirname(lobfit.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, str(directory / name), *args],
-                            env=env, capture_output=True, text=True,
-                            timeout=120)
+    result = subprocess.run([sys.executable, *args], env=env,
+                            capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     return result.stdout
+
+
+def run_script(name, *args, directory=BENCHMARKS):
+    return run_python(str(directory / name), *args)
+
+
+def perfbench_constant(name):
+    """A string constant of ``perfbench/run.py``, read without running
+    the module, which imports numpy."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == [name]):
+            return ast.literal_eval(node.value)
+    raise LookupError(name)
 
 
 def tables(stdout):
@@ -167,3 +188,28 @@ def test_perfbench_tracer_runs_fit(tmp_path):
         "instances"]
     assert [set(inst["fits"]) for inst in instances] == [
         set(dist.FAMILY_TAGS)] * 2
+
+
+def test_perfbench_streams_replay_to_their_truth(tmp_path):
+    # one stream of the replay workload's kind, at a tiny size
+    spec = {"name": "dw_dw", "start": "2017-08-01", "seed": 3, "days": 1,
+            "orders_per_day": 300, "cancel_probability": 0.08,
+            "cancel_style": "fraction", "buy_model": "dw:0.8,1.2",
+            "sell_model": "dw:0.75,1.4"}
+    specs = tmp_path / "streams.json"
+    specs.write_text(json.dumps([spec]))
+    run_script("make_streams.py", str(specs), str(tmp_path),
+               directory=ROOT / "perfbench")
+    out = tmp_path / "out"
+    run_python("-c", perfbench_constant("LAUNCH"), "rates",
+               str(tmp_path / "dw_dw.lobf"), "--out", str(out))
+    checks = runpy.run_path(str(ROOT / "perfbench" / "checks.py"))
+    truth = checks["merged_truth"]([tmp_path / "dw_dw.truth.json"])
+    assert truth["arrival_quantities"]
+    assert checks["check_tallies"](truth, out / "rates.csv",
+                                   out / "cancels.csv") == []
+
+
+def test_perfbench_setup_probe_prints_the_backend():
+    stdout = run_python("-c", perfbench_constant("SETUP_PROBE"))
+    assert stdout.strip() == kernels.BACKEND

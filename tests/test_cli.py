@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from mpmath import gammainc, mp, mpf
 
 import lobfit
-from lobfit import cli, dist, feed, kernels, rates, synth
+from lobfit import (cli, cmd_fit, cmd_rates, dist, feed, kernels, pool,
+                    rates, synth)
 from lobfit.book import OrderBook, TickReference
 from lobfit.errors import (DegenerateData, LobfitError, NonConvergence,
                            TruncatedFrame, UnknownOrderId)
@@ -55,18 +56,18 @@ class TestModelParsing:
                 cli.parse_model(bad)
 
     def test_family_list_is_canonicalized(self):
-        assert cli.parse_families("pow,geo,dw") == [
+        assert cmd_fit.parse_families("pow,geo,dw") == [
             "geometric", "discrete_weibull", "power_law"]
-        assert cli.parse_families("geo,geo") == ["geometric"]
+        assert cmd_fit.parse_families("geo,geo") == ["geometric"]
         with pytest.raises(ValueError):
-            cli.parse_families("geo,normal")
+            cmd_fit.parse_families("geo,normal")
 
     def test_granularity_list(self):
-        got = cli.parse_granularities("weekly,daily")
+        got = cmd_rates.parse_granularities("weekly,daily")
         assert rates.Granularity.WEEKLY in got
         assert rates.Granularity.DAILY in got
         with pytest.raises(ValueError):
-            cli.parse_granularities("yearly")
+            cmd_rates.parse_granularities("yearly")
 
 
 class TestPipelineOutputs:
@@ -95,7 +96,7 @@ class TestPipelineOutputs:
         lines = (pipeline / "rates.csv").read_text().splitlines()
         assert len(payload["instances"]) == (len(lines) - 1) // 15
         for inst in payload["instances"]:
-            assert inst["timestep"] in cli._TIMESTEP_ORDER
+            assert inst["timestep"] in cmd_fit._TIMESTEP_ORDER
             assert not inst["failed"]
             assert set(inst["fits"]) == set(dist.FAMILY_TAGS)
             best = min(f["nps"] for f in inst["fits"].values())
@@ -108,7 +109,7 @@ class TestPipelineOutputs:
         lines = (pipeline / "nps_summary.csv").read_text().splitlines()
         assert lines[0] == "timestep,family,mean_nps,sd_nps,instances"
         seen = {line.split(",")[0] for line in lines[1:]}
-        assert seen == set(cli._TIMESTEP_ORDER)
+        assert seen == set(cmd_fit._TIMESTEP_ORDER)
         for line in lines[1:]:
             _, _, mean, sd, n = line.split(",")
             assert float(mean) >= 1.0
@@ -123,7 +124,7 @@ class TestPipelineOutputs:
         assert len(lines) > 1
         for line in lines[1:]:
             timestep, comparison, t, df, p, degenerate = line.split(",")
-            assert timestep in cli._TIMESTEP_ORDER
+            assert timestep in cmd_fit._TIMESTEP_ORDER
             assert comparison in ("dw_vs_bb", "dw_vs_pow")
             assert math.isfinite(float(t))
             assert float(df) > 0.0
@@ -606,7 +607,8 @@ class TestImportBoundary:
                 "sys.exit(code)")
         proc = _python(code, *argv, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        return set(proc.stdout.split())
+        # the last line: --help prints its text first
+        return set(proc.stdout.splitlines()[-1].split())
 
     @staticmethod
     def _among(loaded, packages):
@@ -649,6 +651,60 @@ class TestImportBoundary:
         assert "lobfit.synth" in loaded
         assert self._among(loaded, ("dataclasses",)) == []
 
+    # each command's code is in its own module, which only it loads
+    _COMMANDS = ("synth", "rates", "fit", "cancel-test")
+    _CLI_ALONE = {"lobfit", "lobfit.cli", "lobfit.errors"}
+
+    @staticmethod
+    def _own(loaded):
+        """The lobfit modules among ``loaded``."""
+        return {name for name in loaded
+                if name == "lobfit" or name.startswith("lobfit.")}
+
+    @pytest.fixture(scope="class")
+    def per_command(self, run, tmp_path_factory):
+        """The modules each command has loaded when it has finished."""
+        out, loaded = run
+        return {
+            "synth": self._loaded(
+                "synth", "--days", "1", "--orders-per-day", "50", "--out",
+                str(tmp_path_factory.mktemp("synth"))),
+            "rates": loaded,
+            "fit": self._loaded("fit", str(out / "rates.csv"), "--families",
+                                "geo", "--out", str(out / "per_command")),
+            "cancel-test": self._loaded("cancel-test",
+                                        str(out / "cancels.csv"),
+                                        "--out", str(out / "per_command")),
+        }
+
+    def test_cli_import_loads_errors_alone(self):
+        probe = ("import sys; import lobfit.cli; "
+                 "print(*sorted(sys.modules))")
+        proc = _python(probe)
+        assert proc.returncode == 0, proc.stderr
+        assert self._own(proc.stdout.split()) == self._CLI_ALONE
+
+    def test_fit_and_cancel_test_load_no_feed(self, per_command):
+        for command in ("fit", "cancel-test"):
+            assert "lobfit.rates" in per_command[command]
+            assert "lobfit.feed" not in per_command[command], command
+
+    def test_each_command_loads_its_own_module_alone(self, per_command):
+        modules = {command: "lobfit.cmd_" + command.replace("-", "_")
+                   for command in self._COMMANDS}
+        for command, loaded in per_command.items():
+            assert {module for module in modules.values()
+                    if module in loaded} == {modules[command]}, command
+            # the fork pool, for the commands that spread work over CPUs
+            assert ("lobfit.pool" in loaded) == (
+                command in ("rates", "fit")), command
+
+    @pytest.mark.parametrize("command", (None,) + _COMMANDS)
+    def test_help_loads_no_command_module(self, command):
+        # the parser is literal: --help needs nothing but cli
+        loaded = self._loaded(*filter(None, [command]), "--help")
+        assert self._own(loaded) == self._CLI_ALONE
+
 
 def _no_child_left():
     """True when this process has no child, running or unreaped."""
@@ -662,14 +718,14 @@ def _no_child_left():
 class TestMapOnCpus:
     @pytest.fixture(params=[1, 2, 4])
     def cpus(self, request, monkeypatch):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: request.param)
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: request.param)
         return request.param
 
     @pytest.mark.parametrize("n_items", [0, 1, 3, 9])
     def test_results_in_item_order_one_process_per_worker(self, cpus,
                                                           n_items):
         items = [f"item{i}" for i in range(n_items)]
-        out = cli._map_on_cpus(lambda item: (item.upper(), os.getpid()),
+        out = pool._map_on_cpus(lambda item: (item.upper(), os.getpid()),
                                items)
         assert [value for value, _ in out] == [i.upper() for i in items]
         workers = {pid for _, pid in out}
@@ -686,7 +742,7 @@ class TestMapOnCpus:
             return item
 
         with pytest.raises(error) as info:
-            cli._map_on_cpus(fn, list(range(9)))
+            pool._map_on_cpus(fn, list(range(9)))
         assert type(info.value) is error
         assert str(info.value) == "item 5 is bad"
         assert _no_child_left()
@@ -697,8 +753,8 @@ class TestMapOnCpus:
                 os._exit(9)
             return item
 
-        with pytest.raises(cli.WorkerDied, match="exit status 9") as info:
-            cli._map_on_cpus(fn, list(range(9)))
+        with pytest.raises(pool.WorkerDied, match="exit status 9") as info:
+            pool._map_on_cpus(fn, list(range(9)))
         assert not isinstance(info.value, (LobfitError, OSError, ValueError))
         assert _no_child_left()
 
@@ -708,10 +764,10 @@ class TestMapOnCpus:
 
         # each worker would run for a minute; the parent fails at once,
         # when it opens the first pipe
-        monkeypatch.setattr(cli, "open", refuse, raising=False)
+        monkeypatch.setattr(pool, "open", refuse, raising=False)
         start = time.monotonic()
         with pytest.raises(OSError, match="no reading today"):
-            cli._map_on_cpus(lambda item: time.sleep(60), [None] * cpus)
+            pool._map_on_cpus(lambda item: time.sleep(60), [None] * cpus)
         assert time.monotonic() - start < 30
         assert _no_child_left()
 
@@ -829,7 +885,7 @@ def _serial_rates(paths, flags, out, where=None):
     file being read to the list ``where``, if given."""
     args = cli.build_parser().parse_args(
         ["rates", *map(str, paths), *flags, "--out", str(out)])
-    granularities = cli.parse_granularities(args.granularity)
+    granularities = cmd_rates.parse_granularities(args.granularity)
     store = rates.TallyStore()
     sides = (tuple(feed.Side) if args.side == "both"
              else (feed.Side[args.side.upper()],))
@@ -1088,7 +1144,7 @@ class TestRatesErrorsNameTheFile:
         with pytest.raises(TruncatedFrame) as cut:
             feed.frame_at(data, last)
         assert str(cut.value).startswith("message needs ")
-        _, fault = cli._session_runs(paths)
+        _, fault = cmd_rates._session_runs(paths)
         assert type(fault) is TruncatedFrame
         assert _rates_error(paths, tmp_path / "out") == (
             1, f"error: {paths[0]}: frame at byte {last}: {cut.value}\n")
@@ -1106,11 +1162,11 @@ class TestRatesErrorsNameTheFile:
         data[offset + 13] ^= 1  # bit 32 of the order id
         with open(paths[1], "wb") as fh:
             fh.write(data)
-        runs, fault = cli._session_runs(paths)
+        runs, fault = cmd_rates._session_runs(paths)
         assert fault is None
         run = next(run for run in runs if run[0] == 1)
         assert [path for path, *_ in run[1]] == paths
-        _, error = cli._tally_run(run, 1, TickReference.SAME_SIDE)
+        _, error = cmd_rates._tally_run(run, 1, TickReference.SAME_SIDE)
         assert type(error) is UnknownOrderId
         assert _rates_error(paths, tmp_path / "out") == (
             1, f"error: {paths[1]}: session 2017-08-02: "
@@ -1294,6 +1350,29 @@ class TestExitCodes:
                          for row in rows[1:16]] + rows[16:]))
         no_such_month = edited("cancels.csv", "no_such_month", per_row(
             lambda i, row: ["monthly:2017-13"] + row[1:] if i == 1 else row))
+
+        def field(name, column, line, text):
+            """``name`` with field ``column`` of file line ``line`` set."""
+            return edited(name, f"{column}_{line}", per_row(
+                lambda i, row: (row[:column] + [text] + row[column + 1:]
+                                if i == line - 1 else row)))
+
+        # ticks, quantities and counts are whole numbers in ASCII digits
+        # alone, and a count is 1 or more: (command, file, column, line,
+        # field, error)
+        numbers = (
+            ("fit", "rates.csv", 3, 2, "-5", "bad quantity '-5'"),
+            ("fit", "rates.csv", 3, 3, "1_0", "bad quantity '1_0'"),
+            ("fit", "rates.csv", 2, 2, "+1", "bad tick '+1'"),
+            ("fit", "rates.csv", 2, 3, " 2", "bad tick ' 2'"),
+            ("fit", "rates.csv", 3, 4, "\u0663", "bad quantity '\u0663'"),
+            ("cancel-test", "cancels.csv", 3, 2, "0",
+             "bad count 0; expected at least 1"),
+            ("cancel-test", "cancels.csv", 3, 3, "-2", "bad count '-2'"),
+            ("cancel-test", "cancels.csv", 3, 4, "+5", "bad count '+5'"),
+            ("cancel-test", "cancels.csv", 2, 2, "\u0661",
+             "bad tick '\u0661'"),
+        )
         for command, path, where, what in (
                 ("fit", side_up, ":2:", "bad side 'up'"),
                 ("fit", no_quantity, ":1:", "missing column(s) quantity"),
@@ -1308,7 +1387,10 @@ class TestExitCodes:
                 ("fit", respelled, ":17:",
                  f"bad bucket label {bucket.replace('-', '')!r}"),
                 ("cancel-test", no_such_month, ":2:",
-                 "bad bucket label 'monthly:2017-13'")):
+                 "bad bucket label 'monthly:2017-13'"),
+                *((command, field(name, column, line, text), f":{line}:",
+                   what)
+                  for command, name, column, line, text, what in numbers)):
             capsys.readouterr()
             assert cli.main([command, str(path),
                              "--out", str(tmp_path / "out")]) == 1

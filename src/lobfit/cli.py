@@ -37,7 +37,10 @@ the arguments parse, and which loads what that command runs:
 
 Without bytecode caches (``PYTHONDONTWRITEBYTECODE``), a command
 compiles every module it imports from source, so each compiles only
-its own code; ``--help`` compiles none of these.
+its own code; ``--help`` compiles none of these.  Only ``cmd_synth``
+imports from this module (``parse_model``), so ``python -m lobfit.cli``
+compiles this file a second time, as ``lobfit.cli``, for ``synth``
+alone.
 
 Every command is deterministic: identical inputs and flags produce
 byte-identical outputs.  Exit codes: 0 success, 1 input problem
@@ -60,19 +63,13 @@ from lobfit.errors import LobfitError
 
 # --- argument parsing helpers ---
 
-def _shorthands() -> dict[str, str]:
-    """Family shorthand -> family tag, in the families' canonical order."""
-    from lobfit import dist
-    return {cls.shorthand: tag for tag, cls in dist.FAMILY_TAGS.items()}
-
-
 def parse_model(text: str):
     """Build a model family from shorthand syntax like ``dw:0.8,1.2``."""
     # imported here: only the commands that take a model need the
     # families
     from lobfit import dist
 
-    shorthands = _shorthands()
+    shorthands = dist.SHORTHANDS
     head, sep, tail = text.partition(":")
     tag = shorthands.get(head.strip())
     if tag is None or not sep:
@@ -91,18 +88,6 @@ def parse_model(text: str):
             f"{head} takes {arity} parameter(s), "
             f"got {len(values)} in {text!r}")
     return family(*values)
-
-
-# --- helpers more than one command uses ---
-
-def _instance_sort_key(inst: dict) -> tuple:
-    from lobfit import rates
-    return rates.BucketKey(*rates.parse_bucket_label(inst["bucket_key"]),
-                           inst["side"]).sort_key()
-
-
-def _warn(message: str) -> None:
-    print(f"warning: {message}", file=sys.stderr)
 
 
 # --- wiring ---

@@ -2,7 +2,7 @@
 
 Only this command loads this module.  It loads ``rates`` and ``stats``,
 and not ``feed``; without bytecode caches, a command compiles every
-module it imports.
+module it imports.  It imports nothing from ``lobfit.cli``.
 """
 
 from __future__ import annotations
@@ -10,20 +10,19 @@ from __future__ import annotations
 import os
 
 from lobfit import rates, stats
-from lobfit.cli import _instance_sort_key, _warn
-from lobfit.errors import AllZero, DomainError, MissingTicks
+from lobfit.errors import AllZero, DomainError, MissingTicks, warn
 from lobfit.rates import Granularity
 
 
 def cmd_cancel_test(args) -> None:
-    instances = rates.read_cancels_csv(args.cancels)
-    tested = [inst for inst in instances
-              if inst["granularity"] in (Granularity.WEEKLY,
-                                         Granularity.MONTHLY)]
-    tested.sort(key=_instance_sort_key)
+    # in BucketKey order, as the reader returns them
+    tested = [inst for inst in rates.read_cancels_csv(args.cancels)
+              if inst["key"].granularity in (Granularity.WEEKLY,
+                                             Granularity.MONTHLY)]
     rows = []
     for inst in tested:
-        label = f"{inst['bucket_key']} {inst['side'].name.lower()}"
+        key = inst["key"]
+        bucket, side = key.label, key.side.name.lower()
         try:
             if any(r is None for r in inst["mean_ratio"]):
                 absent = [i + 1 for i, r in enumerate(inst["mean_ratio"])
@@ -31,10 +30,9 @@ def cmd_cancel_test(args) -> None:
                 raise MissingTicks(f"no cancels in ticks {absent}")
             result = stats.chi_square_uniformity(inst["mean_ratio"])
         except (MissingTicks, AllZero, DomainError) as exc:
-            _warn(f"skipping {label}: {exc}")
+            warn(f"skipping {bucket} {side}: {exc}")
             continue
-        rows.append((inst["bucket_key"], inst["side"].name.lower(),
-                     result.statistic, result.p_value))
+        rows.append((bucket, side, result.statistic, result.p_value))
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "chi_square.csv"), "w",
               newline="") as fh:

@@ -3,7 +3,7 @@
 Only this command loads this module.  It loads ``rates``, ``dist``,
 ``kernels``, ``stats`` and the fork pool in ``lobfit.pool``, and not
 ``feed``; without bytecode caches, a command compiles every module it
-imports.
+imports.  It imports nothing from ``lobfit.cli``.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ import re
 import statistics
 
 from lobfit import dist, rates, stats
-from lobfit.cli import _instance_sort_key, _shorthands, _warn
 from lobfit.errors import (DomainError, InsufficientData, LobfitError,
-                           ZeroVariance)
+                           ZeroVariance, warn)
 from lobfit.pool import _map_on_cpus
 from lobfit.rates import Granularity, Side
 
@@ -27,7 +26,7 @@ _COMPARISONS = (("dw_vs_bb", "discrete_weibull", "beta_binomial"),
 
 
 def parse_families(text: str) -> list[str]:
-    shorthands = _shorthands()
+    shorthands = dist.SHORTHANDS
     tags = []
     for part in text.split(","):
         tag = shorthands.get(part.strip())
@@ -57,11 +56,12 @@ def _failure_reason(exc: LobfitError) -> str:
 
 def _fit_instance(inst: dict, families, truncated: bool) -> dict:
     density = inst["density"]
+    key = inst["key"]
     record = {
-        "bucket_key": inst["bucket_key"],
-        "side": inst["side"].name.lower(),
-        "granularity": inst["granularity"].value,
-        "timestep": _timestep(inst["granularity"], inst["side"]),
+        "bucket_key": key.label,
+        "side": key.side.name.lower(),
+        "granularity": key.granularity.value,
+        "timestep": _timestep(key.granularity, key.side),
         "total_quantity": sum(inst["quantity"]),
         "fits": {},
         "failed": {},
@@ -96,10 +96,9 @@ def cmd_fit(args) -> None:
     instances = rates.read_rates_csv(args.rates)
     if not instances:
         raise LobfitError(f"no instances in {args.rates}")
-    instances.sort(key=_instance_sort_key)
     # each instance's fit depends on no other, and the pool keeps the
-    # sorted order, so the outputs are the same bytes for any number of
-    # workers
+    # reader's BucketKey order, so the outputs are the same bytes for any
+    # number of workers
     fit_one = functools.partial(_fit_instance, families=families,
                                 truncated=args.truncated_likelihood)
     records = _map_on_cpus(fit_one, instances)
@@ -153,7 +152,7 @@ def cmd_fit(args) -> None:
                 try:
                     result = stats.welch_t_test(a, b, tails=args.tail)
                 except (DomainError, InsufficientData, ZeroVariance) as exc:
-                    _warn(f"{timestep} {name}: {exc}")
+                    warn(f"{timestep} {name}: {exc}")
                     continue
                 fh.write(f"{timestep},{name},{result.statistic!r},"
                          f"{result.df!r},{result.p_value!r},"

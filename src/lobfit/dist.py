@@ -14,7 +14,8 @@ Each family is one class.  It carries its ``tag`` (the name in
 ``fits.json``), its command-line ``shorthand``, ``masses(ticks)`` (its
 unnormalized masses on ticks 1..ticks) and a static ``fit(weights,
 truncated)``, its natural estimator on a normalized density.
-``FAMILY_TAGS`` maps each tag to its class.
+``FAMILY_TAGS`` maps each tag to its class, and ``SHORTHANDS`` each
+shorthand to its tag, both in the families' canonical order.
 
 The families, ``FitResult`` and the generator's spec are records:
 plain ``__slots__`` classes on ``Record``, which gives them their
@@ -59,6 +60,7 @@ __all__ = [
     "PowerLaw",
     "FitResult",
     "FAMILY_TAGS",
+    "SHORTHANDS",
     "tick_curve",
     "fit_family",
 ]
@@ -322,6 +324,7 @@ class PowerLaw(Record):
 
 FAMILY_TAGS = {cls.tag: cls for cls in (Geometric, DiscreteWeibull,
                                         BetaBinomial, Exponential, PowerLaw)}
+SHORTHANDS = {cls.shorthand: tag for tag, cls in FAMILY_TAGS.items()}
 _FAMILIES = tuple(FAMILY_TAGS.values())
 
 

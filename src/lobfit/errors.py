@@ -4,8 +4,15 @@ Every error raised on purpose by this package derives from LobfitError,
 so callers can catch one base class at pipeline boundaries.  The feed
 codec errors additionally share the FormatError base: anything that goes
 wrong while parsing bytes is a FormatError, which the CLI maps to the
-"bad input" exit code.
+"bad input" exit code.  ``warn`` is how a command reports what it
+skipped without failing.
 """
+
+import sys
+
+
+def warn(message: str) -> None:
+    print(f"warning: {message}", file=sys.stderr)
 
 
 class LobfitError(Exception):

@@ -27,9 +27,15 @@ granularities and sides it writes from the views.
 
 ``tally_stream`` is the hot loop, the replay ``lobfit rates`` runs: it
 goes from wire bytes to cube increments and builds no object per
-message.  It and the generator in ``synth`` write into a session's cube
-(``TallyStore.session_cube``) at the row bases of one pair of tables,
-``ARRIVAL_ROWS`` and ``CANCEL_ROWS``.
+message.  Bids and asks take one path through it: a session's price
+ladders and best prices are pairs indexed by side, and each side's
+ticks are measured from the best price ``ref`` of the side its
+``TickReference`` names, as ``((price - ref if side else ref - price)
++ shift) // tick_size`` clamped to 1, where ``shift`` is one tick for
+the same side and none for the opposite.  It and the generator in
+``synth`` write into a session's cube (``TallyStore.session_cube``)
+at the row bases of one pair of tables, ``ARRIVAL_ROWS`` and
+``CANCEL_ROWS``.
 
 ``accumulate_event``, which tallies one ``BookEvent``, lives in
 ``lobfit.book`` with the rest of the object-level reference model that
@@ -466,11 +472,15 @@ def tally_stream(store: TallyStore, blobs: Iterable[bytes],
                                 is TickReference.SAME_SIDE)
                         # same side: tick = gap // T + 1; opposite: gap // T
                         shift = tick_size if same else 0
+                        # per side, the side whose best price its ticks
+                        # are measured from
+                        measured = (0, 1) if same else (1, 0)
                         day = session_id_to_date(session_id)
-                        # price -> resting quantity, per side; order id ->
-                        # (side, price, remaining); cached best prices
-                        bids, asks, orders = {}, {}, {}
-                        bid = ask = cube = None
+                        # per side (bids, asks): price -> resting quantity
+                        # and the cached best price; order id -> (side,
+                        # price, remaining)
+                        ladders, best, orders = ({}, {}), [None, None], {}
+                        cube = None
                     hour = ts // NS_PER_HOUR
                     order_id = body[1]
                     if kind is add:
@@ -492,17 +502,13 @@ def tally_stream(store: TallyStore, blobs: Iterable[bytes],
                                 f"order {order_id}: {quantity} exceeds "
                                 f"remaining {remaining}")
                         # the tick against the book before the removal
-                        if side:
-                            ref = ask if same else bid
-                            tick = (1 if ref is None
-                                    else (price - ref + shift) // tick_size)
-                        else:
-                            ref = bid if same else ask
-                            tick = (1 if ref is None
-                                    else (ref - price + shift) // tick_size)
+                        ref = best[measured[side]]
+                        tick = (1 if ref is None else
+                                ((price - ref if side else ref - price)
+                                 + shift) // tick_size)
                         if tick < 1:
                             tick = 1
-                        ladder = asks if side else bids
+                        ladder = ladders[side]
                         before = ladder[price]
                         if quantity == remaining:
                             del orders[order_id]
@@ -512,11 +518,10 @@ def tally_stream(store: TallyStore, blobs: Iterable[bytes],
                         if before == quantity:
                             del ladder[price]
                             # only emptying the best level moves the best
-                            if side:
-                                if price == ask:
-                                    ask = min(ladder) if ladder else None
-                            elif price == bid:
-                                bid = max(ladder) if ladder else None
+                            if price == best[side]:
+                                best[side] = ((min(ladder) if side
+                                               else max(ladder))
+                                              if ladder else None)
                         else:
                             ladder[price] = before - quantity
                         if kind is execute:
@@ -543,22 +548,16 @@ def tally_stream(store: TallyStore, blobs: Iterable[bytes],
                         order_id, price, quantity = body[2], body[3], body[4]
                     # the arrival of an Add or a Replace, measured against
                     # the book before the insert; crossing prices clamp
-                    if side:
-                        ref = ask if same else bid
-                        tick = (1 if ref is None
-                                else (price - ref + shift) // tick_size)
-                        if ask is None or price < ask:
-                            ask = price
-                        ladder = asks
-                    else:
-                        ref = bid if same else ask
-                        tick = (1 if ref is None
-                                else (ref - price + shift) // tick_size)
-                        if bid is None or price > bid:
-                            bid = price
-                        ladder = bids
+                    ref = best[measured[side]]
+                    tick = (1 if ref is None else
+                            ((price - ref if side else ref - price)
+                             + shift) // tick_size)
                     if tick < 1:
                         tick = 1
+                    top = best[side]
+                    if top is None or (price < top if side else price > top):
+                        best[side] = price
+                    ladder = ladders[side]
                     ladder[price] = ladder.get(price, 0) + quantity
                     orders[order_id] = (side, price, quantity)
                     base = ARRIVAL_ROWS[side][hour] if hour < 24 else None
@@ -652,8 +651,9 @@ def _whole(name: str, text: str, least: int = 0) -> int:
 
 def _read_tally_csv(path, ticks: int, columns: dict,
                     complete: bool) -> list[dict]:
-    """Rows of a tally CSV grouped per (bucket, side), in file order.
+    """Rows of a tally CSV grouped per (bucket, side), in BucketKey order.
 
+    Each instance's ``key`` is its BucketKey, parsed from its first row.
     ``columns`` maps each value column to (parse, empty): an instance
     holds ``ticks`` values per column, ``empty`` where no row gave one.
     ``complete`` requires a row for every tick of every instance.  A
@@ -682,10 +682,8 @@ def _read_tally_csv(path, ticks: int, columns: dict,
                 side = _parse_side(side)
                 entry = instances.get((label, side))
                 if entry is None:
-                    granularity, _ = parse_bucket_label(label)
-                    inst = {"bucket_key": label,
-                            "granularity": granularity,
-                            "side": side}
+                    inst = {"key": BucketKey(*parse_bucket_label(label),
+                                             side)}
                     for name, (_, empty) in columns.items():
                         inst[name] = [empty] * ticks
                     entry = instances[(label, side)] = (inst, set())
@@ -708,15 +706,16 @@ def _read_tally_csv(path, ticks: int, columns: dict,
                                     if tick not in seen)
                 raise ValueError(f"{path}: {label} {side.name.lower()} "
                                  f"has no row for tick(s) {lacking}")
-    return [inst for inst, _ in instances.values()]
+    return sorted((inst for inst, _ in instances.values()),
+                  key=lambda inst: inst["key"].sort_key())
 
 
 def read_rates_csv(path) -> list[dict]:
-    """Rows grouped per instance, in file order.
+    """Rows grouped per instance, in BucketKey order.
 
-    Each entry: {"bucket_key", "granularity", "side", "quantity": [15],
-    "density": [15]}.  Every instance needs one row per tick 1..15.
-    Ticks and quantities are whole numbers in ASCII digits.
+    Each entry: {"key": BucketKey, "quantity": [15], "density": [15]}.
+    Every instance needs one row per tick 1..15.  Ticks and quantities
+    are whole numbers in ASCII digits.
     """
     return _read_tally_csv(path, ARRIVAL_TICKS,
                            {"quantity": (partial(_whole, "quantity"), 0),
@@ -725,8 +724,9 @@ def read_rates_csv(path) -> list[dict]:
 
 
 def read_cancels_csv(path) -> list[dict]:
-    """Rows grouped per (bucket, side): count and mean_ratio per tick.
+    """Rows grouped per instance, in BucketKey order.
 
+    Each entry: {"key": BucketKey, "count": [10], "mean_ratio": [10]}.
     Ticks absent from the file stay at count 0 / ratio None.  A row's
     count is a whole number in ASCII digits, 1 or more, since
     ``write_cancels_csv`` writes only ticks with cancels.

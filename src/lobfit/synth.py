@@ -21,11 +21,11 @@ After every arrival, each cancelable resting order (a non-ladder order
 within the first 10 ticks) is canceled independently with the
 configured probability, either in full or by a uniform fraction of its
 remainder: cancels follow what rests (Cont, Stoikov & Talreja 2010).
-Cancels carry the timestamp of the arrival that triggered them.  The
-cancel step has one loop per style: a fraction cancel takes
-``int(share * remaining) or 1`` and drops the order once it is spent,
-and a full cancel pops the order.  Both make the same numpy draws, in
-the same order.
+Cancels carry the timestamp of the arrival that triggered them.  One
+cancel loop serves both styles: a full cancel is a Delete of the whole
+``remaining``, a fraction cancel a Cancel of ``int(share * remaining)
+or 1``, where only the fraction style draws the shares, and an order
+leaves the cancelable set once its amount is its remainder.
 
 Invariant: within a session, from the first ladder pair on,
 ``best_bid`` and ``best_ask`` stay at ``initial_mid - tick_size`` and
@@ -258,11 +258,8 @@ def _generate_session(spec, session_date, rng, cumulative, order_ids,
         for s in Side:
             emit(pack_add(ts, next(order_ids), s, touch[s] + (i - 1) * step[s],
                           _LADDER_QUANTITY))
-            base = arrival_rows[s][ts // _NS_PER_HOUR]
-            if base is None:
-                store.out_of_hours += 1
-            else:
-                arrived[base + i] += _LADDER_QUANTITY
+    # the ladder is placed before the open, so none of it is tallied
+    store.out_of_hours += len(Side) * _LADDER_LEVELS
 
     n = spec.orders_per_day
     offsets = np.sort(rng.integers(0, _SESSION_SPAN, size=n)).tolist()
@@ -306,34 +303,28 @@ def _generate_session(spec, session_date, rng, cumulative, order_ids,
         chosen = sorted(choice(len(candidates), size=hits,
                                replace=False).tolist())
         bases = (cancel_rows[0][hour], cancel_rows[1][hour])
-        if fraction:
-            # PCG64 gives the same doubles in one call as in `hits` calls
-            for idx, share in zip(chosen, uniform(hits).tolist()):
-                oid = candidates[idx]
-                order = live[oid]
-                side, level, remaining = order
+        # only fraction cancels draw shares; PCG64 gives the same doubles
+        # in one call as in `hits` calls
+        shares = uniform(hits).tolist() if fraction else [None] * hits
+        for idx, share in zip(chosen, shares):
+            oid = candidates[idx]
+            order = live[oid]
+            side, level, remaining = order
+            if fraction:
                 amount = int(share * remaining) or 1
                 emit(pack_cancel(ts, oid, amount))
-                row = resting[side]
-                i = bases[side] + level
-                ratio_sum[i] += amount / row[level - 1]
-                count[i] += 1
-                row[level - 1] -= amount
-                remaining -= amount
-                if remaining:
-                    order[2] = remaining
-                else:
-                    del live[oid]
-        else:
-            for idx in chosen:
-                oid = candidates[idx]
-                side, level, amount = live.pop(oid)
+            else:
+                amount = remaining
                 emit(pack_delete(ts, oid))
-                row = resting[side]
-                i = bases[side] + level
-                ratio_sum[i] += amount / row[level - 1]
-                count[i] += 1
-                row[level - 1] -= amount
+            row = resting[side]
+            i = bases[side] + level
+            ratio_sum[i] += amount / row[level - 1]
+            count[i] += 1
+            row[level - 1] -= amount
+            if amount == remaining:
+                del live[oid]
+            else:
+                order[2] = remaining - amount
     flush(packed, last=True)
 
 

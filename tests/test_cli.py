@@ -547,10 +547,15 @@ def test_replay_golden_bytes(tmp_path):
 
 def _python(code, *args, timeout=None):
     """Run ``code`` in a fresh interpreter that imports this lobfit."""
+    return _interpreter("-c", code, *args, timeout=timeout)
+
+
+def _interpreter(*argv, timeout=None):
+    """Run a fresh interpreter that imports this lobfit on ``argv``."""
     src = os.path.dirname(os.path.dirname(lobfit.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+    return subprocess.run([sys.executable, *argv], env=env,
                           capture_output=True, text=True, timeout=timeout)
 
 
@@ -698,6 +703,24 @@ class TestImportBoundary:
             # the fork pool, for the commands that spread work over CPUs
             assert ("lobfit.pool" in loaded) == (
                 command in ("rates", "fit")), command
+
+    @pytest.mark.parametrize("command, tally", (
+        ("fit", "rates.csv"), ("cancel-test", "cancels.csv")))
+    def test_module_entry_compiles_cli_once(self, run, command, tally):
+        # ``python -m lobfit.cli`` runs cli.py as __main__; a command
+        # module that imported from lobfit.cli would compile it again
+        out, _ = run
+        proc = _interpreter("-X", "importtime", "-m", "lobfit.cli", command,
+                            str(out / tally), "--out",
+                            str(out / "module_entry"), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        imported = [line.rpartition("|")[2].strip()
+                    for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")]
+        # importlib.import_module, which loads the command's module, is
+        # not traced, but the imports that module makes are
+        assert "lobfit.rates" in imported
+        assert "lobfit.cli" not in imported
 
     @pytest.mark.parametrize("command", (None,) + _COMMANDS)
     def test_help_loads_no_command_module(self, command):

@@ -461,12 +461,11 @@ def test_rates_csv_round_trip(tmp_path):
     rates.write_rates_csv(store.arrivals, path)
     instances = rates.read_rates_csv(path)
     assert len(instances) == len(store.arrivals)
-    by_key = {(i["bucket_key"], i["side"]): i for i in instances}
+    by_key = {i["key"]: i for i in instances}
     for key, tally in store.arrivals.items():
-        inst = by_key[(key.label, key.side)]
+        inst = by_key[key]
         assert inst["quantity"] == tally.quantity
         assert inst["density"] == arrival_density(tally)
-        assert inst["granularity"] is key.granularity
 
 
 def test_cancels_csv_round_trip(tmp_path):
@@ -477,9 +476,10 @@ def test_cancels_csv_round_trip(tmp_path):
     path = tmp_path / "cancels.csv"
     rates.write_cancels_csv(store.cancels, path)
     instances = rates.read_cancels_csv(path)
-    by_key = {(i["bucket_key"], i["side"]): i for i in instances}
+    assert len(instances) == len(store.cancels)
+    by_key = {i["key"]: i for i in instances}
     for key, tally in store.cancels.items():
-        inst = by_key[(key.label, key.side)]
+        inst = by_key[key]
         assert inst["count"] == tally.count
         expected = cancellation_ratio(tally)
         for got, want in zip(inst["mean_ratio"], expected):
@@ -487,6 +487,25 @@ def test_cancels_csv_round_trip(tmp_path):
                 assert got is None
             else:
                 assert got == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize("writer, reader, views", [
+    (rates.write_rates_csv, rates.read_rates_csv, "arrivals"),
+    (rates.write_cancels_csv, rates.read_cancels_csv, "cancels")],
+    ids=["rates", "cancels"])
+def test_tally_csv_reads_a_shuffled_file_in_key_order(tmp_path, writer,
+                                                       reader, views):
+    days = weekdays(dt.date(2017, 8, 1), 5)
+    store = TallyStore()
+    for day, ev in random_events(27, days):
+        accumulate_event(store, ev, day)
+    path = tmp_path / "tally.csv"
+    writer(getattr(store, views), path)
+    header, *rows = path.read_text().splitlines(keepends=True)
+    random.Random(27).shuffle(rows)
+    path.write_text(header + "".join(rows))
+    keys = [inst["key"] for inst in reader(path)]
+    assert keys == sorted(getattr(store, views), key=BucketKey.sort_key)
 
 
 def one_instance_csv(path, header, rows):

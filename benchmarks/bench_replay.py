@@ -2,14 +2,15 @@
 """Benchmark the synth and replay stages of ``lobfit`` one at a time.
 
 One seeded synthetic stream is generated once, then each stage runs
-alone on the previous stage's output, held in memory.  Some rows time
-code that the commands run:
+alone on the previous stage's output, held in memory.  Every row times
+code that a command runs:
 
 * ``synth.generate``: the whole generator, with its own tally and
   encoding, from the spec to the stream bytes (``lobfit synth``);
 * ``feed.session_framer``: the framing ``synth`` uses, over the
-  stream's messages packed one session at a time, flushed once a
-  frame's messages are packed, as ``synth`` flushes;
+  stream's messages packed one session at a time by ``feed``'s packers
+  from the pairs ``feed.frame_at`` decodes, flushed once a frame's
+  messages are packed, as ``synth`` flushes;
 * ``feed.frame_at``: decode the stream bytes into ``(kind, body)``
   pairs, frame by frame, the decoder ``rates.tally_stream`` runs;
 * ``feed.session_runs``: split the stream bytes into one run of frames
@@ -22,31 +23,18 @@ code that the commands run:
   fresh ``TallyStore``, decode, book and tally in one loop, as
   ``lobfit rates`` runs it on each session.
 
-The other rows time the object-level API in ``lobfit.book``, which no
-command runs: it is kept plain, as the reference the tests hold the
-fast paths to.  Their names are the ``feed`` and ``rates`` names, which
-still resolve to ``lobfit.book``, so rows compare across versions.
-
-* ``feed.encode_frame``: the encoder, over the decoded frames;
-* ``feed.iter_frames``: decode the stream bytes into frames;
-* ``feed.iter_stream``: the session, sequence and timestamp checks over
-  the decoded frames;
-* ``OrderBook.apply``: every message through one book per session;
-* ``rates.accumulate_event``: every book event into a fresh
-  ``TallyStore``, one event at a time.
-
-Tally reports events/s and every other stage messages/s.  Each time is
-the best over ``--repeats`` rounds, and every round runs each stage
-once, so a slow spell of a shared host costs one repeat of each stage
-rather than every repeat of one.  For end-to-end and per-layer numbers
-of the whole pipeline use ``perfbench/run.py``.
+Every stage reports messages/s.  Each time is the best over
+``--repeats`` rounds, and every round runs each stage once, so a slow
+spell of a shared host costs one repeat of each stage rather than
+every repeat of one.  For end-to-end and per-layer numbers of the
+whole pipeline use ``perfbench/run.py``.
 
 ``--append PATH`` also appends one record of the run to the JSON list
 in PATH (created if missing): the commit of the ``lobfit`` source
 measured, with ``-dirty`` if its files differ from that commit, the
 arguments, and for each stage its unit and the median and quartiles of
-its rate over the repeats.  The object-level reference rows stay out
-of the record.  ``bench_kernels.py`` writes the same record.
+its rate over the repeats.  ``bench_kernels.py`` writes the same
+record.
 
 Run:
 
@@ -63,12 +51,7 @@ import subprocess
 import time
 
 import lobfit
-from lobfit import book, dist, feed, rates, synth
-
-# rows that time the object-level API no command runs
-REFERENCE_STAGES = frozenset({
-    "feed.encode_frame", "feed.iter_frames", "feed.iter_stream",
-    "OrderBook.apply", "rates.accumulate_event"})
+from lobfit import dist, feed, rates, synth
 
 
 def round_times(jobs, repeats):
@@ -123,11 +106,6 @@ def append_record(path, bench, args, rows):
         fh.write("\n")
 
 
-def encode(frames):
-    for frame in frames:
-        book.encode_frame(frame)
-
-
 def frame_sessions(packed):
     frames = []
     for session_id, messages in packed:
@@ -146,36 +124,10 @@ def decode_pairs(blob):
         *_, offset = feed.frame_at(blob, offset)
 
 
-def decode(blob):
-    for _ in book.iter_frames(blob):
-        pass
-
-
 def split(blob):
     _, fault = feed.session_runs([blob])
     if fault is not None:
         raise fault[2]
-
-
-def stream_check(frames):
-    for _ in book.iter_stream(frames):
-        pass
-
-
-def replay_book(messages):
-    books = {}
-    for session_id, msg in messages:
-        session_book = books.get(session_id)
-        if session_book is None:
-            session_book = books[session_id] = book.OrderBook()
-        session_book.apply(msg)
-
-
-def tally(events):
-    store = rates.TallyStore()
-    accumulate = book.accumulate_event
-    for event, day in events:
-        accumulate(store, event, day)
 
 
 def parse_args():
@@ -206,7 +158,7 @@ def stream_spec(args):
 def print_table(stages, repeats):
     """Time ``(name, job, items, unit)`` stages and print their rates.
 
-    Returns the record rows of the stages that commands run.
+    Returns their record rows.
     """
     name_width = max(len(name) for name, *_ in stages)
     header = (f"{'stage':<{name_width}}  {'items':>8}  {'time':>9}  "
@@ -219,8 +171,7 @@ def print_table(stages, repeats):
         elapsed = min(samples)
         print(f"{name:<{name_width}}  {items:>8,}  {elapsed * 1e3:>7.1f}ms  "
               f"{items / elapsed:>10,.0f} {unit}")
-        if name not in REFERENCE_STAGES:
-            rows.append(stage_row(name, unit, [items / t for t in samples]))
+        rows.append(stage_row(name, unit, [items / t for t in samples]))
     return rows
 
 
@@ -228,41 +179,30 @@ def main():
     args = parse_args()
     spec = stream_spec(args)
     blob, _ = synth.generate(spec)
-    frames = list(book.iter_frames(blob))
-    messages = list(book.iter_stream(frames))
+    # each session's messages as synth packs them, in stream order
     packed = {}
-    for session_id, msg in messages:
-        packed.setdefault(session_id, []).append(book.encode_message(msg))
+    offset = n_frames = 0
+    while offset < len(blob):
+        session_id, _, messages, offset = feed.frame_at(blob, offset)
+        packed.setdefault(session_id, []).extend(
+            feed._PACK[kind](*body) for kind, body in messages)
+        n_frames += 1
     packed = list(packed.items())
-    books = {}
-    events = []
-    for session_id, msg in messages:
-        if session_id not in books:
-            books[session_id] = (book.OrderBook(),
-                                 rates.session_id_to_date(session_id))
-        session_book, day = books[session_id]
-        events.extend((event, day) for event in session_book.apply(msg))
 
-    n_msgs = len(messages)
+    n_msgs = sum(len(messages) for _, messages in packed)
     stages = [
         ("synth.generate", lambda: synth.generate(spec), n_msgs, "msg/s"),
-        ("feed.encode_frame", lambda: encode(frames), n_msgs, "msg/s"),
         ("feed.session_framer", lambda: frame_sessions(packed), n_msgs,
          "msg/s"),
         ("feed.frame_at", lambda: decode_pairs(blob), n_msgs, "msg/s"),
-        ("feed.iter_frames", lambda: decode(blob), n_msgs, "msg/s"),
         ("feed.session_runs", lambda: split(blob), n_msgs, "msg/s"),
-        ("feed.iter_stream", lambda: stream_check(frames), n_msgs, "msg/s"),
-        ("OrderBook.apply", lambda: replay_book(messages), n_msgs, "msg/s"),
-        ("rates.accumulate_event", lambda: tally(events), len(events),
-         "event/s"),
         ("rates.tally_stream",
          lambda: rates.tally_stream(rates.TallyStore(), [blob]), n_msgs,
          "msg/s"),
     ]
     print(f"stream: {args.days} day(s) x {args.orders_per_day} orders, "
-          f"seed {args.seed}: {len(blob):,} bytes, {len(frames)} frames, "
-          f"{n_msgs:,} messages, {len(events):,} events")
+          f"seed {args.seed}: {len(blob):,} bytes, {n_frames} frames, "
+          f"{n_msgs:,} messages")
     rows = print_table(stages, args.repeats)
     if args.append:
         append_record(args.append, "bench_replay", args, rows)

@@ -1,5 +1,8 @@
 """``lobfit cancel-test``: chi-square uniformity of cancellation ratios.
 
+A run that tests no weekly or monthly bucket is an error: it names how
+many were skipped and why, and writes no ``chi_square.csv``.
+
 Only this command loads this module.  It loads ``rates`` and ``stats``,
 and not ``feed``; without bytecode caches, a command compiles every
 module it imports.  It imports nothing from ``lobfit.cli``.
@@ -10,8 +13,14 @@ from __future__ import annotations
 import os
 
 from lobfit import rates, stats
-from lobfit.errors import AllZero, DomainError, MissingTicks, warn
+from lobfit.errors import (AllZero, DomainError, LobfitError, MissingTicks,
+                           warn)
 from lobfit.rates import Granularity
+
+# why a bucket was skipped, as the error of a run that tests none says it
+_SKIPPED = {MissingTicks: "with a tick that has no cancels",
+            AllZero: "whose ratios round to zero counts",
+            DomainError: "with a ratio outside [0, 1]"}
 
 
 def cmd_cancel_test(args) -> None:
@@ -20,6 +29,7 @@ def cmd_cancel_test(args) -> None:
               if inst["key"].granularity in (Granularity.WEEKLY,
                                              Granularity.MONTHLY)]
     rows = []
+    skipped = {}
     for inst in tested:
         key = inst["key"]
         bucket, side = key.label, key.side.name.lower()
@@ -31,8 +41,14 @@ def cmd_cancel_test(args) -> None:
             result = stats.chi_square_uniformity(inst["mean_ratio"])
         except (MissingTicks, AllZero, DomainError) as exc:
             warn(f"skipping {bucket} {side}: {exc}")
+            skipped[type(exc)] = skipped.get(type(exc), 0) + 1
             continue
         rows.append((bucket, side, result.statistic, result.p_value))
+    if not rows:
+        why = "".join(f", {count} {_SKIPPED[kind]}"
+                      for kind, count in skipped.items())
+        raise LobfitError(f"{args.cancels}: tested no weekly or monthly "
+                          f"bucket: {len(tested)} skipped{why}")
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "chi_square.csv"), "w",
               newline="") as fh:

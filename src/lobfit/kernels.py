@@ -37,11 +37,9 @@ in the same left-to-right order, a power that overflows becomes +inf at
 that tick alone, and the overflow shortcuts below fire only where the
 per-tick form returned +inf as well.
 
-The Weibull pass tests nothing per tick: it takes ln(prev - cur) of
-every cell, zero weights included, and falls back to a checked pass
-over ``dw_masses`` as soon as ``t ** beta`` overflows or a cell's mass
-is not positive, which is where the two could differ.  Both give the
-same float, bit for bit.
+The Weibull pass forms each cell as ``dw_masses`` does and guards it
+where it is computed, so a cell without mass costs +inf only under a
+nonzero weight.
 
 The simplex keeps its three vertices sorted best first.  A reflect,
 expand or contract step replaces only the worst vertex, so only that
@@ -97,10 +95,10 @@ def dw_masses(lq: float, beta: float, n: int) -> list[float]:
     prev = 1.0  # survival q^((t-1)^beta) at t = 1
     for t in _ticks(n):
         try:
-            power = t ** beta
+            x = t ** beta * lq
         except OverflowError:
-            power = _INF
-        cur = exp(power * lq)
+            x = -_INF
+        cur = exp(x)
         out.append(prev - cur)
         prev = cur
     return out
@@ -112,34 +110,28 @@ def _dw_nll(sumw, rows, z0: float, z1: float) -> float:
     beta = _INF if z1 > _EXP_CAP else exp(z1)
     if not lq < 0.0 or lq == -_INF or not isfinite(beta):
         return _INF
-    # tick**beta >= 1 and ln q < 0, so exp() below gets an exponent
-    # <= 0 (never NaN) and neither overflows nor reaches the cap.  While
-    # every power is finite and every cell has mass, a zero weight
-    # subtracts a signed zero, which leaves the sum (never -0.0) as it
-    # is; otherwise the checked pass gives +inf only where a cell
-    # without mass has a nonzero weight
+    # tick**beta >= 1 and ln q < 0, so x <= 0 (never NaN) and exp()
+    # neither overflows nor reaches the cap.  A zero weight on a cell
+    # with mass subtracts a signed zero, which leaves the sum (never
+    # -0.0) as it is
     nll = 0.0
-    prev = 1.0  # survival q^((i-1)^beta) at i = 1
-    try:
-        for t, wi in rows:
-            cur = exp(t ** beta * lq)
-            nll -= wi * log(prev - cur)
-            prev = cur
-    except (OverflowError, ValueError):
-        nll = 0.0
-        for p, (_, wi) in zip(dw_masses(lq, beta, len(rows)), rows):
-            if wi != 0.0:
-                if not p > 0.0:
-                    return _INF
-                nll -= wi * log(p)
-    if sumw is not None:
-        # ln of the window's mass 1 - e^x, x = n^beta ln q < 0, taken
-        # as log1p(-e^x) where e^x < 1/2 to keep the digits near 1
+    prev = 1.0  # survival q^((t-1)^beta) at t = 1
+    for t, wi in rows:
         try:
-            x = rows[-1][0] ** beta * lq
+            x = t ** beta * lq
         except OverflowError:
             x = -_INF
-        nll += (log1p(-exp(x)) if x < _LN_HALF else log(-expm1(x))) * sumw
+        cur = exp(x)
+        try:
+            nll -= wi * log(prev - cur)
+        except ValueError:
+            if wi != 0.0:
+                return _INF
+        prev = cur
+    if sumw is not None:
+        # ln of the window's mass 1 - e^x at the last tick, taken as
+        # log1p(-e^x) where e^x < 1/2 to keep the digits near 1
+        nll += (log1p(-cur) if x < _LN_HALF else log(-expm1(x))) * sumw
     if nll != nll:
         return _INF
     return nll

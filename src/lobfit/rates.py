@@ -715,12 +715,27 @@ def read_rates_csv(path) -> list[dict]:
 
     Each entry: {"key": BucketKey, "quantity": [15], "density": [15]}.
     Every instance needs one row per tick 1..15.  Ticks and quantities
-    are whole numbers in ASCII digits.
+    are whole numbers in ASCII digits.  An instance's quantities sum to
+    a positive total, and each density is the float quantity / total,
+    as ``write_rates_csv`` forms it; anything else raises ValueError
+    naming the path, bucket, side and tick.
     """
-    return _read_tally_csv(path, ARRIVAL_TICKS,
-                           {"quantity": (partial(_whole, "quantity"), 0),
-                            "density": (float, 0.0)},
-                           complete=True)
+    instances = _read_tally_csv(path, ARRIVAL_TICKS,
+                                {"quantity": (partial(_whole, "quantity"),
+                                              0),
+                                 "density": (float, 0.0)},
+                                complete=True)
+    for inst in instances:
+        total = sum(inst["quantity"])
+        for tick, (q, density) in enumerate(
+                zip(inst["quantity"], inst["density"]), start=1):
+            if not (total > 0 and density == q / total):
+                key = inst["key"]
+                raise ValueError(
+                    f"{path}: {key.label} {key.side.name.lower()} tick "
+                    f"{tick}: density {density!r} is not quantity / total "
+                    f"= {q} / {total}")
+    return instances
 
 
 def read_cancels_csv(path) -> list[dict]:

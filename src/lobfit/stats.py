@@ -12,6 +12,9 @@ from 1 to 200 to about 2e-12 relative for every finite t, down to
 1e-290: it takes the incomplete beta at df / (df + t*t) or its
 complement at t*t / (df + t*t), whichever needs no subtraction.
 
+The chi-square uniformity test takes its ticks from the cancel window,
+``rates.CANCEL_TICKS``, the one place that sets the window's length.
+
 Welch's test calls a sample constant when its values are all equal,
 not when its variance rounds to 0, and takes each sample's mean and
 variance from ``statistics``: exact rational sums rounded once.
@@ -35,6 +38,7 @@ from lobfit.errors import (
     VectorLengthMismatch,
     ZeroVariance,
 )
+from lobfit.rates import CANCEL_TICKS
 
 __all__ = [
     "VectorLengthMismatch",
@@ -289,13 +293,14 @@ def _round_half_away(value: float) -> int:
 def chi_square_uniformity(ratios) -> TestResult:
     """Test whether per-tick cancellation ratios are uniform over ticks.
 
-    Ratios are scaled by 100 and rounded half away from zero to pseudo
-    counts; the expected count is their mean, giving 9 degrees of
-    freedom over the 10 ticks.
+    There is one ratio per tick of the cancel window, ticks
+    1..``rates.CANCEL_TICKS``.  Ratios are scaled by 100 and rounded
+    half away from zero to pseudo counts; the expected count is their
+    mean, giving one degree of freedom fewer than there are ticks.
     """
-    if len(ratios) != 10:
+    if len(ratios) != CANCEL_TICKS:
         raise VectorLengthMismatch(
-            f"expected 10 ratios, got {len(ratios)}")
+            f"expected {CANCEL_TICKS} ratios, got {len(ratios)}")
     for r in ratios:
         if not 0.0 <= r <= 1.0:
             raise DomainError(f"ratio {r} outside [0, 1]")
@@ -303,7 +308,7 @@ def chi_square_uniformity(ratios) -> TestResult:
     total = sum(observed)
     if total == 0:
         raise AllZero("all ratios rounded to zero counts")
-    expected = total / 10.0
+    expected = total / CANCEL_TICKS
     statistic = ordered_sum((o - expected) ** 2 for o in observed) / expected
-    df = 9.0
+    df = float(CANCEL_TICKS - 1)
     return TestResult(statistic, df, chi_square_sf(statistic, df))

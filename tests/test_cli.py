@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import datetime as dt
+import fractions
 import functools
 import hashlib
 import io
@@ -226,13 +227,23 @@ class TestSelectionFlags:
 
 
 def _write_rates_csv(path, densities):
-    """One daily buy instance per density, on consecutive days."""
+    """One daily buy instance per density, on consecutive days.
+
+    The quantities are whole numbers in the exact ratios of the
+    density's floats, and each density is written as quantity / total,
+    as ``lobfit rates`` writes it: the cells stay as given wherever they
+    sum to 1, and a 5e-324 cell stays 5e-324.
+    """
     with open(path, "w") as fh:
         fh.write("bucket_key,side,tick,quantity,density\n")
         for day, density in enumerate(densities, start=1):
-            for tick, value in enumerate(density, start=1):
-                fh.write(f"daily:2017-08-{day:02d},buy,{tick},"
-                         f"{round(value * 10 ** 6)},{value!r}\n")
+            cells = [fractions.Fraction(value) for value in density]
+            scale = math.lcm(*(cell.denominator for cell in cells))
+            quantities = [int(cell * scale) for cell in cells]
+            total = sum(quantities)
+            for tick, q in enumerate(quantities, start=1):
+                fh.write(f"daily:2017-08-{day:02d},buy,{tick},{q},"
+                         f"{q / total!r}\n")
 
 
 class TestExactCurveInstance:
@@ -377,6 +388,7 @@ class TestFitFailureIsolation:
 
 _CELL = st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-310, 1e-300]),
                   st.floats(0.0, 1e6))
+# an instance holds some quantity: the reader refuses a zero total
 _DENSITY = st.one_of(
     st.lists(_CELL, min_size=15, max_size=15),
     # tail-heavy: mass grows with the tick
@@ -385,7 +397,7 @@ _DENSITY = st.one_of(
     st.dictionaries(st.integers(0, 14), _CELL, min_size=1,
                     max_size=3).map(
         lambda cells: [cells.get(i, 0.0) for i in range(15)]),
-)
+).filter(any)
 
 
 class TestFitAnyDensity:
@@ -1255,16 +1267,41 @@ class TestCancelTestEdgeCases:
             assert abs(float(p_value) - want) <= mpf("1e-12") * want
         assert float(p_value) == pytest.approx(1.94127e-36, rel=1e-5)
 
-    def test_daily_buckets_are_not_tested(self, tmp_path):
+    def test_daily_buckets_are_not_tested(self, tmp_path, capsys):
+        # a run that tests nothing is an error and writes no file
         source = tmp_path / "cancels.csv"
         with open(source, "w") as fh:
             fh.write("bucket_key,side,tick,count,mean_ratio\n")
             for tick in range(1, 11):
                 fh.write(f"daily:2017-08-01,buy,{tick},4,0.5\n")
         assert cli.main(["cancel-test", str(source),
-                         "--out", str(tmp_path)]) == 0
-        lines = (tmp_path / "chi_square.csv").read_text().splitlines()
-        assert len(lines) == 1
+                         "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {source}: tested no weekly or monthly bucket: "
+            "0 skipped\n")
+        assert not (tmp_path / "chi_square.csv").exists()
+
+    def test_a_run_that_skips_every_bucket_exits_one(self, tmp_path,
+                                                     capsys):
+        # the continuous-integration chain's opposite-side tally of a
+        # fraction stream at a tick of two prices: no cancel reaches
+        # tick 6, so every weekly and monthly bucket is skipped
+        base = ["--out", str(tmp_path)]
+        assert cli.main(["synth", "--days", "5", "--orders-per-day", "400",
+                         "--cancel-style", "fraction"] + base) == 0
+        assert cli.main(["rates", str(tmp_path / "stream.lobf"),
+                         "--reference", "opposite", "--tick-size", "2"]
+                        + base) == 0
+        capsys.readouterr()
+        source = tmp_path / "cancels.csv"
+        assert cli.main(["cancel-test", str(source)] + base) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 7
+        assert all(line.startswith("warning: skipping ") for line in err[:6])
+        assert err[6] == (f"error: {source}: tested no weekly or monthly "
+                          "bucket: 6 skipped, 6 with a tick that has no "
+                          "cancels")
+        assert not (tmp_path / "chi_square.csv").exists()
 
 
 class TestExitCodes:
@@ -1284,6 +1321,28 @@ class TestExitCodes:
         clipped.write_bytes((pipeline / "stream.lobf").read_bytes()[:100])
         assert cli.main(["rates", str(clipped),
                          "--out", str(tmp_path)]) == 1
+
+    def test_fit_refuses_a_density_that_is_not_its_quantity_share(
+            self, pipeline, tmp_path, capsys):
+        # tick 1's density edited to 0.9: the densities no longer sum
+        # to 1, and no fit is written
+        header, *rows = (pipeline / "rates.csv").read_text().splitlines(
+            keepends=True)
+        instance = [i for i, row in enumerate(rows)
+                    if row.startswith("daily:2017-08-01,buy,")]
+        quantities = [int(rows[i].split(",")[3]) for i in instance]
+        rows[instance[0]] = (f"daily:2017-08-01,buy,1,{quantities[0]},"
+                             "0.9\n")
+        source = tmp_path / "rates.csv"
+        source.write_text(header + "".join(rows))
+        out = tmp_path / "out"
+        assert cli.main(["fit", str(source), "--families", "geo",
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {source}: daily:2017-08-01 buy tick 1: density 0.9 "
+            f"is not quantity / total = {quantities[0]} / "
+            f"{sum(quantities)}\n")
+        assert not out.exists()
 
     def test_duplicate_sessions_across_files(self, pipeline, tmp_path):
         stream = str(pipeline / "stream.lobf")

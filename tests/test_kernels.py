@@ -283,7 +283,7 @@ class TestOracleEquality:
     # zero weights keep the untruncated pass going past tick 3, where
     # the survival has reached 0.0
     @example(KIND_DW, False, [1.0] * 2 + [0.0] * 13, -0.5, 6.0)
-    # the same edges truncated, through the checked pass and the window
+    # the same edges truncated, through the guarded cells and the window
     # term: no mass from tick 3 under zero weights, then past the
     # overflow, and a nonzero weight on a cell without mass
     @example(KIND_DW, True, [1.0] * 2 + [0.0] * 13, -0.5, 3.0)
@@ -468,9 +468,10 @@ class TestSimplexOracle:
 
 
 class TestUntruncatedWeibull:
-    # the untruncated Weibull pass tests nothing per tick and hands a
-    # power that overflows or a cell without mass to the checked pass;
-    # either way it returns the per-tick oracle's float
+    # the untruncated Weibull pass guards each cell where it forms it: a
+    # power that overflows is a survival of 0.0, and a cell without mass
+    # costs +inf under a nonzero weight and nothing under a zero one, as
+    # in the per-tick oracle, whose float it returns
     @settings(max_examples=500, deadline=None)
     @given(st.sampled_from([2, 15, 40]).flatmap(
                lambda n: st.lists(_WEIGHT, min_size=n, max_size=n)),

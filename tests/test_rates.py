@@ -552,6 +552,25 @@ def test_rates_csv_needs_every_tick(tmp_path):
                                "for tick(s) 8, 9, 10, 11, 12, 13, 14, 15")
 
 
+@pytest.mark.parametrize("quantities, densities, tick", [
+    # one ulp above 2 / 30 at tick 7
+    ([2] * 15, [2 / 30] * 6 + [math.nextafter(2 / 30, 1.0)] + [2 / 30] * 8,
+     7),
+    # no quantity at all: no density is a share of it
+    ([0] * 15, [0.0] * 15, 1)], ids=["ulp", "zero-total"])
+def test_rates_csv_density_is_the_quantity_share(tmp_path, quantities,
+                                                 densities, tick):
+    rows = [f"{t},{q},{d!r}" for t, (q, d) in
+            enumerate(zip(quantities, densities), start=1)]
+    path = one_instance_csv(tmp_path / "rates.csv", RATES_HEADER, rows)
+    with pytest.raises(ValueError) as info:
+        rates.read_rates_csv(path)
+    q, d = quantities[tick - 1], densities[tick - 1]
+    assert str(info.value) == (
+        f"{path}: daily:2017-08-01 buy tick {tick}: density {d!r} is not "
+        f"quantity / total = {q} / {sum(quantities)}")
+
+
 def test_rates_csv_rows_are_sorted(tmp_path):
     store = TallyStore()
     for day in (dt.date(2017, 8, 3), dt.date(2017, 8, 1)):

@@ -27,6 +27,20 @@ cancel loop serves both styles: a full cancel is a Delete of the whole
 or 1``, where only the fraction style draws the shares, and an order
 leaves the cancelable set once its amount is its remainder.
 
+All draws come from one numpy PCG64 stream.  A session draws its
+offsets, sides, ticks and quantities in four bulk calls, and each
+arrival one ``binomial`` for its number of hits.  The hits and the
+fraction style's shares are the draws of numpy's ``choice(len, hits,
+replace=False)`` and ``random(hits)``, made by ``_cancel_draws`` from
+one ``bit_generator.random_raw`` call without ``choice``'s per-call
+cost: Floyd's picks over Lemire's bounded 32-bit draws from the raw
+words, and each share as PCG64's next double, a word's top 53 bits.
+PCG64 keeps back the high half of a word for its next 32-bit draw,
+which ``random_raw``, ``random`` and ``binomial`` skip, so a session
+reads that half from ``bit_generator.state`` after its bulk draws and
+writes it back when it ends.  The stream bytes are those of numpy's
+own calls.
+
 Invariant: within a session, from the first ladder pair on,
 ``best_bid`` and ``best_ask`` stay at ``initial_mid - tick_size`` and
 ``initial_mid + tick_size`` after every message.  The ladder's top
@@ -105,6 +119,9 @@ _LADDER_QUANTITY = 200
 _MAX_ARRIVAL_QUANTITY = 100
 # only orders inside the tallied cancel window are canceled
 _CANCELABLE_TICKS = rates.CANCEL_TICKS
+# a PCG64 word's low half, and the unit of its 53-bit doubles
+_LOW32 = 0xFFFFFFFF
+_DOUBLE_UNIT = 2.0 ** -53
 
 
 class CancelStyle(Enum):
@@ -269,7 +286,14 @@ def _generate_session(spec, session_date, rng, cumulative, order_ids,
                               size=n).tolist()
     probability = spec.cancel_probability
     fraction = spec.cancel_style is CancelStyle.UNIFORM_FRACTION
-    binomial, choice, uniform = rng.binomial, rng.choice, rng.random
+    binomial = rng.binomial
+    bits = rng.bit_generator
+    raw = bits.random_raw
+    # the half word that the bulk 32-bit draws kept back; the cancel
+    # draws below read and keep it, and it goes back to the state once
+    # the session ends
+    state = bits.state
+    carry = (state["has_uint32"], state["uinteger"])
     # resting quantity per side and tick of the cancel window
     resting = [[_LADDER_QUANTITY] * _CANCELABLE_TICKS for _ in Side]
     # [side, tick, remaining] of the resting arrivals inside the cancel
@@ -300,12 +324,11 @@ def _generate_session(spec, session_date, rng, cumulative, order_ids,
         if not hits:
             continue
         candidates = list(live)
-        chosen = sorted(choice(len(candidates), size=hits,
-                               replace=False).tolist())
+        # numpy's choice(len, hits, replace=False), sorted, and for
+        # fraction cancels random(hits): each share is PCG64's next double
+        chosen, shares, carry = _cancel_draws(raw, carry, len(candidates),
+                                              hits, fraction)
         bases = (cancel_rows[0][hour], cancel_rows[1][hour])
-        # only fraction cancels draw shares; PCG64 gives the same doubles
-        # in one call as in `hits` calls
-        shares = uniform(hits).tolist() if fraction else [None] * hits
         for idx, share in zip(chosen, shares):
             oid = candidates[idx]
             order = live[oid]
@@ -325,7 +348,128 @@ def _generate_session(spec, session_date, rng, cumulative, order_ids,
                 del live[oid]
             else:
                 order[2] = remaining - amount
+    state = bits.state
+    state["has_uint32"], state["uinteger"] = carry
+    bits.state = state
     flush(packed, last=True)
+
+
+def _cancel_draws(raw, carry, pop, size, fraction):
+    """numpy's ``choice(pop, size, replace=False)``, sorted, and for
+    `fraction` its ``random(size)`` after it, made from PCG64's raw words.
+
+    `raw` is the generator's ``bit_generator.random_raw`` and `carry`
+    its kept-back half word as ``(has_uint32, uinteger)``.  Returns the
+    sorted picks, the shares (``None`` each unless `fraction`) and the
+    carry that numpy's two calls would leave, so the stream goes on as
+    if they had been made.  `pop` is below ``2 ** 32``.
+
+    Each pick is bounded by Lemire's 32-bit multiply-and-reject (Lemire
+    2019, ACM TOMACS 29(1)), and a 32-bit draw is the kept-back high
+    half, or else the low half of a new word, whose high half is then
+    kept back.  numpy picks by Floyd's algorithm (Bentley & Floyd 1987,
+    CACM 30(9)), one draw per step past j = 0, then shuffles the picks
+    with ``size - 1`` draws that move them but do not change the set;
+    when ``pop > 10000`` and ``size > pop // 50`` it shuffles the last
+    `size` slots of ``arange(pop)`` instead.  A share is the next word's
+    top 53 bits over ``2 ** 53``.  One ``raw`` call fetches the words
+    the draws take if none is rejected; a rejection fetches one more
+    word whenever the fetched ones run out.
+    """
+    has, value = carry
+    tail = pop > 10000 and size > pop // 50
+    if tail:
+        bounds = range(pop - 1, max(pop - size, 1) - 1, -1)
+        draws = len(bounds)
+    else:
+        start = pop - size
+        draws = 2 * size - 1 - (start == 0)
+    # the new words the draws split, when none is rejected
+    count = (draws - has + 1) // 2
+    words = raw(count + size if fraction else count).tolist()
+    # the 32-bit draws, in the order numpy takes them
+    halves = [value] if has else []
+    for w in words[:count]:
+        halves += (w & _LOW32, w >> 32)
+    at = 0
+    if tail:
+        first = bounds.stop + 1
+        # the value of each slot the shuffle has swapped
+        moved = {}
+        picks = []
+        for i in bounds:
+            bound = i + 1
+            m = halves[at] * bound
+            at += 1
+            if m & _LOW32 < bound:
+                m, at = _rejected(m, bound, halves, at, i - first, words,
+                                  raw, has)
+            j = m >> 32
+            picks.append(moved.get(j, j))
+            moved[j] = moved.get(i, i)
+        if size == pop:
+            # slot 0, where the shuffle stops
+            picks.append(moved.get(0, 0))
+    else:
+        picks = set()
+        if not start:
+            picks.add(0)
+            start = 1
+        for j in range(start, pop):
+            bound = j + 1
+            m = halves[at] * bound
+            at += 1
+            if m & _LOW32 < bound:
+                m, at = _rejected(m, bound, halves, at, pop + size - 2 - j,
+                                  words, raw, has)
+            v = m >> 32
+            picks.add(j if v in picks else v)
+        # the shuffle's draws, from slot size - 1 down to slot 1
+        for bound in range(size, 1, -1):
+            m = halves[at] * bound
+            at += 1
+            if m & _LOW32 < bound:
+                m, at = _rejected(m, bound, halves, at, bound - 2, words,
+                                  raw, has)
+    if fraction:
+        used = (len(halves) - has) // 2
+        short = used + size - len(words)
+        if short > 0:
+            words += raw(short).tolist()
+        shares = [(w >> 11) * _DOUBLE_UNIT for w in words[used:]]
+    else:
+        shares = [None] * size
+    carry = (len(halves) - at, halves[-1]) if halves else (0, value)
+    return sorted(picks), shares, carry
+
+
+def _rejected(m, bound, halves, at, left, words, raw, has):
+    """Lemire's rejection for a draw ``m = halves[at - 1] * bound`` whose
+    low word is below `bound`, with `left` draws to come after it.
+
+    Draws again while the low word is below ``2 ** 32 % bound``, then
+    tops `halves` up so that `left` draws remain.  Returns the accepted
+    `m` and the index of the next draw.
+    """
+    threshold = (_LOW32 + 1 - bound) % bound
+    while m & _LOW32 < threshold:
+        if at == len(halves):
+            _next_halves(halves, words, raw, has)
+        m = halves[at] * bound
+        at += 1
+    while len(halves) - at < left:
+        _next_halves(halves, words, raw, has)
+    return m, at
+
+
+def _next_halves(halves, words, raw, has):
+    """Append the next word's two halves to `halves`: the next of
+    `words`, or a new word, which joins `words`, once they are spent."""
+    k = (len(halves) - has) // 2
+    if k == len(words):
+        words.append(raw())
+    w = words[k]
+    halves += (w & _LOW32, w >> 32)
 
 
 # --- serialization ---

@@ -2,6 +2,7 @@ import datetime as dt
 import hashlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -233,6 +234,24 @@ GOLDEN_SPECS = {
                         tick_size=5),
         "daf2004646331a53ca0348d3b140f7192ef1554e2d513cfa319a7a8bfa7c2a40",
         "91aed0777a797b11ac568eba1b8b99bda180b6d628c37042a8d4a194521b2421"),
+    # every live order is hit at every arrival, so each cancel draw picks
+    # the whole population
+    "geo_dw_full_all": (
+        synth.SynthSpec(seed=17, days=2, orders_per_day=500,
+                        buy_model=dist.Geometric(0.3),
+                        sell_model=dist.DiscreteWeibull(0.7, 1.1),
+                        cancel_probability=1.0,
+                        cancel_style=synth.CancelStyle.FULL),
+        "630eb3daf06a4fe3b7173ed1383ab8dcaa5b46606f15846eb5b63c163845c280",
+        "517fda00914a5431780e33cc70da921926e5871bf6260b90a7f8111d231ad19b"),
+    "bb_exp_fraction_all": (
+        synth.SynthSpec(seed=19, days=2, orders_per_day=500,
+                        buy_model=dist.BetaBinomial(2.0, 5.0),
+                        sell_model=dist.Exponential(0.5),
+                        cancel_probability=1.0,
+                        cancel_style=synth.CancelStyle.UNIFORM_FRACTION),
+        "cffd32f91eacad983418f8a610d6ecfae38c960dba213f35548a79da5a6ae279",
+        "dfc4d3114ebd82762523aed8e09a99040db23abd131a6f4e6e255b0df8437571"),
 }
 
 
@@ -250,6 +269,48 @@ def test_golden_bytes(name, tmp_path):
     assert streamed == b""
     assert hashlib.sha256(b"".join(chunks)).hexdigest() == stream_digest
     assert streamed_gt.store == gt.store
+
+
+def _pop_and_size(pops, sizes):
+    return pops.flatmap(lambda pop: st.tuples(st.just(pop), sizes(pop)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**64 - 1),
+       pop_size=st.one_of(
+           _pop_and_size(st.integers(1, 300),
+                         lambda pop: st.one_of(st.just(pop), st.just(1),
+                                               st.integers(1, pop))),
+           # bounds this wide reject about one draw in four
+           _pop_and_size(st.integers(2**30, 2**32 - 2),
+                         lambda pop: st.integers(1, 40)),
+           # numpy shuffles the tail of arange(pop) here, not Floyd's
+           _pop_and_size(st.integers(10_001, 20_000),
+                         lambda pop: st.integers(pop // 50 + 1,
+                                                 pop // 50 + 300))),
+       primed=st.integers(0, 2), fraction=st.booleans())
+@example(seed=3, pop_size=(10_001, 10_001), primed=1, fraction=True)
+@example(seed=3, pop_size=(10_001, 200), primed=1, fraction=True)
+def test_cancel_draws_are_numpys_choice_and_random(seed, pop_size, primed,
+                                                   fraction):
+    # `primed` 32-bit draws first: 1 leaves a half word kept back, 2 one
+    # spent
+    pop, size = pop_size
+    ours, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in (ours, twin):
+        rng.integers(0, 2, size=primed)
+    bits = ours.bit_generator
+    state = bits.state
+    picks, shares, carry = synth._cancel_draws(
+        bits.random_raw, (state["has_uint32"], state["uinteger"]), pop,
+        size, fraction)
+    assert picks == sorted(twin.choice(pop, size=size,
+                                       replace=False).tolist())
+    assert shares == (twin.random(size).tolist() if fraction
+                      else [None] * size)
+    state = bits.state
+    state["has_uint32"], state["uinteger"] = carry
+    assert state == twin.bit_generator.state
 
 
 def test_ground_truth_does_not_come_from_the_book(tmp_path, monkeypatch):

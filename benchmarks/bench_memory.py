@@ -4,9 +4,11 @@
 Each command runs in a fresh interpreter, started from this script,
 which imports nothing but the standard library, so the child's
 high-water mark starts from a ~10 MB parent and not from a harness
-that has loaded numpy.  A small launcher runs ``lobfit.cli.main`` and,
-as it exits, prints its own ``getrusage`` peak (``RUSAGE_SELF``) and
-the largest peak of the workers it forked (``RUSAGE_CHILDREN``).
+that has loaded numpy.  A small launcher runs ``lobfit.cli.main()``,
+which parses ``sys.argv`` itself and so takes the console script's
+program path, heap freeze included, and, as it exits, prints its own
+``getrusage`` peak (``RUSAGE_SELF``) and the largest peak of the
+workers it forked (``RUSAGE_CHILDREN``).
 
 The rows follow one seeded DW/DW run with fraction cancels at p=0.08:
 
@@ -35,7 +37,7 @@ import time
 LAUNCH = """
 import resource, sys
 from lobfit import cli
-code = cli.main(sys.argv[1:])
+code = cli.main()
 own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 workers = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
 print(f"rusage {own} {workers}")

@@ -47,8 +47,10 @@ Invariant: within a session, from the first ladder pair on,
 levels are never canceled and no arrival improves on them, so ladder
 rung i is tick i, an arrival's tick is its drawn distance and a
 cancel's tick is its order's.  Whether an order is cancelable is fixed
-when it arrives, and the cancel step draws from the cancelable
-arrivals still resting, in arrival order, with no scan of the book.
+when it arrives, and the cancel step's picks index one list of the
+cancelable arrivals still resting, in arrival order, with no scan of
+the book and no copy of the list; the orders a step cancels whole
+leave it once the step is done, highest index first.
 
 Session ids encode the session date as YYYYMMDD
 (``rates.date_to_session_id``), which is how the pipeline recovers
@@ -296,10 +298,11 @@ def _generate_session(spec, session_date, rng, cumulative, order_ids,
     carry = (state["has_uint32"], state["uinteger"])
     # resting quantity per side and tick of the cancel window
     resting = [[_LADDER_QUANTITY] * _CANCELABLE_TICKS for _ in Side]
-    # [side, tick, remaining] of the resting arrivals inside the cancel
-    # window, in arrival order; an arrival's distance from the fixed
-    # touch decides once whether it can ever be canceled
-    live: dict[int, list] = {}
+    # [oid, side, tick, remaining] of the resting arrivals inside the
+    # cancel window, in arrival order, so the cancel picks index it; an
+    # arrival's distance from the fixed touch decides once whether it
+    # can ever be canceled
+    live: list[list] = []
 
     for offset, s, u, quantity in zip(offsets, sides, tick_draws,
                                       quantities):
@@ -316,23 +319,23 @@ def _generate_session(spec, session_date, rng, cumulative, order_ids,
                       quantity))
         arrived[arrival_rows[s][hour] + distance] += quantity
         if distance <= _CANCELABLE_TICKS:
-            live[oid] = [s, distance, quantity]
+            live.append([oid, s, distance, quantity])
             resting[s][distance - 1] += quantity
         if not (probability and live):
             continue
         hits = int(binomial(len(live), probability))
         if not hits:
             continue
-        candidates = list(live)
         # numpy's choice(len, hits, replace=False), sorted, and for
         # fraction cancels random(hits): each share is PCG64's next double
-        chosen, shares, carry = _cancel_draws(raw, carry, len(candidates),
-                                              hits, fraction)
+        chosen, shares, carry = _cancel_draws(raw, carry, len(live), hits,
+                                              fraction)
         bases = (cancel_rows[0][hour], cancel_rows[1][hour])
+        # the picks of the orders this arrival's cancels take whole
+        gone = []
         for idx, share in zip(chosen, shares):
-            oid = candidates[idx]
-            order = live[oid]
-            side, level, remaining = order
+            order = live[idx]
+            oid, side, level, remaining = order
             if fraction:
                 amount = int(share * remaining) or 1
                 emit(pack_cancel(ts, oid, amount))
@@ -345,9 +348,12 @@ def _generate_session(spec, session_date, rng, cumulative, order_ids,
             count[i] += 1
             row[level - 1] -= amount
             if amount == remaining:
-                del live[oid]
+                gone.append(idx)
             else:
-                order[2] = remaining - amount
+                order[3] = remaining - amount
+        # highest first, so each pick still indexes its order
+        for idx in reversed(gone):
+            del live[idx]
     state = bits.state
     state["has_uint32"], state["uinteger"] = carry
     bits.state = state
@@ -415,22 +421,22 @@ def _cancel_draws(raw, carry, pop, size, fraction):
         if not start:
             picks.add(0)
             start = 1
-        for j in range(start, pop):
-            bound = j + 1
+        # step j draws below bound = j + 1
+        for bound in range(start + 1, pop + 1):
             m = halves[at] * bound
             at += 1
             if m & _LOW32 < bound:
-                m, at = _rejected(m, bound, halves, at, pop + size - 2 - j,
+                m, at = _rejected(m, bound, halves, at, pop + size - 1 - bound,
                                   words, raw, has)
             v = m >> 32
-            picks.add(j if v in picks else v)
-        # the shuffle's draws, from slot size - 1 down to slot 1
+            picks.add(bound - 1 if v in picks else v)
+        # the shuffle's draws, from slot size - 1 down to slot 1: their
+        # values move no pick, so only a rejection matters
         for bound in range(size, 1, -1):
-            m = halves[at] * bound
             at += 1
-            if m & _LOW32 < bound:
-                m, at = _rejected(m, bound, halves, at, bound - 2, words,
-                                  raw, has)
+            if halves[at - 1] * bound & _LOW32 < bound:
+                at = _rejected(halves[at - 1] * bound, bound, halves, at,
+                               bound - 2, words, raw, has)[1]
     if fraction:
         used = (len(halves) - has) // 2
         short = used + size - len(words)

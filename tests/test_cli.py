@@ -3,6 +3,7 @@ import dataclasses
 import datetime as dt
 import fractions
 import functools
+import gc
 import hashlib
 import io
 import json
@@ -739,6 +740,35 @@ class TestImportBoundary:
         # the parser is literal: --help needs nothing but cli
         loaded = self._loaded(*filter(None, [command]), "--help")
         assert self._own(loaded) == self._CLI_ALONE
+
+
+class TestHeapFreeze:
+    """``main()`` is the program and freezes what its command imported;
+    ``main(argv)`` is the library and leaves the collector alone."""
+
+    @pytest.mark.parametrize("call, frozen", (
+        ("main()", True), ("main(sys.argv[1:])", False)))
+    def test_only_the_program_path_freezes(self, pipeline, tmp_path, call,
+                                           frozen):
+        code = ("import gc, sys; from lobfit.cli import main\n"
+                f"code = {call}\n"
+                "print('frozen', gc.get_freeze_count())\n"
+                "sys.exit(code)")
+        proc = _python(code, "cancel-test", str(pipeline / "cancels.csv"),
+                       "--out", str(tmp_path), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        tag, count = proc.stdout.splitlines()[-1].split()
+        assert tag == "frozen"
+        assert (int(count) > 0) == frozen, count
+        assert (tmp_path / "chi_square.csv").read_bytes() == (
+            pipeline / "chi_square.csv").read_bytes()
+
+    def test_main_with_a_list_leaves_the_collector_as_it_was(self, pipeline,
+                                                             tmp_path):
+        before = gc.get_freeze_count()
+        assert cli.main(["cancel-test", str(pipeline / "cancels.csv"),
+                         "--out", str(tmp_path)]) == 0
+        assert gc.get_freeze_count() == before
 
 
 def _no_child_left():

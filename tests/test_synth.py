@@ -252,6 +252,16 @@ GOLDEN_SPECS = {
                         cancel_style=synth.CancelStyle.UNIFORM_FRACTION),
         "cffd32f91eacad983418f8a610d6ecfae38c960dba213f35548a79da5a6ae279",
         "dfc4d3114ebd82762523aed8e09a99040db23abd131a6f4e6e255b0df8437571"),
+    # few cancels over a long day, so thousands of orders stay live and
+    # the picks index deep into the live list
+    "dw_geo_fraction_deep": (
+        synth.SynthSpec(seed=23, days=1, orders_per_day=20_000,
+                        buy_model=dist.DiscreteWeibull(0.8, 1.2),
+                        sell_model=dist.Geometric(0.3),
+                        cancel_probability=0.001,
+                        cancel_style=synth.CancelStyle.UNIFORM_FRACTION),
+        "6d4342599a204082149f1678385877fbfadaa2dd9e897bdcf577bd60e4cf5205",
+        "c48af9b80b545b69754fa05a1f70696c41aa61bb7ab340683e022c21a0104f80"),
 }
 
 

@@ -4,7 +4,10 @@ Four subcommands chain the package into the full workflow:
 
     lobfit synth --seed 7 --out run/
         emit a seeded stream (run/stream.lobf) plus the generator's own
-        tallies (run/ground_truth.json)
+        tallies (run/ground_truth.json); each session draws from its
+        own jump of the seed's stream, so the sessions are made in
+        parallel, one worker process per CPU this process may run on,
+        and the outputs are byte-identical for any number of CPUs
 
     lobfit rates run/stream.lobf --out run/
         replay the stream through the book and write run/rates.csv and
@@ -30,7 +33,8 @@ stdlib it needs and ``lobfit.errors``, nothing else of lobfit.  Each
 command's code is in a module of its own, which ``main`` imports once
 the arguments parse, and which loads what that command runs:
 
-    lobfit.cmd_synth        synth, numpy, dist, kernels, stats, feed, rates
+    lobfit.cmd_synth        synth, numpy, dist, kernels, stats, feed, rates,
+                            lobfit.pool
     lobfit.cmd_rates        feed, rates, and the fork pool lobfit.pool
     lobfit.cmd_fit          rates, dist, kernels, stats, lobfit.pool
     lobfit.cmd_cancel_test  rates, stats

@@ -2,16 +2,33 @@
 
 Only this command loads this module, and with it ``lobfit.synth``, which
 loads numpy, ``dist`` (with ``kernels`` and ``stats``), ``feed`` and
-``rates``.  Without bytecode caches, a command compiles every module it
-imports; no other command compiles ``synth`` or loads numpy.
+``rates``, and the fork pool in ``lobfit.pool``.  Without bytecode
+caches, a command compiles every module it imports; no other command
+compiles ``synth`` or loads numpy.
+
+Each session draws from its own jump of the seed's stream, so the
+sessions are made in parallel, one worker process per CPU this process
+may run on, each into a file of its own; the stream is those files in
+session order, and its bytes do not depend on the number of CPUs.
 """
 
 from __future__ import annotations
 
+import functools
 import os
+import shutil
 
-from lobfit import synth
+from lobfit import rates, synth
 from lobfit.cli import parse_model
+from lobfit.pool import _map_on_cpus
+
+
+def _write_session(spec, parts, session):
+    """Write session ``(index, date)`` of ``spec`` to ``parts[index]``,
+    frame by frame, and return its tallies."""
+    index, session_date = session
+    with open(parts[index], "wb") as fh:
+        return synth.generate_session(spec, index, session_date, fh.write)
 
 
 def cmd_synth(args) -> None:
@@ -28,19 +45,33 @@ def cmd_synth(args) -> None:
         tick_size=args.tick_size,
         initial_mid=args.mid,
     )
-    # the stream goes to disk frame by frame under a temporary name, and
-    # takes its own name only once whole: a run that fails leaves no
-    # shorter stream that would still replay as valid
+    # the sessions go to disk frame by frame: session 0 under the
+    # stream's temporary name, and each later one under a name of its
+    # own, appended to it in session order; the stream takes its own
+    # name only once whole, so a run that fails leaves no shorter stream
+    # that would still replay as valid, and no session file
     os.makedirs(args.out, exist_ok=True)
     stream = os.path.join(args.out, "stream.lobf")
     partial = stream + ".tmp"
+    sessions = list(enumerate(synth.default_calendar(spec.days, spec.start)))
+    parts = [partial] + [f"{stream}.{index}.tmp" for index, _ in sessions[1:]]
     try:
-        with open(partial, "wb") as fh:
-            _, truth = synth.generate(spec, fh.write)
+        stores = _map_on_cpus(
+            functools.partial(_write_session, spec, parts), sessions)
+        with open(partial, "ab") as out:
+            for part in parts[1:]:
+                with open(part, "rb") as fh:
+                    # in shutil's bounded chunks, 64 KiB on Linux
+                    shutil.copyfileobj(fh, out)
+                os.remove(part)
         os.replace(partial, stream)
     except BaseException:
-        if os.path.exists(partial):
-            os.remove(partial)
+        for path in parts:
+            if os.path.exists(path):
+                os.remove(path)
         raise
+    store = rates.TallyStore()
+    for session_store in stores:
+        store.merge(session_store)
     synth.write_ground_truth(os.path.join(args.out, "ground_truth.json"),
-                             truth)
+                             synth.GroundTruth(spec=spec, store=store))

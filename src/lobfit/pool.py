@@ -1,8 +1,8 @@
-"""The fork pool of ``lobfit rates`` and ``lobfit fit``.
+"""The fork pool of ``lobfit synth``, ``lobfit rates`` and ``lobfit fit``.
 
 ``_map_on_cpus`` runs a function over items in forked workers, one per
 CPU this process may run on, without ``multiprocessing``.  Only those
-two commands load this module.
+three commands load this module.
 """
 
 from __future__ import annotations

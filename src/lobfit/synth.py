@@ -27,19 +27,24 @@ cancel loop serves both styles: a full cancel is a Delete of the whole
 or 1``, where only the fraction style draws the shares, and an order
 leaves the cancelable set once its amount is its remainder.
 
-All draws come from one numpy PCG64 stream.  A session draws its
-offsets, sides, ticks and quantities in four bulk calls, and each
-arrival one ``binomial`` for its number of hits.  The hits and the
-fraction style's shares are the draws of numpy's ``choice(len, hits,
-replace=False)`` and ``random(hits)``, made by ``_cancel_draws`` from
-one ``bit_generator.random_raw`` call without ``choice``'s per-call
-cost: Floyd's picks over Lemire's bounded 32-bit draws from the raw
-words, and each share as PCG64's next double, a word's top 53 bits.
+Session k draws from its own numpy PCG64 stream, the seed's stream
+jumped k times (``PCG64(seed).jumped(k)``), the jump-ahead that PCG is
+built for (O'Neill 2014, HMC-CS-2014-0905).  Session 0's stream is
+``default_rng(seed)``'s.  No session depends on another's draws, so
+``generate_session`` makes any one of them alone, and ``lobfit synth``
+makes them in parallel.  A session draws its offsets, sides, ticks
+and quantities in four bulk calls, and each arrival one ``binomial``
+for its number of hits.  The hits and the fraction style's shares are
+the draws of numpy's ``choice(len, hits, replace=False)`` and
+``random(hits)``, made by ``_cancel_draws`` from one
+``bit_generator.random_raw`` call without ``choice``'s per-call cost:
+Floyd's picks over Lemire's bounded 32-bit draws from the raw words,
+and each share as PCG64's next double, a word's top 53 bits.
 PCG64 keeps back the high half of a word for its next 32-bit draw,
 which ``random_raw``, ``random`` and ``binomial`` skip, so a session
-reads that half from ``bit_generator.state`` after its bulk draws and
-writes it back when it ends.  The stream bytes are those of numpy's
-own calls.
+reads that half from ``bit_generator.state`` after its bulk draws.
+The generator is dropped when its session ends, so nothing is written
+back.  The stream bytes are those of numpy's own calls.
 
 Invariant: within a session, from the first ladder pair on,
 ``best_bid`` and ``best_ask`` stay at ``initial_mid - tick_size`` and
@@ -67,11 +72,12 @@ whatever the number of days.
 No ``MarketMessage`` is built, so its per-message checks do not run;
 the spec's bounds are the range checks instead.  ``SynthSpec`` proves
 once that every price lies in ``initial_mid -/+ 15 * tick_size``,
-which is positive and fits a u32, that the order ids, counted from 1,
-fit a u64, and that both models' tick curves can be drawn, so no
-stream is started that cannot be finished.  Quantities lie in 1..200,
-sides are 0 or 1 and arrivals fall within trading hours by
-construction, so each has a cube row.
+which is positive and fits a u32, that the order ids fit a u64 (each
+session places 30 ladder orders and one order per arrival, so session
+k's are counted from ``1 + k * (30 + orders_per_day)``), and that both
+models' tick curves can be drawn, so no stream is started that cannot
+be finished.  Quantities lie in 1..200, sides are 0 or 1 and arrivals
+fall within trading hours by construction, so each has a cube row.
 
 ``SynthSpec`` and ``GroundTruth`` are ``dist.Record`` classes, built
 and compared as the model families are.
@@ -87,6 +93,9 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
+# numpy loads its random module on first use; loaded with this module,
+# it is loaded once, before lobfit synth forks its session workers
+from numpy.random import PCG64, Generator
 
 from lobfit import dist, feed, rates
 from lobfit.errors import DomainError, SpecError
@@ -100,6 +109,7 @@ __all__ = [
     "GroundTruth",
     "default_calendar",
     "generate",
+    "generate_session",
     "spec_payload",
     "ground_truth_payload",
     "write_ground_truth",
@@ -236,31 +246,42 @@ def generate(spec: SynthSpec,
              ) -> tuple[bytes, GroundTruth]:
     """Emit the byte stream and the tallies of what went into it.
 
+    The sessions are made one after another by ``generate_session``.
     With ``write``, each frame goes to ``write`` as soon as it holds its
     1000 messages, and each session's last, short frame when the session
     ends; nothing of the stream is kept, and the returned bytes are
     ``b""``.  Without it, the frames are joined and returned.
     """
-    rng = np.random.default_rng(spec.seed)
     store = rates.TallyStore()
-    cumulative = (_cumulative(dist.tick_curve(spec.buy_model)),
-                  _cumulative(dist.tick_curve(spec.sell_model)))
-    order_ids = itertools.count(1)
     chunks = None
     if write is None:
         chunks = []
         write = chunks.append
-    for session_date in default_calendar(spec.days, spec.start):
-        flush = feed.session_framer(rates.date_to_session_id(session_date),
-                                    write)
-        _generate_session(spec, session_date, rng, cumulative, order_ids,
-                          store, flush)
+    for index, session_date in enumerate(default_calendar(spec.days,
+                                                          spec.start)):
+        store.merge(generate_session(spec, index, session_date, write))
     blob = b"" if chunks is None else b"".join(chunks)
     return blob, GroundTruth(spec=spec, store=store)
 
 
-def _generate_session(spec, session_date, rng, cumulative, order_ids,
-                      store, flush) -> None:
+def generate_session(spec: SynthSpec, index: int, session_date: dt.date,
+                     write: Callable[[bytes], object]) -> rates.TallyStore:
+    """Emit session `index` of `spec`, dated `session_date`, and return
+    the store of its tallies.
+
+    Its frames go to `write` as they fill.  The session draws from the
+    seed's PCG64 stream jumped `index` times and numbers its orders from
+    ``1 + index * (2 * 15 + orders_per_day)``, so it depends on nothing
+    but its arguments, and gives the same bytes alone as in `generate`.
+    """
+    rng = Generator(PCG64(spec.seed).jumped(index))
+    cumulative = (_cumulative(dist.tick_curve(spec.buy_model)),
+                  _cumulative(dist.tick_curve(spec.sell_model)))
+    order_ids = itertools.count(
+        1 + index * (2 * _LADDER_LEVELS + spec.orders_per_day))
+    store = rates.TallyStore()
+    flush = feed.session_framer(rates.date_to_session_id(session_date),
+                                write)
     tick = spec.tick_size
     packed = []
     emit = packed.append
@@ -291,9 +312,8 @@ def _generate_session(spec, session_date, rng, cumulative, order_ids,
     binomial = rng.binomial
     bits = rng.bit_generator
     raw = bits.random_raw
-    # the half word that the bulk 32-bit draws kept back; the cancel
-    # draws below read and keep it, and it goes back to the state once
-    # the session ends
+    # the half word that the bulk 32-bit draws kept back, which the
+    # cancel draws below read and keep
     state = bits.state
     carry = (state["has_uint32"], state["uinteger"])
     # resting quantity per side and tick of the cancel window
@@ -354,10 +374,8 @@ def _generate_session(spec, session_date, rng, cumulative, order_ids,
         # highest first, so each pick still indexes its order
         for idx in reversed(gone):
             del live[idx]
-    state = bits.state
-    state["has_uint32"], state["uinteger"] = carry
-    bits.state = state
     flush(packed, last=True)
+    return store
 
 
 def _cancel_draws(raw, carry, pop, size, fraction):

@@ -158,9 +158,9 @@ def test_c2_ground_truth_closure(forty_day_run):
 # sha256 of the forty-day stream.lobf and ground_truth.json; any change
 # to the generator's draws, its encoding or its tally moves them
 FORTY_DAY_STREAM_SHA256 = (
-    "73c7e8200105e4f83343dfa991820a6751a92f1c38d488d66b1fce94252645b9")
+    "f5a2d0c64776188c3daae3c5f4b3aeb90ddd1740052780a5c34cf431cb00e20e")
 FORTY_DAY_TRUTH_SHA256 = (
-    "403aabb5ace53933c72c28936f3dc6dd0789730cc56868f534a0155615cc1543")
+    "866c030d1687a352fbd95ce91d6c3fc7fa17b3bea8c3352005d5c990b8736490")
 
 
 def test_c2_forty_day_bytes_are_as_recorded(forty_day_run):

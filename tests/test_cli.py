@@ -10,6 +10,7 @@ import json
 import math
 import os
 import random
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -536,9 +537,9 @@ def test_fit_golden_bytes(truncated, tmp_path):
 # synth stream; any change to the generator, the book, the tally, a
 # float sum or the chi-square tail moves them
 GOLDEN_REPLAY_DIGESTS = (
-    "1433d5d6de6d7521cecb761f1db0776fb3b7f1acf67c26cd38df1184b0054d7d",
-    "abb0398a50213e87cac5dfd26c45b47ec75a2545697af2e13647ea1f31f36afe",
-    "247a6bc4cc32ca6d4907c277ae81cc46e43c60cff5d6172e5f08f23f37085c71")
+    "291213b7e1ebcdf1d5ebaceb7cb4010e9d652b89beb7aa1ae33b11bb2fbd05c2",
+    "2d1050c59e5273c7ba499ac4dc59a776758644f2ca740e1168e82b56e78ecb89",
+    "1e470319970d6595f881302ecd21e376957a1667d2faa54f2ead49fa84e473fd")
 
 
 def test_replay_golden_bytes(tmp_path):
@@ -715,7 +716,7 @@ class TestImportBoundary:
                     if module in loaded} == {modules[command]}, command
             # the fork pool, for the commands that spread work over CPUs
             assert ("lobfit.pool" in loaded) == (
-                command in ("rates", "fit")), command
+                command in ("synth", "rates", "fit")), command
 
     @pytest.mark.parametrize("command, tally", (
         ("fit", "rates.csv"), ("cancel-test", "cancels.csv")))
@@ -1063,6 +1064,86 @@ class TestRatesPool:
         assert not (tmp_path / "out").exists()
 
 
+class TestSynthPool:
+    _OUTPUTS = ("ground_truth.json", "stream.lobf")
+
+    @staticmethod
+    def _spec(style, days=4):
+        return synth.SynthSpec(seed=21, days=days, orders_per_day=400,
+                               buy_model=dist.DiscreteWeibull(0.8, 1.2),
+                               sell_model=dist.Geometric(0.35),
+                               cancel_probability=0.3, cancel_style=style)
+
+    @pytest.mark.parametrize("style", list(synth.CancelStyle))
+    def test_same_bytes_on_any_cpu_count(self, style, tmp_path,
+                                         monkeypatch):
+        flags = ["--seed", "21", "--days", "4", "--orders-per-day", "400",
+                 "--buy-model", "dw:0.8,1.2", "--sell-model", "geo:0.35",
+                 "--cancel-probability", "0.3", "--cancel-style",
+                 "full" if style is synth.CancelStyle.FULL else "fraction"]
+        written = []
+        monkeypatch.setattr(synth, "write_ground_truth",
+                            functools.partial(self._keep_truth, written,
+                                              synth.write_ground_truth))
+        outputs = []
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(pool, "_usable_cpus", lambda: cpus)
+            out = tmp_path / str(cpus)
+            assert cli.main(["synth", *flags, "--out", str(out)]) == 0
+            assert sorted(p.name for p in out.iterdir()) == list(
+                self._OUTPUTS)
+            assert _no_child_left()
+            outputs.append({name: (out / name).read_bytes()
+                            for name in self._OUTPUTS})
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        # the sessions the workers tallied merge into the serial store
+        blob, truth = synth.generate(self._spec(style))
+        assert blob == outputs[0]["stream.lobf"]
+        assert all(gt.store == truth.store for gt in written)
+        # session 0 keeps the seed's own stream: it is the 1-day stream
+        one_day, _ = synth.generate(self._spec(style, days=1))
+        runs, fault = feed.session_runs([blob])
+        assert fault is None and len(runs) == 4
+        assert b"".join(blob[start:stop]
+                        for _, start, stop in runs[0]) == one_day
+
+    @staticmethod
+    def _keep_truth(written, write, path, truth):
+        written.append(truth)
+        write(path, truth)
+
+    def test_failing_session_exits_two_and_leaves_nothing(
+            self, tmp_path, monkeypatch, capsys):
+        generate_session = synth.generate_session
+
+        def fail_second(spec, index, session_date, write):
+            if index == 1:
+                raise RuntimeError("power cut")
+            return generate_session(spec, index, session_date, write)
+
+        monkeypatch.setattr(synth, "generate_session", fail_second)
+        out = tmp_path / "out"
+        assert cli.main(["synth", "--days", "3", "--orders-per-day", "300",
+                         "--out", str(out)]) == 2
+        assert "power cut" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+        assert _no_child_left()
+
+    def test_dead_worker_exits_two_and_leaves_nothing(self, tmp_path,
+                                                      monkeypatch, capsys):
+        # as under an OOM kill, with the session file open
+        def die(spec, index, session_date, write):
+            os._exit(9)
+
+        monkeypatch.setattr(synth, "generate_session", die)
+        out = tmp_path / "out"
+        assert cli.main(["synth", "--days", "3", "--orders-per-day", "300",
+                         "--out", str(out)]) == 2
+        assert "sent no result" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+        assert _no_child_left()
+
+
 @functools.lru_cache(maxsize=None)
 def _small_stream_frames():
     with tempfile.TemporaryDirectory() as directory:
@@ -1333,6 +1414,44 @@ class TestCancelTestEdgeCases:
                           "cancels")
         assert not (tmp_path / "chi_square.csv").exists()
 
+    def test_weekly_bucket_missing_a_tick_is_skipped(self, tmp_path, capsys):
+        # no cancels at tick 7 in the week; the month has all ten ticks
+        source = tmp_path / "cancels.csv"
+        with open(source, "w") as fh:
+            fh.write("bucket_key,side,tick,count,mean_ratio\n")
+            for bucket in ("weekly:2017-W31", "monthly:2017-08"):
+                for tick in range(1, 11):
+                    if (bucket, tick) != ("weekly:2017-W31", 7):
+                        fh.write(f"{bucket},buy,{tick},4,0.5\n")
+        assert cli.main(["cancel-test", str(source),
+                         "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == (
+            "warning: skipping weekly:2017-W31 buy: no cancels in ticks "
+            "[7]\n")
+        lines = (tmp_path / "chi_square.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            ["monthly:2017-08", "buy"]]
+
+    def test_every_bucket_missing_a_tick_exits_one(self, tmp_path, capsys):
+        # a weekly and a monthly bucket, each without cancels at one tick
+        source = tmp_path / "cancels.csv"
+        with open(source, "w") as fh:
+            fh.write("bucket_key,side,tick,count,mean_ratio\n")
+            for bucket, absent in (("weekly:2017-W31", 3),
+                                   ("monthly:2017-08", 10)):
+                for tick in range(1, 11):
+                    if tick != absent:
+                        fh.write(f"{bucket},sell,{tick},4,0.5\n")
+        out = tmp_path / "out"
+        assert cli.main(["cancel-test", str(source), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: skipping weekly:2017-W31 sell: no cancels in ticks [3]",
+            "warning: skipping monthly:2017-08 sell: no cancels in ticks "
+            "[10]",
+            f"error: {source}: tested no weekly or monthly bucket: 2 "
+            "skipped, 2 with a tick that has no cancels"]
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_missing_input_file(self, tmp_path):
@@ -1511,10 +1630,10 @@ class TestExitCodes:
             assert "internal error" not in err
 
     def test_internal_failure_exits_two(self, tmp_path, monkeypatch, capsys):
-        def boom(spec, write):
+        def boom(spec, index, session_date, write):
             raise RuntimeError("wires crossed")
 
-        monkeypatch.setattr(synth, "generate", boom)
+        monkeypatch.setattr(synth, "generate_session", boom)
         assert cli.main(["synth", "--out", str(tmp_path)]) == 2
         assert "wires crossed" in capsys.readouterr().err
 
@@ -1537,9 +1656,10 @@ class TestExitCodes:
 
     @staticmethod
     def fail_second_session(monkeypatch, out, error):
-        """Make the generator raise ``error`` as its second session
-        starts, once the first is on its way to disk."""
-        generate_session = synth._generate_session
+        """Make the join of the session files raise ``error`` as it
+        starts on the second file it appends, once the stream's temporary
+        file holds the sessions before it."""
+        copy = shutil.copyfileobj
         sessions = []
 
         def fail_on_second(*args):
@@ -1547,9 +1667,9 @@ class TestExitCodes:
             if len(sessions) == 2:
                 assert (out / "stream.lobf.tmp").stat().st_size > 0
                 raise error
-            return generate_session(*args)
+            return copy(*args)
 
-        monkeypatch.setattr(synth, "_generate_session", fail_on_second)
+        monkeypatch.setattr(shutil, "copyfileobj", fail_on_second)
         return sessions
 
     def test_synth_failing_midway_leaves_no_stream(self, tmp_path,

@@ -138,6 +138,29 @@ class TestGeneration:
         blob2, _ = synth.generate(small_spec(seed=2))
         assert blob1 != blob2
 
+    def test_each_session_stands_alone(self):
+        # session k is made from its index alone: its own jump of the
+        # seed's stream, and order ids counted on from the sessions before
+        spec = small_spec(days=3)
+        blob, gt = synth.generate(spec)
+        sessions = _group_by_session(blob)
+        days = synth.default_calendar(spec.days, spec.start)
+        store = rates.TallyStore()
+        for index in reversed(range(spec.days)):
+            chunks = []
+            store.merge(synth.generate_session(spec, index, days[index],
+                                               chunks.append))
+            alone = stream_messages(b"".join(chunks))
+            sid = rates.date_to_session_id(days[index])
+            assert alone == [(sid, m) for m in sessions[sid]]
+            adds = [m.order_id for m in sessions[sid]
+                    if m.kind is MessageKind.ADD]
+            first = 1 + index * (2 * rates.ARRIVAL_TICKS
+                                 + spec.orders_per_day)
+            assert adds == list(range(first, first + len(adds)))
+            assert len(adds) == 2 * rates.ARRIVAL_TICKS + spec.orders_per_day
+        assert store == gt.store
+
     def test_replay_reproduces_ground_truth_exactly(self):
         spec = small_spec(cancel_style=synth.CancelStyle.UNIFORM_FRACTION)
         blob, gt = synth.generate(spec)
@@ -205,9 +228,11 @@ _ONE_PER_FAMILY = (dist.Geometric(0.35), dist.DiscreteWeibull(0.8, 1.2),
                    dist.PowerLaw(1.0, 1.5))
 
 
-# sha256 of stream.lobf and ground_truth.json, recorded before the
-# generator lost its per-arrival cancel scan; any change to the rng
-# order, the cancel candidates or the encoder moves them
+# sha256 of stream.lobf and ground_truth.json; the 2-day entries were
+# recorded once each session drew from its own jump of the seed's
+# stream, the 1-day one before the generator lost its per-arrival copy
+# of the live list; any change to the rng order, the cancel candidates
+# or the encoder moves them
 GOLDEN_SPECS = {
     "dw_dw_fraction": (
         synth.SynthSpec(seed=7, days=2, orders_per_day=500,
@@ -215,16 +240,16 @@ GOLDEN_SPECS = {
                         sell_model=dist.DiscreteWeibull(0.75, 1.4),
                         cancel_probability=0.15,
                         cancel_style=synth.CancelStyle.UNIFORM_FRACTION),
-        "10aaf102482a9e4cbf074f48c71b13e0d07cf710a332fa35a1f81a30211b3e42",
-        "739d471a8782a89af2202eb7675d8c4ade5b237d05a1e25724548ec4158fda6f"),
+        "96e39ebc76dc3bf0c3d98a558b41559be67a45a44198eee54e198eba0fd109f1",
+        "e80fc0eb8d72775b69e4923d55cb2dcca2d59b439b12e60d196510d722ec593a"),
     "geo_bb_full": (
         synth.SynthSpec(seed=11, days=2, orders_per_day=500,
                         buy_model=dist.Geometric(0.35),
                         sell_model=dist.BetaBinomial(1.5, 6.0),
                         cancel_probability=0.2,
                         cancel_style=synth.CancelStyle.FULL),
-        "f32394d9b05f20d145ec89e3a5b869529a706088b3ef6b1b813981aa0a0cd89f",
-        "e697147b9548cd9a3176427f244cab3b350540a4d99d408b9b44176bf67bea4f"),
+        "b79cb9cb12920d000a5a904c09469ee4d188f3d474ba4bfbe963a6ee87686bf7",
+        "2931b898a8f91bd210a06ab90ae920f1d9bd28c80507bb0a9dfa21988b8583bc"),
     "exp_pow_fraction_tick5": (
         synth.SynthSpec(seed=13, days=2, orders_per_day=500,
                         buy_model=dist.Exponential(0.4),
@@ -232,8 +257,8 @@ GOLDEN_SPECS = {
                         cancel_probability=0.5,
                         cancel_style=synth.CancelStyle.UNIFORM_FRACTION,
                         tick_size=5),
-        "daf2004646331a53ca0348d3b140f7192ef1554e2d513cfa319a7a8bfa7c2a40",
-        "91aed0777a797b11ac568eba1b8b99bda180b6d628c37042a8d4a194521b2421"),
+        "64035f904c68112580fca46b81bd180b9c4c8f3ed8442b24bf7b505bedeb3ef0",
+        "c538730325f69f66accf59583e1fcb80078938143a6e170de1ab424d330bfb20"),
     # every live order is hit at every arrival, so each cancel draw picks
     # the whole population
     "geo_dw_full_all": (
@@ -242,16 +267,16 @@ GOLDEN_SPECS = {
                         sell_model=dist.DiscreteWeibull(0.7, 1.1),
                         cancel_probability=1.0,
                         cancel_style=synth.CancelStyle.FULL),
-        "630eb3daf06a4fe3b7173ed1383ab8dcaa5b46606f15846eb5b63c163845c280",
-        "517fda00914a5431780e33cc70da921926e5871bf6260b90a7f8111d231ad19b"),
+        "1f855b65894f9df35eb7c0d0493b2b15e7b690953b64a8ca6f16626a0d0575b9",
+        "d2e19bf7653bd5242915d494ed50b495def9f50d2f8f16ce90f18b89f016e436"),
     "bb_exp_fraction_all": (
         synth.SynthSpec(seed=19, days=2, orders_per_day=500,
                         buy_model=dist.BetaBinomial(2.0, 5.0),
                         sell_model=dist.Exponential(0.5),
                         cancel_probability=1.0,
                         cancel_style=synth.CancelStyle.UNIFORM_FRACTION),
-        "cffd32f91eacad983418f8a610d6ecfae38c960dba213f35548a79da5a6ae279",
-        "dfc4d3114ebd82762523aed8e09a99040db23abd131a6f4e6e255b0df8437571"),
+        "c736ff33e653278a807003577093849993de3c011016f0eb9afd3b2f1ec2288d",
+        "3a2c44883094fab367d8bc52b01baf100daa09ce0c73ab5d48760496a49a5c3a"),
     # few cancels over a long day, so thousands of orders stay live and
     # the picks index deep into the live list
     "dw_geo_fraction_deep": (

@@ -6,8 +6,9 @@ Four subcommands chain the package into the full workflow:
         emit a seeded stream (run/stream.lobf) plus the generator's own
         tallies (run/ground_truth.json); each session draws from its
         own jump of the seed's stream, so the sessions are made in
-        parallel, one worker process per CPU this process may run on,
-        and the outputs are byte-identical for any number of CPUs
+        parallel, one block of days per CPU this process may run on
+        (the first here, each other in a forked worker), and the
+        outputs are byte-identical for any number of CPUs
 
     lobfit rates run/stream.lobf --out run/
         replay the stream through the book and write run/rates.csv and

@@ -43,23 +43,29 @@ def _run_worker(fn, items: list, write_end: int, inherited: list) -> None:
         os._exit(status)
 
 
-def _map_on_cpus(fn, items: list) -> list:
+def _map_on_cpus(fn, items: list, in_parent: bool = False) -> list:
     """``fn`` over ``items`` in forked workers, one per usable CPU.
 
     Worker ``k`` of ``n`` runs ``items[k::n]`` and sends its results
-    back through its own pipe.  Results come back in the order of
-    ``items`` for any number of workers.  A worker's exception is raised
-    here again, with its class and message.  A worker that dies or sends
-    nothing raises WorkerDied, naming its exit status, instead of
-    hanging.  Every worker is reaped before this returns or raises; if
-    this process fails itself, the workers still running are killed.
+    back through its own pipe.  With ``in_parent``, worker 0's items run
+    in this process instead, once the other workers have started, so
+    one fewer process is forked, and none when one worker would run.
+    Results come back in the order of ``items`` for any number of
+    workers.  A worker's exception is raised here again, with its class
+    and message.  A worker that dies or sends nothing raises WorkerDied,
+    naming its exit status, instead of hanging.  Every worker is reaped
+    before this returns or raises; if this process fails itself, its
+    own share of the items included, the workers still running are
+    killed.
     """
     if not items:
         return []
     workers = min(_usable_cpus(), len(items))
+    first = 1 if in_parent else 0
+    results = [None] * len(items)
     pids, pipes = [], []
     try:
-        for k in range(workers):
+        for k in range(first, workers):
             read_end, write_end = os.pipe()
             pipes.append(read_end)
             try:
@@ -71,6 +77,8 @@ def _map_on_cpus(fn, items: list) -> list:
                 # worker's copy is closed
                 os.close(write_end)
             pids.append(pid)
+        if in_parent:
+            results[0::workers] = [fn(item) for item in items[0::workers]]
         replies = []
         for k, read_end in enumerate(pipes):
             with open(read_end, "rb") as fh:
@@ -88,8 +96,7 @@ def _map_on_cpus(fn, items: list) -> list:
             if pid is not None:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    results = [None] * len(items)
-    for k, (reply, status) in enumerate(zip(replies, statuses)):
+    for k, reply, status in zip(range(first, workers), replies, statuses):
         if status or not reply:
             raise WorkerDied(
                 f"worker {k + 1} of {workers} ended with exit status "

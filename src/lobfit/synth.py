@@ -31,15 +31,16 @@ Session k draws from its own numpy PCG64 stream, the seed's stream
 jumped k times (``PCG64(seed).jumped(k)``), the jump-ahead that PCG is
 built for (O'Neill 2014, HMC-CS-2014-0905).  Session 0's stream is
 ``default_rng(seed)``'s.  No session depends on another's draws, so
-``generate_session`` makes any one of them alone, and ``lobfit synth``
-makes them in parallel.  A session draws its offsets, sides, ticks
-and quantities in four bulk calls, and each arrival one ``binomial``
-for its number of hits.  The hits and the fraction style's shares are
-the draws of numpy's ``choice(len, hits, replace=False)`` and
-``random(hits)``, made by ``_cancel_draws`` from one
-``bit_generator.random_raw`` call without ``choice``'s per-call cost:
-Floyd's picks over Lemire's bounded 32-bit draws from the raw words,
-and each share as PCG64's next double, a word's top 53 bits.
+``generate_session`` makes any one of them alone, the stream of a spec
+cut to its first days is the start of the spec's stream, and ``lobfit
+synth`` makes the sessions in parallel.  A session draws its
+offsets, sides, ticks and quantities in four bulk calls, and each
+arrival one ``binomial`` for its number of hits.  The hits and the
+fraction style's shares are the draws of numpy's ``choice(len, hits,
+replace=False)`` and ``random(hits)``, made by ``_cancel_draws`` from
+one ``bit_generator.random_raw`` call without ``choice``'s per-call
+cost: Floyd's picks over Lemire's bounded 32-bit draws from the raw
+words, and each share as PCG64's next double, a word's top 53 bits.
 PCG64 keeps back the high half of a word for its next 32-bit draw,
 which ``random_raw``, ``random`` and ``binomial`` skip, so a session
 reads that half from ``bit_generator.state`` after its bulk draws.

@@ -143,9 +143,7 @@ def test_perfbench_tracer_runs_synth_and_rates(tmp_path):
     ops = traced("synth", "--days", "1", "--orders-per-day", "600",
                  "--out", str(out))
     assert ops["cli.main"][0] == 1
-    # the sessions are made in forked workers, which the tracer does not
-    # see; the parent writes the truth they tallied
-    assert ops["synth.write"][0] == 1
+    assert ops["synth.generate"][0] == 1
     ops = traced("rates", str(out / "stream.lobf"), "--out", str(out))
     assert ops["rates.csv_write"][0] == 2
     # a weekly or monthly bucket with cancels at all ten ticks reaches

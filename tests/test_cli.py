@@ -838,6 +838,37 @@ class TestMapOnCpus:
         assert _no_child_left()
 
 
+    @pytest.mark.parametrize("n_items", [0, 1, 3, 9])
+    def test_in_parent_runs_worker_zeros_items_here(self, cpus, n_items):
+        items = [f"item{i}" for i in range(n_items)]
+        out = pool._map_on_cpus(lambda item: (item.upper(), os.getpid()),
+                               items, in_parent=True)
+        assert [value for value, _ in out] == [i.upper() for i in items]
+        workers = min(cpus, n_items)
+        pids = [pid for _, pid in out]
+        assert len(set(pids)) == workers
+        assert [pid == os.getpid() for pid in pids] == [
+            k % workers == 0 for k in range(n_items)]
+        assert _no_child_left()
+
+    @pytest.mark.parametrize("failing", ["here", "worker"])
+    def test_in_parent_raises_either_sides_exception(self, cpus, failing):
+        # when this process's own item fails, each worker would still run
+        # for a minute, and is killed
+        def fn(item):
+            if item == (0 if failing == "here" else cpus - 1):
+                raise RuntimeError(f"item {item} is bad")
+            if failing == "here":
+                time.sleep(60)
+            return item
+
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="is bad"):
+            pool._map_on_cpus(fn, list(range(cpus)), in_parent=True)
+        assert time.monotonic() - start < 30
+        assert _no_child_left()
+
+
 class TestFitPool:
     _OUTPUTS = ("fits.json", "nps_summary.csv", "welch_tests.csv")
 
@@ -1107,6 +1138,20 @@ class TestSynthPool:
         assert b"".join(blob[start:stop]
                         for _, start, stop in runs[0]) == one_day
 
+    @pytest.mark.parametrize("cpus, days", [(1, 3), (4, 1)])
+    def test_one_worker_forks_nothing(self, cpus, days, tmp_path,
+                                      monkeypatch):
+        # one CPU, or one day: the whole stream is made in this process
+        def no_fork():
+            raise AssertionError("forked a worker")
+
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(os, "fork", no_fork)
+        out = tmp_path / "out"
+        assert cli.main(["synth", "--days", str(days), "--orders-per-day",
+                         "300", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == list(self._OUTPUTS)
+
     @staticmethod
     def _keep_truth(written, write, path, truth):
         written.append(truth)
@@ -1114,14 +1159,16 @@ class TestSynthPool:
 
     def test_failing_session_exits_two_and_leaves_nothing(
             self, tmp_path, monkeypatch, capsys):
+        # on 2 CPUs, the worker makes session 2 of 3
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
         generate_session = synth.generate_session
 
-        def fail_second(spec, index, session_date, write):
-            if index == 1:
+        def fail_last(spec, index, session_date, write):
+            if index == 2:
                 raise RuntimeError("power cut")
             return generate_session(spec, index, session_date, write)
 
-        monkeypatch.setattr(synth, "generate_session", fail_second)
+        monkeypatch.setattr(synth, "generate_session", fail_last)
         out = tmp_path / "out"
         assert cli.main(["synth", "--days", "3", "--orders-per-day", "300",
                          "--out", str(out)]) == 2
@@ -1131,9 +1178,15 @@ class TestSynthPool:
 
     def test_dead_worker_exits_two_and_leaves_nothing(self, tmp_path,
                                                       monkeypatch, capsys):
-        # as under an OOM kill, with the session file open
+        # as under an OOM kill, with its block's file open; on 2 CPUs
+        # the worker makes session 2 of 3
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
+        generate_session = synth.generate_session
+
         def die(spec, index, session_date, write):
-            os._exit(9)
+            if index == 2:
+                os._exit(9)
+            return generate_session(spec, index, session_date, write)
 
         monkeypatch.setattr(synth, "generate_session", die)
         out = tmp_path / "out"
@@ -1630,10 +1683,10 @@ class TestExitCodes:
             assert "internal error" not in err
 
     def test_internal_failure_exits_two(self, tmp_path, monkeypatch, capsys):
-        def boom(spec, index, session_date, write):
+        def boom(spec, write):
             raise RuntimeError("wires crossed")
 
-        monkeypatch.setattr(synth, "generate_session", boom)
+        monkeypatch.setattr(synth, "generate", boom)
         assert cli.main(["synth", "--out", str(tmp_path)]) == 2
         assert "wires crossed" in capsys.readouterr().err
 
@@ -1656,10 +1709,12 @@ class TestExitCodes:
 
     @staticmethod
     def fail_second_session(monkeypatch, out, error):
-        """Make the join of the session files raise ``error`` as it
-        starts on the second file it appends, once the stream's temporary
-        file holds the sessions before it."""
-        copy = shutil.copyfileobj
+        """Make the generator raise ``error`` as its second session in
+        this process starts, once the first is on its way to disk.  On 2
+        CPUs with 3 days, this process makes sessions 0 and 1 while a
+        worker makes session 2, which is killed and its file removed."""
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
+        generate_session = synth.generate_session
         sessions = []
 
         def fail_on_second(*args):
@@ -1667,9 +1722,9 @@ class TestExitCodes:
             if len(sessions) == 2:
                 assert (out / "stream.lobf.tmp").stat().st_size > 0
                 raise error
-            return copy(*args)
+            return generate_session(*args)
 
-        monkeypatch.setattr(shutil, "copyfileobj", fail_on_second)
+        monkeypatch.setattr(synth, "generate_session", fail_on_second)
         return sessions
 
     def test_synth_failing_midway_leaves_no_stream(self, tmp_path,
@@ -1681,6 +1736,7 @@ class TestExitCodes:
         assert "power cut" in capsys.readouterr().err
         assert len(sessions) == 2
         assert list(out.iterdir()) == []
+        assert _no_child_left()
 
     def test_synth_interrupted_midway_leaves_no_stream(self, tmp_path,
                                                        monkeypatch):
@@ -1689,6 +1745,35 @@ class TestExitCodes:
         with pytest.raises(KeyboardInterrupt):
             cli.main(["synth", "--days", "3", "--out", str(out)])
         assert list(out.iterdir()) == []
+        assert _no_child_left()
+
+    @pytest.mark.parametrize("error, code", [
+        (RuntimeError("power cut"), 2), (KeyboardInterrupt(), None)])
+    def test_synth_failing_in_the_join_leaves_no_stream(
+            self, tmp_path, monkeypatch, error, code):
+        # the worker's block is on disk, and the join of it to the
+        # stream's temporary file fails as it starts
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
+        out = tmp_path / "out"
+        joins = []
+
+        def fail(*args):
+            joins.append(args)
+            assert (out / "stream.lobf.tmp").stat().st_size > 0
+            assert (out / "stream.lobf.1.tmp").stat().st_size > 0
+            raise error
+
+        monkeypatch.setattr(shutil, "copyfileobj", fail)
+        argv = ["synth", "--days", "3", "--orders-per-day", "300",
+                "--out", str(out)]
+        if code is None:
+            with pytest.raises(KeyboardInterrupt):
+                cli.main(argv)
+        else:
+            assert cli.main(argv) == code
+        assert len(joins) == 1
+        assert list(out.iterdir()) == []
+        assert _no_child_left()
 
 
 class TestMultiFileInput:

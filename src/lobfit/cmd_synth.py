@@ -67,7 +67,8 @@ def cmd_synth(args) -> None:
     stream = os.path.join(args.out, "stream.lobf")
     partial = stream + ".tmp"
     workers = min(pool._usable_cpus(), spec.days)
-    # the first block is the longest, and with one worker the stream
+    # block k is days bounds[k] up to bounds[k + 1]; the first block is
+    # the longest, and with one worker the whole stream
     bounds = [-(-spec.days * k // workers) for k in range(workers + 1)]
     paths = [partial] + [f"{stream}.{k}.tmp" for k in range(1, workers)]
     try:

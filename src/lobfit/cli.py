@@ -14,16 +14,17 @@ Four subcommands chain the package into the full workflow:
         replay the stream through the book and write run/rates.csv and
         run/cancels.csv, one row per (bucket, side, tick); each session
         starts on an empty book, so each is replayed once, in parallel,
-        one worker process per CPU this process may run on; the outputs
-        are byte-identical for any number of CPUs, and a bad stream
-        fails with the error a replay in stream order meets first
+        in this process plus one forked worker per further CPU it may
+        run on; the outputs are byte-identical for any number of CPUs,
+        and a bad stream fails with the error a replay in stream order
+        meets first
 
     lobfit fit run/rates.csv --out run/
         fit every selected family to every instance and write
         run/fits.json, run/nps_summary.csv, run/welch_tests.csv;
-        instances are fitted in parallel, one worker process per CPU
-        this process may run on, and the outputs are byte-identical
-        for any number of CPUs
+        instances are fitted in parallel, in this process plus one
+        forked worker per further CPU it may run on, and the outputs
+        are byte-identical for any number of CPUs
 
     lobfit cancel-test run/cancels.csv --out run/
         chi-square uniformity of cancellation ratios per weekly and

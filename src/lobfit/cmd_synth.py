@@ -74,7 +74,7 @@ def cmd_synth(args) -> None:
     try:
         stores = pool._map_on_cpus(
             functools.partial(_write_block, spec, paths, bounds),
-            list(range(workers)), in_parent=True)
+            list(range(workers)))
         with open(partial, "ab") as out:
             for path in paths[1:]:
                 with open(path, "rb") as fh:

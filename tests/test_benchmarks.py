@@ -164,7 +164,8 @@ def test_perfbench_tracer_runs_synth_and_rates(tmp_path):
 def test_perfbench_tracer_runs_fit(tmp_path):
     # the tracer's minimize hook reads the first positional argument as
     # the objective kind; the fit workers run it, and an exception there
-    # fails the command
+    # fails the command.  The tracer sees only the command's own process,
+    # which fits its share of the instances itself.
     source = tmp_path / "rates.csv"
     with open(source, "w") as fh:
         fh.write("bucket_key,side,tick,quantity,density\n")
@@ -179,6 +180,8 @@ def test_perfbench_tracer_runs_fit(tmp_path):
                "--out", str(tmp_path / "run"), directory=ROOT / "perfbench")
     ops = json.loads(trace.read_text())["ops"]
     assert ops["cli.main"][0] == 1
+    assert ops["dist.fit"][0] >= len(dist.FAMILY_TAGS)
+    assert ops["kernels.minimize"][0] >= 1
     instances = json.loads((tmp_path / "run" / "fits.json").read_text())[
         "instances"]
     assert [set(inst["fits"]) for inst in instances] == [

@@ -781,6 +781,11 @@ def _no_child_left():
     return False
 
 
+def _no_fork():
+    """Stands in for ``os.fork`` or ``os.pipe`` where no worker may start."""
+    raise AssertionError("forked a worker")
+
+
 class TestMapOnCpus:
     @pytest.fixture(params=[1, 2, 4])
     def cpus(self, request, monkeypatch):
@@ -796,7 +801,15 @@ class TestMapOnCpus:
         assert [value for value, _ in out] == [i.upper() for i in items]
         workers = {pid for _, pid in out}
         assert len(workers) == min(cpus, n_items)
-        assert os.getpid() not in workers
+        assert _no_child_left()
+
+    @pytest.mark.parametrize("n_items", [0, 1, 3, 9])
+    def test_worker_zeros_items_run_here(self, cpus, n_items):
+        out = pool._map_on_cpus(lambda item: os.getpid(),
+                               list(range(n_items)))
+        workers = min(cpus, n_items)
+        assert [pid == os.getpid() for pid in out] == [
+            k % workers == 0 for k in range(n_items)]
         assert _no_child_left()
 
     @pytest.mark.parametrize("error", [LobfitError, RuntimeError])
@@ -813,46 +826,55 @@ class TestMapOnCpus:
         assert str(info.value) == "item 5 is bad"
         assert _no_child_left()
 
-    def test_a_dead_worker_raises_an_internal_error(self, cpus):
+    def test_a_dead_worker_raises_an_internal_error(self, cpus, monkeypatch):
+        # this process runs its own items and lives; every worker dies
+        parent = os.getpid()
+
         def fn(item):
-            if item == 2:
+            if os.getpid() != parent:
                 os._exit(9)
             return item
 
-        with pytest.raises(pool.WorkerDied, match="exit status 9") as info:
-            pool._map_on_cpus(fn, list(range(9)))
-        assert not isinstance(info.value, (LobfitError, OSError, ValueError))
+        if cpus == 1:
+            # the one worker is this process: nothing is forked
+            monkeypatch.setattr(os, "fork", _no_fork)
+            assert pool._map_on_cpus(fn, list(range(9))) == list(range(9))
+        else:
+            with pytest.raises(pool.WorkerDied, match=(
+                    f"worker 2 of {cpus} ended with exit status 9")) as info:
+                pool._map_on_cpus(fn, list(range(9)))
+            assert not isinstance(info.value,
+                                  (LobfitError, OSError, ValueError))
         assert _no_child_left()
 
     def test_a_failing_parent_kills_its_workers(self, cpus, monkeypatch):
         def refuse(*args, **kwargs):
             raise OSError("no reading today")
 
-        # each worker would run for a minute; the parent fails at once,
-        # when it opens the first pipe
+        parent = os.getpid()
+
+        def fn(item):
+            # a worker would run for a minute; this process not at all
+            if os.getpid() != parent:
+                time.sleep(60)
+            return item
+
+        # this process runs its own item, then fails when it opens the
+        # first pipe
         monkeypatch.setattr(pool, "open", refuse, raising=False)
-        start = time.monotonic()
-        with pytest.raises(OSError, match="no reading today"):
-            pool._map_on_cpus(lambda item: time.sleep(60), [None] * cpus)
-        assert time.monotonic() - start < 30
-        assert _no_child_left()
-
-
-    @pytest.mark.parametrize("n_items", [0, 1, 3, 9])
-    def test_in_parent_runs_worker_zeros_items_here(self, cpus, n_items):
-        items = [f"item{i}" for i in range(n_items)]
-        out = pool._map_on_cpus(lambda item: (item.upper(), os.getpid()),
-                               items, in_parent=True)
-        assert [value for value, _ in out] == [i.upper() for i in items]
-        workers = min(cpus, n_items)
-        pids = [pid for _, pid in out]
-        assert len(set(pids)) == workers
-        assert [pid == os.getpid() for pid in pids] == [
-            k % workers == 0 for k in range(n_items)]
+        if cpus == 1:
+            # the one worker is this process: no pipe is opened
+            monkeypatch.setattr(os, "pipe", _no_fork)
+            assert pool._map_on_cpus(fn, [None]) == [None]
+        else:
+            start = time.monotonic()
+            with pytest.raises(OSError, match="no reading today"):
+                pool._map_on_cpus(fn, [None] * cpus)
+            assert time.monotonic() - start < 30
         assert _no_child_left()
 
     @pytest.mark.parametrize("failing", ["here", "worker"])
-    def test_in_parent_raises_either_sides_exception(self, cpus, failing):
+    def test_either_sides_exception_is_raised(self, cpus, failing):
         # when this process's own item fails, each worker would still run
         # for a minute, and is killed
         def fn(item):
@@ -864,7 +886,7 @@ class TestMapOnCpus:
 
         start = time.monotonic()
         with pytest.raises(RuntimeError, match="is bad"):
-            pool._map_on_cpus(fn, list(range(cpus)), in_parent=True)
+            pool._map_on_cpus(fn, list(range(cpus)))
         assert time.monotonic() - start < 30
         assert _no_child_left()
 
@@ -928,11 +950,14 @@ class TestFitPool:
     def test_dead_worker_exits_two_without_hanging(self, tmp_path):
         source = tmp_path / "rates.csv"
         self._rates_csv(source)
-        # a worker process that dies outright, as under an OOM kill
+        # a worker process that dies outright, as under an OOM kill, while
+        # this process fits its own instances, on 2 faked CPUs
         code = ("import os, sys; from lobfit import cli, dist\n"
+                "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                "parent = os.getpid()\n"
                 "fit_family = dist.fit_family\n"
                 "def die(density, tag, **kwargs):\n"
-                "    if tag == 'power_law':\n"
+                "    if os.getpid() != parent:\n"
                 "        os._exit(9)\n"
                 "    return fit_family(density, tag, **kwargs)\n"
                 "dist.fit_family = die\n"
@@ -940,9 +965,25 @@ class TestFitPool:
         proc = _python(code, "fit", str(source), "--out",
                        str(tmp_path / "out"), timeout=60)
         assert proc.returncode == 2, proc.stderr
-        assert "internal error: WorkerDied('worker 1 of " in proc.stderr
+        assert "internal error: WorkerDied('worker 2 of 2 " in proc.stderr
         assert "ended with exit status 9 and sent no result" in proc.stderr
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cpus, instances", [(1, 12), (4, 1)])
+    def test_one_worker_forks_nothing(self, cpus, instances, tmp_path,
+                                      monkeypatch):
+        source = tmp_path / "rates.csv"
+        self._rates_csv(source)
+        if instances == 1:
+            # the header and the 15 rows of the first instance
+            lines = source.read_text().splitlines(keepends=True)
+            source.write_text("".join(lines[:16]))
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(os, "fork", _no_fork)
+        out = tmp_path / "out"
+        assert cli.main(["fit", str(source), "--out", str(out)]) == 0
+        fitted = json.loads((out / "fits.json").read_text())["instances"]
+        assert len(fitted) == instances
 
 
 def _two_file_stream(directory, days=3, orders_per_day=200, seed=5,
@@ -1080,19 +1121,42 @@ class TestRatesPool:
         assert not (tmp_path / "out").exists()
 
     def test_dead_worker_exits_two_without_hanging(self, streams, tmp_path):
-        # a worker process that dies outright, as under an OOM kill; only
-        # workers replay a good stream
+        # a worker process that dies outright, as under an OOM kill, while
+        # this process replays its own sessions, on 2 faked CPUs
         code = ("import os, sys; from lobfit import cli, rates\n"
+                "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                "parent = os.getpid()\n"
+                "tally_stream = rates.tally_stream\n"
                 "def die(*args, **kwargs):\n"
-                "    os._exit(9)\n"
+                "    if os.getpid() != parent:\n"
+                "        os._exit(9)\n"
+                "    return tally_stream(*args, **kwargs)\n"
                 "rates.tally_stream = die\n"
                 "sys.exit(cli.main(sys.argv[1:]))")
         proc = _python(code, "rates", *streams, "--out",
                        str(tmp_path / "out"), timeout=60)
         assert proc.returncode == 2, proc.stderr
-        assert "internal error: WorkerDied('worker 1 of " in proc.stderr
+        assert "internal error: WorkerDied('worker 2 of 2 " in proc.stderr
         assert "ended with exit status 9 and sent no result" in proc.stderr
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cpus, days", [(1, 3), (4, 1)])
+    def test_one_worker_forks_nothing(self, streams, cpus, days, tmp_path,
+                                      monkeypatch):
+        # one CPU, or one session: every session is replayed here
+        if days == 1:
+            assert cli.main(["synth", "--days", "1", "--orders-per-day",
+                             "300", "--out", str(tmp_path)]) == 0
+            streams = [tmp_path / "stream.lobf"]
+        serial = tmp_path / "serial"
+        assert _serial_rates(streams, [], serial) is None
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(os, "fork", _no_fork)
+        out = tmp_path / "out"
+        assert cli.main(["rates", *map(str, streams), "--out",
+                         str(out)]) == 0
+        for name in self._OUTPUTS:
+            assert (out / name).read_bytes() == (serial / name).read_bytes()
 
 
 class TestSynthPool:
@@ -1142,11 +1206,8 @@ class TestSynthPool:
     def test_one_worker_forks_nothing(self, cpus, days, tmp_path,
                                       monkeypatch):
         # one CPU, or one day: the whole stream is made in this process
-        def no_fork():
-            raise AssertionError("forked a worker")
-
         monkeypatch.setattr(pool, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(os, "fork", _no_fork)
         out = tmp_path / "out"
         assert cli.main(["synth", "--days", str(days), "--orders-per-day",
                          "300", "--out", str(out)]) == 0
@@ -1282,7 +1343,8 @@ def _rates_error(paths, out):
 
 
 class TestRatesReplaysOnce:
-    def test_the_parent_never_replays(self, tmp_path, monkeypatch):
+    def test_each_session_is_replayed_exactly_once(self, tmp_path,
+                                                   monkeypatch):
         paths = _two_file_stream(str(tmp_path))
         # a frame of the last session twice: a sequence error there
         frames = list(feed.read_lobf(paths[1]))
@@ -1291,19 +1353,31 @@ class TestRatesReplaysOnce:
             fh.write(b"".join(map(feed.encode_frame, frames)))
         want = _serial_rates(paths, [], tmp_path / "serial")
         assert "frame sequence" in want
-        parent = os.getpid()
+        # each replay, in this process or in a worker, appends the pid
+        # and the session id of its first frame to one file
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
+        replays = tmp_path / "replays"
         tally_stream = rates.tally_stream
 
-        def in_workers_only(*args, **kwargs):
-            if os.getpid() == parent:
-                raise RuntimeError("a session replayed in the parent")
-            return tally_stream(*args, **kwargs)
+        def logged(store, blobs, *args, **kwargs):
+            blobs = list(blobs)
+            # a frame header holds its session id in bytes 4 to 8
+            session_id = int.from_bytes(blobs[0][4:8], "big")
+            with open(replays, "a") as fh:
+                fh.write(f"{os.getpid()} {session_id}\n")
+            return tally_stream(store, blobs, *args, **kwargs)
 
-        monkeypatch.setattr(rates, "tally_stream", in_workers_only)
+        monkeypatch.setattr(rates, "tally_stream", logged)
         out = tmp_path / "out"
         assert _rates_error(paths, out) == (
             1, f"error: {paths[1]}: session 2017-08-03: {want}\n")
         assert not out.exists()
+        logged_replays = [line.split() for line in
+                          replays.read_text().splitlines()]
+        assert sorted(int(session) for _, session in logged_replays) == [
+            20170801, 20170802, 20170803]
+        assert len({pid for pid, _ in logged_replays}) == 2
+        assert str(os.getpid()) in {pid for pid, _ in logged_replays}
 
     def test_an_unreadable_input_fails_in_stream_order(self, tmp_path):
         good = _two_file_stream(str(tmp_path))[0]
